@@ -42,12 +42,15 @@ from .maps import (
 from .poly import HermitianPolynomial, RealPolynomial, VariableSpace
 from .scalars import (
     GaussianRational,
+    I,
     UnimodularPhase,
     as_rational,
     fourth_root_exact,
+    is_exact,
     nth_root_float,
     phase_from_parameter,
     sqrt_exact,
+    to_tower,
 )
 
 SPACE3 = VariableSpace(3)
@@ -177,47 +180,30 @@ class TransitivityResult:
     t: object
     exact: bool
 
-    def as_tuple(self):
-        return (self.q, self.r, self.s, self.t)
-
 
 def transitive_params_omega(alpha, target) -> TransitivityResult:
     """Parameters (q, r, s, t) moving the base point (0,0,0,1) to the target.
 
     The target must lie strictly on the '>' side of gamma(alpha).  The path is
-    exact when the graph defect at the target is a perfect fourth power of a
-    rational; otherwise the parameters come back as floats (sup-norm error of
-    the reproduced target below 1e-9).
+    exact when the target is exact and its graph defect is a perfect fourth
+    power of a rational; otherwise the parameters come back as floats (sup-norm
+    error of the reproduced target below 1e-9).
     """
     alpha = as_rational(alpha)
-    exact_in = all(isinstance(x, (int, Fraction)) for x in target)
-    if exact_in:
-        x1, x2, x3, x4 = (as_rational(x) for x in target)
-        rad = x4 - x1 * x2 - x3**2 - x1**2 * x3 - alpha * x1**4
-        if rad <= 0:
-            raise DomainError("target is not strictly above the graph")
-        q = fourth_root_exact(rad)
-        if q is not None:
-            r = x1 / q
-            s = (x2 + Fraction(4, 3) * alpha * (4 * alpha - 1) * x1**3 + x1 * x3
-                 + 2 * alpha * x1**3) / q**3
-            t = (x3 + 2 * alpha * x1**2) / q**2
-            return TransitivityResult(q, r, s, t, True)
-        x1f, x2f, x3f, x4f = (float(x) for x in (x1, x2, x3, x4))
-        radf = float(rad)
-    else:
-        x1f, x2f, x3f, x4f = (float(x) for x in target)
-        af = float(alpha)
-        radf = x4f - x1f * x2f - x3f**2 - x1f**2 * x3f - af * x1f**4
-        if radf <= 0:
-            raise DomainError("target is not strictly above the graph")
-    af = float(alpha)
-    qf = nth_root_float(radf, 4)
-    rf = x1f / qf
-    sf = (x2f + 4.0 / 3.0 * af * (4 * af - 1) * x1f**3 + x1f * x3f
-          + 2 * af * x1f**3) / qf**3
-    tf = (x3f + 2 * af * x1f**2) / qf**2
-    return TransitivityResult(qf, rf, sf, tf, False)
+    exact = is_exact(target)
+    x1, x2, x3, x4 = (as_rational(x) if exact else float(x) for x in target)
+    rad = x4 - x1 * x2 - x3**2 - x1**2 * x3 - alpha * x1**4
+    if rad <= 0:
+        raise DomainError("target is not strictly above the graph")
+    q = fourth_root_exact(rad) if exact else None
+    if q is None:  # the floating tower, from the defect computed above
+        x1, x2, x3, alpha = float(x1), float(x2), float(x3), float(alpha)
+        q = nth_root_float(rad, 4)
+    r = x1 / q
+    s = (x2 + Fraction(4, 3) * alpha * (4 * alpha - 1) * x1**3 + x1 * x3
+         + 2 * alpha * x1**3) / q**3
+    t = (x3 + 2 * alpha * x1**2) / q**2
+    return TransitivityResult(q, r, s, t, isinstance(q, Fraction))
 
 
 # ---------------------------------------------------------------------------
@@ -311,9 +297,23 @@ def identity_p_params(sign: str) -> PParams:
     return PParams(sign, Fraction(1), one, one, Fraction(0), zero, zero, zero, zero, zero)
 
 
+def _mono(space, **powers):
+    exps = [0] * (2 * space.n)
+    names = space.names
+    for name, k in powers.items():
+        exps[names.index(name)] = k
+    return tuple(exps)
+
+
+# The monomials a symmetry map's components can carry: 1, z1, z2, z3, z4, z1^2.
+P_MONOMIALS = ((0,) * 8, *(SPACE4.unit(i) for i in range(4)), _mono(SPACE4, z1=2))
+
+
 def make_p_element(params: PParams, check: bool = True, misread_phase: bool = False) -> HoloPolyMap:
     """The degree-2 holomorphic symmetry of the quartic model with the given parameters.
 
+    The coefficients are one formula over the parameters' own tower: exact
+    parameters give an exact map, floating ones (the chart) a float map.
     ``check=False`` skips the constraint (used to build negative controls).
     ``misread_phase=True`` swaps the second phase for the first in the single
     z3-coefficient of the last component; with distinct phases and tau != 0
@@ -323,106 +323,30 @@ def make_p_element(params: PParams, check: bool = True, misread_phase: bool = Fa
     if check:
         params.validate()
     eps = _sign_to_eps(params.sign)
-    if params.exact:
-        return _p_element_exact(params, eps, misread_phase)
-    return _p_element_float(params, eps, misread_phase)
-
-
-def _p_element_exact(p: PParams, eps: int, misread_phase: bool) -> HoloPolyMap:
-    q = GaussianRational(p.q)
-    phi = p.phi_phase.value
-    psi = p.psi_phase.value
-    rho, sigma, tau, b, d = p.rho, p.sigma, p.tau, p.b, p.d
-    z1, z2, z3, z4 = (_var(SPACE4, i) for i in range(4))
-    rho_bar = rho.conjugate()
-    tau_bar = tau.conjugate()
-    sigma_bar = sigma.conjugate()
-    d_bar = d.conjugate()
-    phipsi = phi * psi
-    rho2 = GaussianRational(rho.abs2())
-
-    c1 = z1 * (q * phi) + HermitianPolynomial.constant(SPACE4, rho)
-
-    c2 = (
-        z1 * (rho2 * (q * phi) * (-2 * eps) + q * q * b)
-        + z2 * (q**3 * phi)
-        + z3 * (q * d)
-        + z1**2 * (rho_bar * q * q * phi * phi * (-2 * eps))
-        + HermitianPolynomial.constant(SPACE4, sigma)
+    exact = params.exact
+    q, phi, psi, rho, sigma, tau, b, d = (
+        to_tower(x, exact)
+        for x in (params.q, params.phi_phase, params.psi_phase, params.rho, params.sigma,
+                  params.tau, params.b, params.d)
     )
-
-    c3 = (
-        z1 * (d_bar * phipsi * -1)
-        + z3 * (q * q * psi)
-        + HermitianPolynomial.constant(SPACE4, tau)
-    )
-
+    rho_bar, sigma_bar, tau_bar, d_bar = (x.conjugate() for x in (rho, sigma, tau, d))
+    qphi, q2, phipsi, rho2 = q * phi, q * q, phi * psi, rho * rho_bar
     z3_phase = phi if misread_phase else psi
-    const4 = (
-        rho * sigma_bar
-        + sigma * rho_bar
-        + GaussianRational(tau.abs2())
-        + GaussianRational(rho.abs2() ** 2) * eps
-        + GaussianRational(0, p.u)
+    const, z1, z2, z3, z4, z1sq = P_MONOMIALS
+    rows = (
+        {const: rho, z1: qphi},
+        {const: sigma, z1: rho2 * qphi * (-2 * eps) + q2 * b, z2: q2 * qphi, z3: q * d,
+         z1sq: rho_bar * qphi * qphi * (-2 * eps)},
+        {const: tau, z1: -d_bar * phipsi, z3: q2 * psi},
+        {const: rho * sigma_bar + sigma * rho_bar + tau * tau_bar + rho2 * rho2 * eps
+         + to_tower(I, exact) * params.u,
+         z1: (sigma_bar * qphi + rho_bar * q2 * b - tau_bar * d_bar * phipsi) * 2,
+         z2: rho_bar * q2 * qphi * 2,
+         z3: (rho_bar * q * d + tau_bar * q2 * z3_phase) * 2,
+         z4: q2 * q2,
+         z1sq: rho_bar * rho_bar * qphi * qphi * (-2 * eps)},
     )
-    c4 = (
-        z1 * (sigma_bar * (q * phi) * 2 + rho_bar * q * q * b * 2 - tau_bar * d_bar * phipsi * 2)
-        + z2 * (rho_bar * q**3 * phi * 2)
-        + z3 * (rho_bar * q * d * 2 + tau_bar * q * q * z3_phase * 2)
-        + z4 * q**4
-        + z1**2 * (rho_bar * rho_bar * q * q * phi * phi * (-2 * eps))
-        + HermitianPolynomial.constant(SPACE4, const4)
-    )
-    return HoloPolyMap(SPACE4, SPACE4, [c1, c2, c3, c4])
-
-
-def _p_element_float(p: PParams, eps: int, misread_phase: bool) -> HoloPolyMap:
-    q = float(p.q)
-    phi = complex(p.phi_phase)
-    psi = complex(p.psi_phase)
-    rho, sigma, tau = complex(p.rho), complex(p.sigma), complex(p.tau)
-    b, d = complex(p.b), complex(p.d)
-    u = float(p.u)
-    z1, z2, z3, z4 = (_var(SPACE4, i, exact=False) for i in range(4))
-    const = HermitianPolynomial.constant
-
-    c1 = z1 * (q * phi) + const(SPACE4, rho, exact=False)
-    c2 = (
-        z1 * (-2 * eps * abs(rho) ** 2 * q * phi + q * q * b)
-        + z2 * (q**3 * phi)
-        + z3 * (q * d)
-        + z1**2 * (-2 * eps * rho.conjugate() * q * q * phi * phi)
-        + const(SPACE4, sigma, exact=False)
-    )
-    c3 = (
-        z1 * (-d.conjugate() * phi * psi)
-        + z3 * (q * q * psi)
-        + const(SPACE4, tau, exact=False)
-    )
-    z3_phase = phi if misread_phase else psi
-    c4 = (
-        z1 * (2 * sigma.conjugate() * q * phi + 2 * rho.conjugate() * q * q * b
-              - 2 * tau.conjugate() * d.conjugate() * phi * psi)
-        + z2 * (2 * rho.conjugate() * q**3 * phi)
-        + z3 * (2 * rho.conjugate() * q * d + 2 * tau.conjugate() * q * q * z3_phase)
-        + z4 * q**4
-        + z1**2 * (-2 * eps * rho.conjugate() ** 2 * q * q * phi * phi)
-        + const(
-            SPACE4,
-            rho * sigma.conjugate() + sigma * rho.conjugate()
-            + abs(tau) ** 2 + eps * abs(rho) ** 4 + 1j * u,
-            exact=False,
-        )
-    )
-    return HoloPolyMap(SPACE4, SPACE4, [c1, c2, c3, c4])
-
-
-def _mono(space, **powers):
-    exps = [0] * (2 * space.n)
-    names = space.names
-    for name, k in powers.items():
-        exps[names.index(name)] = k
-    return tuple(exps)
+    return HoloPolyMap(SPACE4, SPACE4, [HermitianPolynomial(SPACE4, row, exact) for row in rows])
 
 
 def p_params_from_map(f: HoloPolyMap, sign: str) -> PParams:
@@ -657,31 +581,13 @@ def p_chart_float(theta, sign: str) -> PParams:
     )
 
 
-_P_COEFF_MONOS = None
-
-
-def _p_coeff_monomials():
-    global _P_COEFF_MONOS
-    if _P_COEFF_MONOS is None:
-        _P_COEFF_MONOS = [
-            (0,) * 8,
-            _mono(SPACE4, z1=1),
-            _mono(SPACE4, z2=1),
-            _mono(SPACE4, z3=1),
-            _mono(SPACE4, z4=1),
-            _mono(SPACE4, z1=2),
-        ]
-    return _P_COEFF_MONOS
-
-
 def p_map_coefficient_vector(params: PParams) -> np.ndarray:
     """Flatten a symmetry map to the fixed real coefficient vector used by the rank check."""
     f = make_p_element(params, check=False)
     out = []
     for comp in f.components:
-        for mono in _p_coeff_monomials():
-            c = comp.coefficient(mono)
-            c = complex(c)
+        for mono in P_MONOMIALS:
+            c = complex(comp.coefficient(mono))
             out.extend((c.real, c.imag))
     return np.array(out, dtype=float)
 
@@ -718,39 +624,6 @@ def normalizer_strength(alpha) -> Fraction:
     return (12 * as_rational(alpha) - 1) / 8
 
 
-def make_normalizer(alpha) -> HoloPolyMap:
-    """The printed normalizing map of the gamma(alpha) tube (floating tower).
-
-    For alpha != 1/12 the target is the quartic model (plus variant above
-    1/12, minus variant below); at alpha = 1/12 it is the signature-(2,1)
-    quadric model.  The z1/z2/z3 scalings are irrational, so the printed map
-    lives on floats; see :func:`make_normalizer_rational` for the exact form.
-    """
-    alpha = as_rational(alpha)
-    af = float(alpha)
-    z1, z2, z3, z4 = (_var(SPACE4, i, exact=False) for i in range(4))
-    c4 = z4 * 4.0 - z1 * z2 * 2.0 - z3**2 * 2.0 - z1**2 * z3 - z1**4 * (af / 2.0)
-    if alpha == Fraction(1, 12):
-        s = math.sqrt(2.0)
-        core = z1 + z2 + z1 * z3 + z1**3 * (1.0 / 12.0)
-        anti = z1 - z2 - z1 * z3 - z1**3 * (1.0 / 12.0)
-        return HoloPolyMap(
-            SPACE4, SPACE4, [core * (1.0 / s), (z3 + z1**2 * 0.25) * s, anti * (1.0 / s), c4]
-        )
-    lam = nth_root_float(abs(float(normalizer_strength(alpha))), 4)
-    s = math.sqrt(2.0)
-    return HoloPolyMap(
-        SPACE4,
-        SPACE4,
-        [
-            z1 * lam,
-            (z2 + z1 * z3 + z1**3 * af) * (1.0 / lam),
-            (z3 + z1**2 * 0.25) * s,
-            c4,
-        ],
-    )
-
-
 @dataclass(frozen=True)
 class RationalizedEquivalence:
     """A printed map split as (diagonal scaling) o (rational map).
@@ -767,6 +640,12 @@ class RationalizedEquivalence:
     conjugated_target_rho: HermitianPolynomial
     source_rho: HermitianPolynomial
     radicands: tuple
+
+    def printed_map(self) -> HoloPolyMap:
+        """The printed map diag(radicand_i^(1/4)) o rational_map, on the floating tower."""
+        f = self.rational_map
+        comps = [c.to_float() * nth_root_float(r, 4) for c, r in zip(f.components, self.radicands)]
+        return HoloPolyMap(f.space_in, f.space_out, comps)
 
 
 def make_normalizer_rational(alpha) -> RationalizedEquivalence:
@@ -792,6 +671,17 @@ def make_normalizer_rational(alpha) -> RationalizedEquivalence:
     if conj is None:
         raise DomainError("diagonal conjugation unexpectedly inexact")
     return RationalizedEquivalence(nmap, target, conj, source, radicands)
+
+
+def make_normalizer(alpha) -> HoloPolyMap:
+    """The printed normalizing map of the gamma(alpha) tube (floating tower).
+
+    For alpha != 1/12 the target is the quartic model (plus variant above
+    1/12, minus variant below); at alpha = 1/12 it is the signature-(2,1)
+    quadric model.  The z1/z2/z3 scalings are irrational, so the printed map
+    lives on floats; it is derived from :func:`make_normalizer_rational`.
+    """
+    return make_normalizer_rational(alpha).printed_map()
 
 
 # ---------------------------------------------------------------------------
@@ -851,50 +741,24 @@ def d0_domain(side: str) -> SidedDomain:
 
 
 def quadric_transitive_map(p: int, n: int, a, b, c) -> HoloPolyMap:
-    """z |-> a z + b, last |-> 2 a H(z, conj b) + a^2 last + H(b, conj b) + i c."""
+    """z |-> a z + b, last |-> 2 a H(z, conj b) + a^2 last + H(b, conj b) + i c.
+
+    Exact when a, c and every b_j are exact, on the floating tower otherwise.
+    """
     fam = QuadricFamily(p, n)
     space = quadric_space(n)
-    exact_in = isinstance(a, (int, Fraction)) and isinstance(c, (int, Fraction)) and all(
-        isinstance(x, GaussianRational) for x in b
-    )
-    if exact_in:
-        a = as_rational(a)
-        if a == 0:
-            raise DomainError("scale a must be nonzero")
-        comps = [
-            _var(space, j) * a + HermitianPolynomial.constant(space, b[j]) for j in range(n)
-        ]
-        pairing = HermitianPolynomial.zero(space)
-        hbb = GaussianRational(0)
-        for j, e in enumerate(fam.eps):
-            pairing = pairing + _var(space, j) * (b[j].conjugate() * e)
-            hbb = hbb + GaussianRational(b[j].abs2()) * e
-        last = (
-            pairing * (2 * a)
-            + _var(space, n) * a**2
-            + HermitianPolynomial.constant(space, hbb + GaussianRational(0, c))
-        )
-        return HoloPolyMap(space, space, comps + [last])
-    af = float(a)
-    if af == 0:
+    exact = is_exact([a, c, *b])
+    a, c = (as_rational(x) if exact else float(x) for x in (a, c))
+    if a == 0:
         raise DomainError("scale a must be nonzero")
-    bf = [complex(x) for x in b]
-    comps = [
-        _var(space, j, exact=False) * af
-        + HermitianPolynomial.constant(space, bf[j], exact=False)
-        for j in range(n)
-    ]
-    pairing = HermitianPolynomial.zero(space, exact=False)
-    hbb = 0.0
+    b = [to_tower(x, exact) for x in b]
+    const = (0,) * (2 * space.n)
+    comps = [HermitianPolynomial(space, {space.unit(j): a, const: b[j]}, exact) for j in range(n)]
+    last = {space.unit(n): a * a, const: to_tower(I, exact) * c}
     for j, e in enumerate(fam.eps):
-        pairing = pairing + _var(space, j, exact=False) * (bf[j].conjugate() * e)
-        hbb += e * abs(bf[j]) ** 2
-    last = (
-        pairing * (2 * af)
-        + _var(space, n, exact=False) * af**2
-        + HermitianPolynomial.constant(space, complex(hbb, float(c)), exact=False)
-    )
-    return HoloPolyMap(space, space, comps + [last])
+        last[space.unit(j)] = b[j].conjugate() * (2 * a * e)
+        last[const] = last[const] + b[j] * b[j].conjugate() * e
+    return HoloPolyMap(space, space, comps + [HermitianPolynomial(space, last, exact)])
 
 
 def quadric_base_point(p: int, n: int, side: str):
@@ -913,10 +777,7 @@ class QuadricTransitivityResult:
 def quadric_transitive_params(p: int, n: int, side: str, target) -> QuadricTransitivityResult:
     """Solve for (a, b, c) carrying the base point to a target strictly inside."""
     fam = QuadricFamily(p, n)
-    vals = [
-        v if isinstance(v, GaussianRational) else GaussianRational(as_rational(v))
-        for v in target
-    ]
+    vals = [to_tower(v, True) for v in target]
     b = tuple(vals[:n])
     hbb = Fraction(0)
     for j, e in enumerate(fam.eps):
@@ -938,16 +799,6 @@ def quadric_transitive_params(p: int, n: int, side: str, target) -> QuadricTrans
     return QuadricTransitivityResult(math.sqrt(float(a2)), b, c, False)
 
 
-def quadric_tube_base(p: int, n: int) -> RealPolynomial:
-    """The graph function H_{p,n}(x, x) of the tube realisation's target base."""
-    fam = QuadricFamily(p, n)
-    space = VariableSpace(n)
-    total = HermitianPolynomial.zero(space)
-    for j, e in enumerate(fam.eps):
-        total = total + _var(space, j) ** 2 * e
-    return RealPolynomial(total)
-
-
 def quadric_tube_surface(p: int, n: int) -> Hypersurface:
     """Tube over the graph x_{n+1} = H_{p,n}(x, x), oriented as Re z_{n+1} - H(x, x)."""
     space = quadric_space(n)
@@ -956,19 +807,6 @@ def quadric_tube_surface(p: int, n: int) -> Hypersurface:
     for j, e in enumerate(fam.eps):
         total = total + _re(space, j) ** 2 * e
     return Hypersurface(_re(space, n) - total)
-
-
-def make_tube_realisation(p: int, n: int) -> HoloPolyMap:
-    """Printed map z |-> sqrt(2) z, last |-> last + H(z, z), on the floating tower."""
-    fam = QuadricFamily(p, n)
-    space = quadric_space(n)
-    s = math.sqrt(2.0)
-    comps = [_var(space, j, exact=False) * s for j in range(n)]
-    hol = HermitianPolynomial.zero(space, exact=False)
-    for j, e in enumerate(fam.eps):
-        hol = hol + _var(space, j, exact=False) ** 2 * float(e)
-    comps.append(_var(space, n, exact=False) + hol)
-    return HoloPolyMap(space, space, comps)
 
 
 def make_tube_realisation_rational(p: int, n: int) -> RationalizedEquivalence:
@@ -989,6 +827,11 @@ def make_tube_realisation_rational(p: int, n: int) -> RationalizedEquivalence:
     return RationalizedEquivalence(nmap, target, conj, quadric_surface(p, n).rho, radicands)
 
 
+def make_tube_realisation(p: int, n: int) -> HoloPolyMap:
+    """Printed map z |-> sqrt(2) z, last |-> last + H(z, z), on the floating tower."""
+    return make_tube_realisation_rational(p, n).printed_map()
+
+
 # ---------------------------------------------------------------------------
 # Cayley tube
 # ---------------------------------------------------------------------------
@@ -1006,17 +849,6 @@ def cayley_tube_surface() -> Hypersurface:
     return Hypersurface(_re(SPACE3, 2) - x1 * x2 - x1**3)
 
 
-def make_cayley_map() -> HoloPolyMap:
-    """Printed equivalence of the Cayley tube with the (1,2) quadric model (floats)."""
-    z1, z2, z3 = (_var(SPACE3, i, exact=False) for i in range(3))
-    s = math.sqrt(2.0)
-    core = z1 + z2 + z1**2 * 1.5
-    anti = z1 - z2 - z1**2 * 1.5
-    return HoloPolyMap(
-        SPACE3, SPACE3, [core * (1.0 / s), anti * (1.0 / s), z3 * 4.0 - z1 * z2 * 2.0 - z1**3]
-    )
-
-
 def make_cayley_rational() -> RationalizedEquivalence:
     z1, z2, z3 = (_var(SPACE3, i) for i in range(3))
     core = z1 + z2 + z1**2 * Fraction(3, 2)
@@ -1030,8 +862,9 @@ def make_cayley_rational() -> RationalizedEquivalence:
     return RationalizedEquivalence(nmap, target, conj, cayley_tube_surface().rho, radicands)
 
 
-def make_cayley_objects() -> tuple[Hypersurface, HoloPolyMap]:
-    return cayley_tube_surface(), make_cayley_map()
+def make_cayley_map() -> HoloPolyMap:
+    """Printed equivalence of the Cayley tube with the (1,2) quadric model (floats)."""
+    return make_cayley_rational().printed_map()
 
 
 # ---------------------------------------------------------------------------
@@ -1174,10 +1007,6 @@ class RegistryEntry:
     obj: object
 
 
-def _fmt_rat(x: Fraction) -> str:
-    return str(x)
-
-
 def resolve(ident: str) -> RegistryEntry:
     """Resolve a stable string identifier to a catalog object.
 
@@ -1189,20 +1018,20 @@ def resolve(ident: str) -> RegistryEntry:
     ``cayley_map``, ``P_plus``, ``P_minus``, ``control:bad_constraint``,
     ``control:wrong_phase``.
     """
-    name, args = _parse_ident(ident)
+    name, args = parse_ident(ident)
     if name == "gamma":
-        alpha = as_rational(args["alpha"])
+        alpha = args["alpha"]
         return RegistryEntry(
             ident, "hypersurface",
-            f"tube over the graph x4 = x1 x2 + x3^2 + x1^2 x3 + ({_fmt_rat(alpha)}) x1^4",
+            f"tube over the graph x4 = x1 x2 + x3^2 + x1^2 x3 + ({alpha}) x1^4",
             make_gamma(alpha),
         )
     if name == "omega":
-        alpha = as_rational(args["alpha"])
+        alpha = args["alpha"]
         side = args["side"]
         return RegistryEntry(
             ident, "domain",
-            f"tube domain on the '{side}' side of gamma(alpha={_fmt_rat(alpha)})",
+            f"tube domain on the '{side}' side of gamma(alpha={alpha})",
             make_omega(alpha, side),
         )
     if name in ("M_plus", "M_minus"):
@@ -1226,27 +1055,27 @@ def resolve(ident: str) -> RegistryEntry:
             d0_domain(side),
         )
     if name == "quadric":
-        p, n, side = int(args["p"]), int(args["n"]), args["side"]
+        p, n, side = args["p"], args["n"], args["side"]
         return RegistryEntry(
             ident, "domain", f"'{side}' side of the quadric over H_{{{p},{n}}}",
             make_quadric_domain(p, n, side),
         )
     if name == "quadric_surface":
-        p, n = int(args["p"]), int(args["n"])
+        p, n = args["p"], args["n"]
         return RegistryEntry(
             ident, "hypersurface", f"quadric Re z_{n + 1} = H_{{{p},{n}}}(z, zb)",
             quadric_surface(p, n),
         )
     if name == "tube_realisation":
-        p, n = int(args["p"]), int(args["n"])
+        p, n = args["p"], args["n"]
         return RegistryEntry(
             ident, "map", f"tube realisation of the H_{{{p},{n}}} quadric sides",
             make_tube_realisation(p, n),
         )
     if name == "normalizer":
-        alpha = as_rational(args["alpha"])
+        alpha = args["alpha"]
         return RegistryEntry(
-            ident, "map", f"normalizing equivalence for the gamma(alpha={_fmt_rat(alpha)}) tubes",
+            ident, "map", f"normalizing equivalence for the gamma(alpha={alpha}) tubes",
             make_normalizer(alpha),
         )
     if name == "cayley":
@@ -1260,7 +1089,7 @@ def resolve(ident: str) -> RegistryEntry:
             make_cayley_map(),
         )
     if name == "sigma":
-        s = float(Fraction(args["sigma"])) if "/" in args["sigma"] else float(args["sigma"])
+        s = args["sigma"]
         return RegistryEntry(
             ident, "graph", f"degree-4 graph family in R^7 at parameter {s}",
             make_sigma_surface(s),
@@ -1292,7 +1121,36 @@ def resolve(ident: str) -> RegistryEntry:
     raise KeyError(f"unknown registry identifier {ident!r}")
 
 
-def _parse_ident(ident: str) -> tuple[str, dict]:
+def _side(text: str) -> str:
+    if text not in (">", "<"):
+        raise DomainError(f"side must be '>' or '<', got {text!r}")
+    return text
+
+
+def _sign(text: str) -> str:
+    _sign_to_eps(text)
+    return text
+
+
+# Identifier arguments and their parsers; every catalog family draws from these.
+IDENT_ARGS = {
+    "alpha": as_rational,
+    "sigma": lambda text: float(Fraction(text)),
+    "p": int,
+    "n": int,
+    "side": _side,
+    "sign": _sign,
+}
+
+
+def parse_ident(ident: str) -> tuple[str, dict]:
+    """Split ``name(key=value,...)`` into the name and typed arguments.
+
+    This is the one parser of identifiers, shared by :func:`resolve` and the
+    check handlers.  A malformed identifier or an unknown argument raises
+    KeyError; a value its parser rejects (``alpha=1/0``, ``side=x``) raises
+    DomainError.
+    """
     ident = ident.strip().replace("σ", "sigma")
     if "(" not in ident:
         return ident, {}
@@ -1304,8 +1162,13 @@ def _parse_ident(ident: str) -> tuple[str, dict]:
         for piece in body.split(","):
             if "=" not in piece:
                 raise KeyError(f"malformed identifier {ident!r}")
-            k, v = piece.split("=", 1)
-            args[k.strip()] = v.strip()
+            key, value = (x.strip() for x in piece.split("=", 1))
+            if key not in IDENT_ARGS:
+                raise KeyError(f"unknown argument {key!r} in identifier {ident!r}")
+            try:
+                args[key] = IDENT_ARGS[key](value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise DomainError(f"bad value {value!r} for {key} in {ident!r}: {exc}") from None
     return name.strip(), args
 
 

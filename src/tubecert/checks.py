@@ -103,43 +103,33 @@ def _fmt(value) -> str:
 
 
 def check_invariance(spec: CheckSpec) -> dict:
-    name, args = catalog._parse_ident(spec.target)
+    name, args = catalog.parse_ident(spec.target)
     rng = random.Random(spec.seed)
     if name == "gamma":
-        return _invariance_generators(spec, rng, args)
+        return _invariance_generators(spec, rng, args["alpha"])
     if name in ("M_plus", "M_minus"):
         return _invariance_group(spec, rng, "+" if name == "M_plus" else "-")
     if name == "normalizer":
         return _invariance_equivalence(
-            spec,
-            catalog.make_normalizer_rational(args["alpha"]),
-            catalog.make_normalizer(args["alpha"]),
-            EXPECTED_NORMALIZER_FACTOR,
+            spec, catalog.make_normalizer_rational(args["alpha"]), EXPECTED_NORMALIZER_FACTOR
         )
     if name == "tube_realisation":
-        p, n = int(args["p"]), int(args["n"])
         return _invariance_equivalence(
-            spec,
-            catalog.make_tube_realisation_rational(p, n),
-            catalog.make_tube_realisation(p, n),
+            spec, catalog.make_tube_realisation_rational(args["p"], args["n"]),
             EXPECTED_TUBE_FACTOR,
         )
     if name == "cayley_map":
         return _invariance_equivalence(
-            spec,
-            catalog.make_cayley_rational(),
-            catalog.make_cayley_map(),
-            EXPECTED_CAYLEY_FACTOR,
+            spec, catalog.make_cayley_rational(), EXPECTED_CAYLEY_FACTOR
         )
     if name == "quadric_action":
-        return _invariance_quadric_action(spec, rng, int(args["p"]), int(args["n"]))
+        return _invariance_quadric_action(spec, rng, args["p"], args["n"])
     if name.startswith("control:"):
         return _invariance_control(spec)
     raise DomainError(f"invariance check does not understand target {spec.target!r}")
 
 
-def _invariance_generators(spec: CheckSpec, rng, args) -> dict:
-    alpha = Fraction(args["alpha"])
+def _invariance_generators(spec: CheckSpec, rng, alpha: Fraction) -> dict:
     count = spec.param_int("count", 20)
     kinds = spec.param_str("generators", "phi,psi,mu,nu").split(",")
     rho = catalog.make_gamma(alpha).rho
@@ -191,7 +181,7 @@ def _invariance_group(spec: CheckSpec, rng, sign: str) -> dict:
     return {"sign": sign, "draws": draws, "factor": "q^4", "exact": True}
 
 
-def _invariance_equivalence(spec: CheckSpec, rationalized, printed_map, expected) -> dict:
+def _invariance_equivalence(spec: CheckSpec, rationalized, expected) -> dict:
     details: dict = {}
     if spec.path in ("exact", "both"):
         _require(
@@ -214,7 +204,7 @@ def _invariance_equivalence(spec: CheckSpec, rationalized, printed_map, expected
     if spec.path in ("float", "both"):
         cert_f = equivalence_certificate(
             rationalized.target_rho.to_float(),
-            printed_map,
+            rationalized.printed_map(),
             rationalized.source_rho.to_float(),
         )
         _require(
@@ -268,12 +258,14 @@ def _invariance_control(spec: CheckSpec) -> dict:
 
 
 def check_transitivity(spec: CheckSpec) -> dict:
-    name, args = catalog._parse_ident(spec.target)
+    name, args = catalog.parse_ident(spec.target)
     rng = random.Random(spec.seed)
     if name == "omega":
-        return _transitivity_omega(spec, rng, Fraction(args["alpha"]))
+        if args["side"] != ">":
+            raise DomainError("the omega transitivity solver covers only side=>")
+        return _transitivity_omega(spec, rng, args["alpha"])
     if name == "quadric":
-        return _transitivity_quadric(spec, rng, int(args["p"]), int(args["n"]), args["side"])
+        return _transitivity_quadric(spec, rng, args["p"], args["n"], args["side"])
     raise DomainError(f"transitivity check does not understand target {spec.target!r}")
 
 
@@ -347,19 +339,20 @@ def _transitivity_quadric(spec: CheckSpec, rng, p: int, n: int, side: str) -> di
 
 
 def check_levi(spec: CheckSpec) -> dict:
-    name, args = catalog._parse_ident(spec.target)
+    name, args = catalog.parse_ident(spec.target)
     rng = random.Random(spec.seed)
     if name in ("M_plus", "M_minus"):
         sign = "+" if name == "M_plus" else "-"
         return _levi_model(spec, rng, sign)
     if name == "sigma":
-        return _levi_sigma(spec, rng, float(args["sigma"]))
+        return _levi_sigma(spec, rng, args["sigma"])
     if name == "gamma":
-        return _levi_gamma_crosscheck(spec, rng, Fraction(args["alpha"]))
+        return _levi_gamma_crosscheck(spec, rng, args["alpha"])
     if name == "quadric_surface":
-        surface = catalog.quadric_surface(int(args["p"]), int(args["n"]))
+        p, n = args["p"], args["n"]
+        surface = catalog.quadric_surface(p, n)
         data = geometry.levi_form(surface, [0.0] * surface.space.n)
-        want = (int(args["p"]), int(args["n"]) - int(args["p"]), 0)
+        want = (p, n - p, 0)
         _require(data.signature == want, f"origin signature {data.signature} != {want}")
         return {"surface": spec.target, "signature": list(data.signature)}
     raise DomainError(f"levi check does not understand target {spec.target!r}")
@@ -418,7 +411,7 @@ def _levi_gamma_crosscheck(spec: CheckSpec, rng, alpha: Fraction) -> dict:
 
 
 def check_chern_moser(spec: CheckSpec) -> dict:
-    name, _ = catalog._parse_ident(spec.target)
+    name, _ = catalog.parse_ident(spec.target)
     rng = random.Random(spec.seed)
     if name not in ("M_plus", "M_minus"):
         raise DomainError(f"chern_moser check does not understand target {spec.target!r}")
@@ -653,7 +646,7 @@ def check_line_witness(spec: CheckSpec) -> dict:
 
 
 def check_closure(spec: CheckSpec) -> dict:
-    name, _ = catalog._parse_ident(spec.target)
+    name, _ = catalog.parse_ident(spec.target)
     if name not in ("P_plus", "P_minus"):
         raise DomainError(f"closure check does not understand target {spec.target!r}")
     sign = "+" if name == "P_plus" else "-"
@@ -683,7 +676,7 @@ def check_closure(spec: CheckSpec) -> dict:
 
 
 def check_rank(spec: CheckSpec) -> dict:
-    name, _ = catalog._parse_ident(spec.target)
+    name, _ = catalog.parse_ident(spec.target)
     if name not in ("P_plus", "P_minus"):
         raise DomainError(f"rank check does not understand target {spec.target!r}")
     sign = "+" if name == "P_plus" else "-"

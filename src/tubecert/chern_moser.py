@@ -28,7 +28,7 @@ from . import exactla
 from .errors import DomainError, SpaceError
 from .maps import HoloPolyMap, pullback
 from .poly import HermitianPolynomial, VariableSpace
-from .scalars import GaussianRational
+from .scalars import GaussianRational, is_exact, to_tower
 
 
 class HermitianForm:
@@ -207,37 +207,21 @@ def linear_scaling_check(
     """
     m = s.form.m
     space = VariableSpace(m)
-    exact = all(isinstance(x, GaussianRational) for row in U for x in row)
-    if exact:
-        comps = []
-        for i in range(m):
-            c = HermitianPolynomial.zero(space)
-            for j in range(m):
-                if not U[i][j].is_zero():
-                    c = c + HermitianPolynomial.variable(space, j) * U[i][j]
-            comps.append(c)
-        umap = HoloPolyMap(space, space, comps)
-        form_poly = s.form.poly(space)
-        form_ok = (pullback(form_poly, umap) - form_poly).is_zero()
-        f22 = s.component(2, 2)
-        lam2 = (lam if isinstance(lam, GaussianRational) else GaussianRational(lam)) ** 2
-        residual = pullback(f22, umap) - f22 * (GaussianRational(1) / lam2)
-        return ScalingReport(form_ok, residual.is_zero(), residual.max_abs_coefficient())
+    exact = is_exact(x for row in U for x in row)
     comps = []
-    for i in range(m):
-        c = HermitianPolynomial.zero(space, exact=False)
-        for j in range(m):
-            val = complex(U[i][j])
-            if val != 0:
-                c = c + HermitianPolynomial.variable(space, j, exact=False) * val
-        comps.append(c)
+    for row in U:
+        terms = {space.unit(j): to_tower(x, exact) for j, x in enumerate(row)}
+        comps.append(HermitianPolynomial(space, terms, exact))
     umap = HoloPolyMap(space, space, comps)
-    form_poly = s.form.poly(space).to_float()
-    form_res = (pullback(form_poly, umap) - form_poly).max_abs_coefficient()
-    f22 = s.component(2, 2).to_float()
-    residual = pullback(f22, umap) - f22 * (1.0 / float(lam) ** 2)
-    return ScalingReport(form_res <= 1e-10, residual.max_abs_coefficient() <= tol,
-                         residual.max_abs_coefficient())
+    form_poly, f22 = s.form.poly(space), s.component(2, 2)
+    if not exact:
+        form_poly, f22 = form_poly.to_float(), f22.to_float()
+    form_res = pullback(form_poly, umap) - form_poly
+    residual = pullback(f22, umap) - f22 * (to_tower(1, exact) / to_tower(lam, exact) ** 2)
+    err = residual.max_abs_coefficient()
+    if exact:
+        return ScalingReport(form_res.is_zero(), residual.is_zero(), err)
+    return ScalingReport(form_res.max_abs_coefficient() <= 1e-10, err <= tol, err)
 
 
 def model_normal_form(sign: str) -> NormalFormSurface:

@@ -22,9 +22,9 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 config or internal error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
 
@@ -102,43 +102,32 @@ def resolve_targets(specs: list[CheckSpec]):
     for spec in specs:
         if spec.kind == "lie":
             continue  # lie targets are check-local names, not registry objects
-        if spec.kind == "transitivity" and spec.target.startswith("omega"):
-            catalog.resolve(spec.target)
-            continue
-        if spec.kind == "invariance" and spec.target.startswith("quadric_action"):
-            _, args = catalog._parse_ident(spec.target)
-            catalog.QuadricFamily(int(args["p"]), int(args["n"]))
-            continue
         try:
-            catalog.resolve(spec.target)
-        except KeyError as exc:
+            name, args = catalog.parse_ident(spec.target)
+            if spec.kind == "invariance" and name == "quadric_action":
+                catalog.QuadricFamily(args["p"], args["n"])
+            else:
+                catalog.resolve(spec.target)
+        except (KeyError, DomainError) as exc:
             raise ConfigError(f"check {spec.id!r}: {exc.args[0]}") from None
+        if spec.kind == "transitivity" and name == "omega" and args["side"] != ">":
+            raise ConfigError(f"check {spec.id!r}: the omega transitivity solver covers only side=>")
 
 
 def run_suite(
     specs: list[CheckSpec],
-    jobs: int = 1,
     fail_fast: bool = False,
     seed_override: int | None = None,
 ) -> list[CheckResult]:
-    """Run all checks (concurrently when jobs > 1) and merge results in config order."""
-    if seed_override is not None:
-        specs = [
-            CheckSpec(s.id, s.kind, s.target, s.parameters, seed_override, s.path)
-            for s in specs
-        ]
-    results: dict[str, CheckResult] = {}
-    if jobs <= 1 or fail_fast:
-        for spec in specs:
-            result = run_check(spec)
-            results[spec.id] = result
-            if fail_fast and result.status != "pass":
-                break
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for result in pool.map(run_check, specs):
-                results[result.id] = result
-    return [results[s.id] for s in specs if s.id in results]
+    """Run the checks one after another, in config order."""
+    results = []
+    for spec in specs:
+        if seed_override is not None:
+            spec = dataclasses.replace(spec, seed=seed_override)
+        results.append(run_check(spec))
+        if fail_fast and results[-1].status != "pass":
+            break
+    return results
 
 
 def result_json_line(result: CheckResult, include_timing: bool = True) -> str:
@@ -189,7 +178,6 @@ def main(argv=None) -> int:
     p_verify = sub.add_parser("verify", help="run a verification config")
     p_verify.add_argument("config", nargs="?", help="config path (omit for the shipped suite)")
     p_verify.add_argument("--fail-fast", action="store_true")
-    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument("--format", choices=("json", "md"), default="json")
     p_verify.add_argument("--seed-override", type=int, default=None)
     p_verify.add_argument("--out", help="also write the JSON report to this file")
@@ -222,9 +210,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 
-    results = run_suite(
-        specs, jobs=args.jobs, fail_fast=args.fail_fast, seed_override=args.seed_override
-    )
+    results = run_suite(specs, fail_fast=args.fail_fast, seed_override=args.seed_override)
     json_lines = [result_json_line(r) for r in results]
     if args.format == "json":
         for line in json_lines:

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, NotAHypersurfacePoint, SpaceError
 from .poly import HermitianPolynomial, RealPolynomial, VariableSpace
-from .scalars import GaussianRational, as_rational
+from .scalars import GaussianRational, is_exact, to_tower
 
 ZERO_EIGENVALUE_RELTOL = 1e-9
 SPECTRAL_FLOOR = 1e-30
@@ -87,9 +87,7 @@ def side_of(domain: SidedDomain, point) -> str:
     1e-12 band as on the boundary.
     """
     rho = domain.rho
-    if rho.exact and all(
-        isinstance(v, (int, Fraction, GaussianRational)) for v in point
-    ):
+    if rho.exact and is_exact(point):
         value = rho.evaluate(point)
         if not value.is_real():
             raise DomainError("defining function evaluated to a non-real value")
@@ -269,37 +267,19 @@ def contains_complex_line(
     n = domain.surface.space.n
     if len(base) != n or len(direction) != n:
         raise SpaceError("base and direction must match the ambient dimension")
-    exact_inputs = domain.rho.exact and all(
-        isinstance(v, (int, Fraction, GaussianRational)) for v in list(base) + list(direction)
-    )
-    if all(
-        (v.is_zero() if isinstance(v, GaussianRational) else complex(v) == 0)
-        for v in direction
-    ):
+    if all(v == 0 for v in direction):
         raise DomainError("line direction must be nonzero")
 
-    # Symbolic restriction: one holomorphic variable t.
+    # Symbolic restriction to the line, in one holomorphic variable t: exact
+    # when rho and the line are, on the floating tower otherwise.
+    exact = domain.rho.exact and is_exact([*base, *direction])
+    rho = domain.rho if exact else domain.rho.to_float()
     line_space = VariableSpace(1)
-    if exact_inputs:
-        t = HermitianPolynomial.variable(line_space, 0)
-        images = []
-        for b, d in zip(base, direction):
-            b = b if isinstance(b, GaussianRational) else GaussianRational(as_rational(b))
-            d = d if isinstance(d, GaussianRational) else GaussianRational(as_rational(d))
-            images.append(HermitianPolynomial.constant(line_space, b) + t * d)
-        images = images + [img.conjugate() for img in images]
-        restriction = domain.rho.substitute(images)
-    else:
-        t = HermitianPolynomial.variable(line_space, 0, exact=False)
-        rho = domain.rho.to_float()
-        images = []
-        for b, d in zip(base, direction):
-            images.append(
-                HermitianPolynomial.constant(line_space, complex(b), exact=False)
-                + t * complex(d)
-            )
-        images = images + [img.conjugate() for img in images]
-        restriction = rho.substitute(images)
+    images = []
+    for b, d in zip(base, direction):
+        terms = {(0, 0): to_tower(b, exact), (1, 0): to_tower(d, exact)}
+        images.append(HermitianPolynomial(line_space, terms, exact))
+    restriction = rho.substitute(images + [img.conjugate() for img in images])
 
     grade = _grade_restriction(restriction, domain.side)
 
@@ -364,10 +344,7 @@ def solve_graph_re_last(rho: HermitianPolynomial, zprime):
     Re z_n with a real coefficient).  Exact when inputs are exact.
     """
     n = rho.space.n
-    vals = [
-        v if isinstance(v, GaussianRational) else GaussianRational(as_rational(v))
-        for v in zprime
-    ]
+    vals = [to_tower(v, True) for v in zprime]
     if len(vals) != n - 1:
         raise SpaceError(f"need {n - 1} leading coordinates")
     # rho = alpha * z_n + conj(alpha) * zb_n + rest(z', zb')

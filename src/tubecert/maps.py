@@ -279,73 +279,6 @@ def invariance_certificate(rho: HermitianPolynomial, f: HoloPolyMap) -> Invarian
     return equivalence_certificate(rho, f, rho)
 
 
-def format_affine(f: AffineMapR) -> str:
-    """Literal block form: one ``row = ...`` line per matrix row, then the translation."""
-    lines = []
-    for row in f.matrix:
-        lines.append("row = " + " ".join(str(x) for x in row))
-    lines.append("translation = " + " ".join(str(x) for x in f.translation))
-    return "\n".join(lines)
-
-
-def parse_affine(text: str) -> AffineMapR:
-    """Inverse of :func:`format_affine`; exact round-trip."""
-    rows = []
-    translation = None
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        entries = [Fraction(tok) for tok in value.split()]
-        if key.strip() == "row":
-            rows.append(entries)
-        elif key.strip() == "translation":
-            translation = entries
-        else:
-            raise ValueError(f"unknown affine literal line {raw!r}")
-    if translation is None:
-        raise ValueError("affine literal lacks a translation line")
-    return AffineMapR(rows, translation)
-
-
-def format_holo_map(f: HoloPolyMap) -> str:
-    """Named components as polynomial literals, one per line."""
-    from .poly import format_poly
-
-    lines = [f"vars = {f.space_in.n} -> {f.space_out.n}"]
-    for i, comp in enumerate(f.components, start=1):
-        lines.append(f"z{i} = {format_poly(comp)}")
-    return "\n".join(lines)
-
-
-def parse_holo_map(text: str) -> HoloPolyMap:
-    """Inverse of :func:`format_holo_map` on the exact tower."""
-    from .poly import parse_poly
-
-    space_in = space_out = None
-    comps: dict[int, object] = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key == "vars":
-            n_in, _, n_out = value.partition("->")
-            space_in = VariableSpace(int(n_in))
-            space_out = VariableSpace(int(n_out))
-        elif key.startswith("z"):
-            if space_in is None:
-                raise ValueError("map literal must declare vars first")
-            comps[int(key[1:])] = parse_poly(value.strip(), space_in)
-        else:
-            raise ValueError(f"unknown map literal line {raw!r}")
-    if space_in is None or set(comps) != set(range(1, space_out.n + 1)):
-        raise ValueError("map literal is incomplete")
-    return HoloPolyMap(space_in, space_out, [comps[i] for i in sorted(comps)])
-
-
 def pullback_diagonal_quartic(
     rho: HermitianPolynomial, radicands: list
 ) -> HermitianPolynomial | None:
@@ -377,18 +310,3 @@ def pullback_diagonal_quartic(
             return None
         out[e] = c * root
     return HermitianPolynomial(rho.space, out)
-
-
-def float_pullback_diagonal(rho: HermitianPolynomial, scales: list[float]) -> HermitianPolynomial:
-    """Floating counterpart of a positive diagonal scaling pullback."""
-    p = rho.to_float()
-    n = p.space.n
-    out = {}
-    for e, c in p.terms.items():
-        acc = 1.0
-        for i in range(n):
-            k = e[i] + e[n + i]
-            if k:
-                acc *= float(scales[i]) ** k
-        out[e] = c * acc
-    return HermitianPolynomial(p.space, out, exact=False)

@@ -45,6 +45,12 @@ class VariableSpace:
             f"zb{i + 1}" for i in range(self.n)
         ]
 
+    def unit(self, index: int) -> tuple[int, ...]:
+        """Exponent tuple of the single variable with this index."""
+        if not 0 <= index < 2 * self.n:
+            raise SpaceError(f"variable index {index} out of range for space of {self.n}")
+        return tuple(int(i == index) for i in range(2 * self.n))
+
     def conj_index(self, i: int) -> int:
         """Index of the formal conjugate of variable i."""
         return i + self.n if i < self.n else i - self.n
@@ -118,11 +124,7 @@ class HermitianPolynomial:
 
     @staticmethod
     def variable(space: VariableSpace, index: int, exact: bool = True) -> "HermitianPolynomial":
-        if not 0 <= index < 2 * space.n:
-            raise SpaceError(f"variable index {index} out of range for space of {space.n}")
-        exps = [0] * (2 * space.n)
-        exps[index] = 1
-        return HermitianPolynomial(space, {tuple(exps): 1}, exact)
+        return HermitianPolynomial(space, {space.unit(index): 1}, exact)
 
     @staticmethod
     def re_variable(space: VariableSpace, index: int) -> "HermitianPolynomial":
@@ -223,14 +225,6 @@ class HermitianPolynomial:
         if not self.terms:
             return NEG_INF
         return max(sum(e) for e in self.terms)
-
-    def z_degree(self) -> int:
-        n = self.space.n
-        return 0 if not self.terms else max(sum(e[:n]) for e in self.terms)
-
-    def zb_degree(self) -> int:
-        n = self.space.n
-        return 0 if not self.terms else max(sum(e[n:]) for e in self.terms)
 
     def is_holomorphic(self) -> bool:
         """True when no conjugate variable occurs."""

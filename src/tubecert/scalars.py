@@ -8,8 +8,8 @@ helpers used when a value has no exact representative (fourth roots,
 irrational scale factors).
 
 The two scalar towers never mix silently: conversion from the exact tower to
-floats is explicit and one-way (``complex(w)``).  The floating tower is just
-Python ``complex`` / ``float``.
+floats is explicit and one-way (``complex(w)`` or :func:`to_tower`).  The
+floating tower is just Python ``complex`` / ``float``.
 """
 
 from __future__ import annotations
@@ -165,11 +165,6 @@ class GaussianRational:
         return format_gaussian(self)
 
 
-def gr(re=0, im=0) -> GaussianRational:
-    """Shorthand constructor; accepts ints, Fractions, or '3/5' strings."""
-    return GaussianRational(re, im)
-
-
 def embed_exact(v) -> GaussianRational:
     """Lossless embedding of a numeric value into the exact tower.
 
@@ -191,6 +186,25 @@ def embed_exact(v) -> GaussianRational:
 I = GaussianRational(0, 1)
 ONE = GaussianRational(1)
 ZERO = GaussianRational(0)
+
+
+def is_exact(values) -> bool:
+    """True when every value is an int, a Fraction or a GaussianRational."""
+    return all(isinstance(v, (int, Fraction, GaussianRational)) for v in values)
+
+
+def to_tower(x, exact: bool):
+    """x as a scalar of the exact tower (GaussianRational) or the float tower (complex).
+
+    Both scalar types support ``+``, ``-``, ``*``, ``/`` and ``conjugate()``,
+    so a formula written once over them serves both towers.  A unimodular
+    phase enters as its value.
+    """
+    if not exact:
+        return complex(x)
+    if isinstance(x, UnimodularPhase):
+        return x.value
+    return x if isinstance(x, GaussianRational) else GaussianRational(x)
 
 
 def format_gaussian(w: GaussianRational) -> str:

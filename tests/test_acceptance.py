@@ -7,9 +7,12 @@ value cutoff.  A one-line summary per criterion is printed at the end of the
 session (see conftest).
 """
 
+import json
+import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 from tubecert import catalog, chern_moser, geometry, lie
 from tubecert.catalog import (
@@ -56,6 +59,7 @@ from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational
 
 FLOAT_TOL = 1e-9
+GOLDEN_REPORT = Path(__file__).parent / "data" / "default_suite.golden.ndjson"
 ALPHAS = (Fraction(0), Fraction(1, 12), Fraction(1), Fraction(-2))
 
 
@@ -300,8 +304,21 @@ def test_criterion_12_quadric_equivalences():
             assert geometry.tube_hessian_signature(f, x) == (5, 2, 0)
 
 
+def same_report_value(got, want) -> bool:
+    """Exact equality, except floats, which may differ in LAPACK's last digits across machines."""
+    if isinstance(want, float):
+        return isinstance(got, float) and math.isclose(got, want, rel_tol=1e-9, abs_tol=1e-14)
+    if isinstance(want, dict):
+        return (isinstance(got, dict) and got.keys() == want.keys()
+                and all(same_report_value(got[k], want[k]) for k in want))
+    if isinstance(want, list):
+        return (isinstance(got, list) and len(got) == len(want)
+                and all(map(same_report_value, got, want)))
+    return type(got) is type(want) and got == want
+
+
 def test_criterion_13_determinism():
-    """13. the full default suite reruns byte-identically apart from timing"""
+    """13. the default suite reruns byte-identically apart from timing and matches the golden report"""
     specs = parse_config(default_config_text())
 
     def run_once():
@@ -312,4 +329,9 @@ def test_criterion_13_determinism():
         lines = [result_json_line(r) for r in results]
         return [re.sub(r',?\s*"wall_time_ms":\s*[0-9.]+', "", ln) for ln in lines]
 
-    assert run_once() == run_once()
+    report = run_once()
+    assert report == run_once()
+    golden = GOLDEN_REPORT.read_text().splitlines()
+    assert len(report) == len(golden)
+    for line, want in zip(report, golden):
+        assert same_report_value(json.loads(line), json.loads(want)), (line, want)

@@ -96,15 +96,6 @@ def test_small_suite_passes_and_is_deterministic():
     assert a == b
 
 
-def test_parallel_execution_matches_serial():
-    specs = parse_config(SMALL_CONFIG)
-    serial = run_suite(specs, jobs=1)
-    parallel = run_suite(specs, jobs=4)
-    assert strip_timing([result_json_line(r) for r in serial]) == strip_timing(
-        [result_json_line(r) for r in parallel]
-    )
-
-
 def test_failing_check_and_fail_fast():
     bad = parse_config(
         """
@@ -159,6 +150,36 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     broken.write_text("id = x\nkind = levi\n")
     assert main(["verify", str(broken)]) == 2
     assert main(["verify", str(tmp_path / "missing.cfg")]) == 2
+    with pytest.raises(SystemExit) as exc:  # the checks run serially; there is no --jobs
+        main(["verify", str(good), "--jobs", "2"])
+    assert exc.value.code == 2
+
+
+def test_fractional_sigma_runs_in_levi_check(tmp_path, capsys):
+    cfg = tmp_path / "sigma.cfg"
+    cfg.write_text("id = s\nkind = levi\ntarget = sigma(sigma=3/2)\nseed = 1\nparam.points = 5\n")
+    assert main(["verify", str(cfg)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "pass" and payload["details"]["sigma"] == 1.5
+
+
+def test_zero_denominator_argument_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "zero.cfg"
+    cfg.write_text("id = g\nkind = invariance\ntarget = gamma(alpha=1/0)\nseed = 1\n")
+    assert main(["verify", str(cfg)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert main(["describe", "gamma(alpha=1/0)"]) == 2
+
+
+def test_omega_transitivity_rejects_the_lower_side(tmp_path, capsys):
+    text = "id = w\nkind = transitivity\ntarget = omega(alpha=1,side=<)\nseed = 1\n"
+    cfg = tmp_path / "omega.cfg"
+    cfg.write_text(text)
+    assert main(["verify", str(cfg)]) == 2
+    assert "side=>" in capsys.readouterr().err
+    # run without config-time resolution, the handler refuses instead of passing
+    (result,) = run_suite(parse_config(text))
+    assert result.status == "error"
 
 
 def test_cli_markdown_and_out_file(tmp_path, capsys):

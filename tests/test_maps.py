@@ -171,31 +171,6 @@ def test_linear_part_and_determinant():
     assert det == GaussianRational(f.determinant)
 
 
-def test_affine_literal_round_trip():
-    from tubecert.maps import format_affine, parse_affine
-
-    rng = random.Random(9)
-    for _ in range(30):
-        f = rand_affine(rng)
-        assert parse_affine(format_affine(f)) == f
-    with pytest.raises(ValueError):
-        parse_affine("row = 1 0\nrow = 0 1\n")  # no translation
-
-
-def test_holo_map_literal_round_trip():
-    from tubecert.maps import format_holo_map, parse_holo_map
-    from tubecert.catalog import make_normalizer_rational, make_p_element, random_p_params
-
-    rng = random.Random(10)
-    maps = [
-        make_normalizer_rational(Fraction(7, 12)).rational_map,
-        make_p_element(random_p_params(rng, "+")),
-        HoloPolyMap.identity(SP4),
-    ]
-    for f in maps:
-        assert parse_holo_map(format_holo_map(f)) == f
-
-
 def test_equivalence_certificate_between_distinct_surfaces():
     # doubling map carries {Re z4 = |z1|^2} data onto itself with factor 4 vs 2
     sp = VariableSpace(2)
