@@ -26,7 +26,8 @@ caught by certificates instead of being hidden by hand algebra.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -1007,129 +1008,15 @@ class RegistryEntry:
     obj: object
 
 
-def resolve(ident: str) -> RegistryEntry:
-    """Resolve a stable string identifier to a catalog object.
+def one_of(*options: str) -> Callable[[str], str]:
+    """A parser that accepts exactly the given strings."""
 
-    Parametrized forms: ``gamma(alpha=1/12)``, ``omega(alpha=1,side=>)``,
-    ``quadric(p=2,n=3,side=>)``, ``quadric_surface(p=1,n=2)``,
-    ``tube_realisation(p=1,n=1)``, ``normalizer(alpha=7/12)``,
-    ``sigma(sigma=1)``, ``isotropy(sign=+)``.  Plain forms: ``M_plus``,
-    ``M_minus``, ``D_plus(side=>)``, ``D0(side=<)``, ``cayley``,
-    ``cayley_map``, ``P_plus``, ``P_minus``, ``control:bad_constraint``,
-    ``control:wrong_phase``.
-    """
-    name, args = parse_ident(ident)
-    if name == "gamma":
-        alpha = args["alpha"]
-        return RegistryEntry(
-            ident, "hypersurface",
-            f"tube over the graph x4 = x1 x2 + x3^2 + x1^2 x3 + ({alpha}) x1^4",
-            make_gamma(alpha),
-        )
-    if name == "omega":
-        alpha = args["alpha"]
-        side = args["side"]
-        return RegistryEntry(
-            ident, "domain",
-            f"tube domain on the '{side}' side of gamma(alpha={alpha})",
-            make_omega(alpha, side),
-        )
-    if name in ("M_plus", "M_minus"):
-        sign = "+" if name == "M_plus" else "-"
-        return RegistryEntry(
-            ident, "hypersurface",
-            f"quartic model Re z4 = z1 zb2 + z2 zb1 + |z3|^2 {'+' if sign == '+' else '-'} |z1|^4",
-            model_surface(sign),
-        )
-    if name in ("D_plus", "D_minus"):
-        sign = "+" if name == "D_plus" else "-"
-        side = args["side"]
-        return RegistryEntry(
-            ident, "domain", f"'{side}' side of the {name[2:]} quartic model",
-            model_domain(sign, side),
-        )
-    if name == "D0":
-        side = args["side"]
-        return RegistryEntry(
-            ident, "domain", f"'{side}' side of the signature-(2,1) quadric in C^4",
-            d0_domain(side),
-        )
-    if name == "quadric":
-        p, n, side = args["p"], args["n"], args["side"]
-        return RegistryEntry(
-            ident, "domain", f"'{side}' side of the quadric over H_{{{p},{n}}}",
-            make_quadric_domain(p, n, side),
-        )
-    if name == "quadric_surface":
-        p, n = args["p"], args["n"]
-        return RegistryEntry(
-            ident, "hypersurface", f"quadric Re z_{n + 1} = H_{{{p},{n}}}(z, zb)",
-            quadric_surface(p, n),
-        )
-    if name == "tube_realisation":
-        p, n = args["p"], args["n"]
-        return RegistryEntry(
-            ident, "map", f"tube realisation of the H_{{{p},{n}}} quadric sides",
-            make_tube_realisation(p, n),
-        )
-    if name == "normalizer":
-        alpha = args["alpha"]
-        return RegistryEntry(
-            ident, "map", f"normalizing equivalence for the gamma(alpha={alpha}) tubes",
-            make_normalizer(alpha),
-        )
-    if name == "cayley":
-        return RegistryEntry(
-            ident, "hypersurface", "tube over the Cayley graph x3 = x1 x2 + x1^3",
-            cayley_tube_surface(),
-        )
-    if name == "cayley_map":
-        return RegistryEntry(
-            ident, "map", "equivalence of the Cayley tube with the H_{1,2} quadric",
-            make_cayley_map(),
-        )
-    if name == "sigma":
-        s = args["sigma"]
-        return RegistryEntry(
-            ident, "graph", f"degree-4 graph family in R^7 at parameter {s}",
-            make_sigma_surface(s),
-        )
-    if name in ("P_plus", "P_minus"):
-        sign = "+" if name == "P_plus" else "-"
-        return RegistryEntry(
-            ident, "group",
-            "13-parameter symmetry group of the quartic model (identity element shown)",
-            make_p_element(identity_p_params(sign)),
-        )
-    if name == "isotropy":
-        sign = args["sign"]
-        return RegistryEntry(
-            ident, "matrix_family",
-            "pairing-form-preserving isotropy matrices of the quartic model",
-            make_isotropy_matrix(identity_p_params(sign)),
-        )
-    if name == "control:bad_constraint":
-        return RegistryEntry(
-            ident, "map", "negative control: symmetry shape with the d-constraint broken",
-            control_bad_constraint(args.get("sign", "+")),
-        )
-    if name == "control:wrong_phase":
-        return RegistryEntry(
-            ident, "map", "negative control: second phase misread in one coefficient",
-            control_wrong_phase(args.get("sign", "+")),
-        )
-    raise KeyError(f"unknown registry identifier {ident!r}")
+    def parse(value: str) -> str:
+        if value not in options:
+            raise ValueError(f"must be one of {', '.join(options)}, got {value!r}")
+        return value
 
-
-def _side(text: str) -> str:
-    if text not in (">", "<"):
-        raise DomainError(f"side must be '>' or '<', got {text!r}")
-    return text
-
-
-def _sign(text: str) -> str:
-    _sign_to_eps(text)
-    return text
+    return parse
 
 
 # Identifier arguments and their parsers; every catalog family draws from these.
@@ -1138,8 +1025,71 @@ IDENT_ARGS = {
     "sigma": lambda text: float(Fraction(text)),
     "p": int,
     "n": int,
-    "side": _side,
-    "sign": _sign,
+    "side": one_of(">", "<"),
+    "sign": one_of("+", "-"),
+}
+
+
+@dataclass(frozen=True)
+class Family:
+    """A registry family: the arguments its identifiers take (``args``) and
+    bind (``binds``; an argument in both is optional), its kind, constructor
+    and description (formatted with the arguments and the object ``obj``)."""
+
+    args: tuple[str, ...]
+    kind: str
+    make: Callable
+    description: str
+    binds: dict = field(default_factory=dict)
+
+
+def _p_identity_element(sign: str) -> HoloPolyMap:
+    return make_p_element(identity_p_params(sign))
+
+
+_QUARTIC_MODEL = "quartic model Re z4 = z1 zb2 + z2 zb1 + |z3|^2 {sign} |z1|^4"
+_P_GROUP = "13-parameter symmetry group of the quartic model (identity element shown)"
+
+FAMILIES = {
+    "gamma": Family(("alpha",), "hypersurface", make_gamma,
+                    "tube over the graph x4 = x1 x2 + x3^2 + x1^2 x3 + ({alpha}) x1^4"),
+    "omega": Family(("alpha", "side"), "domain", make_omega,
+                    "tube domain on the '{side}' side of gamma(alpha={alpha})"),
+    "M_plus": Family((), "hypersurface", model_surface, _QUARTIC_MODEL, {"sign": "+"}),
+    "M_minus": Family((), "hypersurface", model_surface, _QUARTIC_MODEL, {"sign": "-"}),
+    "D_plus": Family(("side",), "domain", model_domain,
+                     "'{side}' side of the plus quartic model", {"sign": "+"}),
+    "D_minus": Family(("side",), "domain", model_domain,
+                      "'{side}' side of the minus quartic model", {"sign": "-"}),
+    "D0": Family(("side",), "domain", d0_domain,
+                 "'{side}' side of the signature-(2,1) quadric in C^4"),
+    "quadric": Family(("p", "n", "side"), "domain", make_quadric_domain,
+                      "'{side}' side of the quadric over H_{{{p},{n}}}"),
+    "quadric_surface": Family(("p", "n"), "hypersurface", quadric_surface,
+                              "quadric Re z_{obj.space.n} = H_{{{p},{n}}}(z, zb)"),
+    "quadric_action": Family(("p", "n"), "action", QuadricFamily,
+                             "transitive affine action on the quadric over H_{{{p},{n}}}"),
+    "tube_realisation": Family(("p", "n"), "map", make_tube_realisation,
+                               "tube realisation of the H_{{{p},{n}}} quadric sides"),
+    "normalizer": Family(("alpha",), "map", make_normalizer,
+                         "normalizing equivalence for the gamma(alpha={alpha}) tubes"),
+    "cayley": Family((), "hypersurface", cayley_tube_surface,
+                     "tube over the Cayley graph x3 = x1 x2 + x1^3"),
+    "cayley_map": Family((), "map", make_cayley_map,
+                         "equivalence of the Cayley tube with the H_{{1,2}} quadric"),
+    "sigma": Family(("sigma",), "graph", make_sigma_surface,
+                    "degree-4 graph family in R^7 at parameter {sigma}"),
+    "P_plus": Family((), "group", _p_identity_element, _P_GROUP, {"sign": "+"}),
+    "P_minus": Family((), "group", _p_identity_element, _P_GROUP, {"sign": "-"}),
+    "isotropy": Family(("sign",), "matrix_family",
+                       lambda sign: make_isotropy_matrix(identity_p_params(sign)),
+                       "pairing-form-preserving isotropy matrices of the quartic model"),
+    "control:bad_constraint": Family(
+        ("sign",), "map", control_bad_constraint,
+        "negative control: symmetry shape with the d-constraint broken", {"sign": "+"}),
+    "control:wrong_phase": Family(
+        ("sign",), "map", control_wrong_phase,
+        "negative control: second phase misread in one coefficient", {"sign": "+"}),
 }
 
 
@@ -1147,29 +1097,55 @@ def parse_ident(ident: str) -> tuple[str, dict]:
     """Split ``name(key=value,...)`` into the name and typed arguments.
 
     This is the one parser of identifiers, shared by :func:`resolve` and the
-    check handlers.  A malformed identifier or an unknown argument raises
-    KeyError; a value its parser rejects (``alpha=1/0``, ``side=x``) raises
-    DomainError.
+    check table.  The arguments of a family in :data:`FAMILIES` are checked
+    against it and returned with the ones it binds; any other name (a ``lie``
+    check target) takes no arguments.  A malformed identifier or a missing,
+    extra, repeated or unknown argument raises KeyError; a value its parser rejects
+    (``alpha=1/0``, ``side=x``) raises DomainError.
     """
     ident = ident.strip().replace("σ", "sigma")
-    if "(" not in ident:
-        return ident, {}
-    if not ident.endswith(")"):
-        raise KeyError(f"malformed identifier {ident!r}")
-    name, body = ident[:-1].split("(", 1)
-    args = {}
-    if body.strip():
-        for piece in body.split(","):
-            if "=" not in piece:
-                raise KeyError(f"malformed identifier {ident!r}")
-            key, value = (x.strip() for x in piece.split("=", 1))
-            if key not in IDENT_ARGS:
-                raise KeyError(f"unknown argument {key!r} in identifier {ident!r}")
-            try:
-                args[key] = IDENT_ARGS[key](value)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise DomainError(f"bad value {value!r} for {key} in {ident!r}: {exc}") from None
-    return name.strip(), args
+    name, paren, body = ident.partition("(")
+    name = name.strip()
+    family = FAMILIES.get(name)
+    if paren and (family is None or not body.endswith(")")):
+        raise KeyError(f"unknown or malformed identifier {ident!r}")
+    if family is None:
+        return name, {}
+    takes = f"{name} takes {', '.join(family.args) or 'no arguments'}"
+    given = {}
+    body = body[:-1]
+    for piece in body.split(",") if body.strip() else ():
+        key, eq, value = (x.strip() for x in piece.partition("="))
+        if not eq or key not in family.args or key in given:
+            raise KeyError(f"unknown, repeated or malformed {piece!r} in {ident!r}; {takes}")
+        try:
+            given[key] = IDENT_ARGS[key](value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise DomainError(f"bad value {value!r} for {key} in {ident!r}: {exc}") from None
+    missing = [key for key in family.args if key not in given and key not in family.binds]
+    if missing:
+        raise KeyError(f"{ident!r} lacks {', '.join(missing)}; {takes}")
+    return name, {**family.binds, **given}
+
+
+def resolve(ident: str) -> RegistryEntry:
+    """Resolve a stable string identifier to a catalog object.
+
+    Parametrized forms: ``gamma(alpha=1/12)``, ``omega(alpha=1,side=>)``,
+    ``quadric(p=2,n=3,side=>)``, ``quadric_surface(p=1,n=2)``,
+    ``quadric_action(p=2,n=3)``, ``tube_realisation(p=1,n=1)``,
+    ``normalizer(alpha=7/12)``, ``sigma(sigma=1)``, ``isotropy(sign=+)``.
+    Plain forms: ``M_plus``, ``M_minus``, ``D_plus(side=>)``, ``D0(side=<)``,
+    ``cayley``, ``cayley_map``, ``P_plus``, ``P_minus``,
+    ``control:bad_constraint``, ``control:wrong_phase``.
+    """
+    name, args = parse_ident(ident)
+    if name not in FAMILIES:
+        raise KeyError(f"unknown registry identifier {ident!r}")
+    family = FAMILIES[name]
+    obj = family.make(**args)
+    description = family.description.format(obj=obj, **args)
+    return RegistryEntry(ident, family.kind, description, obj)
 
 
 def known_identifiers() -> list[str]:
@@ -1182,7 +1158,7 @@ def known_identifiers() -> list[str]:
         "D0(side=>)", "D0(side=<)",
         "quadric(p=1,n=1,side=<)", "quadric(p=1,n=2,side=>)",
         "quadric(p=2,n=3,side=>)", "quadric(p=5,n=7,side=>)",
-        "quadric_surface(p=3,n=3)",
+        "quadric_surface(p=3,n=3)", "quadric_action(p=2,n=3)",
         "tube_realisation(p=1,n=1)", "tube_realisation(p=1,n=2)", "tube_realisation(p=2,n=3)",
         "normalizer(alpha=7/12)", "normalizer(alpha=-1/4)", "normalizer(alpha=1/12)",
         "cayley", "cayley_map",

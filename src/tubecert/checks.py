@@ -1,16 +1,21 @@
 """Implementations of the batch verification checks.
 
-Each check kind takes a :class:`CheckSpec` (target identifier, parameters,
-seed, exact/float path) and returns pass/fail with a structured detail
-payload.  Randomized inputs are fully determined by the seed, so reruns with
-the same configuration are byte-identical modulo timing.
+Each check takes a :class:`CheckSpec` (target identifier, parameters, seed,
+exact/float path) and returns pass/fail with a structured detail payload.
+The check table :data:`CHECKS` maps a check kind and a target family to the
+function that runs the check, the ``path`` values it honours and the schema of
+its parameters; a spec is checked against its row before it runs.
+Randomized inputs are fully determined by the seed, so reruns with the same
+configuration are byte-identical modulo timing.
 """
 
 from __future__ import annotations
 
+import math
 import random
 import time
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 from . import catalog, chern_moser, geometry, lie
@@ -30,7 +35,7 @@ from .catalog import (
     random_p_params,
     random_positive_fraction,
 )
-from .errors import DomainError
+from .errors import ConfigError, DomainError
 from .maps import (
     HoloPolyMap,
     equivalence_certificate,
@@ -57,15 +62,9 @@ class CheckSpec:
     id: str
     kind: str
     target: str
-    parameters: dict = field(default_factory=dict)
+    parameters: dict = field(default_factory=dict)  # config text until prepare() types it
     seed: int = 0
     path: str = "exact"  # exact | float | both
-
-    def param_int(self, key: str, default: int) -> int:
-        return int(self.parameters.get(key, default))
-
-    def param_str(self, key: str, default: str) -> str:
-        return str(self.parameters.get(key, default))
 
 
 @dataclass(frozen=True)
@@ -89,53 +88,15 @@ def _require(cond: bool, message: str, details: dict | None = None):
         raise CheckFailure(message, details)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, GaussianRational):
-        return str(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    return repr(value)
-
-
 # ---------------------------------------------------------------------------
 # invariance checks
 # ---------------------------------------------------------------------------
 
 
-def check_invariance(spec: CheckSpec) -> dict:
-    name, args = catalog.parse_ident(spec.target)
-    rng = random.Random(spec.seed)
-    if name == "gamma":
-        return _invariance_generators(spec, rng, args["alpha"])
-    if name in ("M_plus", "M_minus"):
-        return _invariance_group(spec, rng, "+" if name == "M_plus" else "-")
-    if name == "normalizer":
-        return _invariance_equivalence(
-            spec, catalog.make_normalizer_rational(args["alpha"]), EXPECTED_NORMALIZER_FACTOR
-        )
-    if name == "tube_realisation":
-        return _invariance_equivalence(
-            spec, catalog.make_tube_realisation_rational(args["p"], args["n"]),
-            EXPECTED_TUBE_FACTOR,
-        )
-    if name == "cayley_map":
-        return _invariance_equivalence(
-            spec, catalog.make_cayley_rational(), EXPECTED_CAYLEY_FACTOR
-        )
-    if name == "quadric_action":
-        return _invariance_quadric_action(spec, rng, args["p"], args["n"])
-    if name.startswith("control:"):
-        return _invariance_control(spec)
-    raise DomainError(f"invariance check does not understand target {spec.target!r}")
-
-
-def _invariance_generators(spec: CheckSpec, rng, alpha: Fraction) -> dict:
-    count = spec.param_int("count", 20)
-    kinds = spec.param_str("generators", "phi,psi,mu,nu").split(",")
+def _invariance_generators(spec: CheckSpec, rng, alpha: Fraction, count: int, generators) -> dict:
     rho = catalog.make_gamma(alpha).rho
     checked = 0
-    for kind in kinds:
-        kind = kind.strip()
+    for kind in generators:
         for _ in range(count):
             param = random_fraction(rng, -3, 3, 4)
             if kind == "phi":
@@ -162,8 +123,7 @@ def _invariance_generators(spec: CheckSpec, rng, alpha: Fraction) -> dict:
     }
 
 
-def _invariance_group(spec: CheckSpec, rng, sign: str) -> dict:
-    draws = spec.param_int("draws", 50)
+def _invariance_group(spec: CheckSpec, rng, sign: str, draws: int) -> dict:
     rho = model_surface(sign).rho
     for _ in range(draws):
         params = random_p_params(rng, sign)
@@ -197,9 +157,9 @@ def _invariance_equivalence(spec: CheckSpec, rationalized, expected) -> dict:
         _require(cert.factor_is_positive_real, f"factor {cert.factor} is not positive")
         _require(
             cert.factor == expected,
-            f"factor {_fmt(cert.factor)} differs from the pinned value {_fmt(expected)}",
+            f"factor {cert.factor} differs from the pinned value {expected}",
         )
-        details["factor"] = _fmt(cert.factor)
+        details["factor"] = str(cert.factor)
         details["exact"] = True
     if spec.path in ("float", "both"):
         cert_f = equivalence_certificate(
@@ -216,8 +176,7 @@ def _invariance_equivalence(spec: CheckSpec, rationalized, expected) -> dict:
     return details
 
 
-def _invariance_quadric_action(spec: CheckSpec, rng, p: int, n: int) -> dict:
-    draws = spec.param_int("draws", 20)
+def _invariance_quadric_action(spec: CheckSpec, rng, p: int, n: int, draws: int) -> dict:
     rho = catalog.quadric_surface(p, n).rho
     for _ in range(draws):
         a = random_fraction(rng, -3, 3, 4)
@@ -231,13 +190,10 @@ def _invariance_quadric_action(spec: CheckSpec, rng, p: int, n: int) -> dict:
     return {"p": p, "n": n, "draws": draws, "factor": "a^2", "exact": True}
 
 
-def _invariance_control(spec: CheckSpec) -> dict:
+def _invariance_control(spec: CheckSpec, rng, sign: str, expect: str) -> dict:
+    """Certify a negative control against the quartic model of its own sign."""
     entry = catalog.resolve(spec.target)
-    sign = spec.param_str("sign", "+")
-    against = spec.param_str("against", "M_plus" if sign == "+" else "M_minus")
-    rho = catalog.resolve(against).obj.rho
-    cert = invariance_certificate(rho, entry.obj)
-    expect = spec.param_str("expect", "inexact")
+    cert = invariance_certificate(model_surface(sign).rho, entry.obj)
     if expect == "inexact":
         _require(
             not cert.exact,
@@ -257,21 +213,8 @@ def _invariance_control(spec: CheckSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_transitivity(spec: CheckSpec) -> dict:
-    name, args = catalog.parse_ident(spec.target)
-    rng = random.Random(spec.seed)
-    if name == "omega":
-        if args["side"] != ">":
-            raise DomainError("the omega transitivity solver covers only side=>")
-        return _transitivity_omega(spec, rng, args["alpha"])
-    if name == "quadric":
-        return _transitivity_quadric(spec, rng, args["p"], args["n"], args["side"])
-    raise DomainError(f"transitivity check does not understand target {spec.target!r}")
-
-
-def _transitivity_omega(spec: CheckSpec, rng, alpha: Fraction) -> dict:
-    exact_count = spec.param_int("exact_count", 25)
-    float_count = spec.param_int("float_count", 25)
+def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regression) -> dict:
+    """Solve for the group element reaching each target; side is '>' (_upper_side)."""
     details: dict = {"alpha": str(alpha)}
 
     if spec.path in ("exact", "both"):
@@ -307,7 +250,7 @@ def _transitivity_omega(spec: CheckSpec, rng, alpha: Fraction) -> dict:
         details["float_targets"] = float_count
         details["float_worst_error"] = worst
 
-    if spec.parameters.get("regression") == "alpha1":
+    if regression == "alpha1":
         sol = catalog.transitive_params_omega(Fraction(1), (1, 0, 0, 2))
         got = (sol.q, sol.r, sol.s, sol.t)
         _require(
@@ -318,8 +261,7 @@ def _transitivity_omega(spec: CheckSpec, rng, alpha: Fraction) -> dict:
     return details
 
 
-def _transitivity_quadric(spec: CheckSpec, rng, p: int, n: int, side: str) -> dict:
-    draws = spec.param_int("draws", 20)
+def _transitivity_quadric(spec: CheckSpec, rng, p: int, n: int, side: str, draws: int) -> dict:
     base = catalog.quadric_base_point(p, n, side)
     for _ in range(draws):
         a = random_positive_fraction(rng)
@@ -338,28 +280,7 @@ def _transitivity_quadric(spec: CheckSpec, rng, p: int, n: int, side: str) -> di
 # ---------------------------------------------------------------------------
 
 
-def check_levi(spec: CheckSpec) -> dict:
-    name, args = catalog.parse_ident(spec.target)
-    rng = random.Random(spec.seed)
-    if name in ("M_plus", "M_minus"):
-        sign = "+" if name == "M_plus" else "-"
-        return _levi_model(spec, rng, sign)
-    if name == "sigma":
-        return _levi_sigma(spec, rng, args["sigma"])
-    if name == "gamma":
-        return _levi_gamma_crosscheck(spec, rng, args["alpha"])
-    if name == "quadric_surface":
-        p, n = args["p"], args["n"]
-        surface = catalog.quadric_surface(p, n)
-        data = geometry.levi_form(surface, [0.0] * surface.space.n)
-        want = (p, n - p, 0)
-        _require(data.signature == want, f"origin signature {data.signature} != {want}")
-        return {"surface": spec.target, "signature": list(data.signature)}
-    raise DomainError(f"levi check does not understand target {spec.target!r}")
-
-
-def _levi_model(spec: CheckSpec, rng, sign: str) -> dict:
-    samples = spec.param_int("samples", 50)
+def _levi_model(spec: CheckSpec, rng, sign: str, samples: int) -> dict:
     surface = model_surface(sign)
     margin_floor = 1e-9
     worst_margin = float("inf")
@@ -377,8 +298,7 @@ def _levi_model(spec: CheckSpec, rng, sign: str) -> dict:
             "worst_margin": worst_margin}
 
 
-def _levi_sigma(spec: CheckSpec, rng, sigma: float) -> dict:
-    points = spec.param_int("points", 20)
+def _levi_sigma(spec: CheckSpec, rng, sigma: float, points: int) -> dict:
     f = catalog.make_sigma_surface(sigma)
     for _ in range(points):
         x = [rng.uniform(-1, 1) for _ in range(7)]
@@ -387,8 +307,7 @@ def _levi_sigma(spec: CheckSpec, rng, sigma: float) -> dict:
     return {"sigma": sigma, "points": points, "signature": [5, 2, 0]}
 
 
-def _levi_gamma_crosscheck(spec: CheckSpec, rng, alpha: Fraction) -> dict:
-    points = spec.param_int("points", 20)
+def _levi_gamma_crosscheck(spec: CheckSpec, rng, alpha: Fraction, points: int) -> dict:
     f = catalog.gamma_graph(alpha)
     tube = geometry.lifted_tube(f)
     for _ in range(points):
@@ -405,17 +324,20 @@ def _levi_gamma_crosscheck(spec: CheckSpec, rng, alpha: Fraction) -> dict:
     return {"alpha": str(alpha), "points": points, "agreement": True}
 
 
+def _levi_quadric_surface(spec: CheckSpec, rng, p: int, n: int) -> dict:
+    surface = catalog.quadric_surface(p, n)
+    data = geometry.levi_form(surface, [0.0] * surface.space.n)
+    want = (p, n - p, 0)
+    _require(data.signature == want, f"origin signature {data.signature} != {want}")
+    return {"surface": spec.target, "signature": list(data.signature)}
+
+
 # ---------------------------------------------------------------------------
 # normal-form (trace condition) checks
 # ---------------------------------------------------------------------------
 
 
-def check_chern_moser(spec: CheckSpec) -> dict:
-    name, _ = catalog.parse_ident(spec.target)
-    rng = random.Random(spec.seed)
-    if name not in ("M_plus", "M_minus"):
-        raise DomainError(f"chern_moser check does not understand target {spec.target!r}")
-    sign = "+" if name == "M_plus" else "-"
+def _chern_moser(spec: CheckSpec, rng, sign: str, constant_draws: int) -> dict:
     surface = chern_moser.model_normal_form(sign)
     form = surface.form
 
@@ -432,7 +354,7 @@ def check_chern_moser(spec: CheckSpec) -> dict:
 
     # The constant in tr(c <z,z>^2) = 8 c <z,z> is computed, not assumed.
     fp = form.poly()
-    for _ in range(spec.param_int("constant_draws", 10)):
+    for _ in range(constant_draws):
         c = random_gaussian(rng)
         while c.is_zero():
             c = random_gaussian(rng)
@@ -489,18 +411,7 @@ def check_chern_moser(spec: CheckSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_lie(spec: CheckSpec) -> dict:
-    rng = random.Random(spec.seed)
-    if spec.target == "subalgebra_dimensions":
-        return _lie_dimensions(spec, rng)
-    if spec.target == "isotropy_family":
-        return _lie_isotropy(spec, rng)
-    if spec.target == "line_image":
-        return _lie_line_image(spec, rng)
-    raise DomainError(f"lie check does not understand target {spec.target!r}")
-
-
-def _lie_dimensions(spec: CheckSpec, rng) -> dict:
+def _lie_dimensions(spec: CheckSpec, rng, stabilizer_reps: int) -> dict:
     _require(lie.sl3_gram_rank() == 8, "trace form on sl(3,C) is degenerate")
     _require(len(lie.u21_basis()) == 9, "u(2,1) does not have dimension 9")
     _require(len(lie.su21_basis()) == 8, "su(2,1) does not have dimension 8")
@@ -525,7 +436,6 @@ def _lie_dimensions(spec: CheckSpec, rng) -> dict:
         _require(lie.is_subalgebra(S).closed, f"pattern {which} is not a subalgebra")
         _require(lie.perp(S).dimension == 2, f"pattern {which} complement is not 2-dimensional")
 
-    reps = spec.param_int("stabilizer_reps", 10)
     g1, g0 = GaussianRational(1), GaussianRational(0)
     models = {
         "positive": ((g1, g0, g0), 4),
@@ -539,7 +449,7 @@ def _lie_dimensions(spec: CheckSpec, rng) -> dict:
             f"{label} model vector has the wrong stabilizer dimension",
         )
         produced = 0
-        while produced < reps:
+        while produced < stabilizer_reps:
             A = lie.ZERO3
             for B in basis:
                 A = lie.madd(A, lie.mscale(B, Fraction(rng.randint(-2, 2), 3)))
@@ -562,8 +472,7 @@ def _lie_dimensions(spec: CheckSpec, rng) -> dict:
     }
 
 
-def _lie_isotropy(spec: CheckSpec, rng) -> dict:
-    draws = spec.param_int("draws", 50)
+def _lie_isotropy(spec: CheckSpec, rng, draws: int) -> dict:
     for _ in range(draws):
         params = random_p_params(rng, "+")
         translation_free = PParams(
@@ -590,8 +499,7 @@ def _lie_isotropy(spec: CheckSpec, rng) -> dict:
     return {"draws": draws, "pseudo_unitary": True, "algebra_dimension": 6}
 
 
-def _lie_line_image(spec: CheckSpec, rng) -> dict:
-    draws = spec.param_int("draws", 50)
+def _lie_line_image(spec: CheckSpec, rng, draws: int) -> dict:
     algebra = lie.isotropy_algebra()
     proportional = 0
     for k in range(draws):
@@ -620,11 +528,16 @@ def _lie_line_image(spec: CheckSpec, rng) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_line_witness(spec: CheckSpec) -> dict:
-    lines = catalog.stated_lines()
-    if spec.target not in lines:
-        raise DomainError(f"no stated line for target {spec.target!r}")
-    base, direction, expected_grade = lines[spec.target]
+def _stated_line(target: str, args: dict):
+    """Admit only the domains :func:`catalog.stated_lines` states a line for."""
+    if target not in catalog.stated_lines():
+        raise DomainError(
+            f"no stated line for {target!r}; stated: {', '.join(catalog.stated_lines())}"
+        )
+
+
+def _line_witness(spec: CheckSpec, rng, **_target_args) -> dict:
+    base, direction, expected_grade = catalog.stated_lines()[spec.target]
     domain = catalog.resolve(spec.target).obj
     witness = geometry.contains_complex_line(domain, base, direction)
     _require(witness.inside_at_all_samples, f"sampled point left the domain at t={witness.first_failure}")
@@ -645,15 +558,7 @@ def check_line_witness(spec: CheckSpec) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def check_closure(spec: CheckSpec) -> dict:
-    name, _ = catalog.parse_ident(spec.target)
-    if name not in ("P_plus", "P_minus"):
-        raise DomainError(f"closure check does not understand target {spec.target!r}")
-    sign = "+" if name == "P_plus" else "-"
-    rng = random.Random(spec.seed)
-    draws = spec.param_int("draws", 50)
-    inverse_draws = spec.param_int("inverse_draws", 20)
-
+def _closure(spec: CheckSpec, rng, sign: str, draws: int, inverse_draws: int) -> dict:
     for _ in range(draws):
         a = random_p_params(rng, sign)
         b = random_p_params(rng, sign)
@@ -675,43 +580,162 @@ def check_closure(spec: CheckSpec) -> dict:
             "recovery": "exact"}
 
 
-def check_rank(spec: CheckSpec) -> dict:
-    name, _ = catalog.parse_ident(spec.target)
-    if name not in ("P_plus", "P_minus"):
-        raise DomainError(f"rank check does not understand target {spec.target!r}")
-    sign = "+" if name == "P_plus" else "-"
-    step = float(spec.parameters.get("step", 1e-6))
-    cutoff = float(spec.parameters.get("cutoff", 1e-8))
+def _rank(spec: CheckSpec, rng, sign: str, step: float, cutoff: float) -> dict:
     rank = catalog.p_jacobian_rank_at_identity(sign, step=step, cutoff=cutoff)
     _require(rank == 13, f"parameter chart rank {rank} != 13")
     return {"sign": sign, "rank": rank, "step": step, "cutoff": cutoff}
 
 
 # ---------------------------------------------------------------------------
-# dispatch
+# the check table
 # ---------------------------------------------------------------------------
 
-HANDLERS = {
-    "invariance": check_invariance,
-    "transitivity": check_transitivity,
-    "levi": check_levi,
-    "chern_moser": check_chern_moser,
-    "lie": check_lie,
-    "line_witness": check_line_witness,
-    "closure": check_closure,
-    "rank": check_rank,
+
+def _count(value) -> int:
+    count = int(value)
+    if count < 1:
+        raise ValueError(f"must be at least 1, got {count}")
+    return count
+
+
+def _positive(value) -> float:
+    number = float(value)
+    if not 0 < number < math.inf:
+        raise ValueError(f"must be a positive finite number, got {value!r}")
+    return number
+
+
+def _generators(value) -> tuple[str, ...]:
+    """A non-empty set of generator kinds, kept in the given order."""
+    names = tuple(x.strip() for x in value.split(",")) if isinstance(value, str) else tuple(value)
+    known = tuple(catalog.GENERATOR_FACTORS)
+    if not names or len(set(names)) < len(names) or not set(names) <= set(known):
+        raise ValueError(f"must be distinct names from {','.join(known)}, got {value!r}")
+    return names
+
+
+def _upper_side(target: str, args: dict):
+    if args["side"] != ">":
+        raise DomainError("the omega transitivity solver covers only side=>")
+
+
+@dataclass(frozen=True)
+class Check:
+    """A row of the check table: ``run(spec, rng, **target_args, **parameters)``,
+    each parameter's parser and default, the ``path`` values honoured, and
+    ``admits(target, args)``, which raises DomainError for a target not covered."""
+
+    run: Callable
+    params: dict = field(default_factory=dict)
+    paths: tuple[str, ...] = ("exact",)
+    admits: Callable | None = None
+
+
+def _equivalence(make_rational, expected) -> Check:
+    """The invariance check of an equivalence family, on the exact and the printed map."""
+    return Check(
+        lambda spec, rng, **args: _invariance_equivalence(spec, make_rational(**args), expected),
+        paths=("exact", "float", "both"),
+    )
+
+
+def _each(kind: str, families: tuple[str, ...], check: Check) -> dict:
+    return {(kind, family): check for family in families}
+
+
+# (check kind, target family) -> row; a lie target is the name of the check itself.
+CHECKS = {
+    ("invariance", "gamma"): Check(_invariance_generators, {
+        "count": (_count, 20), "generators": (_generators, tuple(catalog.GENERATOR_FACTORS)),
+    }),
+    **_each("invariance", ("M_plus", "M_minus"), Check(_invariance_group, {"draws": (_count, 50)})),
+    ("invariance", "normalizer"): _equivalence(
+        catalog.make_normalizer_rational, EXPECTED_NORMALIZER_FACTOR),
+    ("invariance", "tube_realisation"): _equivalence(
+        catalog.make_tube_realisation_rational, EXPECTED_TUBE_FACTOR),
+    ("invariance", "cayley_map"): _equivalence(
+        catalog.make_cayley_rational, EXPECTED_CAYLEY_FACTOR),
+    ("invariance", "quadric_action"): Check(_invariance_quadric_action, {"draws": (_count, 20)}),
+    **_each("invariance", ("control:bad_constraint", "control:wrong_phase"), Check(
+        _invariance_control, {"expect": (catalog.one_of("inexact", "exact"), "inexact")})),
+    ("transitivity", "omega"): Check(_transitivity_omega, {
+        "exact_count": (_count, 25), "float_count": (_count, 25),
+        "regression": (catalog.one_of("none", "alpha1"), "none"),
+    }, paths=("exact", "float", "both"), admits=_upper_side),
+    ("transitivity", "quadric"): Check(_transitivity_quadric, {"draws": (_count, 20)}),
+    **_each("levi", ("M_plus", "M_minus"), Check(_levi_model, {"samples": (_count, 50)})),
+    ("levi", "sigma"): Check(_levi_sigma, {"points": (_count, 20)}),
+    ("levi", "gamma"): Check(_levi_gamma_crosscheck, {"points": (_count, 20)}),
+    ("levi", "quadric_surface"): Check(_levi_quadric_surface),
+    **_each("chern_moser", ("M_plus", "M_minus"),
+            Check(_chern_moser, {"constant_draws": (_count, 10)})),
+    ("lie", "subalgebra_dimensions"): Check(_lie_dimensions, {"stabilizer_reps": (_count, 10)}),
+    ("lie", "isotropy_family"): Check(_lie_isotropy, {"draws": (_count, 50)}),
+    ("lie", "line_image"): Check(_lie_line_image, {"draws": (_count, 50)}),
+    **_each("line_witness", ("D_plus", "D_minus", "quadric"),
+            Check(_line_witness, admits=_stated_line)),
+    **_each("closure", ("P_plus", "P_minus"),
+            Check(_closure, {"draws": (_count, 50), "inverse_draws": (_count, 20)})),
+    **_each("rank", ("P_plus", "P_minus"),
+            Check(_rank, {"step": (_positive, 1e-6), "cutoff": (_positive, 1e-8)})),
 }
+
+
+def _bind(spec: CheckSpec) -> tuple[Check, dict, dict]:
+    """The row of a spec, its target arguments and its typed parameters.
+
+    Raises ConfigError, naming the check id, for anything the row rejects.
+    Typed values parse to themselves, so a prepared spec binds the same way.
+    """
+    try:
+        families = [family for kind, family in CHECKS if kind == spec.kind]
+        if not families:
+            raise KeyError(f"unknown kind {spec.kind!r}")
+        name, args = catalog.parse_ident(spec.target)
+        check = CHECKS.get((spec.kind, name))
+        if check is None:
+            raise KeyError(f"{spec.kind} checks take {', '.join(families)}; not {spec.target!r}")
+        if check.admits is not None:
+            check.admits(spec.target, args)
+        if spec.path not in check.paths:
+            raise ValueError(f"path {spec.path!r}: {spec.kind} on {name} honours {check.paths}")
+        for key in sorted(spec.parameters.keys() - check.params.keys()):
+            raise ValueError(f"param.{key}: {spec.kind} on {name} takes only {tuple(check.params)}")
+        parameters = {}
+        for key, (parse, default) in check.params.items():
+            value = spec.parameters.get(key, default)
+            try:
+                parameters[key] = parse(value)
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"param.{key} = {value!r}: {exc}") from None
+    except (KeyError, ValueError) as exc:  # DomainError is a ValueError
+        raise ConfigError(f"check {spec.id!r}: {exc.args[0]}") from None
+    return check, args, parameters
+
+
+def prepare(spec: CheckSpec) -> CheckSpec:
+    """``spec`` with typed parameters, defaults filled in; ConfigError if the table rejects it."""
+    return replace(spec, parameters=_bind(spec)[2])
+
+
+def _handler(kind: str):
+    def handler(spec: CheckSpec) -> dict:
+        check, args, parameters = _bind(spec)
+        return check.run(spec, random.Random(spec.seed), **args, **parameters)
+
+    handler.__name__ = handler.__qualname__ = f"check_{kind}"
+    return handler
+
+
+# One distinct handler per kind, so that each kind's time can be told apart.
+HANDLERS = {kind: _handler(kind) for kind in dict.fromkeys(kind for kind, _ in CHECKS)}
 
 
 def run_check(spec: CheckSpec) -> CheckResult:
     """Execute one check; exceptions become status 'error' without aborting the suite."""
     start = time.perf_counter()
     try:
-        handler = HANDLERS[spec.kind]
-    except KeyError:
-        return CheckResult(spec.id, "error", {"error": f"unknown check kind {spec.kind!r}"}, 0.0)
-    try:
-        details = handler(spec)
+        details = HANDLERS[spec.kind](spec)
         status = "pass"
     except CheckFailure as exc:
         details = {"reason": str(exc), **exc.details}

@@ -1,6 +1,10 @@
 """Exception types shared across the package."""
 
 
+class ConfigError(Exception):
+    """A check config the program cannot honour; ``tubecert verify`` exits 2."""
+
+
 class DomainError(ValueError):
     """Input outside the mathematical domain of an operation."""
 

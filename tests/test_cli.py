@@ -1,11 +1,14 @@
 """Config parsing, suite running, determinism, and the command-line surface."""
 
+import importlib.util
 import json
 import re
+from pathlib import Path
 
 import pytest
 
-from tubecert.checks import CheckSpec
+from tubecert import checks
+from tubecert.checks import CheckSpec, prepare
 from tubecert.cli import (
     ConfigError,
     default_config_text,
@@ -52,7 +55,7 @@ def strip_timing(lines):
 def test_parse_config_blocks():
     specs = parse_config(SMALL_CONFIG)
     assert [s.id for s in specs] == ["generators", "lines", "closure", "rank"]
-    assert specs[0].parameters == {"count": "3"}
+    assert specs[0].parameters == {"count": 3, "generators": ("phi", "psi", "mu", "nu")}
     assert specs[0].seed == 7
     assert specs[1].path == "exact"
 
@@ -71,9 +74,8 @@ def test_parse_config_rejects_bad_blocks():
 
 
 def test_resolve_targets_flags_unknown_identifiers():
-    specs = parse_config("id = a\nkind = levi\ntarget = M_wrong\n")
     with pytest.raises(ConfigError) as err:
-        resolve_targets(specs)
+        resolve_targets(parse_config("id = a\nkind = levi\ntarget = M_wrong\n"))
     assert "a" in str(err.value)
 
 
@@ -177,8 +179,11 @@ def test_omega_transitivity_rejects_the_lower_side(tmp_path, capsys):
     cfg.write_text(text)
     assert main(["verify", str(cfg)]) == 2
     assert "side=>" in capsys.readouterr().err
-    # run without config-time resolution, the handler refuses instead of passing
-    (result,) = run_suite(parse_config(text))
+    with pytest.raises(ConfigError):
+        parse_config(text)
+    # built in code, past the config checks, the handler refuses instead of passing
+    spec = CheckSpec(id="w", kind="transitivity", target="omega(alpha=1,side=<)")
+    (result,) = run_suite([spec])
     assert result.status == "error"
 
 
@@ -243,3 +248,94 @@ def test_markdown_summary_counts():
     results = run_suite(specs)
     md = markdown_summary(results)
     assert md.endswith("1/1 checks passed.")
+
+
+# One config snippet per argument the check table rejects; each must exit 2
+# with a message that names the check id.
+REJECTED = {
+    "count-negative": "kind = invariance\ntarget = gamma(alpha=1)\nparam.count = -5",
+    "count-text": "kind = invariance\ntarget = gamma(alpha=1)\nparam.count = abc",
+    "count-misspelt": "kind = invariance\ntarget = gamma(alpha=1)\nparam.cuont = 1",
+    "samples-zero": "kind = levi\ntarget = M_plus\nparam.samples = 0",
+    "float-generators": "kind = invariance\ntarget = gamma(alpha=1)\npath = float",
+    "float-lie": "kind = lie\ntarget = line_image\npath = float",
+    "closure-of-model": "kind = closure\ntarget = M_plus",
+    "unknown-lie": "kind = lie\ntarget = jordan_shapes",
+    "line-on-model": "kind = line_witness\ntarget = M_plus",
+    "line-not-stated": "kind = line_witness\ntarget = quadric(p=3,n=3,side=>)",
+    "step-text": "kind = rank\ntarget = P_plus\nparam.step = abc",
+    "cutoff-zero": "kind = rank\ntarget = P_plus\nparam.cutoff = 0",
+    "generators-unknown": "kind = invariance\ntarget = gamma(alpha=1)\nparam.generators = phi,xi",
+    "expect-unknown": "kind = invariance\ntarget = control:wrong_phase\nparam.expect = foo",
+    "regression-unknown": "kind = transitivity\ntarget = omega(alpha=1,side=>)\n"
+    "param.regression = alpha2",
+    "against": "kind = invariance\ntarget = control:bad_constraint\n"
+    "param.against = omega(alpha=1,side=>)",
+    "sign-param": "kind = invariance\ntarget = control:bad_constraint\nparam.sign = -",
+    "extra-argument": "kind = levi\ntarget = M_plus(alpha=3)",
+    "missing-argument": "kind = levi\ntarget = gamma",
+    "repeated-argument": "kind = levi\ntarget = gamma(alpha=1,alpha=2)",
+    "seed-text": "kind = levi\ntarget = M_plus\nseed = x",
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(REJECTED))
+def test_rejected_argument_exits_2_naming_the_check(check_id, tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"id = {check_id}\n{REJECTED[check_id]}\n")
+    assert main(["verify", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"check {check_id!r}" in captured.err
+
+
+@pytest.mark.parametrize("ident", ["gamma", "M_plus(alpha=2)"])
+def test_describe_rejects_missing_and_extra_arguments(ident, capsys):
+    assert main(["describe", ident]) == 2
+    assert "takes" in capsys.readouterr().err
+
+
+def test_code_built_spec_runs_with_schema_defaults():
+    spec = CheckSpec(id="d", kind="levi", target="sigma(sigma=1)", seed=3)
+    assert prepare(spec).parameters == {"points": 20}
+    (result,) = run_suite([spec])
+    assert result.status == "pass" and result.details["points"] == 20
+    assert prepare(prepare(spec)) == prepare(spec)
+
+
+def test_control_is_certified_against_the_model_of_its_own_sign(monkeypatch):
+    asked = []
+    model_surface = checks.model_surface
+    monkeypatch.setattr(
+        checks, "model_surface", lambda sign: asked.append(sign) or model_surface(sign)
+    )
+    results = run_suite(parse_config(
+        "id = minus\nkind = invariance\ntarget = control:bad_constraint(sign=-)\n\n"
+        "id = plus\nkind = invariance\ntarget = control:wrong_phase\n"
+    ))
+    assert [r.status for r in results] == ["pass", "pass"]
+    assert asked == ["-", "+"]
+
+
+def _benchmark_workloads():
+    """The benchmark's config generator, loaded from its file (it is not a package)."""
+    path = Path(__file__).resolve().parents[1] / "tubebench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("tubebench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_and_shipped_configs_are_accepted(capsys):
+    workloads = _benchmark_workloads()
+    root = Path(__file__).resolve().parents[1]
+    for name in workloads.WORKLOADS:
+        for seed in range(1, 11):
+            text, expected = workloads.generate(name, seed, root)
+            specs = parse_config(text)
+            resolve_targets(specs)
+            assert [s.id for s in specs] == list(expected)
+    data = root / "src" / "tubecert" / "data"
+    resolve_targets(parse_config(default_config_text()))
+    assert main(["verify", str(data / "negative_control.cfg")]) == 1
+    assert json.loads(capsys.readouterr().out)["status"] == "fail"
