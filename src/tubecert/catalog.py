@@ -32,8 +32,10 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import lie
+from .chern_moser import pairing_form, sign_to_eps
 from .errors import ClosureViolation, ConstraintError, DomainError
-from .geometry import Hypersurface, SidedDomain
+from .geometry import Hypersurface, SidedDomain, lifted_tube
 from .maps import (
     AffineMapR,
     HoloPolyMap,
@@ -66,6 +68,20 @@ def _re(space, i):
     return HermitianPolynomial.re_variable(space, i)
 
 
+def _tube(f: RealPolynomial) -> Hypersurface:
+    """The tube over the graph x_{n+1} = f(x), oriented as rho = Re z_{n+1} - f(Re z)."""
+    return Hypersurface(-lifted_tube(f).rho)
+
+
+def _side_sign(side: str) -> int:
+    """The sign of rho on a side: +1 for '>', -1 for '<'."""
+    if side == ">":
+        return 1
+    if side == "<":
+        return -1
+    raise DomainError(f"side must be '>' or '<', got {side!r}")
+
+
 # ---------------------------------------------------------------------------
 # gamma family: graphs, tubes, generators, transitivity
 # ---------------------------------------------------------------------------
@@ -80,15 +96,12 @@ def gamma_graph(alpha) -> RealPolynomial:
 
 def make_gamma(alpha) -> Hypersurface:
     """Tube hypersurface over the gamma(alpha) graph: rho = Re z4 - f(Re z')."""
-    alpha = as_rational(alpha)
-    x1, x2, x3 = (_re(SPACE4, i) for i in range(3))
-    f = x1 * x2 + x3**2 + x1**2 * x3 + x1**4 * alpha
-    return Hypersurface(_re(SPACE4, 3) - f)
+    return _tube(gamma_graph(alpha))
 
 
 def make_omega(alpha, side: str) -> SidedDomain:
     """Tube domain over one side of gamma(alpha); side is '>' or '<'."""
-    return SidedDomain(make_gamma(alpha), +1 if side == ">" else -1)
+    return SidedDomain(make_gamma(alpha), _side_sign(side))
 
 
 def make_generator(kind: str, alpha, param) -> AffineMapR:
@@ -212,32 +225,17 @@ def transitive_params_omega(alpha, target) -> TransitivityResult:
 # ---------------------------------------------------------------------------
 
 
-def pairing_hermitian_part() -> HermitianPolynomial:
-    """z1 zb2 + z2 zb1 + z3 zb3 inside C^4."""
-    z1, z2, z3 = (_var(SPACE4, i) for i in range(3))
-    zb1, zb2, zb3 = (_var(SPACE4, 4 + i) for i in range(3))
-    return z1 * zb2 + z2 * zb1 + z3 * zb3
-
-
 def model_surface(sign: str) -> Hypersurface:
     """M_plus / M_minus: rho = Re z4 - (z1 zb2 + z2 zb1 + |z3|^2 +- |z1|^4)."""
-    eps = _sign_to_eps(sign)
+    eps = sign_to_eps(sign)
     z1 = _var(SPACE4, 0)
     zb1 = _var(SPACE4, 4)
     quartic = z1**2 * zb1**2
-    return Hypersurface(_re(SPACE4, 3) - pairing_hermitian_part() - quartic * eps)
+    return Hypersurface(_re(SPACE4, 3) - pairing_form().poly(SPACE4) - quartic * eps)
 
 
 def model_domain(sign: str, side: str) -> SidedDomain:
-    return SidedDomain(model_surface(sign), +1 if side == ">" else -1)
-
-
-def _sign_to_eps(sign: str) -> int:
-    if sign == "+":
-        return 1
-    if sign == "-":
-        return -1
-    raise DomainError(f"sign must be '+' or '-', got {sign!r}")
+    return SidedDomain(model_surface(sign), _side_sign(side))
 
 
 @dataclass(frozen=True)
@@ -270,7 +268,7 @@ class PParams:
         return isinstance(self.q, Fraction)
 
     def validate(self, tol: float = 1e-9):
-        _sign_to_eps(self.sign)
+        sign_to_eps(self.sign)
         if self.exact:
             if self.q <= 0:
                 raise ConstraintError("scale parameter q must be positive")
@@ -323,7 +321,7 @@ def make_p_element(params: PParams, check: bool = True, misread_phase: bool = Fa
     """
     if check:
         params.validate()
-    eps = _sign_to_eps(params.sign)
+    eps = sign_to_eps(params.sign)
     exact = params.exact
     q, phi, psi, rho, sigma, tau, b, d = (
         to_tower(x, exact)
@@ -359,7 +357,7 @@ def p_params_from_map(f: HoloPolyMap, sign: str) -> PParams:
     """
     if not f.exact:
         raise ClosureViolation("parameter recovery runs on the exact tower")
-    eps = _sign_to_eps(sign)
+    eps = sign_to_eps(sign)
     c1, c2, c3, c4 = f.components
     zero_exps = (0,) * 8
 
@@ -468,18 +466,11 @@ def invert_p_map(f: HoloPolyMap) -> HoloPolyMap:
     return HoloPolyMap(SPACE4, SPACE4, [Z1, Z2, Z3, Z4])
 
 
-PAIRING_FORM_ROWS = (
-    (GaussianRational(0), GaussianRational(1), GaussianRational(0)),
-    (GaussianRational(1), GaussianRational(0), GaussianRational(0)),
-    (GaussianRational(0), GaussianRational(0), GaussianRational(1)),
-)
-
-
 def make_isotropy_matrix(params: PParams):
     """3x3 matrix of the linear isotropy action of a translation-free symmetry.
 
     Requires rho = sigma = tau = 0 and u = 0.  The matrix preserves the
-    pairing form rows [[0,1,0],[1,0,0],[0,0,1]] in the sense U^t H conj(U) = H.
+    pairing form H = lie.FORM_PAIRING in the sense U^t H conj(U) = H.
     """
     if not params.exact:
         raise DomainError("isotropy matrices are built on the exact tower")
@@ -498,20 +489,9 @@ def make_isotropy_matrix(params: PParams):
     )
 
 
-def pseudo_unitarity_residual(U, H=PAIRING_FORM_ROWS):
+def pseudo_unitarity_residual(U, H=lie.FORM_PAIRING):
     """U^t H conj(U) - H, exactly; the zero matrix certifies form preservation."""
-    n = len(U)
-    res = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            s = GaussianRational(0)
-            for k in range(n):
-                for l in range(n):
-                    s = s + U[k][i] * H[k][l] * U[l][j].conjugate()
-            row.append(s - H[i][j])
-        res.append(tuple(row))
-    return tuple(res)
+    return lie.msub(lie.mmul(lie.mmul(lie.mtrans(U), H), lie.mconj(U)), H)
 
 
 # -- randomized draws --------------------------------------------------------
@@ -633,14 +613,19 @@ class RationalizedEquivalence:
     reproduces the printed map; ``conjugated_target_rho`` is the exact pullback
     of ``target_rho`` under that scaling, so the certificate
     ``conjugated_target_rho o rational_map = c * source_rho`` is an exact
-    statement equivalent to the printed one.
+    statement equivalent to the printed one.  Construction raises DomainError
+    when the scaling does not conjugate ``target_rho`` exactly.
     """
 
     rational_map: HoloPolyMap
     target_rho: HermitianPolynomial
-    conjugated_target_rho: HermitianPolynomial
     source_rho: HermitianPolynomial
     radicands: tuple
+    conjugated_target_rho: HermitianPolynomial = field(init=False)
+
+    def __post_init__(self):
+        conj = pullback_diagonal_quartic(self.target_rho, self.radicands)
+        object.__setattr__(self, "conjugated_target_rho", conj)
 
     def printed_map(self) -> HoloPolyMap:
         """The printed map diag(radicand_i^(1/4)) o rational_map, on the floating tower."""
@@ -659,7 +644,7 @@ def make_normalizer_rational(alpha) -> RationalizedEquivalence:
         core = z1 + z2 + z1 * z3 + z1**3 * Fraction(1, 12)
         anti = z1 - z2 - z1 * z3 - z1**3 * Fraction(1, 12)
         nmap = HoloPolyMap(SPACE4, SPACE4, [core, z3 + z1**2 * Fraction(1, 4), anti, c4])
-        target = d0_surface().rho
+        target = quadric_surface(2, 3).rho
         radicands = (Fraction(1, 4), Fraction(4), Fraction(1, 4), Fraction(1))
     else:
         s4 = normalizer_strength(alpha)
@@ -668,10 +653,7 @@ def make_normalizer_rational(alpha) -> RationalizedEquivalence:
         )
         target = model_surface("+" if s4 > 0 else "-").rho
         radicands = (abs(s4), 1 / abs(s4), Fraction(4), Fraction(1))
-    conj = pullback_diagonal_quartic(target, radicands)
-    if conj is None:
-        raise DomainError("diagonal conjugation unexpectedly inexact")
-    return RationalizedEquivalence(nmap, target, conj, source, radicands)
+    return RationalizedEquivalence(nmap, target, source, radicands)
 
 
 def make_normalizer(alpha) -> HoloPolyMap:
@@ -708,6 +690,11 @@ class QuadricFamily:
     def eps(self) -> tuple[int, ...]:
         return tuple(1 if j < self.p else -1 for j in range(self.n))
 
+    def form(self, u, v):
+        """H_{p,n}(u, v) = sum_j eps_j u_j v_j, over scalars or polynomials alike."""
+        terms = [x * y * e for x, y, e in zip(u, v, self.eps)]
+        return sum(terms[1:], terms[0])
+
 
 def quadric_space(n: int) -> VariableSpace:
     return VariableSpace(n + 1)
@@ -715,12 +702,10 @@ def quadric_space(n: int) -> VariableSpace:
 
 def quadric_hermitian_poly(p: int, n: int, exact: bool = True) -> HermitianPolynomial:
     """H_{p,n}(z, zb) = sum_{j<=p} |z_j|^2 - sum_{j>p} |z_j|^2 inside C^{n+1}."""
-    fam = QuadricFamily(p, n)
     space = quadric_space(n)
-    total = HermitianPolynomial.zero(space, exact)
-    for j, e in enumerate(fam.eps):
-        total = total + _var(space, j, exact) * _var(space, n + 1 + j, exact) * e
-    return total
+    zs = [_var(space, j, exact) for j in range(n)]
+    zbs = [_var(space, n + 1 + j, exact) for j in range(n)]
+    return QuadricFamily(p, n).form(zs, zbs)
 
 
 def quadric_surface(p: int, n: int) -> Hypersurface:
@@ -729,16 +714,7 @@ def quadric_surface(p: int, n: int) -> Hypersurface:
 
 
 def make_quadric_domain(p: int, n: int, side: str) -> SidedDomain:
-    return SidedDomain(quadric_surface(p, n), +1 if side == ">" else -1)
-
-
-def d0_surface() -> Hypersurface:
-    """The signature-(2,1) quadric model in C^4 (same object as quadric p=2, n=3)."""
-    return quadric_surface(2, 3)
-
-
-def d0_domain(side: str) -> SidedDomain:
-    return make_quadric_domain(2, 3, side)
+    return SidedDomain(quadric_surface(p, n), _side_sign(side))
 
 
 def quadric_transitive_map(p: int, n: int, a, b, c) -> HoloPolyMap:
@@ -753,18 +729,17 @@ def quadric_transitive_map(p: int, n: int, a, b, c) -> HoloPolyMap:
     if a == 0:
         raise DomainError("scale a must be nonzero")
     b = [to_tower(x, exact) for x in b]
+    b_bar = [x.conjugate() for x in b]
     const = (0,) * (2 * space.n)
     comps = [HermitianPolynomial(space, {space.unit(j): a, const: b[j]}, exact) for j in range(n)]
-    last = {space.unit(n): a * a, const: to_tower(I, exact) * c}
+    last = {space.unit(n): a * a, const: fam.form(b, b_bar) + to_tower(I, exact) * c}
     for j, e in enumerate(fam.eps):
-        last[space.unit(j)] = b[j].conjugate() * (2 * a * e)
-        last[const] = last[const] + b[j] * b[j].conjugate() * e
+        last[space.unit(j)] = b_bar[j] * (2 * a * e)
     return HoloPolyMap(space, space, comps + [HermitianPolynomial(space, last, exact)])
 
 
 def quadric_base_point(p: int, n: int, side: str):
-    last = GaussianRational(1 if side == ">" else -1)
-    return [GaussianRational(0)] * n + [last]
+    return [GaussianRational(0)] * n + [GaussianRational(_side_sign(side))]
 
 
 @dataclass(frozen=True)
@@ -777,23 +752,15 @@ class QuadricTransitivityResult:
 
 def quadric_transitive_params(p: int, n: int, side: str, target) -> QuadricTransitivityResult:
     """Solve for (a, b, c) carrying the base point to a target strictly inside."""
-    fam = QuadricFamily(p, n)
+    sign = _side_sign(side)
     vals = [to_tower(v, True) for v in target]
     b = tuple(vals[:n])
-    hbb = Fraction(0)
-    for j, e in enumerate(fam.eps):
-        hbb += e * b[j].abs2()
+    hbb = QuadricFamily(p, n).form(b, [x.conjugate() for x in b]).re
     x_last = vals[n].re
     c = vals[n].im
-    defect = x_last - hbb
-    if side == ">":
-        if defect <= 0:
-            raise DomainError("target is not strictly inside the '>' side")
-        a2 = defect
-    else:
-        if defect >= 0:
-            raise DomainError("target is not strictly inside the '<' side")
-        a2 = -defect
+    a2 = (x_last - hbb) * sign
+    if a2 <= 0:
+        raise DomainError(f"target is not strictly inside the '{side}' side")
     a = sqrt_exact(a2)
     if a is not None:
         return QuadricTransitivityResult(a, b, c, True)
@@ -802,30 +769,18 @@ def quadric_transitive_params(p: int, n: int, side: str, target) -> QuadricTrans
 
 def quadric_tube_surface(p: int, n: int) -> Hypersurface:
     """Tube over the graph x_{n+1} = H_{p,n}(x, x), oriented as Re z_{n+1} - H(x, x)."""
-    space = quadric_space(n)
-    fam = QuadricFamily(p, n)
-    total = HermitianPolynomial.zero(space)
-    for j, e in enumerate(fam.eps):
-        total = total + _re(space, j) ** 2 * e
-    return Hypersurface(_re(space, n) - total)
+    xs = [_var(VariableSpace(n), j) for j in range(n)]
+    return _tube(RealPolynomial(QuadricFamily(p, n).form(xs, xs)))
 
 
 def make_tube_realisation_rational(p: int, n: int) -> RationalizedEquivalence:
     """Exact form: the map transforms the quadric model onto the tube over H(x,x)."""
-    fam = QuadricFamily(p, n)
     space = quadric_space(n)
-    comps = [_var(space, j) for j in range(n)]
-    hol = HermitianPolynomial.zero(space)
-    for j, e in enumerate(fam.eps):
-        hol = hol + _var(space, j) ** 2 * e
-    comps.append(_var(space, n) + hol)
-    nmap = HoloPolyMap(space, space, comps)
+    zs = [_var(space, j) for j in range(n)]
+    nmap = HoloPolyMap(space, space, zs + [_var(space, n) + QuadricFamily(p, n).form(zs, zs)])
     target = quadric_tube_surface(p, n).rho
     radicands = tuple([Fraction(4)] * n + [Fraction(1)])
-    conj = pullback_diagonal_quartic(target, radicands)
-    if conj is None:
-        raise DomainError("diagonal conjugation unexpectedly inexact")
-    return RationalizedEquivalence(nmap, target, conj, quadric_surface(p, n).rho, radicands)
+    return RationalizedEquivalence(nmap, target, quadric_surface(p, n).rho, radicands)
 
 
 def make_tube_realisation(p: int, n: int) -> HoloPolyMap:
@@ -846,8 +801,7 @@ def cayley_graph() -> RealPolynomial:
 
 
 def cayley_tube_surface() -> Hypersurface:
-    x1, x2 = (_re(SPACE3, i) for i in range(2))
-    return Hypersurface(_re(SPACE3, 2) - x1 * x2 - x1**3)
+    return _tube(cayley_graph())
 
 
 def make_cayley_rational() -> RationalizedEquivalence:
@@ -857,10 +811,7 @@ def make_cayley_rational() -> RationalizedEquivalence:
     nmap = HoloPolyMap(SPACE3, SPACE3, [core, anti, z3 * 4 - z1 * z2 * 2 - z1**3])
     target = quadric_surface(1, 2).rho
     radicands = (Fraction(1, 4), Fraction(1, 4), Fraction(1))
-    conj = pullback_diagonal_quartic(target, radicands)
-    if conj is None:
-        raise DomainError("diagonal conjugation unexpectedly inexact")
-    return RationalizedEquivalence(nmap, target, conj, cayley_tube_surface().rho, radicands)
+    return RationalizedEquivalence(nmap, target, cayley_tube_surface().rho, radicands)
 
 
 def make_cayley_map() -> HoloPolyMap:
@@ -945,6 +896,19 @@ def stated_lines() -> dict:
             en[n - 1] = g1
             lines[f"quadric(p={p},n={n},side=>)"] = (tuple(above), tuple(en), "definite")
     return lines
+
+
+def stated_line(ident: str):
+    """(base point, direction, grade) of the line stated for ``ident``, or None.
+
+    Identifiers are compared by what :func:`parse_ident` makes of them, so
+    ``quadric(n=2,p=1,side=>)`` finds the line stated for ``quadric(p=1,n=2,side=>)``.
+    """
+    wanted = parse_ident(ident)
+    for stated, line in stated_lines().items():
+        if parse_ident(stated) == wanted:
+            return line
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -1061,8 +1025,8 @@ FAMILIES = {
                      "'{side}' side of the plus quartic model", {"sign": "+"}),
     "D_minus": Family(("side",), "domain", model_domain,
                       "'{side}' side of the minus quartic model", {"sign": "-"}),
-    "D0": Family(("side",), "domain", d0_domain,
-                 "'{side}' side of the signature-(2,1) quadric in C^4"),
+    "D0": Family(("side",), "domain", make_quadric_domain,
+                 "'{side}' side of the signature-(2,1) quadric in C^4", {"p": 2, "n": 3}),
     "quadric": Family(("p", "n", "side"), "domain", make_quadric_domain,
                       "'{side}' side of the quadric over H_{{{p},{n}}}"),
     "quadric_surface": Family(("p", "n"), "hypersurface", quadric_surface,

@@ -347,7 +347,7 @@ def _chern_moser(spec: CheckSpec, rng, sign: str, constant_draws: int) -> dict:
 
     umb = chern_moser.umbilicity_at_origin(surface)
     _require(not umb.umbilic, "model is unexpectedly umbilic at the origin")
-    eps = 1 if sign == "+" else -1
+    eps = chern_moser.sign_to_eps(sign)
     sp = VariableSpace(3)
     want = HermitianPolynomial.variable(sp, 0) ** 2 * HermitianPolynomial.variable(sp, 3) ** 2 * eps
     _require(umb.witness == want, "umbilicity witness is not the expected quartic")
@@ -364,10 +364,7 @@ def _chern_moser(spec: CheckSpec, rng, sign: str, constant_draws: int) -> dict:
     # Scaling relation: identity and a phase isotropy pass with lambda = 1, a
     # q-scaled isotropy with lambda = q^2; the form-preserving diag(2,1/2,1)
     # violates the relation at lambda = 1 (negative control).
-    ident = tuple(
-        tuple(GaussianRational(1 if i == j else 0) for j in range(3)) for i in range(3)
-    )
-    rep = chern_moser.linear_scaling_check(surface, ident, Fraction(1))
+    rep = chern_moser.linear_scaling_check(surface, lie.IDENTITY3, Fraction(1))
     _require(rep.form_preserved and rep.relation_holds, "identity scaling check failed")
 
     phases = PParams(
@@ -389,10 +386,7 @@ def _chern_moser(spec: CheckSpec, rng, sign: str, constant_draws: int) -> dict:
     )
     _require(rep.form_preserved and rep.relation_holds, "q-scaled isotropy check failed")
 
-    bad = tuple(
-        tuple(GaussianRational(v) for v in row)
-        for row in [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]]
-    )
+    bad = lie.mat([[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]])
     rep = chern_moser.linear_scaling_check(surface, bad, Fraction(1))
     _require(rep.form_preserved, "negative control no longer preserves the form")
     _require(not rep.relation_holds, "negative control failed to violate the scaling relation")
@@ -530,14 +524,14 @@ def _lie_line_image(spec: CheckSpec, rng, draws: int) -> dict:
 
 def _stated_line(target: str, args: dict):
     """Admit only the domains :func:`catalog.stated_lines` states a line for."""
-    if target not in catalog.stated_lines():
+    if catalog.stated_line(target) is None:
         raise DomainError(
             f"no stated line for {target!r}; stated: {', '.join(catalog.stated_lines())}"
         )
 
 
 def _line_witness(spec: CheckSpec, rng, **_target_args) -> dict:
-    base, direction, expected_grade = catalog.stated_lines()[spec.target]
+    base, direction, expected_grade = catalog.stated_line(spec.target)
     domain = catalog.resolve(spec.target).obj
     witness = geometry.contains_complex_line(domain, base, direction)
     _require(witness.inside_at_all_samples, f"sampled point left the domain at t={witness.first_failure}")

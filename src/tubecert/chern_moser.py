@@ -21,10 +21,11 @@ subjects to these checks is of that kind.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
-from . import exactla
+from . import exactla, lie
 from .errors import DomainError, SpaceError
 from .maps import HoloPolyMap, pullback
 from .poly import HermitianPolynomial, VariableSpace
@@ -38,13 +39,10 @@ class HermitianForm:
     (positive, negative, zero) eigenvalues.
     """
 
-    __slots__ = ("h", "g", "m", "signature")
+    __slots__ = ("h", "g", "m")
 
     def __init__(self, rows):
-        h = tuple(
-            tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in row)
-            for row in rows
-        )
+        h = tuple(tuple(to_tower(x, True) for x in row) for row in rows)
         m = len(h)
         if any(len(row) != m for row in h):
             raise SpaceError("form matrix must be square")
@@ -53,21 +51,25 @@ class HermitianForm:
                 if h[i][j] != h[j][i].conjugate():
                     raise DomainError("form matrix must be Hermitian")
         g = exactla.invert([list(row) for row in h], one=GaussianRational(1))
-        eigs = np.linalg.eigvalsh(np.array([[complex(x) for x in row] for row in h]))
+        object.__setattr__(self, "h", h)
+        object.__setattr__(self, "g", tuple(tuple(row) for row in g))
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("HermitianForm is immutable")
+
+    @property
+    def signature(self) -> tuple[int, int, int]:
+        # Computed on access: building a form (every quartic model does) then
+        # never loads numpy's eigensolver, which costs about 1 MB of memory.
+        eigs = np.linalg.eigvalsh(np.array([[complex(x) for x in row] for row in self.h]))
         radius = float(np.max(np.abs(eigs)))
         cut = 1e-12 * max(radius, 1.0)
-        sig = (
+        return (
             int(np.sum(eigs > cut)),
             int(np.sum(eigs < -cut)),
             int(np.sum(np.abs(eigs) <= cut)),
         )
-        object.__setattr__(self, "h", h)
-        object.__setattr__(self, "g", tuple(tuple(row) for row in g))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "signature", sig)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianForm is immutable")
 
     def poly(self, space: VariableSpace | None = None) -> HermitianPolynomial:
         """<z, z> as a polynomial (in its own m-variable space by default)."""
@@ -94,14 +96,24 @@ class HermitianForm:
         return hash(self.h)
 
 
+@cache  # an immutable value whose construction inverts and diagonalizes the matrix
 def pairing_form() -> HermitianForm:
     """The form z1 zb2 + z2 zb1 + |z3|^2 (signature (2,1), equal to its inverse)."""
-    return HermitianForm([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
+    return HermitianForm(lie.FORM_PAIRING)
 
 
 def diagonal_form_221() -> HermitianForm:
     """The diagonal signature-(2,1) form |z1|^2 + |z2|^2 - |z3|^2."""
-    return HermitianForm([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
+    return HermitianForm(lie.FORM_DIAG)
+
+
+def sign_to_eps(sign: str) -> int:
+    """The quartic term's sign: +1 for the plus model '+', -1 for the minus model '-'."""
+    if sign == "+":
+        return 1
+    if sign == "-":
+        return -1
+    raise DomainError(f"sign must be '+' or '-', got {sign!r}")
 
 
 def trace_op(p: HermitianPolynomial, form: HermitianForm) -> HermitianPolynomial:
@@ -229,7 +241,7 @@ def model_normal_form(sign: str) -> NormalFormSurface:
     space = VariableSpace(3)
     z1 = HermitianPolynomial.variable(space, 0)
     zb1 = HermitianPolynomial.variable(space, 3)
-    eps = 1 if sign == "+" else -1
+    eps = sign_to_eps(sign)
     return NormalFormSurface.build(pairing_form(), {(2, 2): z1**2 * zb1**2 * eps})
 
 

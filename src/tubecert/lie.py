@@ -21,7 +21,7 @@ from fractions import Fraction
 
 from . import exactla
 from .errors import DomainError
-from .scalars import GaussianRational
+from .scalars import GaussianRational, to_tower
 
 Mat3 = tuple  # 3x3 nested tuples of GaussianRational
 
@@ -29,9 +29,7 @@ Mat3 = tuple  # 3x3 nested tuples of GaussianRational
 def mat(rows) -> Mat3:
     out = []
     for row in rows:
-        out.append(
-            tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in row)
-        )
+        out.append(tuple(to_tower(x, True) for x in row))
     if len(out) != 3 or any(len(r) != 3 for r in out):
         raise DomainError("need a 3x3 matrix")
     return tuple(out)
@@ -55,7 +53,7 @@ def msub(X: Mat3, Y: Mat3) -> Mat3:
 
 
 def mscale(X: Mat3, c) -> Mat3:
-    c = c if isinstance(c, GaussianRational) else GaussianRational(c)
+    c = to_tower(c, True)
     return tuple(tuple(a * c for a in row) for row in X)
 
 
@@ -372,7 +370,7 @@ def stabilizer_up_to_scale_dim(v, H: Mat3 = FORM_DIAG) -> int:
     (Xv, v), which is real-linear in X, so the dimension is an exact kernel
     computation over the rationals.
     """
-    vv = tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v)
+    vv = tuple(to_tower(x, True) for x in v)
     if all(x.is_zero() for x in vv):
         raise DomainError("stabilizer of the zero vector is undefined")
     basis = su21_basis(H)
@@ -386,7 +384,7 @@ def stabilizer_up_to_scale_dim(v, H: Mat3 = FORM_DIAG) -> int:
 
 def form_value(v, H: Mat3 = FORM_DIAG) -> Fraction:
     """<v, v> = v^t H conj(v), a real number for Hermitian H."""
-    vv = tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in v)
+    vv = tuple(to_tower(x, True) for x in v)
     total = GaussianRational(0)
     for i in range(3):
         for j in range(3):
@@ -431,7 +429,7 @@ def line_image_test(S: LieSubspace, w) -> bool:
     multiples of (0, 1, 0): that line is the algebra's only common
     eigenvector direction, which is what pins the group's connected pieces.
     """
-    ww = tuple(x if isinstance(x, GaussianRational) else GaussianRational(x) for x in w)
+    ww = tuple(to_tower(x, True) for x in w)
     if all(x.is_zero() for x in ww):
         raise DomainError("the zero vector spans no line")
     for B in S.basis:

@@ -279,16 +279,14 @@ def invariance_certificate(rho: HermitianPolynomial, f: HoloPolyMap) -> Invarian
     return equivalence_certificate(rho, f, rho)
 
 
-def pullback_diagonal_quartic(
-    rho: HermitianPolynomial, radicands: list
-) -> HermitianPolynomial | None:
+def pullback_diagonal_quartic(rho: HermitianPolynomial, radicands: list) -> HermitianPolynomial:
     """Pull rho back along diag(r_1^(1/4), ..., r_n^(1/4)) with rational r_i > 0.
 
     Each monomial z^a zb^b picks up the factor prod r_i^((a_i+b_i)/4); the
     result is exact iff every such accumulated radicand is a perfect fourth
-    power of a rational.  Returns None when any monomial fails, letting the
-    caller fall back to floats.  This is how square-root and fourth-root
-    diagonal scalings are conjugated away without algebraic-number arithmetic.
+    power of a rational, and a DomainError names the first monomial that is
+    not.  This is how square-root and fourth-root diagonal scalings are
+    conjugated away without algebraic-number arithmetic.
     """
     if not rho.exact:
         raise TypeError("diagonal quartic pullback is an exact-tower operation")
@@ -307,6 +305,6 @@ def pullback_diagonal_quartic(
                 acc *= rads[i] ** k
         root = fourth_root_exact(acc)
         if root is None:
-            return None
+            raise DomainError(f"diagonal scaling leaves the factor ({acc})^(1/4) on monomial {e}")
         out[e] = c * root
     return HermitianPolynomial(rho.space, out)

@@ -19,8 +19,6 @@ from fractions import Fraction
 
 from .errors import DomainError
 
-Rational = Fraction
-
 
 def as_rational(x) -> Fraction:
     """Coerce an int, Fraction, or rational string like '3/5' to a Fraction."""
@@ -184,8 +182,6 @@ def embed_exact(v) -> GaussianRational:
 
 
 I = GaussianRational(0, 1)
-ONE = GaussianRational(1)
-ZERO = GaussianRational(0)
 
 
 def is_exact(values) -> bool:
@@ -278,9 +274,6 @@ class UnimodularPhase:
 
     def __repr__(self):
         return f"UnimodularPhase({self.value})"
-
-
-PHASE_ONE = UnimodularPhase(ONE)
 
 
 def phase_from_parameter(t) -> UnimodularPhase:

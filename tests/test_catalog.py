@@ -11,6 +11,7 @@ from tubecert.catalog import (
     BASE_POINT,
     PParams,
     QuadricFamily,
+    RationalizedEquivalence,
     composed_generator,
     control_bad_constraint,
     control_wrong_phase,
@@ -29,6 +30,7 @@ from tubecert.catalog import (
     make_sigma_surface,
     make_tube_realisation,
     make_tube_realisation_rational,
+    model_domain,
     model_surface,
     p_compose,
     p_inverse,
@@ -380,7 +382,7 @@ def test_normalizer_rational_certificates():
 def test_normalizer_targets_by_alpha():
     assert make_normalizer_rational(Fraction(7, 12)).target_rho == model_surface("+").rho
     assert make_normalizer_rational(Fraction(-1, 4)).target_rho == model_surface("-").rho
-    assert make_normalizer_rational(Fraction(1, 12)).target_rho == catalog.d0_surface().rho
+    assert make_normalizer_rational(Fraction(1, 12)).target_rho == quadric_surface(2, 3).rho
 
 
 def test_normalizer_printed_map_float_path():
@@ -576,4 +578,26 @@ def test_registry_resolution_and_descriptions():
 
 
 def test_d0_equals_quadric_2_3():
-    assert catalog.d0_surface().rho == quadric_surface(2, 3).rho
+    assert resolve("D0(side=>)").obj == make_quadric_domain(2, 3, ">")
+
+
+def test_side_is_decoded_once_and_strictly():
+    assert make_quadric_domain(1, 2, "<").side == make_omega(1, "<").side == -1
+    assert quadric_base_point(1, 1, "<")[-1] == GaussianRational(-1)
+    for build in (
+        lambda: make_quadric_domain(1, 2, "x"),
+        lambda: make_omega(1, "x"),
+        lambda: model_domain("+", "x"),
+        lambda: quadric_base_point(1, 1, "x"),
+        lambda: quadric_transitive_params(1, 1, "x", [GaussianRational(0), GaussianRational(4)]),
+    ):
+        with pytest.raises(DomainError, match="side must be"):
+            build()
+    with pytest.raises(DomainError, match="strictly inside the '<' side"):
+        quadric_transitive_params(1, 1, "<", [GaussianRational(0), GaussianRational(4)])
+
+
+def test_rationalized_equivalence_rejects_an_inexact_scaling():
+    eq = make_tube_realisation_rational(1, 1)
+    with pytest.raises(DomainError, match="diagonal scaling"):
+        RationalizedEquivalence(eq.rational_map, eq.target_rho, eq.source_rho, (2, 1))

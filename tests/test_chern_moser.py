@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from tubecert.catalog import PParams, make_isotropy_matrix
+from tubecert.catalog import PParams, make_isotropy_matrix, model_surface
 from tubecert.chern_moser import (
     HermitianForm,
     NormalFormSurface,
@@ -179,3 +179,9 @@ def test_linear_scaling_float_path():
     )
     rep = linear_scaling_check(surface, U, 1.0)
     assert rep.form_preserved and rep.relation_holds
+
+
+@pytest.mark.parametrize("build", [model_normal_form, model_surface])
+def test_unknown_model_sign_is_rejected(build):
+    with pytest.raises(DomainError, match="sign must be"):
+        build("x")

@@ -48,6 +48,9 @@ seed = 10
 """
 
 
+GOLDEN_DESCRIBE = Path(__file__).parent / "data" / "describe.golden.txt"
+
+
 def strip_timing(lines):
     return [re.sub(r',?\s*"wall_time_ms":\s*[0-9.]+', "", ln) for ln in lines]
 
@@ -220,6 +223,17 @@ def test_cli_describe_and_list(capsys):
     assert main(["describe", "does_not_exist"]) == 2
 
 
+def test_describe_matches_the_golden_text(capsys):
+    """describe of every listed identifier, byte for byte (the printed floats
+    are Python double arithmetic on fixed inputs)."""
+    assert main(["list"]) == 0
+    printed = []
+    for ident in capsys.readouterr().out.splitlines():
+        assert main(["describe", ident]) == 0
+        printed.append(capsys.readouterr().out)
+    assert "".join(printed) == GOLDEN_DESCRIBE.read_text()
+
+
 def test_describe_normalizer_components(capsys):
     assert main(["describe", "normalizer(alpha=7/12)"]) == 0
     text = capsys.readouterr().out
@@ -339,3 +353,24 @@ def test_benchmark_and_shipped_configs_are_accepted(capsys):
     resolve_targets(parse_config(default_config_text()))
     assert main(["verify", str(data / "negative_control.cfg")]) == 1
     assert json.loads(capsys.readouterr().out)["status"] == "fail"
+
+
+# Targets that name a stated line's domain in another spelling.
+RESPELLED_LINES = [
+    ("quadric(p=1,n=2,side=>)", "quadric(n=2,p=1,side=>)"),
+    ("quadric(p=1,n=2,side=>)", "quadric(p=1, n=2, side=>)"),
+    ("D_plus(side=>)", "D_plus( side=> )"),
+]
+
+
+@pytest.mark.parametrize("stated, respelled", RESPELLED_LINES)
+def test_line_witness_finds_the_line_of_a_respelled_target(stated, respelled, tmp_path, capsys):
+    details = []
+    for target in (stated, respelled):
+        cfg = tmp_path / "line.cfg"
+        cfg.write_text(f"id = line\nkind = line_witness\ntarget = {target}\n")
+        assert main(["verify", str(cfg)]) == 0
+        details.append(json.loads(capsys.readouterr().out)["details"])
+    want, got = details
+    assert got["domain"] == respelled
+    assert (got["grade"], got["restriction"]) == (want["grade"], want["restriction"])

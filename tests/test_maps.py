@@ -12,7 +12,7 @@ from tubecert.catalog import (
     random_p_params,
     make_p_element,
 )
-from tubecert.errors import SpaceError
+from tubecert.errors import DomainError, SpaceError
 from tubecert.maps import (
     AffineMapR,
     HoloPolyMap,
@@ -155,7 +155,8 @@ def test_diagonal_quartic_pullback():
     z4, zb4 = HermitianPolynomial.variable(SP4, 3), HermitianPolynomial.variable(SP4, 7)
     rho = (z4 + zb4) * Fraction(1, 2) - z1 * zb1
     # diag(2^(1/4) per z1, 1): |z1|^2 picks up sqrt(2): not a rational fourth power
-    assert pullback_diagonal_quartic(rho, [2, 1, 1, 1]) is None
+    with pytest.raises(DomainError):
+        pullback_diagonal_quartic(rho, [2, 1, 1, 1])
     # diag(4^(1/4)) = sqrt(2): |z1|^2 picks up 4^(1/2) = 2
     scaled = pullback_diagonal_quartic(rho, [4, 1, 1, 1])
     assert scaled == (z4 + zb4) * Fraction(1, 2) - z1 * zb1 * 2
