@@ -197,13 +197,16 @@ class HermitianPolynomial:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise DomainError("polynomial powers must be nonnegative integers")
-        result = HermitianPolynomial.constant(self.space, 1, self.exact)
+        if k == 0:
+            return HermitianPolynomial.constant(self.space, 1, self.exact)
+        result = None
         base = self
         while k:
             if k & 1:
-                result = result * base
-            base = base * base if k > 1 else base
+                result = base if result is None else result * base
             k >>= 1
+            if k:
+                base = base * base
         return result
 
     @classmethod
@@ -340,10 +343,14 @@ class HermitianPolynomial:
             return powers[key]
 
         for e, c in self.terms.items():
-            term = HermitianPolynomial.constant(target, c, self.exact)
+            term = None
             for i, k in enumerate(e):
                 if k:
-                    term = term * power(i, k)
+                    term = power(i, k) if term is None else term * power(i, k)
+            if term is None:
+                term = HermitianPolynomial.constant(target, c, self.exact)
+            else:
+                term = term * c
             result = result + term
         return result
 

@@ -2,10 +2,11 @@
 
 Every certificate in this package bottoms out in a polynomial identity whose
 coefficients live in Q(i).  This module supplies that coefficient field
-(GaussianRational over ``fractions.Fraction``), exact rational points on the
-unit circle standing in for phase factors e^{i*angle}, and the few floating
-helpers used when a value has no exact representative (fourth roots,
-irrational scale factors).
+(GaussianRational: a Gaussian-integer numerator over one positive integer
+denominator, so each operation is integer arithmetic and at most one gcd),
+exact rational points on the unit circle standing in for phase factors
+e^{i*angle}, and the few floating helpers used when a value has no exact
+representative (fourth roots, irrational scale factors).
 
 The two scalar towers never mix silently: conversion from the exact tower to
 floats is explicit and one-way (``complex(w)`` or :func:`to_tower`).  The
@@ -32,7 +33,12 @@ def as_rational(x) -> Fraction:
 
 
 class GaussianRational:
-    """A complex number re + im*i with exact rational parts.
+    """A complex number (a + b*i) / d with integers a, b and d.
+
+    The stored form is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so two
+    values are equal exactly when their triples are, and each operation ends
+    in at most one integer gcd.  ``re`` and ``im`` read the parts as
+    ``Fraction`` values.
 
     Values are immutable; all arithmetic is exact.  Mixing with floats is a
     TypeError: convert explicitly with ``complex(w)`` when entering the
@@ -43,73 +49,88 @@ class GaussianRational:
     True
     """
 
-    __slots__ = ("re", "im")
+    __slots__ = ("_a", "_b", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", as_rational(re))
-        object.__setattr__(self, "im", as_rational(im))
+        if type(re) is int and type(im) is int:
+            a, b, d = re, im, 1
+        else:
+            re, im = as_rational(re), as_rational(im)
+            p, q = re.denominator, im.denominator
+            d = p * q // math.gcd(p, q)
+            # With both parts in lowest terms, their least common denominator
+            # leaves gcd(a, b, d) == 1.
+            a, b = re.numerator * (d // p), im.numerator * (d // q)
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussianRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._a, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._b, self._d)
+
     # -- arithmetic ---------------------------------------------------------
 
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, GaussianRational):
-            return other
-        if isinstance(other, (int, Fraction)):
-            return GaussianRational(other)
-        return None
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re + o.re, self.im + o.im)
+    def __add__(self, o):
+        if not isinstance(o, GaussianRational):
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
+        return _add(self, o._a, o._b, o._d)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _make(-self._a, -self._b, self._d)
 
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(self.re - o.re, self.im - o.im)
+    def __sub__(self, o):
+        if not isinstance(o, GaussianRational):
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
+        return _add(self, -o._a, -o._b, o._d)
 
-    def __rsub__(self, other):
-        o = self._coerce(other)
+    def __rsub__(self, o):
+        o = _coerce(o)
         if o is None:
             return NotImplemented
         return o - self
 
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return GaussianRational(
-            self.re * o.re - self.im * o.im,
-            self.re * o.im + self.im * o.re,
-        )
+    def __mul__(self, o):
+        if not isinstance(o, GaussianRational):
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        d = self._d * o._d
+        if d == 1:
+            return _make(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, 1)
+        return _reduce(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d)
 
     __rmul__ = __mul__
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        d = o.abs2()
-        if d == 0:
+    def __truediv__(self, o):
+        if not isinstance(o, GaussianRational):
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
+        a1, b1, a2, b2 = self._a, self._b, o._a, o._b
+        n = a2 * a2 + b2 * b2
+        if n == 0:
             raise ZeroDivisionError("division by zero GaussianRational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        # (a1 + b1 i)/d1 / ((a2 + b2 i)/d2) = (a1 + b1 i)(a2 - b2 i) d2 / (d1 (a2^2 + b2^2))
+        d2 = o._d
+        return _reduce((a1 * a2 + b1 * b2) * d2, (b1 * a2 - a1 * b2) * d2, self._d * n)
 
-    def __rtruediv__(self, other):
-        o = self._coerce(other)
+    def __rtruediv__(self, o):
+        o = _coerce(o)
         if o is None:
             return NotImplemented
         return o / self
@@ -132,35 +153,81 @@ class GaussianRational:
     # -- structure ----------------------------------------------------------
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _make(self._a, -self._b, self._d)
 
     def abs2(self) -> Fraction:
         """Exact squared modulus re**2 + im**2 (a nonnegative Rational)."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._a * self._a + self._b * self._b, self._d * self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return self._a == 0 and self._b == 0
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return self._b == 0
 
-    def __eq__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self.re == o.re and self.im == o.im
+    def __eq__(self, o):
+        if not isinstance(o, GaussianRational):
+            o = _coerce(o)
+            if o is None:
+                return NotImplemented
+        return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
         return hash((self.re, self.im))
 
     def __complex__(self) -> complex:
-        return complex(float(self.re), float(self.im))
+        # Integer true division rounds correctly, as float(Fraction) does.
+        return complex(self._a / self._d, self._b / self._d)
 
     def __repr__(self):
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
         return format_gaussian(self)
+
+
+_set_a = GaussianRational._a.__set__
+_set_b = GaussianRational._b.__set__
+_set_d = GaussianRational._d.__set__
+
+
+def _make(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i) / d from an already canonical triple."""
+    w = object.__new__(GaussianRational)
+    _set_a(w, a)
+    _set_b(w, b)
+    _set_d(w, d)
+    return w
+
+
+def _coerce(x) -> GaussianRational | None:
+    """x as a GaussianRational when it is exact (GaussianRational, int, Fraction), else None."""
+    if isinstance(x, GaussianRational):
+        return x
+    if isinstance(x, int):
+        return _make(x, 0, 1)
+    if isinstance(x, Fraction):
+        return _make(x.numerator, 0, x.denominator)
+    return None
+
+
+def _add(x: GaussianRational, a: int, b: int, d: int) -> GaussianRational:
+    """x + (a + b*i) / d."""
+    if d == x._d:
+        if d == 1:
+            return _make(x._a + a, x._b + b, 1)
+        return _reduce(x._a + a, x._b + b, d)
+    return _reduce(x._a * d + a * x._d, x._b * d + b * x._d, x._d * d)
+
+
+def _reduce(a: int, b: int, d: int) -> GaussianRational:
+    """The value (a + b*i) / d for d > 0, brought to canonical form."""
+    g = math.gcd(a, b, d)
+    if g != 1:
+        a //= g
+        b //= g
+        d //= g
+    return _make(a, b, d)
 
 
 def embed_exact(v) -> GaussianRational:

@@ -184,3 +184,23 @@ def test_equivalence_certificate_between_distinct_surfaces():
     doubling = HoloPolyMap(sp, sp, [z1 * 2, z2])
     cert = equivalence_certificate(rho_a, doubling, rho_b)
     assert cert.exact and cert.factor == GaussianRational(1)
+
+
+def test_pullback_multiplies_no_polynomial_by_a_constant(monkeypatch):
+    """Powers and substituted terms never pay a polynomial product with a constant."""
+    params = random_p_params(random.Random(31), "+")
+    rho = model_surface("+").rho
+    element = make_p_element(params)
+    constant_flags = []  # (left is constant, right is constant) per polynomial product
+    original = HermitianPolynomial.__mul__
+
+    def recording_mul(self, other):
+        if isinstance(other, HermitianPolynomial):
+            constant_flags.append((self.degree() <= 0, other.degree() <= 0))
+        return original(self, other)
+
+    monkeypatch.setattr(HermitianPolynomial, "__mul__", recording_mul)
+    cert = invariance_certificate(rho, element)
+    assert cert.exact
+    assert constant_flags, "the pullback made no polynomial products"
+    assert [flags for flags in constant_flags if any(flags)] == []

@@ -156,3 +156,181 @@ def test_literal_round_trip():
     assert parse_gaussian("3/5+4/5i") == GaussianRational(Fraction(3, 5), Fraction(4, 5))
     assert parse_gaussian("-i") == GaussianRational(0, -1)
     assert parse_gaussian("7") == GaussianRational(7)
+
+
+# -- differential test against the Fraction-pair reference -------------------
+
+
+class FractionPair:
+    """Reference Q(i) arithmetic on a pair of Fractions (re, im).
+
+    This is the arithmetic GaussianRational carried before it stored one
+    Gaussian-integer numerator over one denominator; every operator of the
+    integer form is compared against it.
+    """
+
+    def __init__(self, re, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    @classmethod
+    def of(cls, x):
+        if isinstance(x, GaussianRational):
+            return cls(x.re, x.im)
+        return cls(x)
+
+    def __add__(self, o):
+        return FractionPair(self.re + o.re, self.im + o.im)
+
+    def __sub__(self, o):
+        return FractionPair(self.re - o.re, self.im - o.im)
+
+    def __mul__(self, o):
+        return FractionPair(self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re)
+
+    def __truediv__(self, o):
+        d = o.abs2()
+        if d == 0:
+            raise ZeroDivisionError
+        return FractionPair(
+            (self.re * o.re + self.im * o.im) / d, (self.im * o.re - self.re * o.im) / d
+        )
+
+    def __neg__(self):
+        return FractionPair(-self.re, -self.im)
+
+    def __pow__(self, n):
+        if n < 0:
+            return FractionPair(1) / self ** (-n)
+        out = FractionPair(1)
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def conjugate(self):
+        return FractionPair(self.re, -self.im)
+
+    def abs2(self):
+        return self.re * self.re + self.im * self.im
+
+
+def assert_same(w, ref):
+    """w is a canonical GaussianRational with the reference's value."""
+    assert isinstance(w, GaussianRational)
+    assert (w.re, w.im) == (ref.re, ref.im)
+    assert type(w.re) is Fraction and type(w.im) is Fraction
+    a, b, d = w._a, w._b, w._d
+    assert d > 0 and math.gcd(a, b, d) == 1
+    assert Fraction(a, d) == w.re and Fraction(b, d) == w.im
+
+
+def rand_scalar(rng):
+    """A GaussianRational, int or Fraction; parts are often zero or integral."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.randint(-9, 9)
+    if kind == 1:
+        return rand_fraction(rng, 300, 90)
+    parts = [
+        rng.choice([Fraction(0), Fraction(rng.randint(-20, 20)), rand_fraction(rng, 10**6, 10**4)])
+        for _ in range(2)
+    ]
+    return GaussianRational(*parts)
+
+
+def test_integer_form_matches_fraction_pairs():
+    rng = random.Random(20240)
+    for _ in range(1500):
+        x, y = rand_scalar(rng), rand_scalar(rng)
+        if not isinstance(x, GaussianRational):
+            x, y = y, x
+        if not isinstance(x, GaussianRational):
+            x = GaussianRational(x)
+        rx, ry = FractionPair.of(x), FractionPair.of(y)
+        assert_same(x, rx)
+        assert_same(x + y, rx + ry)
+        assert_same(y + x, ry + rx)
+        assert_same(x - y, rx - ry)
+        assert_same(y - x, ry - rx)
+        assert_same(x * y, rx * ry)
+        assert_same(y * x, ry * rx)
+        assert_same(-x, -rx)
+        assert_same(x.conjugate(), rx.conjugate())
+        assert x.abs2() == rx.abs2() and type(x.abs2()) is Fraction
+        assert x.is_zero() == (rx.re == 0 and rx.im == 0)
+        assert x.is_real() == (rx.im == 0)
+        assert (x == y) == (rx.re == ry.re and rx.im == ry.im)
+        if ry.abs2():
+            assert_same(x / y, rx / ry)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                x / y
+        if rx.abs2():
+            assert_same(y / x, ry / rx)
+            k = rng.randint(-4, 4)
+            assert_same(x**k, rx**k)
+        else:
+            with pytest.raises(ZeroDivisionError):
+                y / x
+            with pytest.raises(ZeroDivisionError):
+                x**-1
+
+
+@given(rationals, rationals, rationals, rationals)
+@settings(max_examples=100, deadline=None)
+def test_integer_form_matches_fraction_pairs_on_drawn_parts(p, q, r, s):
+    x, y = GaussianRational(p, q), GaussianRational(r, s)
+    rx, ry = FractionPair(p, q), FractionPair(r, s)
+    for w, ref in (
+        (x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (x.conjugate(), rx.conjugate()),
+    ):
+        assert_same(w, ref)
+    if ry.abs2():
+        assert_same(x / y, rx / ry)
+
+
+def test_equal_values_built_differently_are_equal_and_hash_equal():
+    rng = random.Random(20241)
+    for _ in range(500):
+        x = GaussianRational(rand_fraction(rng, 50, 30), rand_fraction(rng, 50, 30))
+        k = GaussianRational(rand_fraction(rng, 50, 30) or 1, rand_fraction(rng, 50, 30))
+        ways = [
+            x,
+            (x * k) / k,
+            (x + k) - k,
+            x.conjugate().conjugate(),
+            -(-x),
+            GaussianRational(x.re, x.im),
+            parse_gaussian(format_gaussian(x)),
+        ]
+        for w in ways:
+            assert w == x and hash(w) == hash(x)
+            assert (w._a, w._b, w._d) == (x._a, x._b, x._d)
+    assert GaussianRational(Fraction(3, 1)) == 3 and GaussianRational(Fraction(2, 4)) == Fraction(1, 2)
+    assert GaussianRational(0, 0) == GaussianRational(Fraction(0, 7))
+    assert hash(GaussianRational(Fraction(1, 2), 3)) == hash((Fraction(1, 2), Fraction(3)))
+
+
+def test_complex_conversion_is_bitwise_that_of_the_fraction_parts():
+    rng = random.Random(20242)
+    for _ in range(2000):
+        num = rng.randint(-(10**30), 10**30)
+        den = rng.randint(1, 10**25)
+        w = GaussianRational(Fraction(num, den), Fraction(rng.randint(-(10**20), 10**20), den * 3))
+        z, ref = complex(w), complex(float(w.re), float(w.im))
+        assert (z.real.hex(), z.imag.hex()) == (ref.real.hex(), ref.imag.hex())
+
+
+def test_floats_do_not_mix_and_values_stay_immutable():
+    w = GaussianRational(1, 2)
+    for bad in (1.5, 1j, "1"):
+        with pytest.raises(TypeError):
+            w + bad
+        with pytest.raises(TypeError):
+            bad * w
+    assert (w == 1.0) is False
+    with pytest.raises(AttributeError):
+        w.re = Fraction(3)
+    with pytest.raises(ZeroDivisionError):
+        3 / GaussianRational(0)
+    with pytest.raises(ZeroDivisionError):
+        w / Fraction(0)
