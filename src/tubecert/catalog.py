@@ -682,11 +682,6 @@ class QuadricFamily:
             raise DomainError("need 1 <= p <= n")
 
     @property
-    def within_standard_convention(self) -> bool:
-        """The usual normalization keeps at least as many plus as minus signs."""
-        return self.n <= 2 * self.p
-
-    @property
     def eps(self) -> tuple[int, ...]:
         return tuple(1 if j < self.p else -1 for j in range(self.n))
 
@@ -853,13 +848,6 @@ def make_sigma_surface(sigma: float) -> RealPolynomial:
         + (x[3] ** 2 + x[5] ** 2) * (x[3] ** 2 + x[5] ** 2 * s)
     )
     return RealPolynomial(f)
-
-
-def sigma_quadratic_core() -> RealPolynomial:
-    """The sigma-independent quadratic part x1^2+x2^2+x3^2+x4 x5+x6 x7."""
-    space = VariableSpace(7)
-    x = [_var(space, i) for i in range(7)]
-    return RealPolynomial(x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3] * x[4] + x[5] * x[6])
 
 
 # ---------------------------------------------------------------------------

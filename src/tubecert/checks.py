@@ -412,7 +412,7 @@ def _lie_dimensions(spec: CheckSpec, rng, stabilizer_reps: int) -> dict:
 
     outcomes = {}
     for name, P, expect_ge4 in lie.jordan_test_set():
-        S = lie.perp(lie.LieSubspace((P,), "sl3C", "C"))
+        S = lie.perp(lie.LieSubspace((P,), "C"))
         _require(S.dimension == 7, f"{name}: complement dimension {S.dimension} != 7")
         k = lie.ad_kernel_dim(P, S)
         _require(
@@ -421,7 +421,7 @@ def _lie_dimensions(spec: CheckSpec, rng, stabilizer_reps: int) -> dict:
         )
         outcomes[name] = k
 
-    pperp = lie.perp(lie.LieSubspace((lie.E(0, 1),), "sl3C", "C"))
+    pperp = lie.perp(lie.LieSubspace((lie.E(0, 1),), "C"))
     _require(not lie.is_subalgebra(pperp).closed, "the complement of E_12 closed under bracket")
 
     for which in (1, 2):

@@ -23,8 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
 from . import exactla, lie
 from .errors import DomainError, SpaceError
 from .maps import HoloPolyMap, pullback
@@ -35,8 +33,7 @@ from .scalars import GaussianRational, is_exact, to_tower
 class HermitianForm:
     """An m x m Hermitian coefficient matrix h with its exact inverse g.
 
-    The form is <z, z> = sum h[a][b] z_a zb_b; ``signature`` counts the
-    (positive, negative, zero) eigenvalues.
+    The form is <z, z> = sum h[a][b] z_a zb_b.
     """
 
     __slots__ = ("h", "g", "m")
@@ -57,19 +54,6 @@ class HermitianForm:
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianForm is immutable")
-
-    @property
-    def signature(self) -> tuple[int, int, int]:
-        # Computed on access: building a form (every quartic model does) then
-        # never loads numpy's eigensolver, which costs about 1 MB of memory.
-        eigs = np.linalg.eigvalsh(np.array([[complex(x) for x in row] for row in self.h]))
-        radius = float(np.max(np.abs(eigs)))
-        cut = 1e-12 * max(radius, 1.0)
-        return (
-            int(np.sum(eigs > cut)),
-            int(np.sum(eigs < -cut)),
-            int(np.sum(np.abs(eigs) <= cut)),
-        )
 
     def poly(self, space: VariableSpace | None = None) -> HermitianPolynomial:
         """<z, z> as a polynomial (in its own m-variable space by default)."""
@@ -96,15 +80,10 @@ class HermitianForm:
         return hash(self.h)
 
 
-@cache  # an immutable value whose construction inverts and diagonalizes the matrix
+@cache  # an immutable value whose construction inverts the matrix exactly
 def pairing_form() -> HermitianForm:
     """The form z1 zb2 + z2 zb1 + |z3|^2 (signature (2,1), equal to its inverse)."""
     return HermitianForm(lie.FORM_PAIRING)
-
-
-def diagonal_form_221() -> HermitianForm:
-    """The diagonal signature-(2,1) form |z1|^2 + |z2|^2 - |z3|^2."""
-    return HermitianForm(lie.FORM_DIAG)
 
 
 def sign_to_eps(sign: str) -> int:
@@ -243,8 +222,3 @@ def model_normal_form(sign: str) -> NormalFormSurface:
     zb1 = HermitianPolynomial.variable(space, 3)
     eps = sign_to_eps(sign)
     return NormalFormSurface.build(pairing_form(), {(2, 2): z1**2 * zb1**2 * eps})
-
-
-def quadric_normal_form(form: HermitianForm | None = None) -> NormalFormSurface:
-    """A quadric in normal form: all graph components vanish (everywhere umbilic)."""
-    return NormalFormSurface.build(form or pairing_form(), {})

@@ -36,14 +36,23 @@ from .maps import HoloPolyMap
 from .poly import RealPolynomial, format_poly
 
 
+BLOCK_KEYS = ("id", "kind", "target", "seed", "path")
+
+
 def parse_config(text: str) -> list[CheckSpec]:
     """Parse the block format; every block needs id, kind, and target.
 
-    Each block is checked against the check table and typed (:func:`checks.prepare`).
+    A block takes the keys in ``BLOCK_KEYS`` and ``param.<name>``, each at most
+    once.  Each block is checked against the check table and typed
+    (:func:`checks.prepare`).
     """
     specs: list[CheckSpec] = []
     block: dict[str, str] = {}
     seen_ids: set[str] = set()
+
+    def reject(lineno: int, message: str):
+        where = f"check {block['id']!r}, line {lineno}" if "id" in block else f"line {lineno}"
+        raise ConfigError(f"{where}: {message}")
 
     def flush(lineno: int):
         if not block:
@@ -83,8 +92,12 @@ def parse_config(text: str) -> list[CheckSpec]:
             continue
         if "=" not in line:
             raise ConfigError(f"line {lineno}: expected 'key = value', got {raw!r}")
-        key, value = line.split("=", 1)
-        block[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key not in BLOCK_KEYS and not key.startswith("param."):
+            reject(lineno, f"unknown key {key!r} (keys are {', '.join(BLOCK_KEYS)}, param.<name>)")
+        if key in block:
+            reject(lineno, f"key {key!r} repeated in the block")
+        block[key] = value
     flush(-1)
     return specs
 

@@ -123,7 +123,6 @@ class LeviData:
     """
 
     point: tuple[complex, ...]
-    hessian: tuple[tuple[complex, ...], ...]
     signature: tuple[int, int, int]
     signature_signed: tuple[int, int, int]
     eigenvalues: tuple[float, ...]
@@ -135,10 +134,6 @@ class LeviData:
     @property
     def min_abs_eigenvalue(self) -> float:
         return min((abs(e) for e in self.eigenvalues), default=0.0)
-
-    @property
-    def nondegenerate(self) -> bool:
-        return self.signature[2] == 0
 
 
 def levi_form(surface: Hypersurface, point) -> LeviData:
@@ -190,7 +185,6 @@ def levi_form(surface: Hypersurface, point) -> LeviData:
     normalized = (max(pos, neg), min(pos, neg), zero)
     return LeviData(
         point=tuple(pt),
-        hessian=tuple(tuple(row) for row in restricted),
         signature=normalized,
         signature_signed=signed,
         eigenvalues=tuple(float(e) for e in eigs),
@@ -254,15 +248,12 @@ class LineWitness:
 REQUIRED_SAMPLE_MAGNITUDES = (0.0, 1.0, 1e3, 1e6)
 
 
-def contains_complex_line(
-    domain: SidedDomain, base, direction, sample_params=()
-) -> LineWitness:
+def contains_complex_line(domain: SidedDomain, base, direction) -> LineWitness:
     """Check that the affine complex line base + t*direction lies in the domain.
 
-    Membership is sampled at the mandatory magnitudes |t| in {0, 1, 1e3, 1e6}
-    (on two rays) plus any caller-supplied parameters, and the restriction of
-    rho to the line is analyzed symbolically for an exact all-of-line
-    certificate.
+    Membership is sampled at the magnitudes |t| in {0, 1, 1e3, 1e6} (on two
+    rays), and the restriction of rho to the line is analyzed symbolically for
+    an exact all-of-line certificate.
     """
     n = domain.surface.space.n
     if len(base) != n or len(direction) != n:
@@ -288,7 +279,6 @@ def contains_complex_line(
         samples.append(complex(mag, 0.0))
         if mag:
             samples.append(complex(0.0, mag))
-    samples.extend(complex(p) for p in sample_params)
 
     first_failure = None
     base_c = [complex(v) for v in base]

@@ -121,7 +121,7 @@ def sl3_basis() -> list[Mat3]:
 
 @dataclass(frozen=True)
 class LieSubspace:
-    """A subspace of 3x3 matrices with its ambient and scalar field.
+    """A subspace of 3x3 matrices over its scalar field.
 
     ``field`` is 'C' for complex subspaces of sl(3,C) and 'R' for real
     subspaces (of u(2,1)-type algebras).  The basis is checked for exact
@@ -129,7 +129,6 @@ class LieSubspace:
     """
 
     basis: tuple
-    ambient: str  # 'sl3C', 'su21', 'u21', or a descriptive tag
     field: str  # 'C' or 'R'
 
     def __post_init__(self):
@@ -155,16 +154,6 @@ class LieSubspace:
         return self.rank_of(list(self.basis) + [X]) == len(self.basis)
 
 
-def span_complex(mats, ambient="sl3C") -> LieSubspace:
-    rows = [flatten(m) for m in mats]
-    reduced, pivots = exactla.rref(rows)
-    basis = []
-    for r in range(len(pivots)):
-        entries = reduced[r]
-        basis.append(mat([[entries[3 * i + j] for j in range(3)] for i in range(3)]))
-    return LieSubspace(tuple(basis), ambient, "C")
-
-
 def perp(S: LieSubspace) -> LieSubspace:
     """Trace-form orthogonal complement inside sl(3,C).
 
@@ -183,7 +172,7 @@ def perp(S: LieSubspace) -> LieSubspace:
         for coeff, e in zip(c, basis8):
             X = madd(X, mscale(e, coeff))
         out.append(X)
-    return LieSubspace(tuple(out), "sl3C", "C")
+    return LieSubspace(tuple(out), "C")
 
 
 def sl3_gram_rank() -> int:
@@ -239,7 +228,7 @@ def candidate_subalgebra(which: int) -> LieSubspace:
         basis = [E(0, 1), E(0, 2), E(2, 0), E(2, 1), h1, h2]
     else:
         raise DomainError("which must be 1 or 2")
-    return LieSubspace(tuple(basis), "sl3C", "C")
+    return LieSubspace(tuple(basis), "C")
 
 
 def jordan_test_set() -> list[tuple[str, Mat3, bool]]:
@@ -328,22 +317,6 @@ def algebra_membership_residual(X: Mat3, H: Mat3) -> Mat3:
     return madd(mmul(mtrans(X), H), mmul(H, mconj(X)))
 
 
-def su_congruence() -> Mat3:
-    """Exact S with S^t diag(1,1,-1) conj(S) = pairing form; X -> S^-1 X S converts realizations."""
-    return mat(
-        [
-            [1, Fraction(1, 2), 0],
-            [0, 0, 1],
-            [1, Fraction(-1, 2), 0],
-        ]
-    )
-
-
-def congruence_convert(X: Mat3, S: Mat3) -> Mat3:
-    s_inv = exactla.invert([list(r) for r in S], one=GaussianRational(1))
-    return mmul(mat(s_inv), mmul(X, S))
-
-
 def cayley_group_element(A: Mat3) -> Mat3:
     """(I - A)(I + A)^{-1}: an exact group element from an algebra element A.
 
@@ -382,18 +355,6 @@ def stabilizer_up_to_scale_dim(v, H: Mat3 = FORM_DIAG) -> int:
     return len(exactla.nullspace(rows, one=Fraction(1)))
 
 
-def form_value(v, H: Mat3 = FORM_DIAG) -> Fraction:
-    """<v, v> = v^t H conj(v), a real number for Hermitian H."""
-    vv = tuple(to_tower(x, True) for x in v)
-    total = GaussianRational(0)
-    for i in range(3):
-        for j in range(3):
-            total = total + vv[i] * H[i][j] * vv[j].conjugate()
-    if total.im != 0:
-        raise DomainError("form value came out non-real; H is not Hermitian")
-    return total.re
-
-
 # ---------------------------------------------------------------------------
 # the 6-dimensional isotropy algebra and the common-eigenvector test
 # ---------------------------------------------------------------------------
@@ -419,7 +380,7 @@ def isotropy_algebra_generators() -> list[Mat3]:
 
 
 def isotropy_algebra() -> LieSubspace:
-    return LieSubspace(tuple(isotropy_algebra_generators()), "u21", "R")
+    return LieSubspace(tuple(isotropy_algebra_generators()), "R")
 
 
 def line_image_test(S: LieSubspace, w) -> bool:

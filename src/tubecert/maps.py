@@ -48,13 +48,6 @@ class AffineMapR:
     def n(self) -> int:
         return len(self.translation)
 
-    @staticmethod
-    def identity(n: int) -> "AffineMapR":
-        return AffineMapR(
-            [[Fraction(i == j) for j in range(n)] for i in range(n)],
-            [Fraction(0)] * n,
-        )
-
     def apply(self, xs) -> list[Fraction]:
         xs = [as_rational(x) for x in xs]
         return [
@@ -78,14 +71,6 @@ class AffineMapR:
         ]
         tr = self.apply(other.translation)
         return AffineMapR(mat, tr)
-
-    def inverse(self) -> "AffineMapR":
-        inv = exactla.invert([list(r) for r in self.matrix])
-        tr = [
-            -sum((inv[i][j] * self.translation[j] for j in range(self.n)), Fraction(0))
-            for i in range(self.n)
-        ]
-        return AffineMapR(inv, tr)
 
     def __eq__(self, other):
         if not isinstance(other, AffineMapR):
@@ -134,16 +119,10 @@ class HoloPolyMap:
             [HermitianPolynomial.variable(space, i, exact) for i in range(space.n)],
         )
 
-    def degree(self):
-        return max(c.degree() for c in self.components)
-
     def apply(self, point) -> list:
         """Evaluate all components at a point (exact values on the exact tower)."""
         if self.exact:
             return [c.evaluate(point) for c in self.components]
-        return [c.evaluate_complex(point) for c in self.components]
-
-    def apply_complex(self, point) -> list[complex]:
         return [c.evaluate_complex(point) for c in self.components]
 
     def linear_part(self):
@@ -161,11 +140,6 @@ class HoloPolyMap:
 
     def linear_determinant(self):
         return exactla.determinant(self.linear_part()) if self.exact else None
-
-    def to_float(self) -> "HoloPolyMap":
-        return HoloPolyMap(
-            self.space_in, self.space_out, [c.to_float() for c in self.components]
-        )
 
     def __eq__(self, other):
         if not isinstance(other, HoloPolyMap):

@@ -19,14 +19,11 @@ ordinary polynomial here.
 
 from __future__ import annotations
 
-import re as _re
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DomainError, SpaceError
-from .scalars import GaussianRational, as_rational, format_gaussian, parse_gaussian
-
-NEG_INF = float("-inf")
+from .scalars import GaussianRational, as_rational, format_gaussian
 
 
 @dataclass(frozen=True)
@@ -55,12 +52,6 @@ class VariableSpace:
         """Index of the formal conjugate of variable i."""
         return i + self.n if i < self.n else i - self.n
 
-    def name_to_index(self, name: str) -> int:
-        try:
-            return self.names.index(name)
-        except ValueError:
-            raise SpaceError(f"unknown variable {name!r} in space of {self.n}") from None
-
 
 def _swap_exponents(exps: tuple[int, ...], n: int) -> tuple[int, ...]:
     return exps[n:] + exps[:n]
@@ -82,6 +73,17 @@ def _coerce_float(c):
     if isinstance(c, GaussianRational):
         raise TypeError("exact coefficient in float polynomial; convert explicitly")
     raise TypeError(f"float polynomial coefficient must be numeric, got {type(c).__name__}")
+
+
+def _merge(out: dict, terms: dict, exact: bool) -> None:
+    """Add the term map ``terms`` into ``out`` in place, dropping terms that sum to zero."""
+    for exps, c in terms.items():
+        s = out.get(exps)
+        s = c if s is None else s + c
+        if s.is_zero() if exact else s == 0:
+            out.pop(exps, None)
+        else:
+            out[exps] = s
 
 
 class HermitianPolynomial:
@@ -148,13 +150,7 @@ class HermitianPolynomial:
             other = HermitianPolynomial.constant(self.space, other, self.exact)
         self._check_compat(other)
         merged = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = merged.get(exps)
-            s = c if s is None else s + c
-            if (s.is_zero() if self.exact else s == 0):
-                merged.pop(exps, None)
-            else:
-                merged[exps] = s
+        _merge(merged, other.terms, self.exact)
         return self._raw(self.space, merged, self.exact)
 
     __radd__ = __add__
@@ -222,12 +218,6 @@ class HermitianPolynomial:
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self):
-        """Total degree; the zero polynomial reports -inf."""
-        if not self.terms:
-            return NEG_INF
-        return max(sum(e) for e in self.terms)
 
     def is_holomorphic(self) -> bool:
         """True when no conjugate variable occurs."""
@@ -317,10 +307,6 @@ class HermitianPolynomial:
         }
         return self._raw(self.space, out, self.exact)
 
-    def bigraded_support(self) -> set[tuple[int, int]]:
-        n = self.space.n
-        return {(sum(e[:n]), sum(e[n:])) for e in self.terms}
-
     def substitute(self, images: list["HermitianPolynomial"]) -> "HermitianPolynomial":
         """Exact composition: replace variable i by images[i] for all 2n variables."""
         if len(images) != 2 * self.space.n:
@@ -333,7 +319,8 @@ class HermitianPolynomial:
                 raise SpaceError("substitution images live in different spaces")
             if img.exact != self.exact:
                 raise TypeError("substitution images must match the polynomial's tower")
-        result = HermitianPolynomial.zero(target, self.exact)
+        exact = self.exact
+        out: dict = {}
         powers: dict[tuple[int, int], HermitianPolynomial] = {}
 
         def power(i, k):
@@ -348,11 +335,11 @@ class HermitianPolynomial:
                 if k:
                     term = power(i, k) if term is None else term * power(i, k)
             if term is None:
-                term = HermitianPolynomial.constant(target, c, self.exact)
+                term = HermitianPolynomial.constant(target, c, exact)
             else:
                 term = term * c
-            result = result + term
-        return result
+            _merge(out, term.terms, exact)
+        return self._raw(target, out, exact)
 
     def evaluate(self, point):
         """Evaluate at exact values for the n holomorphic variables.
@@ -415,8 +402,8 @@ class HermitianPolynomial:
 def format_poly(p: HermitianPolynomial) -> str:
     """Canonical plain-text literal, e.g. ``(3/5+4/5i)*z1^2*zb1^1``.
 
-    Terms appear in lexicographic exponent order; the printer and
-    :func:`parse_poly` round-trip exactly on the exact tower.
+    Terms appear in lexicographic exponent order, so equal polynomials print
+    identically.
     """
     if not p.terms:
         return "(0)"
@@ -433,42 +420,12 @@ def format_poly(p: HermitianPolynomial) -> str:
     return " + ".join(parts)
 
 
-_TERM_FACTOR = _re.compile(r"^(zb?\d+)\^(\d+)$")
-
-
-def parse_poly(text: str, space: VariableSpace) -> HermitianPolynomial:
-    """Parse the exact literal format produced by :func:`format_poly`."""
-    s = text.strip()
-    if not s:
-        raise ValueError("empty polynomial literal")
-    terms: dict = {}
-    for chunk in s.split(" + "):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        factors = chunk.split("*")
-        head = factors[0].strip()
-        if not (head.startswith("(") and head.endswith(")")):
-            raise ValueError(f"term {chunk!r} must start with a parenthesized coefficient")
-        coeff = parse_gaussian(head[1:-1])
-        exps = [0] * (2 * space.n)
-        for f in factors[1:]:
-            m = _TERM_FACTOR.match(f.strip())
-            if not m:
-                raise ValueError(f"bad variable factor {f!r}")
-            exps[space.name_to_index(m.group(1))] += int(m.group(2))
-        key = tuple(exps)
-        prev = terms.get(key)
-        terms[key] = coeff if prev is None else prev + coeff
-    return HermitianPolynomial(space, terms)
-
-
 class RealPolynomial:
     """A polynomial in the real coordinates x_1..x_n (graph functions of tube bases).
 
     Internally a HermitianPolynomial using only the holomorphic variable slots,
     with real coefficients, read as a function on R^n.  Supplies the real
-    calculus the tube shortcuts need (gradients, Hessians) and the lift that
+    calculus the tube shortcuts need (values and Hessians) and the lift that
     turns a graph x_{n+1} = f(x) into a tube hypersurface in C^{n+1}.
     """
 
@@ -496,18 +453,6 @@ class RealPolynomial:
     def exact(self) -> bool:
         return self.poly.exact
 
-    def __add__(self, other):
-        o = other.poly if isinstance(other, RealPolynomial) else other
-        return RealPolynomial(self.poly + o)
-
-    def __sub__(self, other):
-        o = other.poly if isinstance(other, RealPolynomial) else other
-        return RealPolynomial(self.poly - o)
-
-    def __mul__(self, other):
-        o = other.poly if isinstance(other, RealPolynomial) else other
-        return RealPolynomial(self.poly * o)
-
     def __eq__(self, other):
         if not isinstance(other, RealPolynomial):
             return NotImplemented
@@ -522,12 +467,6 @@ class RealPolynomial:
             v = self.poly.evaluate([GaussianRational(as_rational(x)) for x in xs])
             return v.re
         return self.poly.evaluate_complex([complex(float(x), 0.0) for x in xs]).real
-
-    def partial(self, i: int) -> "RealPolynomial":
-        return RealPolynomial(self.poly.partial(i))
-
-    def gradient_at(self, xs) -> list:
-        return [self.partial(i).evaluate_real(xs) for i in range(self.space.n)]
 
     def hessian_at(self, xs) -> list[list[float]]:
         """Real symmetric Hessian matrix, as floats."""

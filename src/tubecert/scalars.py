@@ -230,24 +230,6 @@ def _reduce(a: int, b: int, d: int) -> GaussianRational:
     return _make(a, b, d)
 
 
-def embed_exact(v) -> GaussianRational:
-    """Lossless embedding of a numeric value into the exact tower.
-
-    Floats and complexes embed exactly (every double is a rational); this is
-    the one sanctioned float-to-exact direction, used to run exact machinery
-    on numerically produced inputs.
-    """
-    if isinstance(v, GaussianRational):
-        return v
-    if isinstance(v, (int, Fraction)):
-        return GaussianRational(v)
-    if isinstance(v, float):
-        return GaussianRational(Fraction(v))
-    if isinstance(v, complex):
-        return GaussianRational(Fraction(v.real), Fraction(v.imag))
-    raise TypeError(f"cannot embed {type(v).__name__} exactly")
-
-
 I = GaussianRational(0, 1)
 
 
@@ -271,34 +253,13 @@ def to_tower(x, exact: bool):
 
 
 def format_gaussian(w: GaussianRational) -> str:
-    """Render in the literal format used by config files, e.g. ``3/5+4/5i``."""
+    """Render as plain text, e.g. ``3/5+4/5i``."""
     if w.im == 0:
         return str(w.re)
     if w.re == 0:
         return f"{w.im}i"
     sign = "+" if w.im > 0 else "-"
     return f"{w.re}{sign}{abs(w.im)}i"
-
-
-def parse_gaussian(text: str) -> GaussianRational:
-    """Inverse of :func:`format_gaussian`; exact round-trip."""
-    s = text.strip().replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar literal")
-    if not s.endswith("i"):
-        return GaussianRational(Fraction(s))
-    body = s[:-1]
-    # Split at the sign separating real and imaginary parts, skipping a
-    # leading sign and signs inside exponents (none occur for rationals).
-    for k in range(len(body) - 1, 0, -1):
-        if body[k] in "+-" and body[k - 1] not in "+-/":
-            re_part, im_part = body[:k], body[k:]
-            if im_part in ("+", "-"):
-                im_part += "1"
-            return GaussianRational(Fraction(re_part), Fraction(im_part))
-    if body in ("", "+", "-"):
-        body += "1"
-    return GaussianRational(0, Fraction(body))
 
 
 class UnimodularPhase:
@@ -318,15 +279,6 @@ class UnimodularPhase:
 
     def __setattr__(self, name, value):
         raise AttributeError("UnimodularPhase is immutable")
-
-    def __mul__(self, other):
-        if isinstance(other, UnimodularPhase):
-            return UnimodularPhase(self.value * other.value)
-        return NotImplemented
-
-    def conjugate(self) -> "UnimodularPhase":
-        """The inverse phase."""
-        return UnimodularPhase(self.value.conjugate())
 
     def __eq__(self, other):
         if isinstance(other, UnimodularPhase):

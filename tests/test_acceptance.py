@@ -211,9 +211,9 @@ def test_criterion_09_subalgebra_dimension_core():
     rng = random.Random(109)
     assert lie.sl3_gram_rank() == 8
     for name, P, expect_ge4 in lie.jordan_test_set():
-        S = lie.perp(lie.LieSubspace((P,), "sl3C", "C"))
+        S = lie.perp(lie.LieSubspace((P,), "C"))
         assert (lie.ad_kernel_dim(P, S) >= 4) == expect_ge4, name
-    pperp = lie.perp(lie.LieSubspace((lie.E(0, 1),), "sl3C", "C"))
+    pperp = lie.perp(lie.LieSubspace((lie.E(0, 1),), "C"))
     assert not lie.is_subalgebra(pperp).closed
     for which in (1, 2):
         S = lie.candidate_subalgebra(which)

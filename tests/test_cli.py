@@ -264,8 +264,8 @@ def test_markdown_summary_counts():
     assert md.endswith("1/1 checks passed.")
 
 
-# One config snippet per argument the check table rejects; each must exit 2
-# with a message that names the check id.
+# One config snippet per argument the config parser or the check table
+# rejects; each must exit 2 with a message that names the check id.
 REJECTED = {
     "count-negative": "kind = invariance\ntarget = gamma(alpha=1)\nparam.count = -5",
     "count-text": "kind = invariance\ntarget = gamma(alpha=1)\nparam.count = abc",
@@ -290,6 +290,11 @@ REJECTED = {
     "missing-argument": "kind = levi\ntarget = gamma",
     "repeated-argument": "kind = levi\ntarget = gamma(alpha=1,alpha=2)",
     "seed-text": "kind = levi\ntarget = M_plus\nseed = x",
+    "path-misspelt": "kind = invariance\ntarget = gamma(alpha=1)\npaht = float",
+    "seed-misspelt": "kind = levi\ntarget = M_plus\nsede = 3",
+    "count-repeated": "kind = invariance\ntarget = gamma(alpha=1)\nparam.count = 1\n"
+    "param.count = 2",
+    "seed-repeated": "kind = levi\ntarget = M_plus\nseed = 1\nseed = 2",
 }
 
 

