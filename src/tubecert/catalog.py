@@ -1053,7 +1053,7 @@ def parse_ident(ident: str) -> tuple[str, dict]:
     against it and returned with the ones it binds; any other name (a ``lie``
     check target) takes no arguments.  A malformed identifier or a missing,
     extra, repeated or unknown argument raises KeyError; a value its parser rejects
-    (``alpha=1/0``, ``side=x``) raises DomainError.
+    (``alpha=1/0``, ``side=x``, ``sigma=1e400``) raises DomainError.
     """
     ident = ident.strip().replace("σ", "sigma")
     name, paren, body = ident.partition("(")
@@ -1072,7 +1072,7 @@ def parse_ident(ident: str) -> tuple[str, dict]:
             raise KeyError(f"unknown, repeated or malformed {piece!r} in {ident!r}; {takes}")
         try:
             given[key] = IDENT_ARGS[key](value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise DomainError(f"bad value {value!r} for {key} in {ident!r}: {exc}") from None
     missing = [key for key in family.args if key not in given and key not in family.binds]
     if missing:

@@ -194,6 +194,7 @@ def _invariance_control(spec: CheckSpec, rng, sign: str, expect: str) -> dict:
     """Certify a negative control against the quartic model of its own sign."""
     entry = catalog.resolve(spec.target)
     cert = invariance_certificate(model_surface(sign).rho, entry.obj)
+    model = "M_plus" if sign == "+" else "M_minus"
     if expect == "inexact":
         _require(
             not cert.exact,
@@ -202,10 +203,11 @@ def _invariance_control(spec: CheckSpec, rng, sign: str, expect: str) -> dict:
         return {
             "control": spec.target,
             "exact": cert.exact,
+            "model": model,
             "residual_terms": len(cert.residual.terms),
         }
     _require(cert.exact, "control expected to certify but did not")
-    return {"control": spec.target, "exact": True}
+    return {"control": spec.target, "exact": True, "model": model}
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from . import exactla, lie
 from .errors import DomainError, SpaceError
 from .maps import HoloPolyMap, pullback
 from .poly import HermitianPolynomial, VariableSpace
-from .scalars import GaussianRational, is_exact, to_tower
+from .scalars import is_exact, to_tower
 
 
 class HermitianForm:
@@ -47,7 +47,7 @@ class HermitianForm:
             for j in range(m):
                 if h[i][j] != h[j][i].conjugate():
                     raise DomainError("form matrix must be Hermitian")
-        g = exactla.invert([list(row) for row in h], one=GaussianRational(1))
+        g = exactla.invert([list(row) for row in h])
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "g", tuple(tuple(row) for row in g))
         object.__setattr__(self, "m", m)

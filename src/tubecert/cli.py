@@ -48,18 +48,19 @@ def parse_config(text: str) -> list[CheckSpec]:
     """
     specs: list[CheckSpec] = []
     block: dict[str, str] = {}
+    block_end = 0  # the line of the block's last key
     seen_ids: set[str] = set()
 
     def reject(lineno: int, message: str):
         where = f"check {block['id']!r}, line {lineno}" if "id" in block else f"line {lineno}"
         raise ConfigError(f"{where}: {message}")
 
-    def flush(lineno: int):
+    def flush():
         if not block:
             return
         for required in ("id", "kind", "target"):
             if required not in block:
-                raise ConfigError(f"block ending at line {lineno} lacks {required!r}")
+                raise ConfigError(f"block ending at line {block_end} lacks {required!r}")
         if block["id"] in seen_ids:
             raise ConfigError(f"duplicate check id {block['id']!r}")
         seen_ids.add(block["id"])
@@ -86,7 +87,7 @@ def parse_config(text: str) -> list[CheckSpec]:
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line:
-            flush(lineno)
+            flush()
             continue
         if line.startswith("#"):
             continue
@@ -98,7 +99,8 @@ def parse_config(text: str) -> list[CheckSpec]:
         if key in block:
             reject(lineno, f"key {key!r} repeated in the block")
         block[key] = value
-    flush(-1)
+        block_end = lineno
+    flush()
     return specs
 
 

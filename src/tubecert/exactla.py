@@ -3,8 +3,8 @@
 Row operations stay in the coefficient field, so ranks, kernels, and inverses
 computed here are exact.  Matrices are lists of rows whose entries are
 ``Fraction`` or :class:`~tubecert.scalars.GaussianRational`; the two field
-types are detected from the data (pass ``one`` to force a unit element for
-empty or all-zero inputs).
+types are detected from the data (``nullspace`` takes ``one`` to force a
+unit element for an empty or all-zero system).
 """
 
 from __future__ import annotations
@@ -92,10 +92,10 @@ def nullspace(rows: list[list], ncols: int | None = None, one=None) -> list[list
     return basis
 
 
-def invert(matrix: list[list], one=None) -> list[list]:
+def invert(matrix: list[list]) -> list[list]:
     """Exact inverse of a square matrix; raises ZeroDivisionError if singular."""
     n = len(matrix)
-    unit = _unit_for(matrix, one)
+    unit = _unit_for(matrix, None)
     zero = unit - unit
     aug = []
     for i, row in enumerate(matrix):

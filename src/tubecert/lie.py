@@ -1,9 +1,10 @@
 """Exact 3x3 matrix Lie algebra computations: sl(3,C), u(2,1), su(2,1).
 
-Everything here is exact: brackets, trace-form pairings, orthogonal
-complements, centralizer dimensions, and real-linear kernels are computed by
-rational Gaussian elimination (complex subspaces over Q(i), real subspaces by
-doubling each complex entry into two rational coordinates).
+Everything here is exact.  Each subspace is the kernel of a linear map
+written once (trace-form pairing, bracket, the u(2,1) membership residual,
+trace, line minors), computed from the images of a basis by rational Gaussian
+elimination: complex kernels over Q(i), real ones by doubling each complex
+entry into two rational coordinates.
 
 The dimension bookkeeping this enables: the trace form on sl(3,C) is
 non-degenerate (Gram rank 8); among a representative set of Jordan shapes,
@@ -16,6 +17,7 @@ su(2,1) have real dimensions 4, 4, 5.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -154,6 +156,25 @@ class LieSubspace:
         return self.rank_of(list(self.basis) + [X]) == len(self.basis)
 
 
+def _kernel(images, field: str) -> list[list]:
+    """Kernel coordinates of a linear map, given the images of a basis.
+
+    Each image is a sequence of Q(i) scalars.  Over 'R' each entry counts as
+    two rational coordinates, so the kernel is the real-linear one.
+    """
+    columns = [realify(img) for img in images] if field == "R" else images
+    one = Fraction(1) if field == "R" else GaussianRational(1)
+    return exactla.nullspace(list(zip(*columns)), ncols=len(columns), one=one)
+
+
+def _combine(coords, basis) -> Mat3:
+    """The matrix sum of coords[k] * basis[k]."""
+    X = ZERO3
+    for coeff, e in zip(coords, basis):
+        X = madd(X, mscale(e, coeff))
+    return X
+
+
 def perp(S: LieSubspace) -> LieSubspace:
     """Trace-form orthogonal complement inside sl(3,C).
 
@@ -162,17 +183,8 @@ def perp(S: LieSubspace) -> LieSubspace:
     if S.field != "C":
         raise DomainError("perp is a complex-ambient operation")
     basis8 = sl3_basis()
-    rows = []
-    for b in S.basis:
-        rows.append([killing(e, b) for e in basis8])
-    coords = exactla.nullspace(rows, ncols=8, one=GaussianRational(1))
-    out = []
-    for c in coords:
-        X = ZERO3
-        for coeff, e in zip(c, basis8):
-            X = madd(X, mscale(e, coeff))
-        out.append(X)
-    return LieSubspace(tuple(out), "C")
+    coords = _kernel([[killing(e, b) for b in S.basis] for e in basis8], "C")
+    return LieSubspace(tuple(_combine(c, basis8) for c in coords), "C")
 
 
 def sl3_gram_rank() -> int:
@@ -184,18 +196,7 @@ def sl3_gram_rank() -> int:
 
 def ad_kernel_dim(P: Mat3, S: LieSubspace) -> int:
     """Dimension of {X in S : [P, X] = 0}, over S's own scalar field."""
-    if not S.basis:
-        return 0
-    images = [bracket(P, b) for b in S.basis]
-    if S.field == "C":
-        rows = []
-        for pos in range(9):
-            rows.append([flatten(img)[pos] for img in images])
-        return len(exactla.nullspace(rows, one=GaussianRational(1)))
-    rows = []
-    for pos in range(18):
-        rows.append([Fraction(realify(flatten(img))[pos]) for img in images])
-    return len(exactla.nullspace(rows, one=Fraction(1)))
+    return len(_kernel([flatten(bracket(P, b)) for b in S.basis], S.field))
 
 
 @dataclass(frozen=True)
@@ -256,65 +257,30 @@ FORM_DIAG = mat([[1, 0, 0], [0, 1, 0], [0, 0, -1]])
 FORM_PAIRING = mat([[0, 1, 0], [1, 0, 0], [0, 0, 1]])
 
 
-def _u_algebra_rows(H: Mat3) -> list[list[Fraction]]:
-    """Real-linear equations X^t H + H conj(X) = 0 in the 18 real coordinates of X."""
-    rows = []
-    for i in range(3):
-        for j in range(3):
-            # entry (i,j): sum_k X_ki H_kj + H_ik conj(X)_kj = 0
-            re_row = [Fraction(0)] * 18
-            im_row = [Fraction(0)] * 18
-            for k in range(3):
-                # X_ki * H_kj : X_ki = x + iy at slots (2*(3k+i), 2*(3k+i)+1)
-                h = H[k][j]
-                base = 2 * (3 * k + i)
-                re_row[base] += h.re
-                re_row[base + 1] -= h.im
-                im_row[base] += h.im
-                im_row[base + 1] += h.re
-                # H_ik * conj(X)_kj : conj(X)_kj = x - iy at slots of X_kj
-                h2 = H[i][k]
-                base2 = 2 * (3 * k + j)
-                re_row[base2] += h2.re
-                re_row[base2 + 1] += h2.im
-                im_row[base2] += h2.im
-                im_row[base2 + 1] -= h2.re
-            rows.append(re_row)
-            rows.append(im_row)
-    return rows
-
-
-def _coords_to_matrix(coords) -> Mat3:
-    entries = []
-    for idx in range(9):
-        entries.append(GaussianRational(coords[2 * idx], coords[2 * idx + 1]))
-    return mat([[entries[3 * i + j] for j in range(3)] for i in range(3)])
-
-
-def u21_basis(H: Mat3 = FORM_DIAG) -> list[Mat3]:
-    """Exact real basis of u(2,1) w.r.t. H: {X : X^t H + H conj(X) = 0} (dimension 9)."""
-    coords = exactla.nullspace(_u_algebra_rows(H), one=Fraction(1))
-    return [_coords_to_matrix(c) for c in coords]
-
-
-def su21_basis(H: Mat3 = FORM_DIAG) -> list[Mat3]:
-    """Exact real basis of su(2,1) w.r.t. H: the trace-free part (dimension 8)."""
-    rows = _u_algebra_rows(H)
-    trace_re = [Fraction(0)] * 18
-    trace_im = [Fraction(0)] * 18
-    for i in range(3):
-        base = 2 * (3 * i + i)
-        trace_re[base] = Fraction(1)
-        trace_im[base + 1] = Fraction(1)
-    rows.append(trace_re)
-    rows.append(trace_im)
-    coords = exactla.nullspace(rows, one=Fraction(1))
-    return [_coords_to_matrix(c) for c in coords]
-
-
 def algebra_membership_residual(X: Mat3, H: Mat3) -> Mat3:
     """X^t H + H conj(X); the zero matrix certifies membership in u(2,1) w.r.t. H."""
     return madd(mmul(mtrans(X), H), mmul(H, mconj(X)))
+
+
+def _gl3_real_basis() -> list[Mat3]:
+    """E_ij and i E_ij, in the coordinate order of realify(flatten(X))."""
+    units = [E(k // 3, k % 3) for k in range(9)]
+    return [X for e in units for X in (e, mscale(e, GaussianRational(0, 1)))]
+
+
+def u21_basis(H: Mat3 = FORM_DIAG) -> list[Mat3]:
+    """Exact real basis of u(2,1) w.r.t. H: the kernel of the membership residual (dimension 9)."""
+    gl3 = _gl3_real_basis()
+    coords = _kernel([flatten(algebra_membership_residual(X, H)) for X in gl3], "R")
+    return [_combine(c, gl3) for c in coords]
+
+
+@functools.cache
+def su21_basis(H: Mat3 = FORM_DIAG) -> tuple:
+    """Exact real basis of su(2,1) w.r.t. H: the trace-free part of u(2,1) (dimension 8)."""
+    gl3 = _gl3_real_basis()
+    images = [flatten(algebra_membership_residual(X, H)) + [mtrace(X)] for X in gl3]
+    return tuple(_combine(c, gl3) for c in _kernel(images, "R"))
 
 
 def cayley_group_element(A: Mat3) -> Mat3:
@@ -324,7 +290,7 @@ def cayley_group_element(A: Mat3) -> Mat3:
     U^t H conj(U) = H (checked by the caller's tests); raises if I + A is
     singular, in which case the caller should redraw.
     """
-    inv = exactla.invert([list(r) for r in madd(IDENTITY3, A)], one=GaussianRational(1))
+    inv = exactla.invert([list(r) for r in madd(IDENTITY3, A)])
     return mmul(msub(IDENTITY3, A), mat(inv))
 
 
@@ -346,13 +312,8 @@ def stabilizer_up_to_scale_dim(v, H: Mat3 = FORM_DIAG) -> int:
     vv = tuple(to_tower(x, True) for x in v)
     if all(x.is_zero() for x in vv):
         raise DomainError("stabilizer of the zero vector is undefined")
-    basis = su21_basis(H)
-    columns = []
-    for B in basis:
-        minors = _pair_minors(apply_vec(B, vv), vv)
-        columns.append(realify(minors))
-    rows = [[Fraction(columns[j][pos]) for j in range(len(basis))] for pos in range(6)]
-    return len(exactla.nullspace(rows, one=Fraction(1)))
+    images = [_pair_minors(apply_vec(B, vv), vv) for B in su21_basis(H)]
+    return len(_kernel(images, "R"))
 
 
 # ---------------------------------------------------------------------------

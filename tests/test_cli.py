@@ -295,6 +295,7 @@ REJECTED = {
     "count-repeated": "kind = invariance\ntarget = gamma(alpha=1)\nparam.count = 1\n"
     "param.count = 2",
     "seed-repeated": "kind = levi\ntarget = M_plus\nseed = 1\nseed = 2",
+    "sigma-overflow": "kind = levi\ntarget = sigma(sigma=1e400)",
 }
 
 
@@ -312,6 +313,21 @@ def test_rejected_argument_exits_2_naming_the_check(check_id, tmp_path, capsys):
 def test_describe_rejects_missing_and_extra_arguments(ident, capsys):
     assert main(["describe", ident]) == 2
     assert "takes" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "ident", ["gamma(alpha=1/0)", "sigma(sigma=1e400)", "quadric(p=x,n=2,side=>)"]
+)
+def test_describe_rejects_bad_values(ident, capsys):
+    assert main(["describe", ident]) == 2
+    assert "bad value" in capsys.readouterr().err
+
+
+def test_block_lacking_a_key_is_named_by_its_last_line():
+    with pytest.raises(ConfigError, match="block ending at line 6 lacks 'target'"):
+        parse_config("id = a\nkind = levi\ntarget = M_plus\n\nid = b\nkind = levi")
+    with pytest.raises(ConfigError, match="block ending at line 3 lacks 'target'"):
+        parse_config("# two blocks\nid = a\nkind = levi\n\nid = b\nkind = levi\ntarget = M_plus\n")
 
 
 def test_code_built_spec_runs_with_schema_defaults():
@@ -334,6 +350,7 @@ def test_control_is_certified_against_the_model_of_its_own_sign(monkeypatch):
     ))
     assert [r.status for r in results] == ["pass", "pass"]
     assert asked == ["-", "+"]
+    assert [r.details["model"] for r in results] == ["M_minus", "M_plus"]
 
 
 def _benchmark_workloads():

@@ -22,10 +22,12 @@ from tubecert.lie import (
     is_subalgebra,
     is_zero_matrix,
     isotropy_algebra,
+    isotropy_algebra_generators,
     jordan_test_set,
     killing,
     line_image_test,
     madd,
+    mat,
     mconj,
     mmul,
     mscale,
@@ -154,6 +156,36 @@ def test_u21_su21_dimensions_and_membership():
         for X in su:
             assert (X[0][0] + X[1][1] + X[2][2]).is_zero()
         assert is_subalgebra(LieSubspace(tuple(su), "R")).closed
+
+
+def test_degenerate_form_enlarges_the_algebra():
+    """For H = diag(1,1,0), entry (i,j) of X^t H + H conj(X) is
+    h_j X_ji + h_i conj(X_ij).  The top-left block must be skew-Hermitian (4 real
+    dimensions), X_02 = X_12 = 0, and X_20, X_21, X_22 are free (4 + 2): 10 in
+    all.  The trace is then the u(2) trace plus a free X_22, so requiring it to
+    vanish removes 2 and leaves 8."""
+    H = mat([[1, 0, 0], [0, 1, 0], [0, 0, 0]])
+    u, su = u21_basis(H), su21_basis(H)
+    assert (len(u), len(su)) == (10, 8)
+    for X in u:
+        assert is_zero_matrix(algebra_membership_residual(X, H))
+    for X in su:
+        assert is_zero_matrix(algebra_membership_residual(X, H))
+        assert (X[0][0] + X[1][1] + X[2][2]).is_zero()
+
+
+def test_isotropy_ad_kernel_dimensions_over_the_reals():
+    """Real centralizer dimensions inside the 6-dimensional isotropy algebra.
+
+    For the first phase P = diag(i, i, 0), [P, X]_ab = (p_a - p_b) X_ab kills
+    the entries within the (0,1) block and on (2,2), so P commutes with the
+    scale, both phases and Im b.  The Re d and Im d generators
+    E_12 - E_20 and i(E_12 + E_20) go to i(E_12 + E_20) and E_20 - E_12,
+    which are independent over R, so the kernel is 4-dimensional.
+    """
+    algebra = isotropy_algebra()
+    dims = [ad_kernel_dim(P, algebra) for P in isotropy_algebra_generators()]
+    assert dims == [3, 4, 4, 5, 3, 3]
 
 
 def test_stabilizer_dimensions_for_model_vectors():
