@@ -193,6 +193,10 @@ def _invariance_quadric_action(spec: CheckSpec, rng, p: int, n: int, draws: int)
 def _invariance_control(spec: CheckSpec, rng, sign: str, expect: str) -> dict:
     """Certify a negative control against the quartic model of its own sign."""
     entry = catalog.resolve(spec.target)
+    _require(
+        not entry.obj.linear_determinant().is_zero(),
+        "negative control has a singular linear part",
+    )
     cert = invariance_certificate(model_surface(sign).rho, entry.obj)
     model = "M_plus" if sign == "+" else "M_minus"
     if expect == "inexact":

@@ -111,7 +111,7 @@ def invert(matrix: list[list]) -> list[list]:
 
 
 def determinant(matrix: list[list]):
-    """Exact determinant by fraction-free-ish elimination (small matrices only)."""
+    """Exact determinant by Gaussian elimination with division (small matrices only)."""
     n = len(matrix)
     m = [list(r) for r in matrix]
     unit = _unit_for(matrix, None)

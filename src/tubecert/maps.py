@@ -15,8 +15,10 @@ the floating tower.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import exactla
 from .errors import DomainError, SpaceError
@@ -25,63 +27,89 @@ from .scalars import GaussianRational, as_rational, fourth_root_exact
 
 
 class AffineMapR:
-    """x |-> matrix @ x + translation with exact rational entries."""
+    """x |-> matrix @ x + translation with exact rational entries.
 
-    __slots__ = ("matrix", "translation", "determinant")
+    Stored as an integer matrix and translation over one denominator d > 0,
+    with the gcd of all entries and d equal to 1 (as GaussianRational stores
+    its parts), so ``compose`` and ``apply`` are integer arithmetic ending in
+    one gcd.  ``matrix`` and ``translation`` read the entries as Fractions;
+    ``determinant`` is computed on first read and kept.
+    """
+
+    __slots__ = ("_m", "_t", "_d", "_det")
 
     def __init__(self, matrix, translation):
-        mat = tuple(tuple(as_rational(x) for x in row) for row in matrix)
-        tr = tuple(as_rational(x) for x in translation)
+        mat = [[as_rational(x) for x in row] for row in matrix]
+        tr = [as_rational(x) for x in translation]
         n = len(tr)
         if len(mat) != n or any(len(row) != n for row in mat):
             raise SpaceError("affine map needs an n x n matrix and an n-translation")
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "translation", tr)
-        object.__setattr__(
-            self, "determinant", exactla.determinant([list(r) for r in mat])
-        )
+        d = math.lcm(*(x.denominator for x in tr), *(x.denominator for r in mat for x in r))
+        _store(self, [[x.numerator * (d // x.denominator) for x in row] for row in mat],
+               [x.numerator * (d // x.denominator) for x in tr], d)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineMapR is immutable")
 
     @property
     def n(self) -> int:
-        return len(self.translation)
+        return len(self._t)
+
+    @property
+    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(a, self._d) for a in row) for row in self._m)
+
+    @property
+    def translation(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self._d) for a in self._t)
+
+    @property
+    def determinant(self) -> Fraction:
+        if self._det is None:
+            object.__setattr__(self, "_det", exactla.determinant(list(map(list, self.matrix))))
+        return self._det
 
     def apply(self, xs) -> list[Fraction]:
         xs = [as_rational(x) for x in xs]
-        return [
-            sum((row[j] * xs[j] for j in range(self.n)), Fraction(0)) + t
-            for row, t in zip(self.matrix, self.translation)
-        ]
+        if len(xs) != self.n:
+            raise SpaceError(f"affine map of R^{self.n} applied to a point of R^{len(xs)}")
+        e = math.lcm(*(x.denominator for x in xs))
+        v = [x.numerator * (e // x.denominator) for x in xs]
+        d = self._d * e
+        return [Fraction(sum(map(mul, row, v)) + t * e, d) for row, t in zip(self._m, self._t)]
 
     def compose(self, other: "AffineMapR") -> "AffineMapR":
         """self after other: (self o other)(x) = self(other(x))."""
         if self.n != other.n:
             raise SpaceError("affine composition dimension mismatch")
-        mat = [
-            [
-                sum(
-                    (self.matrix[i][k] * other.matrix[k][j] for k in range(self.n)),
-                    Fraction(0),
-                )
-                for j in range(self.n)
-            ]
-            for i in range(self.n)
-        ]
-        tr = self.apply(other.translation)
-        return AffineMapR(mat, tr)
+        cols = tuple(zip(*other._m))
+        mat = [[sum(map(mul, row, col)) for col in cols] for row in self._m]
+        d2 = other._d
+        tr = [sum(map(mul, row, other._t)) + t * d2 for row, t in zip(self._m, self._t)]
+        return _store(object.__new__(AffineMapR), mat, tr, self._d * d2)
 
     def __eq__(self, other):
         if not isinstance(other, AffineMapR):
             return NotImplemented
-        return self.matrix == other.matrix and self.translation == other.translation
+        return self._d == other._d and self._m == other._m and self._t == other._t
 
     def __hash__(self):
-        return hash((self.matrix, self.translation))
+        return hash((self._m, self._t, self._d))
 
     def __repr__(self):
         return f"AffineMapR(matrix={self.matrix}, translation={self.translation})"
+
+
+def _store(f: AffineMapR, mat, tr, d: int) -> AffineMapR:
+    """Fill f with x |-> (mat @ x + tr) / d (integers, d > 0) in canonical form."""
+    g = math.gcd(d, *tr, *(a for row in mat for a in row))
+    if g > 1:
+        mat, tr, d = [[a // g for a in row] for row in mat], [a // g for a in tr], d // g
+    object.__setattr__(f, "_m", tuple(map(tuple, mat)))
+    object.__setattr__(f, "_t", tuple(tr))
+    object.__setattr__(f, "_d", d)
+    object.__setattr__(f, "_det", None)
+    return f
 
 
 class HoloPolyMap:

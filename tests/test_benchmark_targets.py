@@ -5,15 +5,26 @@ span per check kind in ``CHECK_KINDS``; its coverage gate fails a traced run
 when one of them is gone.  This test reads both tables from the file's syntax
 tree, without importing or changing it, and resolves every entry against the
 package, so a deletion that breaks the gate fails here in about a second.
+
+The gate also fails a traced run when a target is not called on a workload it
+is assigned to.  The last test generates the ``levi`` and ``pullback`` configs
+with ``tubebench/workloads.py``, runs them in-process under ``cProfile`` and
+checks each assignment, so moving a target off its workload fails here too.
 """
 
 import ast
+import cProfile
 import importlib
+import importlib.util
 from pathlib import Path
 
-from tubecert import checks
+import pytest
 
-TRACER = Path(__file__).resolve().parent.parent / "tubebench" / "tracer.py"
+from tubecert import checks, cli
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "tubebench" / "tracer.py"
+WORKLOADS = ROOT / "tubebench" / "workloads.py"
 
 
 def _tables():
@@ -23,8 +34,13 @@ def _tables():
             name = getattr(node.targets[0], "id", None)
             if name in ("TARGETS", "CHECK_KINDS"):
                 tables[name] = node.value
+    # _t(name, module, attr, fields, workloads="all")
     targets = [
-        (ast.literal_eval(call.args[1]), ast.literal_eval(call.args[2]))
+        (
+            ast.literal_eval(call.args[1]),
+            ast.literal_eval(call.args[2]),
+            ast.literal_eval(call.args[4]) if len(call.args) > 4 else "all",
+        )
         for call in tables["TARGETS"].elts
     ]
     return targets, ast.literal_eval(tables["CHECK_KINDS"])
@@ -34,7 +50,7 @@ def test_every_tracer_target_resolves_in_the_package():
     targets, _ = _tables()
     assert targets
     missing = []
-    for module, attr in targets:
+    for module, attr, _ in targets:
         obj = importlib.import_module(f"tubecert.{module}")
         for part in attr.split("."):
             obj = getattr(obj, part, None)
@@ -47,3 +63,34 @@ def test_every_tracer_check_kind_has_a_handler():
     _, kinds = _tables()
     assert kinds
     assert [kind for kind in kinds if kind not in checks.HANDLERS] == []
+
+
+@pytest.mark.parametrize("workload", ["levi", "pullback"])
+def test_every_tracer_target_is_called_on_its_workload(workload):
+    spec = importlib.util.spec_from_file_location("tubebench_workloads", WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    text, expected = workloads.generate(workload, 1, ROOT)
+    profiler = cProfile.Profile(builtins=False)
+    profiler.enable()
+    try:
+        specs = cli.parse_config(text)
+        cli.resolve_targets(specs)
+        results = cli.run_suite(specs)
+    finally:
+        profiler.disable()
+    assert {r.id: r.status for r in results} == expected
+    package = Path(cli.__file__).resolve().parent
+    called = {
+        (Path(entry.code.co_filename).stem, entry.code.co_qualname)
+        for entry in profiler.getstats()
+        if not isinstance(entry.code, str)
+        and Path(entry.code.co_filename).resolve().parent == package
+    }
+    targets, _ = _tables()
+    wanted = {
+        (module, attr)
+        for module, attr, where in targets
+        if where == "all" or workload in where.split()
+    }
+    assert sorted(wanted - called) == []

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from tubecert import checks
+from tubecert import catalog, checks
 from tubecert.checks import CheckSpec, prepare
 from tubecert.cli import (
     ConfigError,
@@ -19,6 +19,8 @@ from tubecert.cli import (
     resolve_targets,
     run_suite,
 )
+from tubecert.maps import HoloPolyMap
+from tubecert.poly import HermitianPolynomial, VariableSpace
 
 SMALL_CONFIG = """
 # a small but representative suite
@@ -121,6 +123,24 @@ seed = 2
     assert results[0].status == "fail"
     results_all = run_suite(bad)
     assert [r.status for r in results_all] == ["fail", "pass"]
+
+
+def test_negative_control_with_a_singular_map_fails(monkeypatch):
+    """A degenerate map fails to certify trivially, so as a control it shows nothing."""
+    space = VariableSpace(4)
+    z = [HermitianPolynomial.variable(space, i) for i in range(3)]
+    singular = HoloPolyMap(space, space, z + [HermitianPolynomial.constant(space, 0)])
+    (spec,) = parse_config(
+        "id = c\nkind = invariance\ntarget = control:bad_constraint\nseed = 1\n"
+        "param.expect = inexact\n"
+    )
+    assert run_suite([spec])[0].status == "pass"
+    monkeypatch.setattr(
+        catalog, "resolve", lambda ident: catalog.RegistryEntry(ident, "map", "", singular)
+    )
+    (result,) = run_suite([spec])
+    assert result.status == "fail"
+    assert "singular" in result.details["reason"]
 
 
 def test_error_status_keeps_suite_running():

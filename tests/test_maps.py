@@ -1,11 +1,14 @@
 """Affine lifts, composition, pullbacks, and invariance certificates."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
 from tubecert.catalog import (
+    composed_generator,
     make_gamma,
     make_generator,
     model_surface,
@@ -51,6 +54,94 @@ def test_affine_apply_compose_inverse():
         assert finv.apply(f.apply(x)) == x
         assert finv.compose(f) == IDENTITY4
     assert IDENTITY4.determinant == 1
+
+
+def _ref_det(m):
+    """Leibniz expansion: the determinant without elimination."""
+    total = Fraction(0)
+    for perm in itertools.permutations(range(len(m))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(m)), 2))
+        term = Fraction(-1) ** inversions
+        for i, j in enumerate(perm):
+            term *= m[i][j]
+        total += term
+    return total
+
+
+def _ref_apply(m, t, x):
+    return [sum((a * v for a, v in zip(row, x)), Fraction(0)) + c for row, c in zip(m, t)]
+
+
+def _ref_compose(f, g):
+    """(matrix, translation) of f after g, as plain Fraction arithmetic."""
+    (a, s), (b, t) = f, g
+    mat = [[sum((a[i][k] * b[k][j] for k in range(4)), Fraction(0)) for j in range(4)]
+           for i in range(4)]
+    return mat, _ref_apply(a, s, t)
+
+
+def _draw_entry(rng, style):
+    if style == "int":
+        return Fraction(rng.randint(-3, 3))
+    if style == "small":
+        return Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+    return Fraction(rng.uniform(-3, 3))  # binary fractions, as on the float transitivity path
+
+
+def test_integer_affine_map_matches_a_fraction_reference():
+    rng = random.Random(11)
+    for style in ("int", "small", "float"):
+        for _ in range(15):
+            refs = [
+                ([[_draw_entry(rng, style) for _ in range(4)] for _ in range(4)],
+                 [_draw_entry(rng, style) for _ in range(4)])
+                for _ in range(2)
+            ]
+            f, g = (AffineMapR(m, t) for m, t in refs)
+            for (m, t), h in zip(refs, (f, g)):
+                assert h.matrix == tuple(map(tuple, m)) and h.translation == tuple(t)
+                assert h.determinant == _ref_det(m)
+            x = [_draw_entry(rng, style) for _ in range(4)]
+            assert f.apply(x) == _ref_apply(*refs[0], x)
+            m, t = _ref_compose(*refs)
+            fg = f.compose(g)
+            assert fg.matrix == tuple(map(tuple, m)) and fg.translation == tuple(t)
+            assert fg.determinant == _ref_det(m) == f.determinant * g.determinant
+            assert fg == AffineMapR(m, t) and hash(fg) == hash(AffineMapR(m, t))
+
+
+def test_affine_map_is_canonical_and_immutable():
+    half = AffineMapR([[Fraction(1, 2) if i == j else 0 for j in range(4)] for i in range(4)],
+                      [0, 0, 0, "3/2"])
+    double = AffineMapR([[2 * int(i == j) for j in range(4)] for i in range(4)], [0, 0, 0, -3])
+    # entries over the denominators 2 and 4 (half after half) and over 1 (composites)
+    scalings = [half.compose(half), IDENTITY4.compose(half).compose(half)]
+    direct = AffineMapR([[Fraction(int(i == j), 4) for j in range(4)] for i in range(4)],
+                        [0, 0, 0, Fraction(9, 4)])
+    assert all(f == direct and hash(f) == hash(direct) for f in scalings)
+    assert half.compose(double) == IDENTITY4 == double.compose(half)
+    assert hash(half.compose(double)) == hash(IDENTITY4)
+    rng = random.Random(12)
+    for f in scalings + [rand_affine(rng).compose(rand_affine(rng)) for _ in range(20)]:
+        entries = [a for row in f._m for a in row] + list(f._t)
+        assert f._d > 0 and math.gcd(f._d, *entries) == 1
+    for name in ("matrix", "translation", "determinant", "_m", "_t", "_d", "_det", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(half, name, None)
+    with pytest.raises(SpaceError):
+        AffineMapR([[1, 0], [0, 1]], [0, 0, 0])
+    for point in ([1, 2, 3], [1, 2, 3, 4, 5]):
+        with pytest.raises(SpaceError):
+            half.apply(point)
+
+
+def test_composed_generator_determinant_is_q_to_the_tenth():
+    rng = random.Random(13)
+    for _ in range(20):
+        alpha = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
+        q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        s, t, r = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
+        assert composed_generator(alpha, q, s, t, r).determinant == q**10
 
 
 def test_lift_identity_and_examples():
