@@ -108,63 +108,73 @@ def make_generator(kind: str, alpha, param) -> AffineMapR:
     """One of the four affine symmetry generators of the gamma(alpha) sides.
 
     kind 'phi' is the weighted scaling (param q != 0, determinant q^10);
-    'psi', 'mu', 'nu' are the unipotent generators (determinant 1).
+    'psi', 'mu', 'nu' are the unipotent generators (determinant 1).  Each is
+    written over one integer denominator: with param = n/m and alpha = A/B,
+    phi over m^4, mu over m, nu over m^2 and psi over 3 B^2 m^4.
     """
     alpha = as_rational(alpha)
     p = as_rational(param)
-    zero, one = Fraction(0), Fraction(1)
+    n, m = p.numerator, p.denominator
     if kind == "phi":
-        if p == 0:
+        if n == 0:
             raise DomainError("phi generator needs a nonzero scale")
-        q = p
+        # diag(q, q^3, q^2, q^4) with q = n/m
         return AffineMapR(
             [
-                [q, zero, zero, zero],
-                [zero, q**3, zero, zero],
-                [zero, zero, q**2, zero],
-                [zero, zero, zero, q**4],
+                [n * m**3, 0, 0, 0],
+                [0, n**3 * m, 0, 0],
+                [0, 0, n**2 * m**2, 0],
+                [0, 0, 0, n**4],
             ],
-            [zero] * 4,
+            [0] * 4,
+            m**4,
         )
     if kind == "psi":
-        r = p
-        a = alpha
-        c = 4 * a - 1
+        # r = n/m, a = A/B and c = 4a - 1 = C/B:
+        # x1 -> x1 + r, x2 -> x2 - 4ac r^2 x1 + 2c r x3 - 4/3 ac r^3,
+        # x3 -> x3 - 4a r x1 - 2a r^2, x4 -> x4 - 4/3 ac r^3 x1 + r x2 + c r^2 x3 - 1/3 ac r^4
+        A, B = alpha.numerator, alpha.denominator
+        C = 4 * A - B
+        d = 3 * B**2 * m**4  # the diagonal entries are d / d = 1
         return AffineMapR(
             [
-                [one, zero, zero, zero],
-                [-4 * a * c * r**2, one, 2 * c * r, zero],
-                [-4 * a * r, zero, one, zero],
-                [-Fraction(4, 3) * a * c * r**3, r, c * r**2, one],
+                [d, 0, 0, 0],
+                [-12 * A * C * n**2 * m**2, d, 6 * B * C * n * m**3, 0],
+                [-12 * A * B * n * m**3, 0, d, 0],
+                [-4 * A * C * n**3 * m, 3 * B**2 * n * m**3, 3 * B * C * n**2 * m**2, d],
             ],
             [
-                r,
-                -Fraction(4, 3) * a * c * r**3,
-                -2 * a * r**2,
-                -Fraction(1, 3) * a * c * r**4,
+                3 * B**2 * n * m**3,
+                -4 * A * C * n**3 * m,
+                -6 * A * B * n**2 * m**2,
+                -A * C * n**4,
             ],
+            d,
         )
     if kind == "mu":
-        s = p
+        # s = n/m: x2 -> x2 + s, x4 -> x4 + s x1
         return AffineMapR(
             [
-                [one, zero, zero, zero],
-                [zero, one, zero, zero],
-                [zero, zero, one, zero],
-                [s, zero, zero, one],
+                [m, 0, 0, 0],
+                [0, m, 0, 0],
+                [0, 0, m, 0],
+                [n, 0, 0, m],
             ],
-            [zero, s, zero, zero],
+            [0, n, 0, 0],
+            m,
         )
     if kind == "nu":
-        t = p
+        # t = n/m: x2 -> x2 - t x1, x3 -> x3 + t, x4 -> x4 + 2t x3 + t^2
+        mm = m * m
         return AffineMapR(
             [
-                [one, zero, zero, zero],
-                [-t, one, zero, zero],
-                [zero, zero, one, zero],
-                [zero, zero, 2 * t, one],
+                [mm, 0, 0, 0],
+                [-n * m, mm, 0, 0],
+                [0, 0, mm, 0],
+                [0, 0, 2 * n * m, mm],
             ],
-            [zero, zero, t, t**2],
+            [0, 0, n * m, n * n],
+            mm,
         )
     raise DomainError(f"unknown generator kind {kind!r}")
 

@@ -30,9 +30,14 @@ BOUNDARY_BAND = 1e-12
 
 
 class Hypersurface:
-    """Zero set of a real-valued defining polynomial."""
+    """Zero set of a real-valued defining polynomial.
 
-    __slots__ = ("rho", "space")
+    The first derivatives d rho/dz_j and the mixed second derivatives
+    d^2 rho/dz_j dzb_k are differentiated once, on first use, and kept as
+    float polynomials; equality and hashing read only rho.
+    """
+
+    __slots__ = ("rho", "space", "_derivs")
 
     def __init__(self, rho: HermitianPolynomial):
         if rho.exact and not rho.is_real_valued():
@@ -41,16 +46,27 @@ class Hypersurface:
             raise DomainError("defining function must be real-valued")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "space", rho.space)
+        object.__setattr__(self, "_derivs", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Hypersurface is immutable")
 
+    def _derivatives(self):
+        """(gradient, complex Hessian) of rho as float polynomials, built on first use."""
+        if self._derivs is None:
+            n = self.space.n
+            grad = [self.rho.partial(j) for j in range(n)]
+            hess = tuple(tuple(dj.partial(n + k).to_float() for k in range(n)) for dj in grad)
+            object.__setattr__(self, "_derivs", (tuple(dj.to_float() for dj in grad), hess))
+        return self._derivs
+
     def gradient_at(self, point) -> list[complex]:
         """(d rho / d z_1, ..., d rho / d z_n) evaluated at the point, as complex."""
-        return [
-            self.rho.partial(i).evaluate_complex(point)
-            for i in range(self.space.n)
-        ]
+        return [d.evaluate_complex(point) for d in self._derivatives()[0]]
+
+    def complex_hessian_at(self, point) -> list[list[complex]]:
+        """The matrix (d^2 rho / d z_j d zb_k) evaluated at the point, as complex."""
+        return [[d.evaluate_complex(point) for d in row] for row in self._derivatives()[1]]
 
     def __eq__(self, other):
         if not isinstance(other, Hypersurface):
@@ -151,11 +167,7 @@ def levi_form(surface: Hypersurface, point) -> LeviData:
     if gnorm < 1e-14:
         raise NotAHypersurfacePoint(f"zero gradient at {pt}")
 
-    hess = np.empty((n, n), dtype=complex)
-    for j in range(n):
-        dj = surface.rho.partial(j)
-        for k in range(n):
-            hess[j, k] = dj.partial(surface.space.n + k).evaluate_complex(pt)
+    hess = np.array(surface.complex_hessian_at(pt), dtype=complex)
 
     # The tangent condition sum g_j v_j = 0 says v is Hermitian-orthogonal to
     # conj(grad); project the standard basis off that direction and keep an

@@ -27,26 +27,26 @@ from .scalars import GaussianRational, as_rational, fourth_root_exact
 
 
 class AffineMapR:
-    """x |-> matrix @ x + translation with exact rational entries.
+    """x |-> (matrix @ x + translation) / d with integer entries and d > 0.
 
-    Stored as an integer matrix and translation over one denominator d > 0,
-    with the gcd of all entries and d equal to 1 (as GaussianRational stores
-    its parts), so ``compose`` and ``apply`` are integer arithmetic ending in
-    one gcd.  ``matrix`` and ``translation`` read the entries as Fractions;
-    ``determinant`` is computed on first read and kept.
+    Stored in canonical form, with the gcd of all entries and d equal to 1
+    (as GaussianRational stores its parts), so ``compose`` and ``apply`` are
+    integer arithmetic ending in one gcd.  ``matrix`` and ``translation``
+    read the entries as Fractions; ``determinant`` is computed on first read
+    and kept.
     """
 
     __slots__ = ("_m", "_t", "_d", "_det")
 
-    def __init__(self, matrix, translation):
-        mat = [[as_rational(x) for x in row] for row in matrix]
-        tr = [as_rational(x) for x in translation]
-        n = len(tr)
-        if len(mat) != n or any(len(row) != n for row in mat):
+    def __init__(self, matrix, translation, d: int = 1):
+        n = len(translation)
+        if len(matrix) != n or any(len(row) != n for row in matrix):
             raise SpaceError("affine map needs an n x n matrix and an n-translation")
-        d = math.lcm(*(x.denominator for x in tr), *(x.denominator for r in mat for x in r))
-        _store(self, [[x.numerator * (d // x.denominator) for x in row] for row in mat],
-               [x.numerator * (d // x.denominator) for x in tr], d)
+        if not all(isinstance(a, int) for a in (d, *translation, *(a for r in matrix for a in r))):
+            raise TypeError("affine map entries and denominator must be integers")
+        if d <= 0:
+            raise DomainError(f"affine map denominator must be positive, got {d}")
+        _store(self, matrix, translation, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("AffineMapR is immutable")

@@ -426,10 +426,12 @@ class RealPolynomial:
     Internally a HermitianPolynomial using only the holomorphic variable slots,
     with real coefficients, read as a function on R^n.  Supplies the real
     calculus the tube shortcuts need (values and Hessians) and the lift that
-    turns a graph x_{n+1} = f(x) into a tube hypersurface in C^{n+1}.
+    turns a graph x_{n+1} = f(x) into a tube hypersurface in C^{n+1}.  The
+    second derivatives are differentiated once, on first use, and kept as
+    float polynomials; equality and hashing read only ``poly``.
     """
 
-    __slots__ = ("poly",)
+    __slots__ = ("poly", "_hess")
 
     def __init__(self, poly: HermitianPolynomial):
         n = poly.space.n
@@ -441,6 +443,7 @@ class RealPolynomial:
             if not poly.exact and abs(c.imag) > 0:
                 raise DomainError("real polynomial has a non-real coefficient")
         object.__setattr__(self, "poly", poly)
+        object.__setattr__(self, "_hess", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RealPolynomial is immutable")
@@ -470,20 +473,13 @@ class RealPolynomial:
 
     def hessian_at(self, xs) -> list[list[float]]:
         """Real symmetric Hessian matrix, as floats."""
-        n = self.space.n
-        rows = []
-        for i in range(n):
-            di = self.poly.partial(i)
-            row = []
-            for j in range(n):
-                val = RealPolynomial._eval_real(di.partial(j), xs)
-                row.append(val)
-            rows.append(row)
-        return rows
-
-    @staticmethod
-    def _eval_real(p: HermitianPolynomial, xs) -> float:
-        return p.evaluate_complex([complex(float(x), 0.0) for x in xs]).real
+        if self._hess is None:
+            n = self.space.n
+            rows = (self.poly.partial(i) for i in range(n))
+            hess = tuple(tuple(di.partial(j).to_float() for j in range(n)) for di in rows)
+            object.__setattr__(self, "_hess", hess)
+        pt = [complex(float(x), 0.0) for x in xs]
+        return [[d.evaluate_complex(pt).real for d in row] for row in self._hess]
 
     def __str__(self):
         # Print with x-names for readability.

@@ -173,7 +173,8 @@ class GaussianRational:
         return self._a == o._a and self._b == o._b and self._d == o._d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # A real value equals the int or Fraction of the same value, so it hashes as one.
+        return hash(self.re) if self._b == 0 else hash((self.re, self.im))
 
     def __complex__(self) -> complex:
         # Integer true division rounds correctly, as float(Fraction) does.

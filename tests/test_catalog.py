@@ -48,6 +48,7 @@ from tubecert.catalog import (
 from tubecert.errors import ClosureViolation, ConstraintError, DomainError
 from tubecert.geometry import side_of
 from tubecert.maps import (
+    AffineMapR,
     HoloPolyMap,
     compose,
     equivalence_certificate,
@@ -56,6 +57,8 @@ from tubecert.maps import (
 )
 from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational, phase_from_parameter
+
+from affine_helpers import rational_affine
 
 SP4 = VariableSpace(4)
 
@@ -123,6 +126,68 @@ def test_generator_invariance_each_alpha():
                 assert cert.exact
                 expected = param**4 if kind == "phi" else Fraction(1)
                 assert cert.factor == GaussianRational(expected)
+
+
+def _fraction_generator(kind, alpha, p):
+    """(matrix, translation) of a gamma generator, written with Fraction arithmetic."""
+    zero, one, a = Fraction(0), Fraction(1), Fraction(alpha)
+    if kind == "phi":
+        return [[p, 0, 0, 0], [0, p**3, 0, 0], [0, 0, p**2, 0], [0, 0, 0, p**4]], [zero] * 4
+    if kind == "psi":
+        c = 4 * a - 1
+        return (
+            [[one, zero, zero, zero],
+             [-4 * a * c * p**2, one, 2 * c * p, zero],
+             [-4 * a * p, zero, one, zero],
+             [-Fraction(4, 3) * a * c * p**3, p, c * p**2, one]],
+            [p, -Fraction(4, 3) * a * c * p**3, -2 * a * p**2, -Fraction(1, 3) * a * c * p**4],
+        )
+    if kind == "mu":
+        return [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [p, 0, 0, 1]], [zero, p, zero, zero]
+    return [[1, 0, 0, 0], [-p, 1, 0, 0], [0, 0, 1, 0], [0, 0, 2 * p, 1]], [zero, zero, p, p**2]
+
+
+def _generator_params(rng):
+    """Integer, small-rational and binary-fraction parameters, none of them zero."""
+    params = [Fraction(rng.choice([-1, 1]) * rng.randint(1, 5)) for _ in range(3)]
+    params += [Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(2, 9))
+               for _ in range(3)]
+    params += [Fraction(rng.uniform(-3, 3)) for _ in range(3)]
+    return [p for p in params if p]
+
+
+def test_integer_generators_match_the_fraction_formulas():
+    rng = random.Random(31)
+    small = [Fraction(0), Fraction(1, 4), Fraction(-7, 12), Fraction(5), frac(rng, 12, 12)]
+    large = [Fraction(rng.randint(-3 * 10**5, 3 * 10**5), 100_003) for _ in range(3)]
+    assert all(a.denominator >= 10**5 for a in large)
+    for alpha in small + large + [Fraction(rng.uniform(-3, 3))]:
+        for kind in ("phi", "psi", "mu", "nu"):
+            for p in _generator_params(rng):
+                g = make_generator(kind, alpha, p)
+                mat, tr = _fraction_generator(kind, alpha, p)
+                assert g.matrix == tuple(tuple(map(Fraction, row)) for row in mat)
+                assert g.translation == tuple(tr)
+                ref = rational_affine(mat, tr)
+                assert (g._m, g._t, g._d) == (ref._m, ref._t, ref._d) and g == ref
+                assert g._d > 0 and math.gcd(g._d, *g._t, *(a for row in g._m for a in row)) == 1
+                assert g.determinant == (p**10 if kind == "phi" else 1)
+
+
+def test_one_wrong_integer_entry_of_psi_breaks_invariance():
+    for alpha, r in ((Fraction(2, 3), Fraction(3, 2)), (Fraction(-5, 7), Fraction(1))):
+        rho = make_gamma(alpha).rho
+        psi = make_generator("psi", alpha, r)
+        assert invariance_certificate(rho, lift_affine(psi)).exact
+        for i in range(4):
+            for j in range(5):  # column 4 is the translation
+                mat, tr = [list(row) for row in psi._m], list(psi._t)
+                if j < 4:
+                    mat[i][j] += 1
+                else:
+                    tr[i] += 1
+                cert = invariance_certificate(rho, lift_affine(AffineMapR(mat, tr, psi._d)))
+                assert not cert.exact, (alpha, r, i, j)
 
 
 def test_transitivity_regression_and_identity():

@@ -218,3 +218,73 @@ def test_graph_solver_matches_evaluation():
         re4 = solve_graph_re_last(surface.rho, zp)
         value = surface.rho.evaluate(zp + [GaussianRational(re4, Fraction(1, 3))])
         assert value.re == 0 and value.im == 0
+
+
+def _derivative_surfaces():
+    """M_plus and a gamma tube (Levi form); the gamma and sigma graphs (tube Hessian)."""
+    graphs = [gamma_graph(Fraction(2, 3)), make_sigma_surface(2.5)]
+    return [model_surface("+"), lifted_tube(graphs[0])], graphs
+
+
+def test_kept_derivatives_evaluate_as_fresh_ones():
+    rng = random.Random(103)
+    surfaces, graphs = _derivative_surfaces()
+    for surface in surfaces:
+        n = surface.space.n
+        for _ in range(5):
+            pt = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+            grad = [surface.rho.partial(j) for j in range(n)]
+            assert surface.gradient_at(pt) == [d.evaluate_complex(pt) for d in grad]
+            assert surface.complex_hessian_at(pt) == [
+                [d.partial(n + k).evaluate_complex(pt) for k in range(n)] for d in grad
+            ]
+    for f in graphs:
+        n = f.space.n
+        for _ in range(5):
+            xs = [rng.uniform(-1, 1) for _ in range(n)]
+            pt = [complex(x, 0.0) for x in xs]
+            assert f.hessian_at(xs) == [
+                [f.poly.partial(i).partial(j).evaluate_complex(pt).real for j in range(n)]
+                for i in range(n)
+            ]
+
+
+def test_second_levi_and_hessian_calls_differentiate_nothing(monkeypatch):
+    calls = []
+    partial = HermitianPolynomial.partial
+
+    def counted(self, var):
+        calls.append(var)
+        return partial(self, var)
+
+    monkeypatch.setattr(HermitianPolynomial, "partial", counted)
+    surfaces, graphs = _derivative_surfaces()
+    for surface in surfaces:
+        pt = [0.5 + 0.25j] * surface.space.n
+        first = levi_form(surface, pt)
+        assert calls
+        calls.clear()
+        assert levi_form(surface, pt) == first and not calls
+    for f in graphs:
+        xs = [0.25] * f.space.n
+        first = f.hessian_at(xs)
+        assert calls
+        calls.clear()
+        assert f.hessian_at(xs) == first and tube_hessian_signature(f, xs) and not calls
+
+
+def test_kept_derivatives_leave_equality_hashing_and_immutability_alone():
+    filled, empty = model_surface("-"), model_surface("-")
+    levi_form(filled, [0j] * 4)
+    f, g = gamma_graph(Fraction(1, 3)), gamma_graph(Fraction(1, 3))
+    f.hessian_at([0.5, -0.5, 0.25])
+    for a, b in ((filled, empty), (f, g)):
+        assert a == b and b == a and hash(a) == hash(b) and len({a, b}) == 1
+    for obj in (filled, empty):
+        for name in ("rho", "space", "_derivs", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)
+    for obj in (f, g):
+        for name in ("poly", "_hess", "extra"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)

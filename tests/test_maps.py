@@ -30,6 +30,8 @@ from tubecert.maps import (
 from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational
 
+from affine_helpers import rational_affine
+
 SP4 = VariableSpace(4)
 IDENTITY4 = AffineMapR([[int(i == j) for j in range(4)] for i in range(4)], [0] * 4)
 
@@ -38,7 +40,7 @@ def rand_affine(rng, n=4):
     while True:
         m = [[Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
         t = [Fraction(rng.randint(-2, 2)) for _ in range(n)]
-        f = AffineMapR(m, t)
+        f = rational_affine(m, t)
         if f.determinant != 0:
             return f
 
@@ -50,7 +52,7 @@ def test_affine_apply_compose_inverse():
         x = [Fraction(rng.randint(-3, 3)) for _ in range(4)]
         assert f.compose(g).apply(x) == f.apply(g.apply(x))
         inv = exactla.invert([list(row) for row in f.matrix])
-        finv = AffineMapR(inv, [-sum(a * t for a, t in zip(row, f.translation)) for row in inv])
+        finv = rational_affine(inv, [-sum(a * t for a, t in zip(row, f.translation)) for row in inv])
         assert finv.apply(f.apply(x)) == x
         assert finv.compose(f) == IDENTITY4
     assert IDENTITY4.determinant == 1
@@ -97,7 +99,7 @@ def test_integer_affine_map_matches_a_fraction_reference():
                  [_draw_entry(rng, style) for _ in range(4)])
                 for _ in range(2)
             ]
-            f, g = (AffineMapR(m, t) for m, t in refs)
+            f, g = (rational_affine(m, t) for m, t in refs)
             for (m, t), h in zip(refs, (f, g)):
                 assert h.matrix == tuple(map(tuple, m)) and h.translation == tuple(t)
                 assert h.determinant == _ref_det(m)
@@ -107,17 +109,17 @@ def test_integer_affine_map_matches_a_fraction_reference():
             fg = f.compose(g)
             assert fg.matrix == tuple(map(tuple, m)) and fg.translation == tuple(t)
             assert fg.determinant == _ref_det(m) == f.determinant * g.determinant
-            assert fg == AffineMapR(m, t) and hash(fg) == hash(AffineMapR(m, t))
+            assert fg == rational_affine(m, t) and hash(fg) == hash(rational_affine(m, t))
 
 
 def test_affine_map_is_canonical_and_immutable():
-    half = AffineMapR([[Fraction(1, 2) if i == j else 0 for j in range(4)] for i in range(4)],
-                      [0, 0, 0, "3/2"])
+    half = rational_affine([[Fraction(1, 2) if i == j else 0 for j in range(4)] for i in range(4)],
+                           [0, 0, 0, "3/2"])
     double = AffineMapR([[2 * int(i == j) for j in range(4)] for i in range(4)], [0, 0, 0, -3])
     # entries over the denominators 2 and 4 (half after half) and over 1 (composites)
     scalings = [half.compose(half), IDENTITY4.compose(half).compose(half)]
-    direct = AffineMapR([[Fraction(int(i == j), 4) for j in range(4)] for i in range(4)],
-                        [0, 0, 0, Fraction(9, 4)])
+    direct = rational_affine([[Fraction(int(i == j), 4) for j in range(4)] for i in range(4)],
+                             [0, 0, 0, Fraction(9, 4)])
     assert all(f == direct and hash(f) == hash(direct) for f in scalings)
     assert half.compose(double) == IDENTITY4 == double.compose(half)
     assert hash(half.compose(double)) == hash(IDENTITY4)
@@ -133,6 +135,23 @@ def test_affine_map_is_canonical_and_immutable():
     for point in ([1, 2, 3], [1, 2, 3, 4, 5]):
         with pytest.raises(SpaceError):
             half.apply(point)
+
+
+def test_affine_map_takes_integers_over_one_positive_denominator():
+    f = AffineMapR([[2, 0], [4, 6]], [8, -2], 4)
+    assert f == rational_affine([["1/2", 0], [1, "3/2"]], [2, "-1/2"])
+    assert (f._m, f._t, f._d) == (((1, 0), (2, 3)), (4, -1), 2)
+    assert f == AffineMapR([[1, 0], [2, 3]], [4, -1], 2) and f.determinant == Fraction(3, 4)
+    for bad in ([[Fraction(1, 2), 0], [0, 1]], [[1.0, 0], [0, 1]], [["1", 0], [0, 1]]):
+        with pytest.raises(TypeError):
+            AffineMapR(bad, [0, 0])
+    with pytest.raises(TypeError):
+        AffineMapR([[1, 0], [0, 1]], [Fraction(1, 3), 0])
+    with pytest.raises(TypeError):
+        AffineMapR([[1, 0], [0, 1]], [0, 0], Fraction(2))
+    for d in (0, -1):
+        with pytest.raises(DomainError):
+            AffineMapR([[1, 0], [0, 1]], [0, 0], d)
 
 
 def test_composed_generator_determinant_is_q_to_the_tenth():
@@ -198,7 +217,7 @@ def test_weighted_scaling_pullback_factor():
     rng = random.Random(6)
     for _ in range(20):
         q = Fraction(rng.randint(1, 8), rng.randint(1, 4))
-        scale = AffineMapR(
+        scale = rational_affine(
             [
                 [q, 0, 0, 0],
                 [0, q**3, 0, 0],

@@ -297,6 +297,26 @@ def test_equal_values_built_differently_are_equal_and_hash_equal():
     assert hash(GaussianRational(Fraction(1, 2), 3)) == hash((Fraction(1, 2), Fraction(3)))
 
 
+def test_real_values_hash_as_the_int_or_fraction_they_equal():
+    rng = random.Random(20243)
+    reals = [0, 1, -7, 10**30, Fraction(1, 2), Fraction(-22, 7), Fraction(10**20 + 1, 3**40)]
+    reals += [rand_fraction(rng, 50, 30) for _ in range(200)]
+    for v in reals:
+        for w in (GaussianRational(v), GaussianRational(v, 3) - GaussianRational(0, 3)):
+            assert w == v and hash(w) == hash(v)
+            assert {v: "v"}.get(w) == "v" and {w: "w"}.get(v) == "w"
+            assert len({v, w}) == 1
+    assert {1: "one"}.get(GaussianRational(1)) == "one"
+    assert {Fraction(1, 2): "half"}.get(GaussianRational(Fraction(2, 4))) == "half"
+    mixed = [1, Fraction(1), GaussianRational(1), GaussianRational(Fraction(3, 3)),
+             Fraction(1, 2), GaussianRational(Fraction(1, 2)), GaussianRational(Fraction(1, 2), 3),
+             GaussianRational(Fraction(2, 4), Fraction(6, 2))]
+    assert len(set(mixed)) == 3
+    z = GaussianRational(Fraction(1, 2), 3)
+    assert len({z, (z * GaussianRational(2, 5)) / GaussianRational(2, 5), -(-z)}) == 1
+    assert z != Fraction(1, 2) and Fraction(1, 2) not in {z}
+
+
 def test_complex_conversion_is_bitwise_that_of_the_fraction_parts():
     rng = random.Random(20242)
     for _ in range(2000):
