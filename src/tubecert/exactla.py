@@ -1,64 +1,188 @@
 """Exact Gaussian elimination over the rationals and Gaussian rationals.
 
-Row operations stay in the coefficient field, so ranks, kernels, and inverses
-computed here are exact.  Matrices are lists of rows whose entries are
-``Fraction`` or :class:`~tubecert.scalars.GaussianRational`; the two field
-types are detected from the data (``nullspace`` takes ``one`` to force a
-unit element for an empty or all-zero system).
+Elimination is fraction-free: each row is cleared to integers over its own
+least common denominator (Gaussian-integer ``(a, b)`` pairs over Q(i)), rows
+are combined as ``pivot*row_i - f*row_r`` and divided by the gcd of their
+entries (see Bareiss, *Math. Comp.* 22, 1968), and only the finished rows are
+turned back into field elements, one canonicalisation per entry.  So ranks,
+kernels, inverses and determinants computed here are exact.  Matrices are
+lists of rows whose entries are ``int``, ``Fraction`` or
+:class:`~tubecert.scalars.GaussianRational`; a matrix with any
+``GaussianRational`` entry is over Q(i) and its results are
+``GaussianRational``, any other is over Q and its results are ``Fraction``
+(``nullspace`` takes ``one`` to force a unit element for an empty or all-zero
+system).
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from fractions import Fraction
+from itertools import chain
+from typing import Callable, NamedTuple
 
-from .scalars import GaussianRational
+from .scalars import GaussianRational, _make, to_tower
 
 
-def _is_zero(x) -> bool:
-    if isinstance(x, GaussianRational):
-        return x.is_zero()
-    return x == 0
+def _q_combine(p, row, f, prow):
+    """(p*row - f*prow) / g over the integers, g the gcd of its entries; returns (row, g)."""
+    new = [p * a - f * b for a, b in zip(row, prow)]
+    g = math.gcd(*new)
+    return ([a // g for a in new] if g > 1 else new), g
+
+
+def _qi_combine(p, row, f, prow):
+    """(p*row - f*prow) / g over the Gaussian integers, g the gcd of all parts; returns (row, g)."""
+    pa, pb = p
+    fa, fb = f
+    new = [
+        (pa * xa - pb * xb - fa * ya + fb * yb, pa * xb + pb * xa - fa * yb - fb * ya)
+        for (xa, xb), (ya, yb) in zip(row, prow)
+    ]
+    g = math.gcd(*chain.from_iterable(new))
+    return ([(a // g, b // g) for a, b in new] if g > 1 else new), g
+
+
+def _qi_mul(x, y):
+    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+
+_ZERO = Fraction(0)
+_GZERO = GaussianRational(0)
+
+
+def _q_over(row, p):
+    """The integer row divided by p != 0, as Fractions."""
+    return [Fraction(x, p) if x else _ZERO for x in row]
+
+
+def _qi_over(row, p):
+    """The Gaussian-integer row divided by p != 0, as GaussianRationals."""
+    pa, pb = p
+    n = pa * pa + pb * pb
+    out = []
+    for xa, xb in row:
+        if not (xa or xb):
+            out.append(_GZERO)
+            continue
+        # x / p = x * conj(p) / |p|^2
+        a = xa * pa + xb * pb
+        b = xb * pa - xa * pb
+        g = math.gcd(a, b, n)
+        out.append(_make(a // g, b // g, n // g))
+    return out
+
+
+class _Ring(NamedTuple):
+    """The integers or the Gaussian integers, as the elimination uses them.
+
+    ``combine`` is the row operation and ``over`` divides a row by a ring
+    element into field elements (Fraction or GaussianRational).
+    """
+
+    zero: object
+    one: object
+    mul: Callable
+    combine: Callable
+    over: Callable
+
+
+_Z = _Ring(0, 1, operator.mul, _q_combine, _q_over)
+_ZI = _Ring((0, 0), (1, 0), _qi_mul, _qi_combine, _qi_over)
+
+
+def _cleared(rows):
+    """(integer rows, their denominators, ring) for a non-empty exact matrix.
+
+    A Q row becomes ints and a Q(i) row Gaussian-integer pairs, each over the
+    least common denominator of that row.  Ragged rows are a ValueError and
+    inexact entries a TypeError.
+    """
+    ncols = len(rows[0])
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("matrix rows must have equal length")
+    kinds = {type(x) for row in rows for x in row}
+    if not kinds <= {int, Fraction, GaussianRational}:
+        raise TypeError(f"exact elimination needs int, Fraction or GaussianRational, got {kinds}")
+    m, dens = [], []
+    if GaussianRational in kinds:
+        if len(kinds) > 1:
+            rows = [[to_tower(x, True) for x in row] for row in rows]
+        for row in rows:
+            d = math.lcm(*[x._d for x in row])
+            if d == 1:
+                m.append([(x._a, x._b) for x in row])
+            else:
+                m.append([(x._a * (d // x._d), x._b * (d // x._d)) for x in row])
+            dens.append(d)
+        return m, dens, _ZI
+    for row in rows:
+        d = math.lcm(*[x.denominator for x in row])
+        if d == 1:
+            m.append([x.numerator for x in row])
+        else:
+            m.append([x.numerator * (d // x.denominator) for x in row])
+        dens.append(d)
+    return m, dens, _Z
+
+
+def _eliminate(m, ring, steps=None):
+    """Fraction-free Gauss-Jordan elimination of integer rows, in place.
+
+    Returns the pivot columns; row k of the result holds pivot k.  When
+    ``steps`` is a list, each row operation appends its effect on the
+    determinant as (p, g), a factor p / g: a combination with pivot p whose
+    result was divided by g, or (1, -1) for a row swap.
+    """
+    zero, one, combine = ring.zero, ring.one, ring.combine
+    pivots: list[int] = []
+    n = len(m)
+    r = 0
+    for c in range(len(m[0])):
+        for i in range(r, n):
+            if m[i][c] != zero:
+                break
+        else:
+            continue
+        if i != r:
+            m[r], m[i] = m[i], m[r]
+            if steps is not None:
+                steps.append((one, -1))
+        prow = m[r]
+        p = prow[c]
+        for i in range(n):
+            f = m[i][c]
+            if i != r and f != zero:
+                m[i], g = combine(p, m[i], f, prow)
+                if steps is not None:
+                    steps.append((p, g))
+        pivots.append(c)
+        r += 1
+        if r == n:
+            break
+    return pivots
 
 
 def _unit_for(rows, one):
     if one is not None:
         return one
-    for row in rows:
-        for x in row:
-            if isinstance(x, GaussianRational):
-                return GaussianRational(1)
-            return Fraction(1)
+    if any(isinstance(x, GaussianRational) for row in rows for x in row):
+        return GaussianRational(1)
     return Fraction(1)
 
 
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (reduced rows, pivot column indices)."""
-    m = [list(r) for r in rows]
-    if not m:
+    if not rows:
         return [], []
-    ncols = len(m[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(m)):
-            if not _is_zero(m[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        pv = m[r][c]
-        m[r] = [x / pv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and not _is_zero(m[i][c]):
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(m):
-            break
-    return m, pivots
+    m, _, ring = _cleared(rows)
+    pivots = _eliminate(m, ring)
+    out = [ring.over(row, row[c]) for row, c in zip(m, pivots)]
+    zero_row = [ring.zero] * len(m[0])
+    out.extend(ring.over(zero_row, ring.one) for _ in range(len(m) - len(pivots)))
+    return out, pivots
 
 
 def rank(rows: list[list]) -> int:
@@ -73,17 +197,11 @@ def nullspace(rows: list[list], ncols: int | None = None, one=None) -> list[list
         raise ValueError("ncols required for an empty system")
     unit = _unit_for(rows, one)
     zero = unit - unit
-    if not rows:
-        basis = []
-        for j in range(ncols):
-            v = [zero] * ncols
-            v[j] = unit
-            basis.append(v)
-        return basis
     reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in pivots:
+            continue
         v = [zero] * ncols
         v[fc] = unit
         for r, pc in enumerate(pivots):
@@ -95,15 +213,9 @@ def nullspace(rows: list[list], ncols: int | None = None, one=None) -> list[list
 def invert(matrix: list[list]) -> list[list]:
     """Exact inverse of a square matrix; raises ZeroDivisionError if singular."""
     n = len(matrix)
-    unit = _unit_for(matrix, None)
-    zero = unit - unit
-    aug = []
-    for i, row in enumerate(matrix):
-        if len(row) != n:
-            raise ValueError("matrix must be square")
-        ident = [zero] * n
-        ident[i] = unit
-        aug.append(list(row) + ident)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    aug = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(matrix)]
     reduced, pivots = rref(aug)
     if pivots != list(range(n)):
         raise ZeroDivisionError("matrix is singular")
@@ -111,26 +223,19 @@ def invert(matrix: list[list]) -> list[list]:
 
 
 def determinant(matrix: list[list]):
-    """Exact determinant by Gaussian elimination with division (small matrices only)."""
+    """Exact determinant by fraction-free elimination of the cleared integer rows."""
     n = len(matrix)
-    m = [list(r) for r in matrix]
-    unit = _unit_for(matrix, None)
-    det = unit
-    for c in range(n):
-        pivot_row = None
-        for i in range(c, n):
-            if not _is_zero(m[i][c]):
-                pivot_row = i
-                break
-        if pivot_row is None:
-            return unit - unit
-        if pivot_row != c:
-            m[c], m[pivot_row] = m[pivot_row], m[c]
-            det = -det
-        det = det * m[c][c]
-        inv = unit / m[c][c]
-        for i in range(c + 1, n):
-            if not _is_zero(m[i][c]):
-                f = m[i][c] * inv
-                m[i] = [a - f * b for a, b in zip(m[i], m[c])]
-    return det
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix must be square")
+    if n == 0:
+        return Fraction(1)
+    m, dens, ring = _cleared(matrix)
+    steps: list = []
+    if len(_eliminate(m, ring, steps)) < n:
+        return ring.over([ring.zero], ring.one)[0]
+    # The final rows are diagonal, det(final) = det(cleared) * prod(p / g)
+    # over the steps, and det(cleared) = det(matrix) * prod(dens).
+    diagonal = functools.reduce(ring.mul, (m[k][k] for k in range(n)), ring.one)
+    pivots = functools.reduce(ring.mul, (p for p, _ in steps), ring.one)
+    scale = Fraction(math.prod(g for _, g in steps), math.prod(dens))
+    return ring.over([diagonal], pivots)[0] * scale

@@ -219,18 +219,17 @@ def lifted_tube(f: RealPolynomial) -> Hypersurface:
     """The tube hypersurface over the graph x_{n+1} = f(x), as rho = f(Re z) - Re z_{n+1}.
 
     The orientation (graph side positive) matches the sign convention of
-    :func:`tube_hessian_signature`.
+    :func:`tube_hessian_signature`.  The tube is on f's own scalar tower.
     """
     n = f.space.n
     big = VariableSpace(n + 1)
-    images = []
-    for i in range(n):
-        images.append(HermitianPolynomial.re_variable(big, i))
+    re = [HermitianPolynomial.re_variable(big, i) for i in range(n + 1)]
+    if not f.exact:
+        re = [x.to_float() for x in re]
     # images for conjugate slots of f's space; f has no conjugates but the
     # substitution API wants a full list.
-    images = images + [img.conjugate() for img in images]
-    lifted = f.poly.substitute(images)
-    return Hypersurface(lifted - HermitianPolynomial.re_variable(big, n))
+    images = re[:n] + [x.conjugate() for x in re[:n]]
+    return Hypersurface(f.poly.substitute(images) - re[n])
 
 
 @dataclass(frozen=True)

@@ -60,12 +60,10 @@ def mscale(X: Mat3, c) -> Mat3:
 
 
 def mmul(X: Mat3, Y: Mat3) -> Mat3:
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = Y
     return tuple(
-        tuple(
-            sum((X[i][k] * Y[k][j] for k in range(3)), GaussianRational(0))
-            for j in range(3)
-        )
-        for i in range(3)
+        (x0 * a0 + x1 * b0 + x2 * c0, x0 * a1 + x1 * b1 + x2 * c1, x0 * a2 + x1 * b2 + x2 * c2)
+        for x0, x1, x2 in X
     )
 
 
@@ -86,9 +84,8 @@ def is_zero_matrix(X: Mat3) -> bool:
 
 
 def apply_vec(X: Mat3, v) -> tuple:
-    return tuple(
-        sum((X[i][j] * v[j] for j in range(3)), GaussianRational(0)) for i in range(3)
-    )
+    v0, v1, v2 = v
+    return tuple(x0 * v0 + x1 * v1 + x2 * v2 for x0, x1, x2 in X)
 
 
 def bracket(X: Mat3, Y: Mat3) -> Mat3:

@@ -127,6 +127,23 @@ def test_tube_hessian_agrees_with_levi_on_lift():
             assert sig == data.signature_signed
 
 
+def test_sigma_tube_hessian_agrees_with_levi_on_lift():
+    # The sigma graphs have irrational coefficients, so their tubes are built
+    # on the float tower; the Levi form there must read the same (5, 2)
+    # signature as the real Hessian of the graph at the same points.
+    rng = random.Random(104)
+    for sigma in (1.0, 2.5, 33.9):
+        f = make_sigma_surface(sigma)
+        tube = lifted_tube(f)
+        assert not tube.rho.exact and tube.space.n == 8
+        for _ in range(10):
+            x = [rng.uniform(-1, 1) for _ in range(7)]
+            z = [complex(v, rng.uniform(-1, 1)) for v in x]
+            z.append(complex(f.evaluate_real(x), rng.uniform(-1, 1)))
+            sig = tube_hessian_signature(f, x)
+            assert sig == levi_form(tube, z).signature_signed == (5, 2, 0)
+
+
 def test_side_invariance_under_certified_automorphisms():
     rng = random.Random(101)
     for sign in "+-":
