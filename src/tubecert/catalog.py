@@ -30,9 +30,7 @@ from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-import numpy as np
-
-from . import lie
+from . import exactla, lie
 from .chern_moser import pairing_form, sign_to_eps
 from .errors import ClosureViolation, ConstraintError, DomainError
 from .geometry import Hypersurface, SidedDomain, lifted_tube
@@ -252,9 +250,8 @@ def model_domain(sign: str, side: str) -> SidedDomain:
 class PParams:
     """The 13 real parameters of a quartic-model symmetry, with their constraint.
 
-    Exact elements carry Fractions / GaussianRationals / UnimodularPhases;
-    floating elements carry floats / complex.  The constraint ties |d|^2 to
-    q, the first phase, and b:
+    Elements carry Fractions / GaussianRationals / UnimodularPhases.  The
+    constraint ties |d|^2 to q, the first phase, and b:
 
         |d|^2 = -2 q^3 Re(phase_phi * conj(b)),  Re(phase_phi * conj(b)) <= 0.
 
@@ -273,30 +270,17 @@ class PParams:
     b: object
     d: object
 
-    @property
-    def exact(self) -> bool:
-        return isinstance(self.q, Fraction)
-
-    def validate(self, tol: float = 1e-9):
+    def validate(self):
         sign_to_eps(self.sign)
-        if self.exact:
-            if self.q <= 0:
-                raise ConstraintError("scale parameter q must be positive")
-            w = self.phi_phase.value * self.b.conjugate()
-            if w.re > 0:
-                raise ConstraintError("Re(phase * conj(b)) must be <= 0")
-            if self.d.abs2() != -2 * self.q**3 * w.re:
-                raise ConstraintError(
-                    f"|d|^2 = {self.d.abs2()} != -2 q^3 Re(phase*conj(b)) = {-2 * self.q ** 3 * w.re}"
-                )
-        else:
-            if self.q <= 0:
-                raise ConstraintError("scale parameter q must be positive")
-            w = complex(self.phi_phase) * complex(self.b).conjugate()
-            lhs = abs(complex(self.d)) ** 2
-            rhs = -2 * float(self.q) ** 3 * w.real
-            if w.real > tol or abs(lhs - rhs) > tol * max(1.0, abs(lhs)):
-                raise ConstraintError(f"constraint violated: |d|^2={lhs}, -2q^3 Re={rhs}")
+        if self.q <= 0:
+            raise ConstraintError("scale parameter q must be positive")
+        w = self.phi_phase.value * self.b.conjugate()
+        if w.re > 0:
+            raise ConstraintError("Re(phase * conj(b)) must be <= 0")
+        if self.d.abs2() != -2 * self.q**3 * w.re:
+            raise ConstraintError(
+                f"|d|^2 = {self.d.abs2()} != -2 q^3 Re(phase*conj(b)) = {-2 * self.q ** 3 * w.re}"
+            )
         return self
 
 
@@ -318,11 +302,44 @@ def _mono(space, **powers):
 P_MONOMIALS = ((0,) * 8, *(SPACE4.unit(i) for i in range(4)), _mono(SPACE4, z1=2))
 
 
+def _p_values(params: PParams) -> list:
+    """The arguments of :func:`_p_rows` after ``eps``, as Q(i) scalars."""
+    q, phi, psi, rho, sigma, tau, b, d = (
+        to_tower(x, True)
+        for x in (params.q, params.phi_phase, params.psi_phase, params.rho, params.sigma,
+                  params.tau, params.b, params.d)
+    )
+    return [q, phi, psi, I * params.u, rho, sigma, tau, b, d]
+
+
+def _p_rows(eps, q, phi, psi, iu, rho, sigma, tau, b, d, misread_phase=False) -> tuple:
+    """The four components of a symmetry map as ``{monomial: coefficient}``.
+
+    The one formula for the group element.  The values are Q(i) scalars, or
+    polynomials in chart coordinates (the tangent map of the rank check);
+    ``eps`` is the model's sign as +-1 and ``iu`` is i times the real u.
+    """
+    rho_bar, sigma_bar, tau_bar, d_bar = (x.conjugate() for x in (rho, sigma, tau, d))
+    qphi, q2, phipsi, rho2 = q * phi, q * q, phi * psi, rho * rho_bar
+    z3_phase = phi if misread_phase else psi
+    const, z1, z2, z3, z4, z1sq = P_MONOMIALS
+    return (
+        {const: rho, z1: qphi},
+        {const: sigma, z1: rho2 * qphi * (-2 * eps) + q2 * b, z2: q2 * qphi, z3: q * d,
+         z1sq: rho_bar * qphi * qphi * (-2 * eps)},
+        {const: tau, z1: -d_bar * phipsi, z3: q2 * psi},
+        {const: rho * sigma_bar + sigma * rho_bar + tau * tau_bar + rho2 * rho2 * eps + iu,
+         z1: (sigma_bar * qphi + rho_bar * q2 * b - tau_bar * d_bar * phipsi) * 2,
+         z2: rho_bar * q2 * qphi * 2,
+         z3: (rho_bar * q * d + tau_bar * q2 * z3_phase) * 2,
+         z4: q2 * q2,
+         z1sq: rho_bar * rho_bar * qphi * qphi * (-2 * eps)},
+    )
+
+
 def make_p_element(params: PParams, check: bool = True, misread_phase: bool = False) -> HoloPolyMap:
     """The degree-2 holomorphic symmetry of the quartic model with the given parameters.
 
-    The coefficients are one formula over the parameters' own tower: exact
-    parameters give an exact map, floating ones (the chart) a float map.
     ``check=False`` skips the constraint (used to build negative controls).
     ``misread_phase=True`` swaps the second phase for the first in the single
     z3-coefficient of the last component; with distinct phases and tau != 0
@@ -331,31 +348,8 @@ def make_p_element(params: PParams, check: bool = True, misread_phase: bool = Fa
     """
     if check:
         params.validate()
-    eps = sign_to_eps(params.sign)
-    exact = params.exact
-    q, phi, psi, rho, sigma, tau, b, d = (
-        to_tower(x, exact)
-        for x in (params.q, params.phi_phase, params.psi_phase, params.rho, params.sigma,
-                  params.tau, params.b, params.d)
-    )
-    rho_bar, sigma_bar, tau_bar, d_bar = (x.conjugate() for x in (rho, sigma, tau, d))
-    qphi, q2, phipsi, rho2 = q * phi, q * q, phi * psi, rho * rho_bar
-    z3_phase = phi if misread_phase else psi
-    const, z1, z2, z3, z4, z1sq = P_MONOMIALS
-    rows = (
-        {const: rho, z1: qphi},
-        {const: sigma, z1: rho2 * qphi * (-2 * eps) + q2 * b, z2: q2 * qphi, z3: q * d,
-         z1sq: rho_bar * qphi * qphi * (-2 * eps)},
-        {const: tau, z1: -d_bar * phipsi, z3: q2 * psi},
-        {const: rho * sigma_bar + sigma * rho_bar + tau * tau_bar + rho2 * rho2 * eps
-         + to_tower(I, exact) * params.u,
-         z1: (sigma_bar * qphi + rho_bar * q2 * b - tau_bar * d_bar * phipsi) * 2,
-         z2: rho_bar * q2 * qphi * 2,
-         z3: (rho_bar * q * d + tau_bar * q2 * z3_phase) * 2,
-         z4: q2 * q2,
-         z1sq: rho_bar * rho_bar * qphi * qphi * (-2 * eps)},
-    )
-    return HoloPolyMap(SPACE4, SPACE4, [HermitianPolynomial(SPACE4, row, exact) for row in rows])
+    rows = _p_rows(sign_to_eps(params.sign), *_p_values(params), misread_phase)
+    return HoloPolyMap(SPACE4, SPACE4, [HermitianPolynomial(SPACE4, row) for row in rows])
 
 
 def p_params_from_map(f: HoloPolyMap, sign: str) -> PParams:
@@ -482,8 +476,6 @@ def make_isotropy_matrix(params: PParams):
     Requires rho = sigma = tau = 0 and u = 0.  The matrix preserves the
     pairing form H = lie.FORM_PAIRING in the sense U^t H conj(U) = H.
     """
-    if not params.exact:
-        raise DomainError("isotropy matrices are built on the exact tower")
     if not (params.rho.is_zero() and params.sigma.is_zero() and params.tau.is_zero()) or params.u != 0:
         raise DomainError("isotropy matrices need translation-free parameters")
     params.validate()
@@ -499,8 +491,9 @@ def make_isotropy_matrix(params: PParams):
     )
 
 
-def pseudo_unitarity_residual(U, H=lie.FORM_PAIRING):
-    """U^t H conj(U) - H, exactly; the zero matrix certifies form preservation."""
+def pseudo_unitarity_residual(U):
+    """U^t H conj(U) - H for the pairing form H, exactly; the zero matrix certifies form preservation."""
+    H = lie.FORM_PAIRING
     return lie.msub(lie.mmul(lie.mmul(lie.mtrans(U), H), lie.mconj(U)), H)
 
 
@@ -540,69 +533,47 @@ def random_p_params(rng, sign: str) -> PParams:
     return PParams(sign, q, phi, psi, u, rho, sigma, tau, b, d).validate()
 
 
-# -- floating parameter chart and its Jacobian --------------------------------
+# -- the tangent map of the 13-parameter chart ---------------------------------
 
 
-def p_chart_float(theta, sign: str) -> PParams:
-    """13-real-parameter chart around the identity, smooth there.
+# The chart directions at the identity, as (argument of _p_rows, tangent): q,
+# the two phases (each as 1 + i t), u (entering as i u), Re/Im rho, sigma and
+# tau, Im b, Re/Im d.  Re b is left out: the constraint makes it quadratic in
+# the others, so its slope at the identity is zero.
+P_CHART = (("q", 1), ("phi", I), ("psi", I), ("iu", I), ("rho", 1), ("rho", I),
+           ("sigma", 1), ("sigma", I), ("tau", 1), ("tau", I), ("b", I), ("d", 1), ("d", I))
 
-    Coordinates: q, angle_phi, angle_psi, u, Re/Im rho, Re/Im sigma,
-    Re/Im tau, Im b, Re/Im d.  Re b is eliminated by the constraint
-    (the modulus of d is free in this chart; b's real slope follows).
+
+def p_chart_jacobian(sign: str) -> list[list[Fraction]]:
+    """The exact 48 x 13 Jacobian of the chart-to-coefficients map at the identity.
+
+    Each direction moves one parameter of the identity by t = Re z1 in a
+    one-variable space.  The t-linear part of each of the 24 map coefficients,
+    split into real and imaginary parts, is one column.
     """
-    q, aphi, apsi, u = (float(theta[i]) for i in range(4))
-    rho = complex(theta[4], theta[5])
-    sigma = complex(theta[6], theta[7])
-    tau = complex(theta[8], theta[9])
-    b_im = float(theta[10])
-    d = complex(theta[11], theta[12])
-    m = abs(d) ** 2 / (2 * q**3)
-    b_re = (-m - math.sin(aphi) * b_im) / math.cos(aphi)
-    return PParams(
-        sign,
-        q,
-        complex(math.cos(aphi), math.sin(aphi)),
-        complex(math.cos(apsi), math.sin(apsi)),
-        u,
-        rho,
-        sigma,
-        tau,
-        complex(b_re, b_im),
-        d,
-    )
+    space = VariableSpace(1)
+    t = HermitianPolynomial.re_variable(space, 0)
+    zero = HermitianPolynomial.zero(space)
+    z, zb = space.unit(0), space.unit(1)
+    names = ("q", "phi", "psi", "iu", "rho", "sigma", "tau", "b", "d")
+    identity = dict(zip(names, _p_values(identity_p_params(sign))))
+    columns = []
+    for name, tangent in P_CHART:
+        rows = _p_rows(sign_to_eps(sign), **{**identity, name: t * tangent + identity[name]})
+        column = []
+        for row in rows:
+            for mono in P_MONOMIALS:
+                # a coefficient the moving parameter does not reach is still a scalar
+                c = zero + row.get(mono, 0)
+                slope = c.coefficient(z) + c.coefficient(zb)
+                column += (slope.re, slope.im)
+        columns.append(column)
+    return [list(r) for r in zip(*columns)]
 
 
-def p_map_coefficient_vector(params: PParams) -> np.ndarray:
-    """Flatten a symmetry map to the fixed real coefficient vector used by the rank check."""
-    f = make_p_element(params, check=False)
-    out = []
-    for comp in f.components:
-        for mono in P_MONOMIALS:
-            c = complex(comp.coefficient(mono))
-            out.extend((c.real, c.imag))
-    return np.array(out, dtype=float)
-
-
-def p_jacobian_rank_at_identity(sign: str, step: float = 1e-6, cutoff: float = 1e-8) -> int:
-    """Numerical rank of the chart-to-coefficients Jacobian at the identity.
-
-    Central finite differences with the given step; rank is the number of
-    singular values above the cutoff.  The group's dimension shows up as 13.
-    """
-    theta0 = np.zeros(13)
-    theta0[0] = 1.0
-    cols = []
-    for i in range(13):
-        tp = theta0.copy()
-        tm = theta0.copy()
-        tp[i] += step
-        tm[i] -= step
-        fp = p_map_coefficient_vector(p_chart_float(tp, sign))
-        fm = p_map_coefficient_vector(p_chart_float(tm, sign))
-        cols.append((fp - fm) / (2 * step))
-    jac = np.column_stack(cols)
-    svals = np.linalg.svd(jac, compute_uv=False)
-    return int(np.sum(svals > cutoff))
+def p_jacobian_rank_at_identity(sign: str) -> int:
+    """Exact rank of the chart's tangent map at the identity; the group's dimension shows up as 13."""
+    return exactla.rank(p_chart_jacobian(sign))
 
 
 # ---------------------------------------------------------------------------
@@ -705,11 +676,11 @@ def quadric_space(n: int) -> VariableSpace:
     return VariableSpace(n + 1)
 
 
-def quadric_hermitian_poly(p: int, n: int, exact: bool = True) -> HermitianPolynomial:
+def quadric_hermitian_poly(p: int, n: int) -> HermitianPolynomial:
     """H_{p,n}(z, zb) = sum_{j<=p} |z_j|^2 - sum_{j>p} |z_j|^2 inside C^{n+1}."""
     space = quadric_space(n)
-    zs = [_var(space, j, exact) for j in range(n)]
-    zbs = [_var(space, n + 1 + j, exact) for j in range(n)]
+    zs = [_var(space, j) for j in range(n)]
+    zbs = [_var(space, n + 1 + j) for j in range(n)]
     return QuadricFamily(p, n).form(zs, zbs)
 
 

@@ -11,7 +11,6 @@ configuration are byte-identical modulo timing.
 
 from __future__ import annotations
 
-import math
 import random
 import time
 from collections.abc import Callable
@@ -450,9 +449,7 @@ def _lie_dimensions(spec: CheckSpec, rng, stabilizer_reps: int) -> dict:
         )
         produced = 0
         while produced < stabilizer_reps:
-            A = lie.ZERO3
-            for B in basis:
-                A = lie.madd(A, lie.mscale(B, Fraction(rng.randint(-2, 2), 3)))
+            A = lie.combine([Fraction(rng.randint(-2, 2), 3) for _ in basis], basis)
             try:
                 U = lie.cayley_group_element(A)
             except ZeroDivisionError:
@@ -580,10 +577,10 @@ def _closure(spec: CheckSpec, rng, sign: str, draws: int, inverse_draws: int) ->
             "recovery": "exact"}
 
 
-def _rank(spec: CheckSpec, rng, sign: str, step: float, cutoff: float) -> dict:
-    rank = catalog.p_jacobian_rank_at_identity(sign, step=step, cutoff=cutoff)
+def _rank(spec: CheckSpec, rng, sign: str) -> dict:
+    rank = catalog.p_jacobian_rank_at_identity(sign)
     _require(rank == 13, f"parameter chart rank {rank} != 13")
-    return {"sign": sign, "rank": rank, "step": step, "cutoff": cutoff}
+    return {"sign": sign, "rank": rank, "exact": True}
 
 
 # ---------------------------------------------------------------------------
@@ -596,13 +593,6 @@ def _count(value) -> int:
     if count < 1:
         raise ValueError(f"must be at least 1, got {count}")
     return count
-
-
-def _positive(value) -> float:
-    number = float(value)
-    if not 0 < number < math.inf:
-        raise ValueError(f"must be a positive finite number, got {value!r}")
-    return number
 
 
 def _generators(value) -> tuple[str, ...]:
@@ -676,8 +666,7 @@ CHECKS = {
             Check(_line_witness, admits=_stated_line)),
     **_each("closure", ("P_plus", "P_minus"),
             Check(_closure, {"draws": (_count, 50), "inverse_draws": (_count, 20)})),
-    **_each("rank", ("P_plus", "P_minus"),
-            Check(_rank, {"step": (_positive, 1e-6), "cutoff": (_positive, 1e-8)})),
+    **_each("rank", ("P_plus", "P_minus"), Check(_rank)),
 }
 
 
@@ -700,7 +689,8 @@ def _bind(spec: CheckSpec) -> tuple[Check, dict, dict]:
         if spec.path not in check.paths:
             raise ValueError(f"path {spec.path!r}: {spec.kind} on {name} honours {check.paths}")
         for key in sorted(spec.parameters.keys() - check.params.keys()):
-            raise ValueError(f"param.{key}: {spec.kind} on {name} takes only {tuple(check.params)}")
+            takes = ", ".join(check.params) or "no parameters"
+            raise ValueError(f"param.{key}: {spec.kind} on {name} takes {takes}")
         parameters = {}
         for key, (parse, default) in check.params.items():
             value = spec.parameters.get(key, default)

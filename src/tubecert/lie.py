@@ -164,12 +164,18 @@ def _kernel(images, field: str) -> list[list]:
     return exactla.nullspace(list(zip(*columns)), ncols=len(columns), one=one)
 
 
-def _combine(coords, basis) -> Mat3:
-    """The matrix sum of coords[k] * basis[k]."""
-    X = ZERO3
+def combine(coords, basis) -> Mat3:
+    """The matrix sum of coords[k] * basis[k], over the nonzero coordinates and entries."""
+    X = [list(row) for row in ZERO3]
     for coeff, e in zip(coords, basis):
-        X = madd(X, mscale(e, coeff))
-    return X
+        c = to_tower(coeff, True)
+        if c.is_zero():
+            continue
+        for r, row in enumerate(e):
+            for s, x in enumerate(row):
+                if not x.is_zero():
+                    X[r][s] = X[r][s] + c * x
+    return tuple(map(tuple, X))
 
 
 def perp(S: LieSubspace) -> LieSubspace:
@@ -181,7 +187,7 @@ def perp(S: LieSubspace) -> LieSubspace:
         raise DomainError("perp is a complex-ambient operation")
     basis8 = sl3_basis()
     coords = _kernel([[killing(e, b) for b in S.basis] for e in basis8], "C")
-    return LieSubspace(tuple(_combine(c, basis8) for c in coords), "C")
+    return LieSubspace(tuple(combine(c, basis8) for c in coords), "C")
 
 
 def sl3_gram_rank() -> int:
@@ -269,7 +275,7 @@ def u21_basis(H: Mat3 = FORM_DIAG) -> list[Mat3]:
     """Exact real basis of u(2,1) w.r.t. H: the kernel of the membership residual (dimension 9)."""
     gl3 = _gl3_real_basis()
     coords = _kernel([flatten(algebra_membership_residual(X, H)) for X in gl3], "R")
-    return [_combine(c, gl3) for c in coords]
+    return [combine(c, gl3) for c in coords]
 
 
 @functools.cache
@@ -277,7 +283,7 @@ def su21_basis(H: Mat3 = FORM_DIAG) -> tuple:
     """Exact real basis of su(2,1) w.r.t. H: the trace-free part of u(2,1) (dimension 8)."""
     gl3 = _gl3_real_basis()
     images = [flatten(algebra_membership_residual(X, H)) + [mtrace(X)] for X in gl3]
-    return tuple(_combine(c, gl3) for c in _kernel(images, "R"))
+    return tuple(combine(c, gl3) for c in _kernel(images, "R"))
 
 
 def cayley_group_element(A: Mat3) -> Mat3:
@@ -299,8 +305,8 @@ def _pair_minors(w, v) -> list[GaussianRational]:
     ]
 
 
-def stabilizer_up_to_scale_dim(v, H: Mat3 = FORM_DIAG) -> int:
-    """Real dimension of {X in su(2,1 w.r.t. H) : X v in C v}.
+def stabilizer_up_to_scale_dim(v) -> int:
+    """Real dimension of {X in su(2,1) : X v in C v}, for su(2,1) of the diagonal form.
 
     The proportionality condition is the vanishing of the 2x2 minors of
     (Xv, v), which is real-linear in X, so the dimension is an exact kernel
@@ -309,7 +315,7 @@ def stabilizer_up_to_scale_dim(v, H: Mat3 = FORM_DIAG) -> int:
     vv = tuple(to_tower(x, True) for x in v)
     if all(x.is_zero() for x in vv):
         raise DomainError("stabilizer of the zero vector is undefined")
-    images = [_pair_minors(apply_vec(B, vv), vv) for B in su21_basis(H)]
+    images = [_pair_minors(apply_vec(B, vv), vv) for B in su21_basis()]
     return len(_kernel(images, "R"))
 
 

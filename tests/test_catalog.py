@@ -4,9 +4,11 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from tubecert import catalog
+from tubecert.chern_moser import sign_to_eps
 from tubecert.catalog import (
     BASE_POINT,
     PParams,
@@ -33,6 +35,7 @@ from tubecert.catalog import (
     model_domain,
     model_surface,
     p_compose,
+    p_chart_jacobian,
     p_inverse,
     p_jacobian_rank_at_identity,
     p_params_from_map,
@@ -354,8 +357,70 @@ def test_p_params_from_map_rejects_non_group_maps():
 
 
 def test_jacobian_rank_is_13():
-    assert p_jacobian_rank_at_identity("+") == 13
-    assert p_jacobian_rank_at_identity("-") == 13
+    for sign in "+-":
+        jac = p_chart_jacobian(sign)
+        assert len(jac) == 48 and all(len(row) == 13 for row in jac)
+        assert all(type(x) is Fraction for row in jac for x in row)
+        assert p_jacobian_rank_at_identity(sign) == 13
+
+
+def p_chart_float(theta, sign: str) -> PParams:
+    """The float chart the rank check used before it became exact, kept as an oracle.
+
+    Coordinates: q, angle_phi, angle_psi, u, Re/Im rho, Re/Im sigma,
+    Re/Im tau, Im b, Re/Im d.  Re b is eliminated by the constraint.
+    """
+    q, aphi, apsi, u = (float(theta[i]) for i in range(4))
+    d = complex(theta[11], theta[12])
+    m = abs(d) ** 2 / (2 * q**3)
+    b_im = float(theta[10])
+    b_re = (-m - math.sin(aphi) * b_im) / math.cos(aphi)
+    return PParams(
+        sign, q, complex(math.cos(aphi), math.sin(aphi)), complex(math.cos(apsi), math.sin(apsi)),
+        u, complex(theta[4], theta[5]), complex(theta[6], theta[7]), complex(theta[8], theta[9]),
+        complex(b_re, b_im), d,
+    )
+
+
+def float_coefficient_vector(params: PParams) -> list[float]:
+    """The 48 real map coefficients, through the shared formula on complex values."""
+    rows = catalog._p_rows(
+        sign_to_eps(params.sign), params.q, params.phi_phase, params.psi_phase, 1j * params.u,
+        params.rho, params.sigma, params.tau, params.b, params.d,
+    )
+    out = []
+    for row in rows:
+        for mono in catalog.P_MONOMIALS:
+            c = complex(row.get(mono, 0))
+            out += (c.real, c.imag)
+    return out
+
+
+@pytest.mark.parametrize("sign", "+-")
+def test_chart_jacobian_matches_central_differences(sign):
+    step = 1e-6
+    exact = p_chart_jacobian(sign)
+    columns = []
+    for j in range(13):
+        tp, tm = [1.0] + [0.0] * 12, [1.0] + [0.0] * 12
+        tp[j] += step
+        tm[j] -= step
+        fp = float_coefficient_vector(p_chart_float(tp, sign))
+        fm = float_coefficient_vector(p_chart_float(tm, sign))
+        columns.append([(a - b) / (2 * step) for a, b in zip(fp, fm)])
+    jac = np.array(columns).T
+    assert np.max(np.abs(jac - np.array(exact, dtype=float))) < 1e-6
+    svals = np.linalg.svd(jac, compute_uv=False)
+    assert int(np.sum(svals > 1e-8)) == 13
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_zeroing_a_chart_direction_drops_the_rank_to_12(k, monkeypatch):
+    chart = list(catalog.P_CHART)
+    chart[k] = (chart[k][0], 0)
+    monkeypatch.setattr(catalog, "P_CHART", tuple(chart))
+    assert p_jacobian_rank_at_identity("+") == 12
+    assert p_jacobian_rank_at_identity("-") == 12
 
 
 # --- isotropy matrices -----------------------------------------------------------

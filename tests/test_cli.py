@@ -299,6 +299,7 @@ REJECTED = {
     "line-not-stated": "kind = line_witness\ntarget = quadric(p=3,n=3,side=>)",
     "step-text": "kind = rank\ntarget = P_plus\nparam.step = abc",
     "cutoff-zero": "kind = rank\ntarget = P_plus\nparam.cutoff = 0",
+    "step-unknown": "kind = rank\ntarget = P_plus\nparam.step = 1e-6",
     "generators-unknown": "kind = invariance\ntarget = gamma(alpha=1)\nparam.generators = phi,xi",
     "expect-unknown": "kind = invariance\ntarget = control:wrong_phase\nparam.expect = foo",
     "regression-unknown": "kind = transitivity\ntarget = omega(alpha=1,side=>)\n"

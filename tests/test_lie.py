@@ -19,6 +19,7 @@ from tubecert.lie import (
     bracket,
     candidate_subalgebra,
     cayley_group_element,
+    combine,
     is_subalgebra,
     is_zero_matrix,
     isotropy_algebra,
@@ -68,6 +69,26 @@ def test_bracket_examples_and_identities():
             bracket(Z, bracket(X, Y)),
         )
         assert is_zero_matrix(jacobi)
+
+
+def test_combine_matches_the_scaled_sum():
+    """combine adds only nonzero products; it must equal the plain sum of scaled matrices."""
+    rng = random.Random(61)
+    bases = [list(su21_basis()), list(sl3_basis()), [rand_matrix(rng) for _ in range(5)]]
+    for basis in bases:
+        for _ in range(20):
+            coords = [
+                rng.choice([0, Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
+                            GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))])
+                for _ in basis
+            ]
+            want = ZERO3
+            for c, B in zip(coords, basis):
+                want = madd(want, mscale(B, c))
+            got = combine(coords, basis)
+            assert got == want
+            assert all(type(x) is GaussianRational for row in got for x in row)
+    assert combine([0] * 8, list(sl3_basis())) == ZERO3
 
 
 def test_killing_examples_and_symmetry():

@@ -1,4 +1,5 @@
-"""Every definition in the package is used by the package itself.
+"""Every definition in the package is used by the package itself, and numpy
+stays inside ``geometry``.
 
 A function, class or method that only tests call is surface the certifier
 does not need: either a default-suite check should use it or it should go.
@@ -47,6 +48,22 @@ def _referenced(trees):
             elif isinstance(node, ast.alias):
                 names.add(node.name)
     return names
+
+
+def test_only_geometry_imports_numpy():
+    """numpy is left only for geometry's Levi and Hessian eigenvalues; nothing else may load it."""
+    importers = set()
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "numpy" for name in names):
+                importers.add(module)
+    assert importers <= {"geometry"}, f"numpy imported outside geometry: {sorted(importers)}"
 
 
 def test_every_definition_is_referenced_in_the_package():

@@ -45,22 +45,15 @@ def assert_map_close(got, want):
         assert_poly_close(g, w)
 
 
-def float_params(p: PParams) -> PParams:
-    return PParams(
-        p.sign, float(p.q), complex(p.phi_phase), complex(p.psi_phase), float(p.u),
-        complex(p.rho), complex(p.sigma), complex(p.tau), complex(p.b), complex(p.d),
-    )
-
-
 @pytest.mark.parametrize("sign", "+-")
 def test_p_element_towers_agree(sign):
+    """The P group lives on the exact tower only; its formula on complex values
+    is checked against the exact chart Jacobian in test_catalog."""
     rng = random.Random(301 if sign == "+" else 302)
     for _ in range(40):
         params = random_p_params(rng, sign)
         for misread in (False, True):
-            exact = make_p_element(params, misread_phase=misread)
-            assert exact.exact
-            assert_map_close(make_p_element(float_params(params), misread_phase=misread), exact)
+            assert make_p_element(params, misread_phase=misread).exact
     assert p_jacobian_rank_at_identity(sign) == 13
 
 
