@@ -15,10 +15,18 @@ against the honest complex computation.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
+# numpy only ever sees matrices of size at most 8 here, which OpenBLAS never
+# splits across threads.  Its helper threads still start with numpy and spin
+# for tens of milliseconds, burning CPU beside whatever runs next; keep BLAS
+# single-threaded unless the caller has chosen otherwise.  This takes effect
+# only if numpy is not loaded yet.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import numpy as np  # noqa: E402
 
 from .errors import DomainError, NotAHypersurfacePoint, SpaceError
 from .poly import HermitianPolynomial, RealPolynomial, VariableSpace

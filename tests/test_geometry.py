@@ -1,7 +1,11 @@
 """Membership, Levi forms, tube Hessian shortcut, and line witnesses."""
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -305,3 +309,14 @@ def test_kept_derivatives_leave_equality_hashing_and_immutability_alone():
         for name in ("poly", "_hess", "extra"):
             with pytest.raises(AttributeError):
                 setattr(obj, name, None)
+
+
+@pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through /proc")
+def test_loading_the_package_starts_no_blas_threads():
+    """numpy's BLAS helper threads would spin beside the checks; tubecert keeps BLAS to one thread."""
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(sys.path)
+    code = "import os, tubecert.cli; print(len(os.listdir('/proc/self/task')))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "1"
