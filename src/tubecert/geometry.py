@@ -11,22 +11,20 @@ keeps the counts exactly as computed from the stored rho.
 The Levi form of a tube over a graph x_{n+1} = f(x) is a quarter of the real
 Hessian of f, so tube bases get a real-symmetric shortcut that is cross-checked
 against the honest complex computation.
+
+The float numerics are plain Python on matrices of size at most 8.  Levi
+eigenvalues come from cyclic Jacobi rotations (:func:`_hermitian_eigenvalues`),
+and their signature counts those beyond 1e-9 of the spectral radius.  The
+tube-Hessian signature computes no eigenvalue: it counts them beyond
+c = 1e-9 ||H||_F, a cut no smaller than 1e-9 of the spectral radius, from
+two Bunch-Kaufman LDL^T factorizations (:func:`_inertia`) of H - cI and H + cI.
 """
 
 from __future__ import annotations
 
-import os
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-# numpy only ever sees matrices of size at most 8 here, which OpenBLAS never
-# splits across threads.  Its helper threads still start with numpy and spin
-# for tens of milliseconds, burning CPU beside whatever runs next; keep BLAS
-# single-threaded unless the caller has chosen otherwise.  This takes effect
-# only if numpy is not loaded yet.
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-
-import numpy as np  # noqa: E402
 
 from .errors import DomainError, NotAHypersurfacePoint, SpaceError
 from .poly import HermitianPolynomial, RealPolynomial, VariableSpace
@@ -42,7 +40,8 @@ class Hypersurface:
 
     The first derivatives d rho/dz_j and the mixed second derivatives
     d^2 rho/dz_j dzb_k are differentiated once, on first use, and kept as
-    float polynomials; equality and hashing read only rho.
+    float polynomials (the second ones only where they are not identically
+    zero); equality and hashing read only rho.
     """
 
     __slots__ = ("rho", "space", "_derivs")
@@ -60,11 +59,13 @@ class Hypersurface:
         raise AttributeError("Hypersurface is immutable")
 
     def _derivatives(self):
-        """(gradient, complex Hessian) of rho as float polynomials, built on first use."""
+        """(gradient, nonzero complex Hessian entries (j, k, d)) of rho as float
+        polynomials, built on first use."""
         if self._derivs is None:
             n = self.space.n
             grad = [self.rho.partial(j) for j in range(n)]
-            hess = tuple(tuple(dj.partial(n + k).to_float() for k in range(n)) for dj in grad)
+            hess = tuple((j, k, d.to_float()) for j, dj in enumerate(grad) for k in range(n)
+                         if not (d := dj.partial(n + k)).is_zero())
             object.__setattr__(self, "_derivs", (tuple(dj.to_float() for dj in grad), hess))
         return self._derivs
 
@@ -74,7 +75,11 @@ class Hypersurface:
 
     def complex_hessian_at(self, point) -> list[list[complex]]:
         """The matrix (d^2 rho / d z_j d zb_k) evaluated at the point, as complex."""
-        return [[d.evaluate_complex(point) for d in row] for row in self._derivatives()[1]]
+        n = self.space.n
+        hess = [[0j] * n for _ in range(n)]
+        for j, k, d in self._derivatives()[1]:
+            hess[j][k] = d.evaluate_complex(point)
+        return hess
 
     def __eq__(self, other):
         if not isinstance(other, Hypersurface):
@@ -126,15 +131,124 @@ def side_of(domain: SidedDomain, point) -> str:
     return "inside" if sign == domain.side else "outside"
 
 
-def _signature_from_eigenvalues(eigs: np.ndarray) -> tuple[int, int, int]:
-    radius = float(np.max(np.abs(eigs))) if eigs.size else 0.0
+def _signature_from_eigenvalues(eigs) -> tuple[int, int, int]:
+    radius = max(map(abs, eigs), default=0.0)
     if radius < SPECTRAL_FLOOR:
-        return (0, 0, int(eigs.size))
+        return (0, 0, len(eigs))
     cut = ZERO_EIGENVALUE_RELTOL * radius
-    pos = int(np.sum(eigs > cut))
-    neg = int(np.sum(eigs < -cut))
-    zero = int(eigs.size) - pos - neg
-    return (pos, neg, zero)
+    pos = sum(e > cut for e in eigs)
+    neg = sum(e < -cut for e in eigs)
+    return (pos, neg, len(eigs) - pos - neg)
+
+
+def _hermitian_eigenvalues(a) -> list[float]:
+    """Eigenvalues of a Hermitian matrix (a list of rows), ascending, by cyclic Jacobi.
+
+    Each rotation first makes the (p, q) entry real by a phase on index q and
+    then zeroes it with a real plane rotation.  Rotations skip entries below
+    1e-18 of the Frobenius norm, and the sweeps stop when one rotates nothing,
+    so each eigenvalue is within a few roundings of the norm.
+    """
+    n = len(a)
+    a = [[complex(x) for x in row] for row in a]
+    tiny = 1e-18 * math.sqrt(sum(abs(x) ** 2 for row in a for x in row))
+    pairs = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    for _ in range(100):  # finite input converges in a few sweeps; NaN never would
+        rotated = False
+        for p, q in pairs:
+            b = a[p][q]
+            r = abs(b)
+            if r <= tiny:
+                continue
+            rotated = True
+            phase = b.conjugate() / r
+            app, aqq = a[p][p].real, a[q][q].real
+            theta = (aqq - app) / (2.0 * r)
+            t = 1.0 / (abs(theta) + math.sqrt(theta * theta + 1.0))
+            if theta < 0:
+                t = -t
+            c = 1.0 / math.sqrt(t * t + 1.0)
+            s = t * c
+            a[p][p] = complex(app - t * r)
+            a[q][q] = complex(aqq + t * r)
+            a[p][q] = a[q][p] = 0j
+            for k in range(n):
+                if k != p and k != q:
+                    x, y = a[k][p], a[k][q] * phase
+                    xk, yk = c * x - s * y, s * x + c * y
+                    a[k][p], a[k][q] = xk, yk
+                    a[p][k], a[q][k] = xk.conjugate(), yk.conjugate()
+        if not rotated:
+            break
+    return sorted(a[k][k].real for k in range(n))
+
+
+# Bunch-Kaufman pivot threshold: with it every 2x2 pivot is indefinite.
+_PIVOT_ALPHA = (1.0 + math.sqrt(17.0)) / 8.0
+
+
+def _inertia(a, shift: float = 0.0) -> tuple[int, int, int]:
+    """(positive, negative, zero) eigenvalue counts of A - shift*I, A real symmetric.
+
+    Sylvester's law of inertia: the congruence A = L D L^T keeps the counts,
+    and the block-diagonal D shows them.  Bunch-Kaufman pivoting (Math. Comp.
+    31, 1977) takes a 1x1 pivot, whose sign is one count, unless the diagonal
+    is small against its column; the 2x2 pivot it takes then has a negative
+    determinant and counts one of each.  A pivot column that is exactly zero,
+    or a NaN pivot, counts as a zero.
+    """
+    n = len(a)
+    a = [[float(x) for x in row] for row in a]
+    for i in range(n):
+        a[i][i] -= shift
+    rest = list(range(n))
+    pos = neg = 0
+    while rest:
+        k = rest[0]
+        col = a[k]
+        lam, r = 0.0, k
+        for i in rest[1:]:
+            if abs(col[i]) > lam:
+                lam, r = abs(col[i]), i
+        akk = abs(col[k])
+        if lam == 0.0 and akk == 0.0:
+            rest.remove(k)
+            continue
+        pivots = (k,)
+        if akk < _PIVOT_ALPHA * lam:
+            sigma = max(abs(a[r][j]) for j in rest if j != r)
+            if akk * sigma < _PIVOT_ALPHA * lam * lam:
+                pivots = (r,) if abs(a[r][r]) >= _PIVOT_ALPHA * sigma else (k, r)
+        for p in pivots:
+            rest.remove(p)
+        if len(pivots) == 1:
+            prow = a[pivots[0]]
+            piv = prow[pivots[0]]
+            if piv > 0:
+                pos += 1
+            elif piv < 0:
+                neg += 1
+            for i in rest:
+                f = prow[i] / piv
+                if f:
+                    row = a[i]
+                    for j in rest:
+                        row[j] -= f * prow[j]
+        else:
+            pos += 1
+            neg += 1
+            krow, rrow = a[k], a[r]
+            akk, arr, akr = krow[k], rrow[r], krow[r]
+            det = akk * arr - akr * akr
+            for i in rest:
+                # (u, w) = [a_ik a_ir] B^-1 for the 2x2 pivot block B
+                u = (krow[i] * arr - rrow[i] * akr) / det
+                w = (rrow[i] * akk - krow[i] * akr) / det
+                if u or w:
+                    row = a[i]
+                    for j in rest:
+                        row[j] -= u * krow[j] + w * rrow[j]
+    return (pos, neg, n - pos - neg)
 
 
 @dataclass(frozen=True)
@@ -166,40 +280,55 @@ def levi_form(surface: Hypersurface, point) -> LeviData:
     Builds the complex Hessian (d^2 rho / dz_j dzb_k), restricts it to the
     complex tangent space {v : sum_j (d rho/d z_j) v_j = 0} via a
     Gram-Schmidt basis (deterministic given the point), and reports the
-    eigenvalue signature with a relative zero threshold.
+    signature of its eigenvalues (cyclic Jacobi, :func:`_hermitian_eigenvalues`)
+    with the zero cut at 1e-9 of the spectral radius.
     """
     n = surface.space.n
     pt = [complex(v) for v in point]
-    grad = np.array(surface.gradient_at(pt), dtype=complex)
-    gnorm = float(np.linalg.norm(grad))
+    grad = surface.gradient_at(pt)
+    gnorm = math.sqrt(sum(g.real * g.real + g.imag * g.imag for g in grad))
     if gnorm < 1e-14:
         raise NotAHypersurfacePoint(f"zero gradient at {pt}")
 
-    hess = np.array(surface.complex_hessian_at(pt), dtype=complex)
+    hess = surface.complex_hessian_at(pt)
 
     # The tangent condition sum g_j v_j = 0 says v is Hermitian-orthogonal to
     # conj(grad); project the standard basis off that direction and keep an
     # orthonormal set (modified Gram-Schmidt, deterministic order).
-    u = np.conjugate(grad) / gnorm
-    basis: list[np.ndarray] = []
+    u = [g.conjugate() / gnorm for g in grad]
+    basis: list[list[complex]] = []
     for j in range(n):
-        v = np.zeros(n, dtype=complex)
-        v[j] = 1.0
-        v = v - np.vdot(u, v) * u
+        # e_j minus its component u_j^* u along u
+        cu = u[j].conjugate()
+        v = [-cu * x for x in u]
+        v[j] += 1.0
         for b in basis:
-            v = v - np.vdot(b, v) * b
-        norm = float(np.linalg.norm(v))
+            proj = sum(x.conjugate() * y for x, y in zip(b, v))
+            v = [y - proj * x for x, y in zip(b, v)]
+        norm = math.sqrt(sum(y.real * y.real + y.imag * y.imag for y in v))
         if norm > 1e-10:
-            basis.append(v / norm)
+            basis.append([y / norm for y in v])
         if len(basis) == n - 1:
             break
     if len(basis) != n - 1:
         raise NotAHypersurfacePoint("could not build a tangent basis")
 
-    V = np.column_stack(basis)
-    restricted = V.T @ hess @ np.conjugate(V)
-    restricted = (restricted + np.conjugate(restricted.T)) / 2.0
-    eigs = np.linalg.eigvalsh(restricted)
+    # restricted = V^T hess conj(V), with the basis vectors as the columns of V,
+    # summed over the nonzero Hessian entries only; then its Hermitian part.
+    m = n - 1
+    conj = [[y.conjugate() for y in b] for b in basis]
+    restricted = [[0j] * m for _ in range(m)]
+    for j, row in enumerate(hess):
+        for k, h in enumerate(row):
+            if h:
+                for b, out in zip(basis, restricted):
+                    x = b[j] * h
+                    for c in range(m):
+                        out[c] += x * conj[c][k]
+    eigs = _hermitian_eigenvalues(
+        [[(restricted[i][j] + restricted[j][i].conjugate()) / 2.0 for j in range(m)]
+         for i in range(m)]
+    )
     signed = _signature_from_eigenvalues(eigs)
     pos, neg, zero = signed
     normalized = (max(pos, neg), min(pos, neg), zero)
@@ -207,7 +336,7 @@ def levi_form(surface: Hypersurface, point) -> LeviData:
         point=tuple(pt),
         signature=normalized,
         signature_signed=signed,
-        eigenvalues=tuple(float(e) for e in eigs),
+        eigenvalues=tuple(eigs),
     )
 
 
@@ -216,11 +345,23 @@ def tube_hessian_signature(f: RealPolynomial, xs) -> tuple[int, int, int]:
 
     The Levi form of the tube over x_{n+1} = f(x) is a quarter of this
     Hessian, so the signature here must agree with :func:`levi_form` applied
-    to :func:`lifted_tube` at the corresponding point.
+    to :func:`lifted_tube` at the corresponding point.  Only counts are
+    needed, so no eigenvalue is computed: with the cut c = 1e-9 ||H||_F (at
+    least 1e-9 of the spectral radius), the eigenvalues above c are the
+    positive inertia of H - cI and those below -c the negative inertia of
+    H + cI (:func:`_inertia`).
     """
-    H = np.array(f.hessian_at(xs), dtype=float)
-    eigs = np.linalg.eigvalsh((H + H.T) / 2.0)
-    return _signature_from_eigenvalues(eigs)
+    H = f.hessian_at(xs)
+    n = len(H)
+    sym = [[(H[i][j] + H[j][i]) / 2.0 for j in range(n)] for i in range(n)]
+    frob = math.sqrt(sum(x * x for row in sym for x in row))
+    # ||H||_F <= sqrt(n) * radius, so this floor covers every radius below SPECTRAL_FLOOR.
+    if frob < math.sqrt(n) * SPECTRAL_FLOOR:
+        return (0, 0, n)
+    cut = ZERO_EIGENVALUE_RELTOL * frob
+    pos = _inertia(sym, cut)[0]
+    neg = _inertia(sym, -cut)[1]
+    return (pos, neg, n - pos - neg)
 
 
 def lifted_tube(f: RealPolynomial) -> Hypersurface:

@@ -428,7 +428,8 @@ class RealPolynomial:
     calculus the tube shortcuts need (values and Hessians) and the lift that
     turns a graph x_{n+1} = f(x) into a tube hypersurface in C^{n+1}.  The
     second derivatives are differentiated once, on first use, and kept as
-    float polynomials; equality and hashing read only ``poly``.
+    float polynomials where they are not identically zero; equality and
+    hashing read only ``poly``.
     """
 
     __slots__ = ("poly", "_hess")
@@ -473,13 +474,17 @@ class RealPolynomial:
 
     def hessian_at(self, xs) -> list[list[float]]:
         """Real symmetric Hessian matrix, as floats."""
+        n = self.space.n
         if self._hess is None:
-            n = self.space.n
             rows = (self.poly.partial(i) for i in range(n))
-            hess = tuple(tuple(di.partial(j).to_float() for j in range(n)) for di in rows)
+            hess = tuple((i, j, d.to_float()) for i, di in enumerate(rows) for j in range(n)
+                         if not (d := di.partial(j)).is_zero())
             object.__setattr__(self, "_hess", hess)
         pt = [complex(float(x), 0.0) for x in xs]
-        return [[d.evaluate_complex(pt).real for d in row] for row in self._hess]
+        out = [[0.0] * n for _ in range(n)]
+        for i, j, d in self._hess:
+            out[i][j] = d.evaluate_complex(pt).real
+        return out
 
     def __str__(self):
         # Print with x-names for readability.

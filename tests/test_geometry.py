@@ -29,6 +29,8 @@ from tubecert.errors import NotAHypersurfacePoint
 from tubecert.geometry import (
     Hypersurface,
     SidedDomain,
+    _hermitian_eigenvalues,
+    _inertia,
     contains_complex_line,
     levi_form,
     lifted_tube,
@@ -311,9 +313,163 @@ def test_kept_derivatives_leave_equality_hashing_and_immutability_alone():
                 setattr(obj, name, None)
 
 
+def test_hessians_evaluate_only_the_nonzero_derivatives(monkeypatch):
+    """Identically zero second derivatives are skipped, and the matrices stay equal to a
+    full evaluation of every derivative."""
+    rng = random.Random(105)
+    surfaces, graphs = _derivative_surfaces()
+    sigma = graphs[1]
+    full = {}
+    for surface in surfaces:
+        n = surface.space.n
+        pt = [complex(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(n)]
+        second = [surface.rho.partial(j).partial(n + k) for j in range(n) for k in range(n)]
+        full[surface] = (pt, [[d.evaluate_complex(pt) for d in second[j * n:(j + 1) * n]]
+                              for j in range(n)], second)
+    for f in graphs:
+        n = f.space.n
+        xs = [rng.uniform(-1, 1) for _ in range(n)]
+        pt = [complex(x, 0.0) for x in xs]
+        second = [f.poly.partial(i).partial(j) for i in range(n) for j in range(n)]
+        full[f] = (xs, [[d.evaluate_complex(pt).real for d in second[i * n:(i + 1) * n]]
+                        for i in range(n)], second)
+
+    calls = []
+    evaluate = HermitianPolynomial.evaluate_complex
+
+    def counted(self, point):
+        calls.append(self)
+        return evaluate(self, point)
+
+    monkeypatch.setattr(HermitianPolynomial, "evaluate_complex", counted)
+    nonzero = {}
+    for obj, (pt, want, second) in full.items():
+        calls.clear()
+        got = obj.complex_hessian_at(pt) if obj in surfaces else obj.hessian_at(pt)
+        assert got == want
+        assert all(not d.is_zero() for d in calls)
+        assert len(calls) == sum(not d.is_zero() for d in second)
+        nonzero[obj] = (len(calls), len(second))
+    assert nonzero[surfaces[0]] == (4, 16)  # M_plus
+    assert nonzero[surfaces[1]] == (6, 16)  # a gamma tube
+    assert nonzero[sigma] == (21, 49)
+
+
+# -- the float eigenvalue and inertia routines, against numpy ----------------
+
+ORACLE_KINDS = ("random", "repeated", "zero", "rank-deficient", "zero-diagonal")
+
+
+def _oracle_matrix(gen, n, kind, hermitian):
+    """A seeded symmetric (or Hermitian) matrix of size n of the given kind."""
+
+    def draw(rows, cols):
+        m = gen.normal(size=(rows, cols))
+        return m + 1j * gen.normal(size=(rows, cols)) if hermitian else m
+
+    if kind == "zero":
+        return np.zeros((n, n), dtype=complex if hermitian else float)
+    if kind == "repeated":
+        q, _ = np.linalg.qr(draw(n, n))
+        d = gen.choice([-2.0, 0.0, 1.0], size=n)  # at most three distinct values
+        m = q @ np.diag(d) @ q.conj().T
+    elif kind == "rank-deficient":
+        b = draw(n, max(n - 2, 1))
+        m = b @ np.diag(gen.choice([-1.0, 1.0], size=b.shape[1])) @ b.conj().T
+    else:
+        m = draw(n, n)
+        m = m + m.conj().T
+        if kind == "zero-diagonal":
+            np.fill_diagonal(m, 0.0)
+    return (m + m.conj().T) / 2
+
+
+@pytest.mark.parametrize("hermitian", [True, False], ids=["hermitian", "real"])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_jacobi_eigenvalues_match_numpy(n, hermitian):
+    gen = np.random.default_rng(1000 * n + hermitian)
+    for kind in ORACLE_KINDS:
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            for _ in range(3):
+                m = _oracle_matrix(gen, n, kind, hermitian) * scale
+                want = np.linalg.eigvalsh(m)
+                got = _hermitian_eigenvalues(m.tolist())
+                radius = float(np.max(np.abs(want)))
+                assert len(got) == n and got == sorted(got)
+                assert np.max(np.abs(np.array(got) - want)) <= 1e-12 * radius, (kind, scale)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inertia_counts_match_numpy_at_the_cut(n):
+    gen = np.random.default_rng(2000 + n)
+    for kind in ORACLE_KINDS:
+        for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+            for _ in range(3):
+                m = _oracle_matrix(gen, n, kind, False) * scale
+                eigs = np.linalg.eigvalsh(m)
+                cut = 1e-9 * float(np.linalg.norm(m))
+                want = (int(np.sum(eigs > cut)), int(np.sum(eigs < -cut)))
+                rows = m.tolist()
+                assert (_inertia(rows, cut)[0], _inertia(rows, -cut)[1]) == want, (kind, scale)
+                if kind in ("random", "zero-diagonal"):  # nonsingular: the plain counts too
+                    zero = n - int(np.sum(eigs > 0)) - int(np.sum(eigs < 0))
+                    assert _inertia(rows) == (int(np.sum(eigs > 0)), int(np.sum(eigs < 0)), zero)
+
+
+def test_tube_hessian_cut_counts_what_numpy_counts():
+    """tube_hessian_signature reads the counts numpy's eigenvalues give at 1e-9 ||H||_F."""
+    rng = random.Random(106)
+    for f in [gamma_graph(Fraction(2, 3)), cayley_graph()] + [
+        make_sigma_surface(s) for s in (1.0, 2.5, 33.9)
+    ]:
+        for _ in range(10):
+            x = [rng.uniform(-2, 2) for _ in range(f.space.n)]
+            h = np.array(f.hessian_at(x))
+            eigs = np.linalg.eigvalsh((h + h.T) / 2)
+            cut = 1e-9 * float(np.linalg.norm((h + h.T) / 2))
+            pos, neg = int(np.sum(eigs > cut)), int(np.sum(eigs < -cut))
+            assert tube_hessian_signature(f, x) == (pos, neg, f.space.n - pos - neg)
+
+
+def test_signatures_of_degenerate_hessians():
+    sp = VariableSpace(3)
+    x1, x2 = (HermitianPolynomial.variable(sp, i) for i in range(2))
+    assert tube_hessian_signature(RealPolynomial(x1 * x2), [0.0] * 3) == (1, 1, 1)
+    assert tube_hessian_signature(RealPolynomial(x1 ** 3 - x2 ** 2), [0.0] * 3) == (0, 1, 2)
+    assert tube_hessian_signature(RealPolynomial(x1 + x2), [1.0] * 3) == (0, 0, 3)
+
+
+LEVI_WITHOUT_NUMPY = """\
+id = levi-plus
+kind = levi
+target = M_plus
+seed = 1
+param.samples = 5
+
+id = levi-sigma
+kind = levi
+target = sigma(sigma=2)
+seed = 2
+param.points = 5
+"""
+
+
+def test_levi_checks_run_without_numpy():
+    """Levi forms and tube-Hessian signatures are tubecert's own: numpy is a test-only oracle."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = (
+        "import sys, tubecert.cli as cli\n"
+        f"results = cli.run_suite(cli.parse_config({LEVI_WITHOUT_NUMPY!r}))\n"
+        "print([r.status for r in results], 'numpy' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "['pass', 'pass'] False"
+
+
 @pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="counts threads through /proc")
 def test_loading_the_package_starts_no_blas_threads():
-    """numpy's BLAS helper threads would spin beside the checks; tubecert keeps BLAS to one thread."""
+    """A BLAS helper thread would spin beside the checks; loading tubecert starts none."""
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env["PYTHONPATH"] = os.pathsep.join(sys.path)
     code = "import os, tubecert.cli; print(len(os.listdir('/proc/self/task')))"
