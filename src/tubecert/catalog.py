@@ -305,7 +305,7 @@ P_MONOMIALS = ((0,) * 8, *(SPACE4.unit(i) for i in range(4)), _mono(SPACE4, z1=2
 def _p_values(params: PParams) -> list:
     """The arguments of :func:`_p_rows` after ``eps``, as Q(i) scalars."""
     q, phi, psi, rho, sigma, tau, b, d = (
-        to_tower(x, True)
+        to_tower(x)
         for x in (params.q, params.phi_phase, params.psi_phase, params.rho, params.sigma,
                   params.tau, params.b, params.d)
     )
@@ -696,22 +696,21 @@ def make_quadric_domain(p: int, n: int, side: str) -> SidedDomain:
 def quadric_transitive_map(p: int, n: int, a, b, c) -> HoloPolyMap:
     """z |-> a z + b, last |-> 2 a H(z, conj b) + a^2 last + H(b, conj b) + i c.
 
-    Exact when a, c and every b_j are exact, on the floating tower otherwise.
+    a and c are rational and the b_j Gaussian rationals; a float is a TypeError.
     """
     fam = QuadricFamily(p, n)
     space = quadric_space(n)
-    exact = is_exact([a, c, *b])
-    a, c = (as_rational(x) if exact else float(x) for x in (a, c))
+    a, c = as_rational(a), as_rational(c)
     if a == 0:
         raise DomainError("scale a must be nonzero")
-    b = [to_tower(x, exact) for x in b]
+    b = [to_tower(x) for x in b]
     b_bar = [x.conjugate() for x in b]
     const = (0,) * (2 * space.n)
-    comps = [HermitianPolynomial(space, {space.unit(j): a, const: b[j]}, exact) for j in range(n)]
-    last = {space.unit(n): a * a, const: fam.form(b, b_bar) + to_tower(I, exact) * c}
+    comps = [HermitianPolynomial(space, {space.unit(j): a, const: b[j]}) for j in range(n)]
+    last = {space.unit(n): a * a, const: fam.form(b, b_bar) + I * c}
     for j, e in enumerate(fam.eps):
         last[space.unit(j)] = b_bar[j] * (2 * a * e)
-    return HoloPolyMap(space, space, comps + [HermitianPolynomial(space, last, exact)])
+    return HoloPolyMap(space, space, comps + [HermitianPolynomial(space, last)])
 
 
 def quadric_base_point(p: int, n: int, side: str):
@@ -723,13 +722,16 @@ class QuadricTransitivityResult:
     a: object
     b: tuple
     c: object
-    exact: bool
 
 
 def quadric_transitive_params(p: int, n: int, side: str, target) -> QuadricTransitivityResult:
-    """Solve for (a, b, c) carrying the base point to a target strictly inside."""
+    """Solve exactly for (a, b, c) carrying the base point to a target strictly inside.
+
+    The scale a is the rational square root of a^2, read off the target; a
+    target whose a^2 is not a rational square is a DomainError.
+    """
     sign = _side_sign(side)
-    vals = [to_tower(v, True) for v in target]
+    vals = [to_tower(v) for v in target]
     b = tuple(vals[:n])
     hbb = QuadricFamily(p, n).form(b, [x.conjugate() for x in b]).re
     x_last = vals[n].re
@@ -738,9 +740,9 @@ def quadric_transitive_params(p: int, n: int, side: str, target) -> QuadricTrans
     if a2 <= 0:
         raise DomainError(f"target is not strictly inside the '{side}' side")
     a = sqrt_exact(a2)
-    if a is not None:
-        return QuadricTransitivityResult(a, b, c, True)
-    return QuadricTransitivityResult(math.sqrt(float(a2)), b, c, False)
+    if a is None:
+        raise DomainError(f"a^2 = {a2} is not the square of a rational")
+    return QuadricTransitivityResult(a, b, c)
 
 
 def quadric_tube_surface(p: int, n: int) -> Hypersurface:

@@ -27,7 +27,7 @@ from . import exactla, lie
 from .errors import DomainError, SpaceError
 from .maps import HoloPolyMap, pullback
 from .poly import HermitianPolynomial, VariableSpace
-from .scalars import is_exact, to_tower
+from .scalars import to_tower
 
 
 class HermitianForm:
@@ -39,7 +39,7 @@ class HermitianForm:
     __slots__ = ("h", "g", "m")
 
     def __init__(self, rows):
-        h = tuple(tuple(to_tower(x, True) for x in row) for row in rows)
+        h = tuple(tuple(to_tower(x) for x in row) for row in rows)
         m = len(h)
         if any(len(row) != m for row in h):
             raise SpaceError("form matrix must be square")
@@ -100,17 +100,12 @@ def trace_op(p: HermitianPolynomial, form: HermitianForm) -> HermitianPolynomial
     if p.space.n < form.m:
         raise SpaceError("polynomial space smaller than the form")
     n = p.space.n
-    total = HermitianPolynomial.zero(p.space, p.exact)
+    total = HermitianPolynomial.zero(p.space)
     for a in range(form.m):
         for b in range(form.m):
             gab = form.g[a][b]
-            if gab.is_zero():
-                continue
-            term = p.partial(a).partial(n + b)
-            if p.exact:
-                total = total + term * gab
-            else:
-                total = total + term * complex(gab)
+            if not gab.is_zero():
+                total = total + p.partial(a).partial(n + b) * gab
     return total
 
 
@@ -183,36 +178,27 @@ def umbilicity_at_origin(s: NormalFormSurface) -> UmbilicityReport:
 class ScalingReport:
     form_preserved: bool
     relation_holds: bool
-    max_abs_residual: float
 
 
-def linear_scaling_check(
-    s: NormalFormSurface, U, lam, tol: float = 1e-9
-) -> ScalingReport:
-    """Check F_(2,2)(U z, conj(U z)) = (1/lam^2) F_(2,2)(z, zb) for lam > 0.
+def linear_scaling_check(s: NormalFormSurface, U, lam) -> ScalingReport:
+    """Check F_(2,2)(U z, conj(U z)) = (1/lam^2) F_(2,2)(z, zb) for lam > 0, exactly.
 
-    U must preserve the surface's Hermitian form (checked first, exactly on
-    the exact tower or within 1e-10 on floats).  This is the necessary
-    condition every linear isotropy of a non-umbilic normal-form surface
-    satisfies.
+    U's entries and lam must be exact (int, Fraction, GaussianRational or a
+    unimodular phase); a float is a TypeError.  Whether U preserves the
+    surface's Hermitian form is reported beside the relation.  This is the
+    necessary condition every linear isotropy of a non-umbilic normal-form
+    surface satisfies.
     """
-    m = s.form.m
-    space = VariableSpace(m)
-    exact = is_exact(x for row in U for x in row)
-    comps = []
-    for row in U:
-        terms = {space.unit(j): to_tower(x, exact) for j, x in enumerate(row)}
-        comps.append(HermitianPolynomial(space, terms, exact))
+    space = VariableSpace(s.form.m)
+    comps = [
+        HermitianPolynomial(space, {space.unit(j): to_tower(x) for j, x in enumerate(row)})
+        for row in U
+    ]
     umap = HoloPolyMap(space, space, comps)
     form_poly, f22 = s.form.poly(space), s.component(2, 2)
-    if not exact:
-        form_poly, f22 = form_poly.to_float(), f22.to_float()
     form_res = pullback(form_poly, umap) - form_poly
-    residual = pullback(f22, umap) - f22 * (to_tower(1, exact) / to_tower(lam, exact) ** 2)
-    err = residual.max_abs_coefficient()
-    if exact:
-        return ScalingReport(form_res.is_zero(), residual.is_zero(), err)
-    return ScalingReport(form_res.max_abs_coefficient() <= 1e-10, err <= tol, err)
+    residual = pullback(f22, umap) - f22 * (1 / to_tower(lam) ** 2)
+    return ScalingReport(form_res.is_zero(), residual.is_zero())
 
 
 def model_normal_form(sign: str) -> NormalFormSurface:

@@ -109,7 +109,7 @@ def _cleared(rows):
     m, dens = [], []
     if GaussianRational in kinds:
         if len(kinds) > 1:
-            rows = [[to_tower(x, True) for x in row] for row in rows]
+            rows = [[to_tower(x) for x in row] for row in rows]
         for row in rows:
             d = math.lcm(*[x._d for x in row])
             if d == 1:

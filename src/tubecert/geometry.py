@@ -412,8 +412,9 @@ def contains_complex_line(domain: SidedDomain, base, direction) -> LineWitness:
     """Check that the affine complex line base + t*direction lies in the domain.
 
     Membership is sampled at the magnitudes |t| in {0, 1, 1e3, 1e6} (on two
-    rays), and the restriction of rho to the line is analyzed symbolically for
-    an exact all-of-line certificate.
+    rays), and the restriction of rho to the line is computed exactly and
+    graded for an all-of-line certificate.  rho, base and direction must be
+    exact; a float coordinate is a TypeError.
     """
     n = domain.surface.space.n
     if len(base) != n or len(direction) != n:
@@ -421,16 +422,13 @@ def contains_complex_line(domain: SidedDomain, base, direction) -> LineWitness:
     if all(v == 0 for v in direction):
         raise DomainError("line direction must be nonzero")
 
-    # Symbolic restriction to the line, in one holomorphic variable t: exact
-    # when rho and the line are, on the floating tower otherwise.
-    exact = domain.rho.exact and is_exact([*base, *direction])
-    rho = domain.rho if exact else domain.rho.to_float()
+    # Exact restriction to the line, in one holomorphic variable t.
     line_space = VariableSpace(1)
-    images = []
-    for b, d in zip(base, direction):
-        terms = {(0, 0): to_tower(b, exact), (1, 0): to_tower(d, exact)}
-        images.append(HermitianPolynomial(line_space, terms, exact))
-    restriction = rho.substitute(images + [img.conjugate() for img in images])
+    images = [
+        HermitianPolynomial(line_space, {(0, 0): to_tower(b), (1, 0): to_tower(d)})
+        for b, d in zip(base, direction)
+    ]
+    restriction = domain.rho.substitute(images + [img.conjugate() for img in images])
 
     grade = _grade_restriction(restriction, domain.side)
 
@@ -457,44 +455,25 @@ def contains_complex_line(domain: SidedDomain, base, direction) -> LineWitness:
 
 
 def _grade_restriction(restriction: HermitianPolynomial, side: int) -> str:
+    """'constant' or 'definite' when every term of the restriction is a real
+    multiple of |t|^(2k) with the domain's sign and the constant term is among
+    them (the only one for 'constant'); 'sampled' otherwise."""
     terms = restriction.terms
-    const_key = (0, 0)
-    if restriction.exact:
-        if not terms:
-            return "sampled"  # rho == 0 on the line: the line is in the boundary
-        if set(terms) == {const_key}:
-            c = terms[const_key]
-            if c.is_real() and (1 if c.re > 0 else -1) == side:
-                return "constant"
-            return "sampled"
-        ok = True
-        has_const = False
-        for (a, b), c in terms.items():
-            if a != b or not c.is_real():
-                ok = False
-                break
-            if (a, b) == const_key:
-                has_const = True
-                if (1 if c.re > 0 else -1) != side:
-                    ok = False
-                    break
-            elif c.re != 0 and (1 if c.re > 0 else -1) != side:
-                ok = False
-                break
-        if ok and has_const:
-            return "definite"
+    if (0, 0) not in terms or not all(
+        a == b and c.is_real() and (c.re > 0) == (side > 0) for (a, b), c in terms.items()
+    ):
         return "sampled"
-    return "sampled"
+    return "constant" if len(terms) == 1 else "definite"
 
 
 def solve_graph_re_last(rho: HermitianPolynomial, zprime):
     """On a surface whose rho is linear in Re z_n, solve for Re z_n given z_1..z_{n-1}.
 
     Works for all catalog surfaces (their last variable enters only through
-    Re z_n with a real coefficient).  Exact when inputs are exact.
+    Re z_n with a real coefficient).  Exact; the z_j must be exact values.
     """
     n = rho.space.n
-    vals = [to_tower(v, True) for v in zprime]
+    vals = [to_tower(v) for v in zprime]
     if len(vals) != n - 1:
         raise SpaceError(f"need {n - 1} leading coordinates")
     # rho = alpha * z_n + conj(alpha) * zb_n + rest(z', zb')
@@ -502,19 +481,9 @@ def solve_graph_re_last(rho: HermitianPolynomial, zprime):
     alpha = rho.coefficient(lin_key)
     if alpha.is_zero() or not alpha.is_real():
         raise DomainError("surface is not a graph in Re z_n")
-    rest = GaussianRational(0)
-    for e, c in rho.terms.items():
-        if e[n - 1] or e[2 * n - 1]:
-            if sum(e) != 1:
-                raise DomainError("rho is not linear in the last variable")
-            continue
-        term = c
-        for i in range(n - 1):
-            if e[i]:
-                term = term * vals[i] ** e[i]
-            if e[n + i]:
-                term = term * vals[i].conjugate() ** e[n + i]
-        rest = rest + term
+    if any((e[n - 1] or e[2 * n - 1]) and sum(e) != 1 for e in rho.terms):
+        raise DomainError("rho is not linear in the last variable")
+    rest = rho.evaluate(vals + [0])
     if not rest.is_real():
         raise DomainError("non-real residual evaluating the graph equation")
     # alpha * 2 * Re z_n + rest = 0

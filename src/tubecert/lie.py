@@ -31,7 +31,7 @@ Mat3 = tuple  # 3x3 nested tuples of GaussianRational
 def mat(rows) -> Mat3:
     out = []
     for row in rows:
-        out.append(tuple(to_tower(x, True) for x in row))
+        out.append(tuple(to_tower(x) for x in row))
     if len(out) != 3 or any(len(r) != 3 for r in out):
         raise DomainError("need a 3x3 matrix")
     return tuple(out)
@@ -55,7 +55,7 @@ def msub(X: Mat3, Y: Mat3) -> Mat3:
 
 
 def mscale(X: Mat3, c) -> Mat3:
-    c = to_tower(c, True)
+    c = to_tower(c)
     return tuple(tuple(a * c for a in row) for row in X)
 
 
@@ -168,7 +168,7 @@ def combine(coords, basis) -> Mat3:
     """The matrix sum of coords[k] * basis[k], over the nonzero coordinates and entries."""
     X = [list(row) for row in ZERO3]
     for coeff, e in zip(coords, basis):
-        c = to_tower(coeff, True)
+        c = to_tower(coeff)
         if c.is_zero():
             continue
         for r, row in enumerate(e):
@@ -312,7 +312,7 @@ def stabilizer_up_to_scale_dim(v) -> int:
     (Xv, v), which is real-linear in X, so the dimension is an exact kernel
     computation over the rationals.
     """
-    vv = tuple(to_tower(x, True) for x in v)
+    vv = tuple(to_tower(x) for x in v)
     if all(x.is_zero() for x in vv):
         raise DomainError("stabilizer of the zero vector is undefined")
     images = [_pair_minors(apply_vec(B, vv), vv) for B in su21_basis()]
@@ -354,7 +354,7 @@ def line_image_test(S: LieSubspace, w) -> bool:
     multiples of (0, 1, 0): that line is the algebra's only common
     eigenvector direction, which is what pins the group's connected pieces.
     """
-    ww = tuple(to_tower(x, True) for x in w)
+    ww = tuple(to_tower(x) for x in w)
     if all(x.is_zero() for x in ww):
         raise DomainError("the zero vector spans no line")
     for B in S.basis:

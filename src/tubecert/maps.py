@@ -140,11 +140,9 @@ class HoloPolyMap:
         return self.components[0].exact
 
     @staticmethod
-    def identity(space: VariableSpace, exact: bool = True) -> "HoloPolyMap":
+    def identity(space: VariableSpace) -> "HoloPolyMap":
         return HoloPolyMap(
-            space,
-            space,
-            [HermitianPolynomial.variable(space, i, exact) for i in range(space.n)],
+            space, space, [HermitianPolynomial.variable(space, i) for i in range(space.n)]
         )
 
     def apply(self, point) -> list:
@@ -241,9 +239,8 @@ class InvarianceCertificate:
 
     @property
     def factor_is_positive_real(self) -> bool:
-        if isinstance(self.factor, GaussianRational):
-            return self.factor.is_real() and self.factor.re > 0
-        return abs(self.factor.imag) <= 1e-12 * max(1.0, abs(self.factor)) and self.factor.real > 0
+        """True when the exact factor is a positive rational."""
+        return self.factor.is_real() and self.factor.re > 0
 
     def within(self, tol: float) -> bool:
         """Floating-path acceptance: residual coefficients all below tol."""

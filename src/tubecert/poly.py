@@ -10,7 +10,9 @@ Coefficients come in two towers that never mix silently:
 
 * exact  -- :class:`~tubecert.scalars.GaussianRational` (the default);
 * float  -- Python ``complex``, entered only via :meth:`HermitianPolynomial.to_float`
-  or by constructing explicitly with ``exact=False``.
+  or by constructing explicitly with ``exact=False``.  Its traffic is the
+  irrational sigma graphs, the printed maps and the Levi numerics; every
+  zero-residual certificate is computed on the exact tower.
 
 Real-valued polynomials (defining functions) are those fixed by conjugation;
 ``Re z_k`` is represented as (z_k + zb_k)/2 so every defining function is an
@@ -465,11 +467,8 @@ class RealPolynomial:
     def __hash__(self):
         return hash(("real", self.poly))
 
-    def evaluate_real(self, xs):
-        """Evaluate at a real point; exact when the polynomial and point are."""
-        if self.exact and all(isinstance(x, (int, Fraction)) for x in xs):
-            v = self.poly.evaluate([GaussianRational(as_rational(x)) for x in xs])
-            return v.re
+    def evaluate_real(self, xs) -> float:
+        """Evaluate at a real point, as a float."""
         return self.poly.evaluate_complex([complex(float(x), 0.0) for x in xs]).real
 
     def hessian_at(self, xs) -> list[list[float]]:

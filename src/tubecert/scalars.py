@@ -9,8 +9,8 @@ e^{i*angle}, and the few floating helpers used when a value has no exact
 representative (fourth roots, irrational scale factors).
 
 The two scalar towers never mix silently: conversion from the exact tower to
-floats is explicit and one-way (``complex(w)`` or :func:`to_tower`).  The
-floating tower is just Python ``complex`` / ``float``.
+floats is explicit and one-way (``complex(w)``), and :func:`to_tower` admits
+exact values only.  The floating tower is just Python ``complex`` / ``float``.
 """
 
 from __future__ import annotations
@@ -239,15 +239,13 @@ def is_exact(values) -> bool:
     return all(isinstance(v, (int, Fraction, GaussianRational)) for v in values)
 
 
-def to_tower(x, exact: bool):
-    """x as a scalar of the exact tower (GaussianRational) or the float tower (complex).
+def to_tower(x) -> GaussianRational:
+    """x as a scalar of the exact tower: a GaussianRational.
 
-    Both scalar types support ``+``, ``-``, ``*``, ``/`` and ``conjugate()``,
-    so a formula written once over them serves both towers.  A unimodular
-    phase enters as its value.
+    Takes an int, a Fraction, a rational string, a GaussianRational or a
+    unimodular phase (which enters as its value); a float or complex is a
+    TypeError.
     """
-    if not exact:
-        return complex(x)
     if isinstance(x, UnimodularPhase):
         return x.value
     return x if isinstance(x, GaussianRational) else GaussianRational(x)

@@ -569,7 +569,7 @@ def test_quadric_action_certificates():
 def test_quadric_transitivity_example():
     # one-variable case: target (0, 4) needs b=0, a=2, c=0
     sol = quadric_transitive_params(1, 1, ">", [GaussianRational(0), GaussianRational(4)])
-    assert sol.exact and sol.a == 2 and sol.c == 0
+    assert sol.a == 2 and sol.c == 0
     assert all(x.is_zero() for x in sol.b)
     image = quadric_transitive_map(1, 1, sol.a, list(sol.b), sol.c).apply(
         quadric_base_point(1, 1, ">")
@@ -577,6 +577,8 @@ def test_quadric_transitivity_example():
     assert image == [GaussianRational(0), GaussianRational(4)]
     with pytest.raises(DomainError):
         quadric_transitive_params(1, 1, ">", [GaussianRational(0), GaussianRational(0)])
+    with pytest.raises(DomainError, match="not the square of a rational"):
+        quadric_transitive_params(1, 1, ">", [GaussianRational(0), GaussianRational(2)])
 
 
 def test_quadric_transitivity_random_draws():
@@ -589,7 +591,6 @@ def test_quadric_transitivity_random_draws():
             c = frac(rng)
             target = quadric_transitive_map(p, n, a, b, c).apply(base)
             sol = quadric_transitive_params(p, n, side, target)
-            assert sol.exact
             image = quadric_transitive_map(p, n, sol.a, list(sol.b), sol.c).apply(base)
             assert image == target
 

@@ -167,20 +167,6 @@ def test_linear_scaling_identity_phase_and_negative_control():
     assert rep_bad.form_preserved and not rep_bad.relation_holds
 
 
-def test_linear_scaling_float_path():
-    surface = model_normal_form("+")
-    theta = 0.7
-    import cmath
-
-    U = (
-        (cmath.exp(1j * theta), 0j, 0j),
-        (0j, cmath.exp(1j * theta), 0j),
-        (0j, 0j, 1 + 0j),
-    )
-    rep = linear_scaling_check(surface, U, 1.0)
-    assert rep.form_preserved and rep.relation_holds
-
-
 @pytest.mark.parametrize("build", [model_normal_form, model_surface])
 def test_unknown_model_sign_is_rejected(build):
     with pytest.raises(DomainError, match="sign must be"):

@@ -29,6 +29,7 @@ from tubecert.errors import NotAHypersurfacePoint
 from tubecert.geometry import (
     Hypersurface,
     SidedDomain,
+    _grade_restriction,
     _hermitian_eigenvalues,
     _inertia,
     contains_complex_line,
@@ -188,6 +189,65 @@ def test_line_witness_definite_grade_and_failure():
     assert not w2.inside_at_all_samples
     assert w2.grade == "sampled"
     assert w2.first_failure is not None and abs(w2.first_failure) >= 1.0
+
+
+def _reference_grade(restriction, side):
+    """The term-by-term grading loop that the one-rule grade replaced."""
+    terms = restriction.terms
+    const_key = (0, 0)
+    if not terms:
+        return "sampled"
+    if set(terms) == {const_key}:
+        c = terms[const_key]
+        if c.is_real() and (1 if c.re > 0 else -1) == side:
+            return "constant"
+        return "sampled"
+    ok = True
+    has_const = False
+    for (a, b), c in terms.items():
+        if a != b or not c.is_real():
+            ok = False
+            break
+        if (a, b) == const_key:
+            has_const = True
+            if (1 if c.re > 0 else -1) != side:
+                ok = False
+                break
+        elif c.re != 0 and (1 if c.re > 0 else -1) != side:
+            ok = False
+            break
+    if ok and has_const:
+        return "definite"
+    return "sampled"
+
+
+_LINE = VariableSpace(1)
+_T, _TB = HermitianPolynomial.variable(_LINE, 0), HermitianPolynomial.variable(_LINE, 1)
+_ONE = HermitianPolynomial.constant(_LINE, 1)
+_ABS2 = _T * _TB
+
+
+@pytest.mark.parametrize(
+    "restriction, side, grade",
+    [
+        (HermitianPolynomial.zero(_LINE), 1, "sampled"),
+        (_ONE * -2, 1, "sampled"),
+        (_ONE * GaussianRational(1, 1), 1, "sampled"),
+        (_ONE + _ABS2 + _T * _TB**2, 1, "sampled"),
+        (_ABS2 * 3, 1, "sampled"),
+        (_ONE + _ABS2 - _ABS2**2, 1, "sampled"),
+        (_ABS2 - _ONE, -1, "sampled"),
+        (_ONE * 3, 1, "constant"),
+        (_ONE * Fraction(-1, 2), -1, "constant"),
+        (_ONE + _ABS2 * 2 + _ABS2**2, 1, "definite"),
+        (-_ONE - _ABS2 * Fraction(1, 3), -1, "definite"),
+    ],
+    ids=["zero", "wrong-sign-constant", "non-real-constant", "off-diagonal-term",
+         "no-constant-term", "mixed-sign-abs2", "mixed-sign-below", "constant-above",
+         "constant-below", "definite-above", "definite-below"],
+)
+def test_grade_restriction_matches_the_term_loop(restriction, side, grade):
+    assert _grade_restriction(restriction, side) == grade == _reference_grade(restriction, side)
 
 
 def test_all_stated_lines_certify():

@@ -1,8 +1,12 @@
-"""Each catalog formula is written once for both scalar towers.
+"""Where the two scalar towers meet.
 
-Seeded rational draws go through the exact path and, converted to floats,
-through the float path of the same function; the float result must match
-``complex(...)`` of the exact one within 1e-12 of its magnitude.
+Two formulas still serve both towers: :func:`catalog.transitive_params_omega`
+(exact parameters for exact targets whose graph defect is a fourth power,
+floats otherwise) and the printed maps, which scale a rational map by the
+fourth roots of its radicands.  Seeded rational draws go through the exact
+path and, converted to floats, through the float path; the float result must
+match ``complex(...)`` of the exact one within 1e-12 of its magnitude.  The
+routines that only exact data reach reject float input with a TypeError.
 """
 
 import random
@@ -10,12 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from tubecert import catalog, chern_moser, geometry
+from tubecert import catalog, chern_moser, geometry, lie
 from tubecert.catalog import (
     BASE_POINT,
-    PParams,
     composed_generator,
-    make_isotropy_matrix,
     make_p_element,
     p_jacobian_rank_at_identity,
     quadric_transitive_map,
@@ -34,17 +36,6 @@ def close(got, want) -> bool:
     return abs(complex(got) - want) <= TOL * max(1.0, abs(want))
 
 
-def assert_poly_close(got, want):
-    assert not got.exact and want.exact
-    for exps in set(got.terms) | set(want.terms):
-        assert close(got.coefficient(exps), want.coefficient(exps)), exps
-
-
-def assert_map_close(got, want):
-    for g, w in zip(got.components, want.components, strict=True):
-        assert_poly_close(g, w)
-
-
 @pytest.mark.parametrize("sign", "+-")
 def test_p_element_towers_agree(sign):
     """The P group lives on the exact tower only; its formula on complex values
@@ -55,19 +46,6 @@ def test_p_element_towers_agree(sign):
         for misread in (False, True):
             assert make_p_element(params, misread_phase=misread).exact
     assert p_jacobian_rank_at_identity(sign) == 13
-
-
-def test_quadric_transitive_map_towers_agree():
-    rng = random.Random(303)
-    for p, n in ((1, 1), (1, 2), (2, 3), (5, 7)):
-        for _ in range(10):
-            a = random_fraction(rng) or Fraction(1)
-            b = [random_gaussian(rng) for _ in range(n)]
-            c = random_fraction(rng)
-            exact = quadric_transitive_map(p, n, a, b, c)
-            assert exact.exact
-            floats = quadric_transitive_map(p, n, float(a), [complex(x) for x in b], float(c))
-            assert_map_close(floats, exact)
 
 
 def test_transitive_params_omega_towers_agree():
@@ -87,47 +65,30 @@ def test_transitive_params_omega_towers_agree():
     assert not sol.exact and close(sol.q**4, 2)
 
 
-def test_contains_complex_line_towers_agree():
-    rng = random.Random(305)
-    draws = [(ident, base, line) for ident, (base, line, _) in catalog.stated_lines().items()]
-    for _ in range(10):
-        draws.append((
-            "D_plus(side=>)",
-            [random_gaussian(rng) for _ in range(4)],
-            [random_gaussian(rng) for _ in range(4)],
-        ))
-    for ident, base, direction in draws:
-        domain = catalog.resolve(ident).obj
-        exact = geometry.contains_complex_line(domain, base, direction)
-        floats = geometry.contains_complex_line(
-            domain, [complex(x) for x in base], [complex(x) for x in direction]
-        )
-        assert exact.restriction.exact
-        assert_poly_close(floats.restriction, exact.restriction)
-        assert floats.inside_at_all_samples == exact.inside_at_all_samples
-        assert floats.grade == "sampled"
+def _float_line():
+    base, direction, _ = catalog.stated_line("D_plus(side=>)")
+    domain = catalog.resolve("D_plus(side=>)").obj
+    geometry.contains_complex_line(
+        domain, [complex(x) for x in base], [complex(x) for x in direction]
+    )
 
 
-def test_linear_scaling_check_towers_agree():
-    rng = random.Random(306)
-    g = catalog.GaussianRational
-    surface = chern_moser.model_normal_form("+")
-    cases = [(((g(2), g(0), g(0)), (g(0), g(1, 2), g(0)), (g(0), g(0), g(1))), Fraction(1))]
-    for _ in range(10):
-        p = random_p_params(rng, "+")
-        params = PParams("+", p.q, p.phi_phase, p.psi_phase, Fraction(0),
-                         g(0), g(0), g(0), p.b, p.d).validate()
-        cases.append((make_isotropy_matrix(params), p.q**2))
-        cases.append((make_isotropy_matrix(params), p.q))
-    for U, lam in cases:
-        exact = chern_moser.linear_scaling_check(surface, U, lam)
-        floats = chern_moser.linear_scaling_check(
-            surface, [[complex(x) for x in row] for row in U], float(lam)
-        )
-        assert (floats.form_preserved, floats.relation_holds) == (
-            exact.form_preserved, exact.relation_holds
-        )
-        assert close(floats.max_abs_residual, exact.max_abs_residual)
+def _float_scaling():
+    U = [[complex(x) for x in row] for row in lie.IDENTITY3]
+    chern_moser.linear_scaling_check(chern_moser.model_normal_form("+"), U, 1.0)
+
+
+def _float_quadric_map():
+    quadric_transitive_map(1, 2, 0.5, [complex(1, 2), 0j], 0.25)
+
+
+@pytest.mark.parametrize(
+    "call", [_float_line, _float_scaling, _float_quadric_map],
+    ids=["contains_complex_line", "linear_scaling_check", "quadric_transitive_map"],
+)
+def test_float_input_to_exact_routines_is_a_type_error(call):
+    with pytest.raises(TypeError):
+        call()
 
 
 @pytest.mark.parametrize(
