@@ -25,10 +25,12 @@ caught by certificates instead of being hidden by hand algebra.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import mul
 
 from . import exactla, lie
 from .chern_moser import pairing_form, sign_to_eps
@@ -37,8 +39,10 @@ from .geometry import Hypersurface, SidedDomain, lifted_tube
 from .maps import (
     AffineMapR,
     HoloPolyMap,
+    InvarianceCertificate,
     compose,
     pullback_diagonal_quartic,
+    real_slice_certificate,
 )
 from .poly import HermitianPolynomial, RealPolynomial, VariableSpace
 from .scalars import (
@@ -56,6 +60,7 @@ from .scalars import (
 
 SPACE3 = VariableSpace(3)
 SPACE4 = VariableSpace(4)
+SPACE6 = VariableSpace(6)
 
 
 def _var(space, i, exact=True):
@@ -85,11 +90,21 @@ def _side_sign(side: str) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _gamma_f(x1, x2, x3, alpha):
+    """f(x1,x2,x3) = x1 x2 + x3^2 + x1^2 x3 + alpha x1^4 over any commutative ring."""
+    return x1 * x2 + x3**2 + x1**2 * x3 + x1**4 * alpha
+
+
 def gamma_graph(alpha) -> RealPolynomial:
     """The graph function f(x1,x2,x3) = x1 x2 + x3^2 + x1^2 x3 + alpha x1^4."""
-    alpha = as_rational(alpha)
-    x1, x2, x3 = (_var(SPACE3, i) for i in range(3))
-    return RealPolynomial(x1 * x2 + x3**2 + x1**2 * x3 + x1**4 * alpha)
+    return RealPolynomial(_gamma_f(*(_var(SPACE3, i) for i in range(3)), as_rational(alpha)))
+
+
+def gamma_base(alpha) -> HermitianPolynomial:
+    """g = x4 - f(x1,x2,x3) in z1..z4.  The tube's rho is g(Re z), so a real
+    affine F has rho o F = c rho exactly when g o F = c g."""
+    z1, z2, z3, z4 = (_var(SPACE4, i) for i in range(4))
+    return z4 - _gamma_f(z1, z2, z3, as_rational(alpha))
 
 
 def make_gamma(alpha) -> Hypersurface:
@@ -102,83 +117,68 @@ def make_omega(alpha, side: str) -> SidedDomain:
     return SidedDomain(make_gamma(alpha), _side_sign(side))
 
 
-def make_generator(kind: str, alpha, param) -> AffineMapR:
-    """One of the four affine symmetry generators of the gamma(alpha) sides.
+def _generator_rows(kind: str, A, B, n, m):
+    """(matrix, translation, d) of one gamma(alpha) generator: x |-> (matrix x + translation) / d.
 
-    kind 'phi' is the weighted scaling (param q != 0, determinant q^10);
-    'psi', 'mu', 'nu' are the unipotent generators (determinant 1).  Each is
-    written over one integer denominator: with param = n/m and alpha = A/B,
-    phi over m^4, mu over m, nu over m^2 and psi over 3 B^2 m^4.
+    param = n/m and alpha = A/B over any commutative ring: integers give the
+    numeric generator, parameter polynomials with B = m = 1 the universal one.
     """
-    alpha = as_rational(alpha)
-    p = as_rational(param)
-    n, m = p.numerator, p.denominator
-    if kind == "phi":
-        if n == 0:
-            raise DomainError("phi generator needs a nonzero scale")
-        # diag(q, q^3, q^2, q^4) with q = n/m
-        return AffineMapR(
-            [
-                [n * m**3, 0, 0, 0],
-                [0, n**3 * m, 0, 0],
-                [0, 0, n**2 * m**2, 0],
-                [0, 0, 0, n**4],
-            ],
-            [0] * 4,
-            m**4,
-        )
+    if kind == "phi":  # diag(q, q^3, q^2, q^4) with q = n/m, over m^4
+        return ([[n * m**3, 0, 0, 0], [0, n**3 * m, 0, 0], [0, 0, n**2 * m**2, 0],
+                 [0, 0, 0, n**4]], [0] * 4, m**4)
     if kind == "psi":
         # r = n/m, a = A/B and c = 4a - 1 = C/B:
         # x1 -> x1 + r, x2 -> x2 - 4ac r^2 x1 + 2c r x3 - 4/3 ac r^3,
         # x3 -> x3 - 4a r x1 - 2a r^2, x4 -> x4 - 4/3 ac r^3 x1 + r x2 + c r^2 x3 - 1/3 ac r^4
-        A, B = alpha.numerator, alpha.denominator
         C = 4 * A - B
         d = 3 * B**2 * m**4  # the diagonal entries are d / d = 1
-        return AffineMapR(
-            [
-                [d, 0, 0, 0],
-                [-12 * A * C * n**2 * m**2, d, 6 * B * C * n * m**3, 0],
-                [-12 * A * B * n * m**3, 0, d, 0],
-                [-4 * A * C * n**3 * m, 3 * B**2 * n * m**3, 3 * B * C * n**2 * m**2, d],
-            ],
-            [
-                3 * B**2 * n * m**3,
-                -4 * A * C * n**3 * m,
-                -6 * A * B * n**2 * m**2,
-                -A * C * n**4,
-            ],
+        return (
+            [[d, 0, 0, 0],
+             [-12 * A * C * n**2 * m**2, d, 6 * B * C * n * m**3, 0],
+             [-12 * A * B * n * m**3, 0, d, 0],
+             [-4 * A * C * n**3 * m, 3 * B**2 * n * m**3, 3 * B * C * n**2 * m**2, d]],
+            [3 * B**2 * n * m**3, -4 * A * C * n**3 * m, -6 * A * B * n**2 * m**2, -A * C * n**4],
             d,
         )
-    if kind == "mu":
-        # s = n/m: x2 -> x2 + s, x4 -> x4 + s x1
-        return AffineMapR(
-            [
-                [m, 0, 0, 0],
-                [0, m, 0, 0],
-                [0, 0, m, 0],
-                [n, 0, 0, m],
-            ],
-            [0, n, 0, 0],
-            m,
-        )
-    if kind == "nu":
-        # t = n/m: x2 -> x2 - t x1, x3 -> x3 + t, x4 -> x4 + 2t x3 + t^2
+    if kind == "mu":  # s = n/m: x2 -> x2 + s, x4 -> x4 + s x1
+        return [[m, 0, 0, 0], [0, m, 0, 0], [0, 0, m, 0], [n, 0, 0, m]], [0, n, 0, 0], m
+    if kind == "nu":  # t = n/m: x2 -> x2 - t x1, x3 -> x3 + t, x4 -> x4 + 2t x3 + t^2
         mm = m * m
-        return AffineMapR(
-            [
-                [mm, 0, 0, 0],
-                [-n * m, mm, 0, 0],
-                [0, 0, mm, 0],
-                [0, 0, 2 * n * m, mm],
-            ],
-            [0, 0, n * m, n * n],
-            mm,
-        )
+        return ([[mm, 0, 0, 0], [-n * m, mm, 0, 0], [0, 0, mm, 0], [0, 0, 2 * n * m, mm]],
+                [0, 0, n * m, n * n], mm)
     raise DomainError(f"unknown generator kind {kind!r}")
 
 
-GENERATOR_FACTORS = {"phi": lambda q: as_rational(q) ** 4, "psi": lambda r: Fraction(1),
-                     "mu": lambda s: Fraction(1), "nu": lambda t: Fraction(1)}
+def make_generator(kind: str, alpha, param) -> AffineMapR:
+    """One of the four affine symmetry generators of the gamma(alpha) sides.
+
+    kind 'phi' is the weighted scaling (param q != 0, determinant q^10);
+    'psi', 'mu', 'nu' are the unipotent generators (determinant 1).
+    """
+    alpha, p = as_rational(alpha), as_rational(param)
+    if kind == "phi" and p == 0:
+        raise DomainError("phi generator needs a nonzero scale")
+    return AffineMapR(*_generator_rows(kind, alpha.numerator, alpha.denominator,
+                                       p.numerator, p.denominator))
+
+
+# kind -> (its parameter, its factor c in rho o F = c rho, over any ring)
+GENERATORS = {"phi": ("q", lambda q: q**4), "psi": ("r", lambda r: 1),
+              "mu": ("s", lambda s: 1), "nu": ("t", lambda t: 1)}
+
+
+@functools.cache
+def universal_generator_certificate(kind: str) -> InvarianceCertificate:
+    """rho o F = c rho for one generator kind at every real alpha and parameter, built
+    on first use.  alpha = Re z5 and the parameter = Re z6 join the tube's space with
+    identity images, and the certificate is taken on their real slice."""
+    z = [_var(SPACE6, i) for i in range(6)]
+    mat, tr, d = _generator_rows(kind, z[4], 1, z[5], 1)
+    comps = [sum(map(mul, row, z), t) * Fraction(1, d) for row, t in zip(mat, tr)]
+    f = HoloPolyMap(SPACE6, SPACE6, comps + z[4:])
+    x = [_re(SPACE6, i) for i in range(6)]
+    rho = x[3] - _gamma_f(x[0], x[1], x[2], x[4])
+    return real_slice_certificate(rho, f, GENERATORS[kind][1](z[5]), (4, 5))
 
 
 def composed_generator(alpha, q, s, t, r) -> AffineMapR:

@@ -41,7 +41,7 @@ from .maps import (
     invariance_certificate,
     lift_affine,
 )
-from .poly import HermitianPolynomial, VariableSpace
+from .poly import HermitianPolynomial, VariableSpace, format_poly
 from .scalars import GaussianRational, phase_from_parameter
 
 FLOAT_TOL = 1e-9
@@ -92,10 +92,23 @@ def _require(cond: bool, message: str, details: dict | None = None):
 # ---------------------------------------------------------------------------
 
 
+def _evidence(cert) -> dict:
+    """What a failed certificate shows: its factor and the head of its residual."""
+    res = cert.residual
+    head = [format_poly(HermitianPolynomial(res.space, {e: res.terms[e]}))
+            for e in sorted(res.terms)[:3]]
+    return {"factor": str(cert.factor), "residual_terms": len(res.terms), "residual_head": head}
+
+
 def _invariance_generators(spec: CheckSpec, rng, alpha: Fraction, count: int, generators) -> dict:
-    rho = catalog.make_gamma(alpha).rho
+    g = catalog.gamma_base(alpha)
     checked = 0
+    covers = {}
     for kind in generators:
+        covers[kind] = ["alpha", catalog.GENERATORS[kind][0]]
+        cert = catalog.universal_generator_certificate(kind)
+        _require(cert.exact, f"{kind} is not a symmetry for every {' and '.join(covers[kind])}",
+                 _evidence(cert))
         for _ in range(count):
             param = random_fraction(rng, -3, 3, 4)
             if kind == "phi":
@@ -106,9 +119,9 @@ def _invariance_generators(spec: CheckSpec, rng, alpha: Fraction, count: int, ge
                 not lifted.linear_determinant().is_zero(),
                 f"{kind} at {param} has a singular linear part",
             )
-            cert = invariance_certificate(rho, lifted)
-            want = catalog.GENERATOR_FACTORS[kind](param)
-            _require(cert.exact, f"{kind} at {param} is not an exact symmetry")
+            cert = invariance_certificate(g, lifted)
+            want = catalog.GENERATORS[kind][1](param)
+            _require(cert.exact, f"{kind} at {param} is not an exact symmetry", _evidence(cert))
             _require(
                 cert.factor == GaussianRational(want),
                 f"{kind} at {param}: factor {cert.factor} != {want}",
@@ -117,8 +130,10 @@ def _invariance_generators(spec: CheckSpec, rng, alpha: Fraction, count: int, ge
     return {
         "alpha": str(alpha),
         "certificates": checked,
+        "covers": covers,
         "exact": True,
         "factor": "q^4 for the scaling, 1 for the unipotent generators",
+        "universal": True,
     }
 
 
@@ -209,7 +224,8 @@ def _invariance_control(spec: CheckSpec, rng, sign: str, expect: str) -> dict:
             "model": model,
             "residual_terms": len(cert.residual.terms),
         }
-    _require(cert.exact, "control expected to certify but did not")
+    _require(cert.exact, "control expected to certify but did not",
+             {"model": model, **_evidence(cert)})
     return {"control": spec.target, "exact": True, "model": model}
 
 
@@ -597,7 +613,7 @@ def _count(value) -> int:
 def _generators(value) -> tuple[str, ...]:
     """A non-empty set of generator kinds, kept in the given order."""
     names = tuple(x.strip() for x in value.split(",")) if isinstance(value, str) else tuple(value)
-    known = tuple(catalog.GENERATOR_FACTORS)
+    known = tuple(catalog.GENERATORS)
     if not names or len(set(names)) < len(names) or not set(names) <= set(known):
         raise ValueError(f"must be distinct names from {','.join(known)}, got {value!r}")
     return names
@@ -635,7 +651,7 @@ def _each(kind: str, families: tuple[str, ...], check: Check) -> dict:
 # (check kind, target family) -> row; a lie target is the name of the check itself.
 CHECKS = {
     ("invariance", "gamma"): Check(_invariance_generators, {
-        "count": (_count, 20), "generators": (_generators, tuple(catalog.GENERATOR_FACTORS)),
+        "count": (_count, 20), "generators": (_generators, tuple(catalog.GENERATORS)),
     }),
     **_each("invariance", ("M_plus", "M_minus"), Check(_invariance_group, {"draws": (_count, 50)})),
     ("invariance", "normalizer"): _equivalence(

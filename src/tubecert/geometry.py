@@ -71,14 +71,16 @@ class Hypersurface:
 
     def gradient_at(self, point) -> list[complex]:
         """(d rho / d z_1, ..., d rho / d z_n) evaluated at the point, as complex."""
-        return [d.evaluate_complex(point) for d in self._derivatives()[0]]
+        vals = self.space.complex_values(point)
+        return [d.evaluate_values(vals) for d in self._derivatives()[0]]
 
     def complex_hessian_at(self, point) -> list[list[complex]]:
         """The matrix (d^2 rho / d z_j d zb_k) evaluated at the point, as complex."""
         n = self.space.n
+        vals = self.space.complex_values(point)
         hess = [[0j] * n for _ in range(n)]
         for j, k, d in self._derivatives()[1]:
-            hess[j][k] = d.evaluate_complex(point)
+            hess[j][k] = d.evaluate_values(vals)
         return hess
 
     def __eq__(self, other):

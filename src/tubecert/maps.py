@@ -23,7 +23,7 @@ from operator import mul
 from . import exactla
 from .errors import DomainError, SpaceError
 from .poly import HermitianPolynomial, VariableSpace
-from .scalars import GaussianRational, as_rational, fourth_root_exact
+from .scalars import GaussianRational, _reduce, as_rational, fourth_root_exact
 
 
 class AffineMapR:
@@ -153,16 +153,8 @@ class HoloPolyMap:
 
     def linear_part(self):
         """Matrix of degree-1 coefficients (rows: components, cols: variables)."""
-        n_in = self.space_in.n
-        rows = []
-        for comp in self.components:
-            row = []
-            for j in range(n_in):
-                exps = [0] * (2 * n_in)
-                exps[j] = 1
-                row.append(comp.coefficient(tuple(exps)))
-            rows.append(row)
-        return rows
+        units = [self.space_in.unit(j) for j in range(self.space_in.n)]
+        return [[comp.coefficient(e) for e in units] for comp in self.components]
 
     def linear_determinant(self):
         return exactla.determinant(self.linear_part()) if self.exact else None
@@ -187,13 +179,12 @@ class HoloPolyMap:
 def lift_affine(f: AffineMapR) -> HoloPolyMap:
     """Lift an affine map of R^n to the affine map of C^n with the same coefficients."""
     space = VariableSpace(f.n)
+    d, units = f._d, [space.unit(j) for j in range(f.n)]
     comps = []
-    for row, t in zip(f.matrix, f.translation):
-        p = HermitianPolynomial.constant(space, t)
-        for j, a in enumerate(row):
-            if a:
-                p = p + HermitianPolynomial.variable(space, j) * a
-        comps.append(p)
+    for row, t in zip(f._m, f._t):
+        terms = {(0,) * (2 * f.n): _reduce(t, 0, d)} if t else {}
+        terms.update((e, _reduce(a, 0, d)) for e, a in zip(units, row) if a)
+        comps.append(HermitianPolynomial._raw(space, terms, True))
     return HoloPolyMap(space, space, comps)
 
 
@@ -229,7 +220,7 @@ class InvarianceCertificate:
 
     map: HoloPolyMap
     rho: HermitianPolynomial
-    factor: object  # GaussianRational on the exact tower, complex on the float tower
+    factor: object  # GaussianRational (a polynomial on a real slice) or complex on the float tower
     exact: bool
     residual: HermitianPolynomial
 
@@ -276,6 +267,21 @@ def equivalence_certificate(
 def invariance_certificate(rho: HermitianPolynomial, f: HoloPolyMap) -> InvarianceCertificate:
     """Certificate for ``rho o f = c * rho`` (self-equivalence of one surface)."""
     return equivalence_certificate(rho, f, rho)
+
+
+def real_slice_certificate(rho: HermitianPolynomial, f: HoloPolyMap, factor,
+                           real: tuple[int, ...]) -> InvarianceCertificate:
+    """Check ``rho o f = factor * rho`` on the slice zb_k = z_k (k in ``real``), where the
+    factor may be a polynomial in those z_k.  Real points are Zariski-dense, so a zero
+    residual proves the identity at every real value of them."""
+    n = rho.space.n
+    z = [HermitianPolynomial.variable(rho.space, i) for i in range(2 * n)]
+    for k in real:
+        z[n + k] = z[k]
+    # zb_k -> z_k is a ring map: restrict the images, not the larger pullback
+    images = list(f.components) + [c.conjugate().substitute(z) for c in f.components]
+    residual = rho.substitute(images) - rho.substitute(z) * factor
+    return InvarianceCertificate(f, rho, factor, residual.is_zero(), residual)
 
 
 def pullback_diagonal_quartic(rho: HermitianPolynomial, radicands: list) -> HermitianPolynomial:

@@ -50,6 +50,13 @@ class VariableSpace:
             raise SpaceError(f"variable index {index} out of range for space of {self.n}")
         return tuple(int(i == index) for i in range(2 * self.n))
 
+    def complex_values(self, point) -> list[complex]:
+        """The values of z_1..z_n and zb_1..zb_n at a point of C^n, as complex."""
+        vals = [complex(v) for v in point]
+        if len(vals) != self.n:
+            raise SpaceError(f"need {self.n} values, got {len(vals)}")
+        return vals + [v.conjugate() for v in vals]
+
     def conj_index(self, i: int) -> int:
         """Index of the formal conjugate of variable i."""
         return i + self.n if i < self.n else i - self.n
@@ -367,10 +374,10 @@ class HermitianPolynomial:
 
     def evaluate_complex(self, point) -> complex:
         """Evaluate on the floating path at complex values (explicit conversion)."""
-        vals = [complex(v) for v in point]
-        if len(vals) != self.space.n:
-            raise SpaceError(f"need {self.space.n} values, got {len(vals)}")
-        vals = vals + [v.conjugate() for v in vals]
+        return self.evaluate_values(self.space.complex_values(point))
+
+    def evaluate_values(self, vals) -> complex:
+        """Evaluate at the 2n values of VariableSpace.complex_values, made once per point."""
         total = 0j
         for e, c in self.terms.items():
             term = complex(c) if self.exact else c
@@ -479,10 +486,10 @@ class RealPolynomial:
             hess = tuple((i, j, d.to_float()) for i, di in enumerate(rows) for j in range(n)
                          if not (d := di.partial(j)).is_zero())
             object.__setattr__(self, "_hess", hess)
-        pt = [complex(float(x), 0.0) for x in xs]
+        vals = self.space.complex_values(complex(float(x), 0.0) for x in xs)
         out = [[0.0] * n for _ in range(n)]
         for i, j, d in self._hess:
-            out[i][j] = d.evaluate_complex(pt).real
+            out[i][j] = d.evaluate_values(vals).real
         return out
 
     def __str__(self):

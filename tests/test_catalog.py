@@ -1,7 +1,10 @@
 """Catalog constructors: printed coefficients, group laws, solvers, registry."""
 
 import math
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -191,6 +194,87 @@ def test_one_wrong_integer_entry_of_psi_breaks_invariance():
                     tr[i] += 1
                 cert = invariance_certificate(rho, lift_affine(AffineMapR(mat, tr, psi._d)))
                 assert not cert.exact, (alpha, r, i, j)
+
+
+def test_universal_generator_certificates():
+    """Each generator is a symmetry for every real alpha and parameter: one exact identity
+    in z1..z6 with alpha = Re z5, the parameter = Re z6, and factor q^4 for phi."""
+    z6 = HermitianPolynomial.variable(catalog.SPACE6, 5)
+    for kind in ("phi", "psi", "mu", "nu"):
+        cert = catalog.universal_generator_certificate(kind)
+        assert cert.exact and cert.residual.is_zero()
+        assert cert.factor == (z6**4 if kind == "phi" else 1)
+        assert catalog.universal_generator_certificate(kind) is cert  # kept for the process
+
+
+def test_universal_map_specialises_to_the_numeric_generator():
+    """The universal map at alpha = A, param = n (integers) is the lifted integer map."""
+    for kind, alpha, param in (("phi", 2, -3), ("psi", -1, 2), ("mu", 3, 5), ("nu", 0, -2)):
+        f = catalog.universal_generator_certificate(kind).map
+        point = [Fraction(1, 2), Fraction(-3), Fraction(2, 7), Fraction(5), alpha, param]
+        want = make_generator(kind, alpha, param).apply(point[:4])
+        assert f.apply(point) == [GaussianRational(v) for v in want + [alpha, param]]
+
+
+def test_every_shifted_generator_entry_leaves_a_universal_residual(monkeypatch):
+    """Mutation sweep: each of the 80 entries of _generator_rows, shifted by 1, is caught."""
+    rows = catalog._generator_rows
+    certify = catalog.universal_generator_certificate.__wrapped__  # past the cache
+    killed = 0
+    for kind in ("phi", "psi", "mu", "nu"):
+        for i in range(4):
+            for j in range(5):  # column 4 is the translation
+                def shifted(*args, i=i, j=j):
+                    mat, tr, d = rows(*args)
+                    mat, tr = [list(row) for row in mat], list(tr)
+                    if j < 4:
+                        mat[i][j] = mat[i][j] + 1
+                    else:
+                        tr[i] = tr[i] + 1
+                    return mat, tr, d
+
+                monkeypatch.setattr(catalog, "_generator_rows", shifted)
+                cert = certify(kind)
+                assert not cert.exact and cert.residual.terms, (kind, i, j)
+                killed += 1
+    assert killed == 80
+
+
+@pytest.mark.parametrize("alpha", [Fraction(1, 12), Fraction(-7, 3), Fraction(624661, 323599)])
+def test_base_graph_and_tube_certificates_agree(alpha):
+    """g = x4 - f(x) and the tube's rho = g(Re z) certify the same draws with the same factor,
+    and both reject a generator with one entry shifted."""
+    rng = random.Random(23)
+    g, rho = catalog.gamma_base(alpha), make_gamma(alpha).rho
+    assert len(g.terms) == 5 and g.is_holomorphic()
+    for kind in ("phi", "psi", "mu", "nu"):
+        for _ in range(4):
+            param = frac(rng) or Fraction(1, 2)
+            f = make_generator(kind, alpha, param)
+            base, tube = (invariance_certificate(p, lift_affine(f)) for p in (g, rho))
+            assert base.exact and tube.exact and base.factor == tube.factor
+            mat, tr = [list(row) for row in f._m], list(f._t)
+            mat[rng.randrange(4)][rng.randrange(4)] += 1
+            bad = lift_affine(AffineMapR(mat, tr, f._d))
+            assert not invariance_certificate(g, bad).exact
+            assert not invariance_certificate(rho, bad).exact
+
+
+def test_importing_the_cli_builds_no_universal_certificate():
+    """The universal certificates are built on first use, one per selected generator kind."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    config = ("id = g\nkind = invariance\ntarget = gamma(alpha=1/3)\n"
+              "param.count = 1\nparam.generators = psi,mu\n")
+    code = (
+        "import tubecert.cli as cli\n"
+        "size = cli.catalog.universal_generator_certificate.cache_info().currsize\n"
+        f"results = cli.run_suite(cli.parse_config({config!r}))\n"
+        "print(size, [r.status for r in results],\n"
+        "      cli.catalog.universal_generator_certificate.cache_info().currsize)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "0 ['pass'] 2"
 
 
 def test_transitivity_regression_and_identity():

@@ -19,7 +19,7 @@ from tubecert.cli import (
     resolve_targets,
     run_suite,
 )
-from tubecert.maps import HoloPolyMap
+from tubecert.maps import AffineMapR, HoloPolyMap
 from tubecert.poly import HermitianPolynomial, VariableSpace
 
 SMALL_CONFIG = """
@@ -123,6 +123,61 @@ seed = 2
     assert results[0].status == "fail"
     results_all = run_suite(bad)
     assert [r.status for r in results_all] == ["fail", "pass"]
+
+
+def _assert_evidence(details, factor):
+    """A failed certificate reports its factor, residual size and first residual terms."""
+    assert details["factor"] == factor
+    head = details["residual_head"]
+    assert len(head) == min(3, details["residual_terms"]) > 0
+    assert all(term.startswith("(") and " + " not in term for term in head)
+
+
+def test_control_expected_exact_reports_its_residual():
+    (result,) = run_suite(parse_config(
+        "id = c\nkind = invariance\ntarget = control:bad_constraint\nparam.expect = exact\n"
+    ))
+    assert result.status == "fail" and result.details["model"] == "M_plus"
+    inexact = run_suite(parse_config(
+        "id = c\nkind = invariance\ntarget = control:bad_constraint\n"))[0]
+    assert result.details["residual_terms"] == inexact.details["residual_terms"]
+    _assert_evidence(result.details, "16")  # q = 2, so the model factor is q^4
+    assert result.details["residual_head"] == ["(-9)*z1^1*zb1^1"]
+
+
+GAMMA_PSI = "id = g\nkind = invariance\ntarget = gamma(alpha=2/3)\nparam.generators = psi\n"
+
+
+def test_failed_universal_generator_certificate_reports_its_residual(monkeypatch):
+    rows = catalog._generator_rows
+
+    def shifted_x1(*args):
+        mat, tr, d = rows(*args)
+        return mat, [tr[0] + 1] + tr[1:], d
+
+    monkeypatch.setattr(catalog, "_generator_rows", shifted_x1)
+    monkeypatch.setattr(catalog, "universal_generator_certificate",
+                        catalog.universal_generator_certificate.__wrapped__)
+    (result,) = run_suite(parse_config(GAMMA_PSI))
+    assert result.status == "fail"
+    assert result.details["reason"] == "psi is not a symmetry for every alpha and r"
+    _assert_evidence(result.details, "1")
+    assert result.details["residual_terms"] == 33
+    assert result.details["residual_head"] == ["(-1/18)*zb3^1", "(-1/6)*zb2^1",
+                                               "(-1/6)*zb1^1*zb3^1"]
+
+
+def test_failed_drawn_generator_certificate_reports_its_residual(monkeypatch):
+    def shifted(kind, alpha, param):
+        f = catalog.make_generator(kind, alpha, param)
+        return AffineMapR(f._m, (f._t[0] + 1,) + f._t[1:], f._d)
+
+    monkeypatch.setattr(checks, "make_generator", shifted)
+    (result,) = run_suite(parse_config(GAMMA_PSI))
+    assert result.status == "fail" and result.details["reason"] == "psi at 0 is not an exact symmetry"
+    _assert_evidence(result.details, "1")
+    assert result.details["residual_terms"] == 7
+    assert result.details["residual_head"] == ["(-2/3)", "(-1)*z3^1", "(-1)*z2^1"]
 
 
 def test_negative_control_with_a_singular_map_fails(monkeypatch):

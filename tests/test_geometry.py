@@ -395,13 +395,13 @@ def test_hessians_evaluate_only_the_nonzero_derivatives(monkeypatch):
                         for i in range(n)], second)
 
     calls = []
-    evaluate = HermitianPolynomial.evaluate_complex
+    evaluate = HermitianPolynomial.evaluate_values  # every evaluation ends here
 
-    def counted(self, point):
+    def counted(self, vals):
         calls.append(self)
-        return evaluate(self, point)
+        return evaluate(self, vals)
 
-    monkeypatch.setattr(HermitianPolynomial, "evaluate_complex", counted)
+    monkeypatch.setattr(HermitianPolynomial, "evaluate_values", counted)
     nonzero = {}
     for obj, (pt, want, second) in full.items():
         calls.clear()

@@ -26,6 +26,7 @@ from tubecert.maps import (
     lift_affine,
     pullback,
     pullback_diagonal_quartic,
+    real_slice_certificate,
 )
 from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational
@@ -173,6 +174,39 @@ def test_lift_identity_and_examples():
     mu1 = lift_affine(make_generator("mu", 0, 1))
     assert mu1.components[1] == z[1] + HermitianPolynomial.constant(SP4, 1)
     assert mu1.components[3] == z[0] + z[3]
+
+
+def test_lift_equals_the_polynomial_construction():
+    """The lift is t + sum_j a_j z_j, built with the polynomial ring operations, term for term
+    and in the same term order; zero entries and translations leave no term."""
+    rng = random.Random(5)
+    alpha = Fraction(-7, 5)
+    maps = [rand_affine(rng, n) for n in (1, 2, 4, 5) for _ in range(5)]
+    maps += [make_generator(kind, alpha, Fraction(3, 2)) for kind in ("phi", "psi", "mu", "nu")]
+    for f in maps:
+        space = VariableSpace(f.n)
+        want = []
+        for row, t in zip(f.matrix, f.translation):
+            p = HermitianPolynomial.constant(space, t)
+            for j, a in enumerate(row):
+                p = p + HermitianPolynomial.variable(space, j) * a
+            want.append(p)
+        got = lift_affine(f).components
+        assert list(got) == want
+        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+
+
+def test_real_slice_certificate_needs_the_real_slice():
+    """x1 -> t x1 scales Re z1 by t = Re z2 only where z2 is real."""
+    sp = VariableSpace(2)
+    z1, z2 = (HermitianPolynomial.variable(sp, i) for i in range(2))
+    rho = HermitianPolynomial.re_variable(sp, 0)
+    f = HoloPolyMap(sp, sp, [z1 * z2, z2])
+    cert = real_slice_certificate(rho, f, z2, (1,))
+    assert cert.exact and cert.factor == z2
+    off_slice = real_slice_certificate(rho, f, z2, ())
+    assert not off_slice.exact and len(off_slice.residual.terms) == 2  # (zb2 - z2) zb1 / 2
+    assert not real_slice_certificate(rho, f, z2 * 2, (1,)).exact
 
 
 def test_lift_is_a_homomorphism():

@@ -14,6 +14,7 @@ import pytest
 sympy = pytest.importorskip("sympy")
 
 from tubecert.catalog import (  # noqa: E402
+    _generator_rows,
     make_gamma,
     make_generator,
     make_p_element,
@@ -23,6 +24,7 @@ from tubecert.catalog import (  # noqa: E402
     random_fraction,
     random_gaussian,
     random_p_params,
+    universal_generator_certificate,
 )
 from tubecert.maps import compose, lift_affine, pullback  # noqa: E402
 
@@ -119,3 +121,31 @@ def test_composition_of_group_elements():
     for ours, theirs in zip(fg.components, f.components):
         assert term_map(ours) == term_map(substitute(to_sympy(theirs, gens), images, gens))
     assert_pullback_matches(model_surface("-").rho, fg)
+
+
+def test_psi_with_symbolic_alpha_and_r():
+    """psi as _generator_rows writes it, with alpha and r as sympy symbols: its entries are
+    the printed shear, it keeps x4 - f(x) as an identity in alpha and r, and the universal
+    map's components are the same polynomials in z5 = alpha, z6 = r."""
+    a, r = sympy.symbols("alpha r")
+    x1, x2, x3, x4 = xs = sympy.symbols("x1:5")
+    mat, tr, d = _generator_rows("psi", a, 1, r, 1)
+    image = [sympy.expand((sum(m * x for m, x in zip(row, xs)) + t) / d)
+             for row, t in zip(mat, tr)]
+    c = 4 * a - 1
+    printed = [
+        x1 + r,
+        x2 - 4 * a * c * r**2 * x1 + 2 * c * r * x3 - sympy.Rational(4, 3) * a * c * r**3,
+        x3 - 4 * a * r * x1 - 2 * a * r**2,
+        x4 - sympy.Rational(4, 3) * a * c * r**3 * x1 + r * x2 + c * r**2 * x3
+        - a * c * r**4 / 3,
+    ]
+    assert [sympy.expand(p - q) for p, q in zip(image, printed)] == [0] * 4
+    g = x4 - (x1 * x2 + x3**2 + x1**2 * x3 + a * x1**4)
+    assert sympy.expand(g.subs(dict(zip(xs, image)), simultaneous=True) - g) == 0
+
+    f = universal_generator_certificate("psi").map
+    gens = symbols(f.space_in)
+    at = dict(zip(gens[:6], (*xs, a, r)))
+    ours = [to_sympy(comp, gens).as_expr().subs(at, simultaneous=True) for comp in f.components]
+    assert [sympy.expand(p - q) for p, q in zip(ours, image + [a, r])] == [0] * 6
