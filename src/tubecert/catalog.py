@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from operator import mul
 
@@ -312,7 +312,7 @@ def _p_values(params: PParams) -> list:
     return [q, phi, psi, I * params.u, rho, sigma, tau, b, d]
 
 
-def _p_rows(eps, q, phi, psi, iu, rho, sigma, tau, b, d, misread_phase=False) -> tuple:
+def _p_rows(eps, q, phi, psi, iu, rho, sigma, tau, b, d) -> tuple:
     """The four components of a symmetry map as ``{monomial: coefficient}``.
 
     The one formula for the group element.  The values are Q(i) scalars, or
@@ -321,7 +321,6 @@ def _p_rows(eps, q, phi, psi, iu, rho, sigma, tau, b, d, misread_phase=False) ->
     """
     rho_bar, sigma_bar, tau_bar, d_bar = (x.conjugate() for x in (rho, sigma, tau, d))
     qphi, q2, phipsi, rho2 = q * phi, q * q, phi * psi, rho * rho_bar
-    z3_phase = phi if misread_phase else psi
     const, z1, z2, z3, z4, z1sq = P_MONOMIALS
     return (
         {const: rho, z1: qphi},
@@ -331,24 +330,20 @@ def _p_rows(eps, q, phi, psi, iu, rho, sigma, tau, b, d, misread_phase=False) ->
         {const: rho * sigma_bar + sigma * rho_bar + tau * tau_bar + rho2 * rho2 * eps + iu,
          z1: (sigma_bar * qphi + rho_bar * q2 * b - tau_bar * d_bar * phipsi) * 2,
          z2: rho_bar * q2 * qphi * 2,
-         z3: (rho_bar * q * d + tau_bar * q2 * z3_phase) * 2,
+         z3: (rho_bar * q * d + tau_bar * q2 * psi) * 2,
          z4: q2 * q2,
          z1sq: rho_bar * rho_bar * qphi * qphi * (-2 * eps)},
     )
 
 
-def make_p_element(params: PParams, check: bool = True, misread_phase: bool = False) -> HoloPolyMap:
+def make_p_element(params: PParams, check: bool = True) -> HoloPolyMap:
     """The degree-2 holomorphic symmetry of the quartic model with the given parameters.
 
-    ``check=False`` skips the constraint (used to build negative controls).
-    ``misread_phase=True`` swaps the second phase for the first in the single
-    z3-coefficient of the last component; with distinct phases and tau != 0
-    this breaks invariance, which is how the suite pins down the correct
-    reading of that coefficient.
+    ``check=False`` skips the constraint (used to build a negative control).
     """
     if check:
         params.validate()
-    rows = _p_rows(sign_to_eps(params.sign), *_p_values(params), misread_phase)
+    rows = _p_rows(sign_to_eps(params.sign), *_p_values(params))
     return HoloPolyMap(SPACE4, SPACE4, [HermitianPolynomial(SPACE4, row) for row in rows])
 
 
@@ -504,12 +499,12 @@ def random_fraction(rng, lo=-3, hi=3, den=4) -> Fraction:
     return Fraction(rng.randint(lo * den, hi * den), den)
 
 
-def random_positive_fraction(rng, hi=3, den=4) -> Fraction:
-    return Fraction(rng.randint(1, hi * den), den)
+def random_positive_fraction(rng) -> Fraction:
+    return Fraction(rng.randint(1, 12), 4)
 
 
-def random_gaussian(rng, lo=-2, hi=2, den=4) -> GaussianRational:
-    return GaussianRational(random_fraction(rng, lo, hi, den), random_fraction(rng, lo, hi, den))
+def random_gaussian(rng) -> GaussianRational:
+    return GaussianRational(random_fraction(rng, -2, 2), random_fraction(rng, -2, 2))
 
 
 def random_phase(rng) -> UnimodularPhase:
@@ -887,47 +882,30 @@ def stated_line(ident: str):
 # ---------------------------------------------------------------------------
 
 
-def control_bad_constraint(sign: str = "+") -> HoloPolyMap:
+def control_bad_constraint(sign: str) -> HoloPolyMap:
     """A would-be symmetry whose d is off by one: the constraint fails, and so
     must the certificate."""
-    good = PParams(
-        sign,
-        Fraction(2),
-        UnimodularPhase(GaussianRational(1)),
-        UnimodularPhase(GaussianRational(1)),
-        Fraction(0),
-        GaussianRational(0),
-        GaussianRational(0),
-        GaussianRational(0),
-        GaussianRational(-1),
-        GaussianRational(4),
-    ).validate()
-    bad = PParams(
-        sign, good.q, good.phi_phase, good.psi_phase, good.u,
-        good.rho, good.sigma, good.tau, good.b, good.d + GaussianRational(1),
-    )
-    return make_p_element(bad, check=False)
+    good = replace(identity_p_params(sign), q=Fraction(2), b=GaussianRational(-1),
+                   d=GaussianRational(4)).validate()
+    return make_p_element(replace(good, d=good.d + 1), check=False)
 
 
-def control_wrong_phase(sign: str = "+") -> HoloPolyMap:
-    """A map built with the second phase misread as the first in one coefficient.
+def control_wrong_phase(sign: str) -> HoloPolyMap:
+    """A group element with the second phase misread as the first in one coefficient.
 
-    With distinct phases and a nonzero z3-translation the invariance identity
-    fails, confirming the correct reading of that coefficient.
+    The correct element plus the slip 2 q^2 conj(tau) (phi - psi) z3 in its last
+    component, which turns the z3 coefficient's psi into phi.  With distinct
+    phases and a nonzero z3-translation the invariance identity fails,
+    confirming the correct reading of that coefficient.
     """
-    params = PParams(
-        sign,
-        Fraction(1),
-        phase_from_parameter(Fraction(1, 2)),
-        phase_from_parameter(Fraction(1, 3)),
-        Fraction(0),
-        GaussianRational(0),
-        GaussianRational(0),
-        GaussianRational(1),
-        GaussianRational(0),
-        GaussianRational(0),
-    ).validate()
-    return make_p_element(params, misread_phase=True)
+    params = replace(identity_p_params(sign), phi_phase=phase_from_parameter(Fraction(1, 2)),
+                     psi_phase=phase_from_parameter(Fraction(1, 3)),
+                     tau=GaussianRational(1)).validate()
+    *head, last = make_p_element(params).components
+    phi, psi = params.phi_phase.value, params.psi_phase.value
+    coeff = params.tau.conjugate() * (phi - psi) * (2 * params.q**2)
+    slip = HermitianPolynomial(SPACE4, {SPACE4.unit(2): coeff})
+    return HoloPolyMap(SPACE4, SPACE4, [*head, last + slip])
 
 
 # ---------------------------------------------------------------------------

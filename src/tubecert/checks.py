@@ -20,7 +20,6 @@ from fractions import Fraction
 from . import catalog, chern_moser, geometry, lie
 from .catalog import (
     BASE_POINT,
-    PParams,
     composed_generator,
     identity_p_params,
     make_generator,
@@ -387,20 +386,14 @@ def _chern_moser(spec: CheckSpec, rng, sign: str, constant_draws: int) -> dict:
     rep = chern_moser.linear_scaling_check(surface, lie.IDENTITY3, Fraction(1))
     _require(rep.form_preserved and rep.relation_holds, "identity scaling check failed")
 
-    phases = PParams(
-        sign, Fraction(1), phase_from_parameter(Fraction(1, 2)),
-        phase_from_parameter(Fraction(2, 3)), Fraction(0),
-        GaussianRational(0), GaussianRational(0), GaussianRational(0),
-        GaussianRational(0), GaussianRational(0),
-    ).validate()
+    identity = identity_p_params(sign)
+    phases = replace(identity, phi_phase=phase_from_parameter(Fraction(1, 2)),
+                     psi_phase=phase_from_parameter(Fraction(2, 3))).validate()
     rep = chern_moser.linear_scaling_check(surface, catalog.make_isotropy_matrix(phases), Fraction(1))
     _require(rep.form_preserved and rep.relation_holds, "phase isotropy scaling check failed")
 
-    scaled = PParams(
-        sign, Fraction(2), phase_from_parameter(0), phase_from_parameter(0), Fraction(0),
-        GaussianRational(0), GaussianRational(0), GaussianRational(0),
-        GaussianRational(-1), GaussianRational(4),
-    ).validate()
+    scaled = replace(identity, q=Fraction(2), b=GaussianRational(-1),
+                     d=GaussianRational(4)).validate()
     rep = chern_moser.linear_scaling_check(
         surface, catalog.make_isotropy_matrix(scaled), Fraction(4)
     )
@@ -485,13 +478,10 @@ def _lie_dimensions(spec: CheckSpec, rng, stabilizer_reps: int) -> dict:
 
 
 def _lie_isotropy(spec: CheckSpec, rng, draws: int) -> dict:
+    zero = GaussianRational(0)
     for _ in range(draws):
         params = random_p_params(rng, "+")
-        translation_free = PParams(
-            "+", params.q, params.phi_phase, params.psi_phase, Fraction(0),
-            GaussianRational(0), GaussianRational(0), GaussianRational(0),
-            params.b, params.d,
-        ).validate()
+        translation_free = replace(params, u=0, rho=zero, sigma=zero, tau=zero).validate()
         U = catalog.make_isotropy_matrix(translation_free)
         res = catalog.pseudo_unitarity_residual(U)
         _require(

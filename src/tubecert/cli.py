@@ -135,10 +135,9 @@ def run_suite(
     return results
 
 
-def result_json_line(result: CheckResult, include_timing: bool = True) -> str:
-    payload = {"id": result.id, "status": result.status, "details": result.details}
-    if include_timing:
-        payload["wall_time_ms"] = round(result.wall_time_ms, 3)
+def result_json_line(result: CheckResult) -> str:
+    payload = {"id": result.id, "status": result.status, "details": result.details,
+               "wall_time_ms": round(result.wall_time_ms, 3)}
     return json.dumps(payload, sort_keys=True, default=str)
 
 

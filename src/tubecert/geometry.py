@@ -398,7 +398,7 @@ class LineWitness:
     """
 
     inside_at_all_samples: bool
-    first_failure: complex | None
+    first_failure: GaussianRational | None
     grade: str
     restriction: HermitianPolynomial
 
@@ -407,16 +407,16 @@ class LineWitness:
         return self.inside_at_all_samples and self.grade in ("constant", "definite")
 
 
-REQUIRED_SAMPLE_MAGNITUDES = (0.0, 1.0, 1e3, 1e6)
+REQUIRED_SAMPLE_MAGNITUDES = (0, 1, 10**3, 10**6)
 
 
 def contains_complex_line(domain: SidedDomain, base, direction) -> LineWitness:
     """Check that the affine complex line base + t*direction lies in the domain.
 
-    Membership is sampled at the magnitudes |t| in {0, 1, 1e3, 1e6} (on two
-    rays), and the restriction of rho to the line is computed exactly and
-    graded for an all-of-line certificate.  rho, base and direction must be
-    exact; a float coordinate is a TypeError.
+    Membership is decided exactly at t in {0, 1, i, 10^3, 10^3 i, 10^6, 10^6 i},
+    and the restriction of rho to the line is computed exactly and graded for
+    an all-of-line certificate.  rho, base and direction must be exact; a
+    float coordinate is a TypeError.
     """
     n = domain.surface.space.n
     if len(base) != n or len(direction) != n:
@@ -426,9 +426,9 @@ def contains_complex_line(domain: SidedDomain, base, direction) -> LineWitness:
 
     # Exact restriction to the line, in one holomorphic variable t.
     line_space = VariableSpace(1)
+    base, direction = [to_tower(b) for b in base], [to_tower(d) for d in direction]
     images = [
-        HermitianPolynomial(line_space, {(0, 0): to_tower(b), (1, 0): to_tower(d)})
-        for b, d in zip(base, direction)
+        HermitianPolynomial(line_space, {(0, 0): b, (1, 0): d}) for b, d in zip(base, direction)
     ]
     restriction = domain.rho.substitute(images + [img.conjugate() for img in images])
 
@@ -436,15 +436,13 @@ def contains_complex_line(domain: SidedDomain, base, direction) -> LineWitness:
 
     samples = []
     for mag in REQUIRED_SAMPLE_MAGNITUDES:
-        samples.append(complex(mag, 0.0))
+        samples.append(GaussianRational(mag))
         if mag:
-            samples.append(complex(0.0, mag))
+            samples.append(GaussianRational(0, mag))
 
     first_failure = None
-    base_c = [complex(v) for v in base]
-    dir_c = [complex(v) for v in direction]
     for tv in samples:
-        pt = [b + tv * d for b, d in zip(base_c, dir_c)]
+        pt = [b + tv * d for b, d in zip(base, direction)]
         if side_of(domain, pt) != "inside":
             first_failure = tv
             break
@@ -492,21 +490,17 @@ def solve_graph_re_last(rho: HermitianPolynomial, zprime):
     return -rest.re / (2 * alpha.re)
 
 
-def sample_boundary_points(
-    surface: Hypersurface, rng, count: int, box: int = 2
-) -> list[list[GaussianRational]]:
-    """Exact on-surface points: random rational z', exact Re z_n, random Im z_n."""
+def sample_boundary_points(surface: Hypersurface, rng, count: int) -> list[list[GaussianRational]]:
+    """Exact on-surface points: random rational z', exact Re z_n, random Im z_n,
+    with the drawn parts in [-2, 2] on a grid of 1/4."""
     n = surface.space.n
     points = []
     for _ in range(count):
         zp = [
-            GaussianRational(
-                Fraction(rng.randint(-4 * box, 4 * box), 4),
-                Fraction(rng.randint(-4 * box, 4 * box), 4),
-            )
+            GaussianRational(Fraction(rng.randint(-8, 8), 4), Fraction(rng.randint(-8, 8), 4))
             for _ in range(n - 1)
         ]
         re_last = solve_graph_re_last(surface.rho, zp)
-        im_last = Fraction(rng.randint(-4 * box, 4 * box), 4)
+        im_last = Fraction(rng.randint(-8, 8), 4)
         points.append(zp + [GaussianRational(re_last, im_last)])
     return points

@@ -29,14 +29,12 @@ from .scalars import GaussianRational, _reduce, as_rational, fourth_root_exact
 class AffineMapR:
     """x |-> (matrix @ x + translation) / d with integer entries and d > 0.
 
-    Stored in canonical form, with the gcd of all entries and d equal to 1
-    (as GaussianRational stores its parts), so ``compose`` and ``apply`` are
-    integer arithmetic ending in one gcd.  ``matrix`` and ``translation``
-    read the entries as Fractions; ``determinant`` is computed on first read
-    and kept.
+    Stored in canonical form as ``_m``, ``_t`` and ``_d``, with the gcd of all
+    entries and d equal to 1 (as GaussianRational stores its parts), so
+    ``compose`` and ``apply`` are integer arithmetic ending in one gcd.
     """
 
-    __slots__ = ("_m", "_t", "_d", "_det")
+    __slots__ = ("_m", "_t", "_d")
 
     def __init__(self, matrix, translation, d: int = 1):
         n = len(translation)
@@ -54,20 +52,6 @@ class AffineMapR:
     @property
     def n(self) -> int:
         return len(self._t)
-
-    @property
-    def matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(a, self._d) for a in row) for row in self._m)
-
-    @property
-    def translation(self) -> tuple[Fraction, ...]:
-        return tuple(Fraction(a, self._d) for a in self._t)
-
-    @property
-    def determinant(self) -> Fraction:
-        if self._det is None:
-            object.__setattr__(self, "_det", exactla.determinant(list(map(list, self.matrix))))
-        return self._det
 
     def apply(self, xs) -> list[Fraction]:
         xs = [as_rational(x) for x in xs]
@@ -88,16 +72,8 @@ class AffineMapR:
         tr = [sum(map(mul, row, other._t)) + t * d2 for row, t in zip(self._m, self._t)]
         return _store(object.__new__(AffineMapR), mat, tr, self._d * d2)
 
-    def __eq__(self, other):
-        if not isinstance(other, AffineMapR):
-            return NotImplemented
-        return self._d == other._d and self._m == other._m and self._t == other._t
-
-    def __hash__(self):
-        return hash((self._m, self._t, self._d))
-
     def __repr__(self):
-        return f"AffineMapR(matrix={self.matrix}, translation={self.translation})"
+        return f"AffineMapR({self._m}, {self._t}, {self._d})"
 
 
 def _store(f: AffineMapR, mat, tr, d: int) -> AffineMapR:
@@ -108,7 +84,6 @@ def _store(f: AffineMapR, mat, tr, d: int) -> AffineMapR:
     object.__setattr__(f, "_m", tuple(map(tuple, mat)))
     object.__setattr__(f, "_t", tuple(tr))
     object.__setattr__(f, "_d", d)
-    object.__setattr__(f, "_det", None)
     return f
 
 

@@ -1,9 +1,10 @@
-"""Build integer affine maps from rational entries, for tests that write them as Fractions."""
+"""Build integer affine maps from rational entries, and read them back, for tests that
+write them as Fractions."""
 
 import math
 from fractions import Fraction
 
-from tubecert.maps import AffineMapR
+from tubecert.maps import AffineMapR, lift_affine
 
 
 def rational_affine(matrix, translation) -> AffineMapR:
@@ -12,3 +13,23 @@ def rational_affine(matrix, translation) -> AffineMapR:
     tr = [Fraction(x) for x in translation]
     d = math.lcm(*(x.denominator for x in tr), *(x.denominator for row in mat for x in row))
     return AffineMapR([[int(x * d) for x in row] for row in mat], [int(x * d) for x in tr], d)
+
+
+def affine_parts(f: AffineMapR):
+    """(matrix, translation) of f as Fraction tuples, read off by ``apply`` at 0 and e_1..e_n."""
+    translation = tuple(f.apply([0] * f.n))
+    columns = [
+        [a - t for a, t in zip(f.apply([int(i == j) for i in range(f.n)]), translation)]
+        for j in range(f.n)
+    ]
+    return tuple(zip(*columns)), translation
+
+
+def canonical(f: AffineMapR):
+    """The stored form (matrix, translation, d): equal maps have equal triples."""
+    return f._m, f._t, f._d
+
+
+def affine_det(f: AffineMapR):
+    """det of f's linear part, by exact elimination on the lift to C^n."""
+    return lift_affine(f).linear_determinant()

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -64,7 +65,7 @@ from tubecert.maps import (
 from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational, phase_from_parameter
 
-from affine_helpers import rational_affine
+from affine_helpers import affine_det, affine_parts, canonical, rational_affine
 
 SP4 = VariableSpace(4)
 
@@ -87,19 +88,19 @@ def test_gamma_defining_polynomial_alpha_zero():
 
 def test_generator_printed_entries():
     # shear at r=1, alpha=1: third coordinate gains -4 x1 - 2
-    psi = make_generator("psi", 1, 1)
-    assert psi.matrix[2] == (Fraction(-4), Fraction(0), Fraction(1), Fraction(0))
-    assert psi.translation[2] == Fraction(-2)
+    m, t = affine_parts(make_generator("psi", 1, 1))
+    assert m[2] == (Fraction(-4), Fraction(0), Fraction(1), Fraction(0))
+    assert t[2] == Fraction(-2)
     # vertical shift at t=1: last coordinate gains 2 x3 + 1
-    nu = make_generator("nu", 1, 1)
-    assert nu.matrix[3] == (Fraction(0), Fraction(0), Fraction(2), Fraction(1))
-    assert nu.translation[3] == Fraction(1)
+    m, t = affine_parts(make_generator("nu", 1, 1))
+    assert m[3] == (Fraction(0), Fraction(0), Fraction(2), Fraction(1))
+    assert t[3] == Fraction(1)
     # determinants
-    assert make_generator("phi", 0, 2).determinant == Fraction(1024)  # 2^10
+    assert affine_det(make_generator("phi", 0, 2)) == Fraction(1024)  # 2^10
     for kind in ("psi", "mu", "nu"):
-        assert make_generator(kind, Fraction(1, 3), Fraction(5, 2)).determinant == 1
+        assert affine_det(make_generator(kind, Fraction(1, 3), Fraction(5, 2))) == 1
     identity = catalog.AffineMapR([[int(i == j) for j in range(4)] for i in range(4)], [0] * 4)
-    assert make_generator("psi", 1, 0) == identity
+    assert canonical(make_generator("psi", 1, 0)) == canonical(identity)
     with pytest.raises(DomainError):
         make_generator("phi", 1, 0)
 
@@ -111,10 +112,10 @@ def test_generator_one_parameter_group_laws():
         a, b = frac(rng), frac(rng)
         for kind in ("psi", "mu", "nu"):
             left = make_generator(kind, alpha, a).compose(make_generator(kind, alpha, b))
-            assert left == make_generator(kind, alpha, a + b)
+            assert canonical(left) == canonical(make_generator(kind, alpha, a + b))
         qa, qb = a or Fraction(1), b or Fraction(1)
         left = make_generator("phi", alpha, qa).compose(make_generator("phi", alpha, qb))
-        assert left == make_generator("phi", alpha, qa * qb)
+        assert canonical(left) == canonical(make_generator("phi", alpha, qa * qb))
 
 
 def test_generator_invariance_each_alpha():
@@ -172,12 +173,11 @@ def test_integer_generators_match_the_fraction_formulas():
             for p in _generator_params(rng):
                 g = make_generator(kind, alpha, p)
                 mat, tr = _fraction_generator(kind, alpha, p)
-                assert g.matrix == tuple(tuple(map(Fraction, row)) for row in mat)
-                assert g.translation == tuple(tr)
-                ref = rational_affine(mat, tr)
-                assert (g._m, g._t, g._d) == (ref._m, ref._t, ref._d) and g == ref
+                want = tuple(tuple(map(Fraction, row)) for row in mat), tuple(tr)
+                assert affine_parts(g) == want
+                assert canonical(g) == canonical(rational_affine(mat, tr))
                 assert g._d > 0 and math.gcd(g._d, *g._t, *(a for row in g._m for a in row)) == 1
-                assert g.determinant == (p**10 if kind == "phi" else 1)
+                assert affine_det(g) == (p**10 if kind == "phi" else 1)
 
 
 def test_one_wrong_integer_entry_of_psi_breaks_invariance():
@@ -385,6 +385,20 @@ def test_negative_controls_fail_certification():
         cert = invariance_certificate(model_surface(sign).rho, build(sign))
         assert not cert.exact
         assert not cert.residual.is_zero()
+
+
+def test_wrong_phase_control_misreads_only_the_z3_coefficient_of_z4():
+    """The control is the correct element with phi in place of psi in the one
+    coefficient 2 (conj(rho) q d + conj(tau) q^2 psi) of z3 in the last component."""
+    for sign in "+-":
+        params = replace(identity_p_params(sign), phi_phase=phase_from_parameter(Fraction(1, 2)),
+                         psi_phase=phase_from_parameter(Fraction(1, 3)), tau=GaussianRational(1))
+        good = make_p_element(params).components
+        bad = control_wrong_phase(sign).components
+        z3 = SP4.unit(2)
+        assert bad[:3] == good[:3] and list((bad[3] - good[3]).terms) == [z3]
+        assert bad[3].coefficient(z3) == params.tau.conjugate() * params.phi_phase.value * 2
+        assert good[3].coefficient(z3) == params.tau.conjugate() * params.psi_phase.value * 2
 
 
 def test_p_compose_laws():

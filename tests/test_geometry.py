@@ -188,7 +188,11 @@ def test_line_witness_definite_grade_and_failure():
     w2 = contains_complex_line(above, [0, 1], [1, 0])
     assert not w2.inside_at_all_samples
     assert w2.grade == "sampled"
-    assert w2.first_failure is not None and abs(w2.first_failure) >= 1.0
+    assert w2.first_failure is not None and w2.first_failure.abs2() >= 1
+    # rho = 1 - 2 Im t on this line: only the imaginary ray leaves the domain, at t = i
+    up = [0, 0, 0, GaussianRational(0, 2)]
+    w3 = contains_complex_line(model_domain("+", ">"), [0, 0, 0, 1], up)
+    assert not w3.inside_at_all_samples and w3.first_failure == GaussianRational(0, 1)
 
 
 def _reference_grade(restriction, side):

@@ -1,12 +1,15 @@
-"""Every definition in the package is used by the package itself, and no
-module of it imports numpy.
+"""Every definition in the package is used by the package itself, every
+parameter default is overridden somewhere in it, and no module of it imports
+numpy.
 
 A function, class or method that only tests call is surface the certifier
 does not need: either a default-suite check should use it or it should go.
 This test parses ``src/tubecert/*.py`` and fails on any top-level function or
 class, or non-dunder method, whose name is never referenced inside the
-package (as a name, an attribute or an imported name).  The matching is by
-name, so it is a lower bound on what is unused, not a call graph.
+package (as a name, an attribute or an imported name).  Likewise a parameter
+default that no call in the package overrides is a knob with one value: it
+should be a constant.  The matching is by name, so both are lower bounds on
+what is unused, not a call graph.
 """
 
 import ast
@@ -16,6 +19,14 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tubecert"
 
 # Entry points called from outside the package.
 ALLOWED = {("cli", "main")}  # the ``tubecert`` console script
+
+# Defaults that callers outside the package override, as (module, function, parameter).
+ALLOWED_DEFAULTS = {
+    ("cli", "main", "argv"),  # the console entry reads sys.argv
+    # Tests pass a degenerate form H as an oracle: it enlarges the algebra.
+    ("lie", "u21_basis", "H"),
+    ("lie", "su21_basis", "H"),
+}
 
 
 def _trees():
@@ -76,3 +87,59 @@ def test_every_definition_is_referenced_in_the_package():
         if name not in referenced and (module, qualname) not in ALLOWED
     ]
     assert not unused, f"defined in src/tubecert but never referenced there: {unused}"
+
+
+def _defaults(tree):
+    """(function, callee name, parameter, its index among a call's positional
+    arguments or None) for each parameter default; a method's ``self`` is not
+    among them, and ``__init__`` is called by its class name."""
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    methods = {
+        id(item): node.name
+        for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+        for item in node.body if isinstance(item, functions)
+    }
+    for node in ast.walk(tree):
+        if not isinstance(node, functions):
+            continue
+        owner = methods.get(id(node))
+        bound = owner is not None and not any(
+            isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+        )
+        callee = owner if node.name == "__init__" else node.name
+        positional = node.args.posonlyargs + node.args.args
+        first = len(positional) - len(node.args.defaults)
+        for index in range(first, len(positional)):
+            yield node.name, callee, positional[index].arg, index - bound
+        for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+            if default is not None:
+                yield node.name, callee, arg.arg, None
+
+
+def _overrides(call, parameter, index):
+    """True when the call may set the parameter: by keyword, by position, or
+    through ``*args`` / ``**kwargs``."""
+    if any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    if any(k.arg is None or k.arg == parameter for k in call.keywords):
+        return True
+    return index is not None and len(call.args) > index
+
+
+def test_every_default_is_overridden_in_the_package():
+    trees = _trees()
+    calls = {}
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                calls.setdefault(name, []).append(node)
+    fixed = [
+        f"{module}.{function}({parameter})"
+        for module, tree in trees.items()
+        for function, callee, parameter, index in _defaults(tree)
+        if (module, function, parameter) not in ALLOWED_DEFAULTS
+        and not any(_overrides(c, parameter, index) for c in calls.get(callee, ()))
+    ]
+    assert not fixed, f"defaults that no call in src/tubecert overrides: {fixed}"
