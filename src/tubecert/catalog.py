@@ -256,7 +256,8 @@ class PParams:
         |d|^2 = -2 q^3 Re(phase_phi * conj(b)),  Re(phase_phi * conj(b)) <= 0.
 
     d is stored explicitly: the constraint fixes only |d|, and d's phase is a
-    genuine parameter direction.
+    genuine parameter direction.  ``_map`` holds the element's map once
+    :func:`make_p_element` has validated and built it; ``replace`` starts empty.
     """
 
     sign: str
@@ -269,6 +270,7 @@ class PParams:
     tau: object
     b: object
     d: object
+    _map: object = field(default=None, init=False, compare=False, repr=False)
 
     def validate(self):
         sign_to_eps(self.sign)
@@ -290,16 +292,9 @@ def identity_p_params(sign: str) -> PParams:
     return PParams(sign, Fraction(1), one, one, Fraction(0), zero, zero, zero, zero, zero)
 
 
-def _mono(space, **powers):
-    exps = [0] * (2 * space.n)
-    names = space.names
-    for name, k in powers.items():
-        exps[names.index(name)] = k
-    return tuple(exps)
-
-
 # The monomials a symmetry map's components can carry: 1, z1, z2, z3, z4, z1^2.
-P_MONOMIALS = ((0,) * 8, *(SPACE4.unit(i) for i in range(4)), _mono(SPACE4, z1=2))
+P_MONOMIALS = ((0,) * 8, *(SPACE4.unit(i) for i in range(4)), (2,) + (0,) * 7)
+_ONE, _Z1, _Z2, _Z3, _Z4, _Z1SQ = P_MONOMIALS
 
 
 def _p_values(params: PParams) -> list:
@@ -321,30 +316,37 @@ def _p_rows(eps, q, phi, psi, iu, rho, sigma, tau, b, d) -> tuple:
     """
     rho_bar, sigma_bar, tau_bar, d_bar = (x.conjugate() for x in (rho, sigma, tau, d))
     qphi, q2, phipsi, rho2 = q * phi, q * q, phi * psi, rho * rho_bar
-    const, z1, z2, z3, z4, z1sq = P_MONOMIALS
     return (
-        {const: rho, z1: qphi},
-        {const: sigma, z1: rho2 * qphi * (-2 * eps) + q2 * b, z2: q2 * qphi, z3: q * d,
-         z1sq: rho_bar * qphi * qphi * (-2 * eps)},
-        {const: tau, z1: -d_bar * phipsi, z3: q2 * psi},
-        {const: rho * sigma_bar + sigma * rho_bar + tau * tau_bar + rho2 * rho2 * eps + iu,
-         z1: (sigma_bar * qphi + rho_bar * q2 * b - tau_bar * d_bar * phipsi) * 2,
-         z2: rho_bar * q2 * qphi * 2,
-         z3: (rho_bar * q * d + tau_bar * q2 * psi) * 2,
-         z4: q2 * q2,
-         z1sq: rho_bar * rho_bar * qphi * qphi * (-2 * eps)},
+        {_ONE: rho, _Z1: qphi},
+        {_ONE: sigma, _Z1: rho2 * qphi * (-2 * eps) + q2 * b, _Z2: q2 * qphi, _Z3: q * d,
+         _Z1SQ: rho_bar * qphi * qphi * (-2 * eps)},
+        {_ONE: tau, _Z1: -d_bar * phipsi, _Z3: q2 * psi},
+        {_ONE: rho * sigma_bar + sigma * rho_bar + tau * tau_bar + rho2 * rho2 * eps + iu,
+         _Z1: (sigma_bar * qphi + rho_bar * q2 * b - tau_bar * d_bar * phipsi) * 2,
+         _Z2: rho_bar * q2 * qphi * 2,
+         _Z3: (rho_bar * q * d + tau_bar * q2 * psi) * 2,
+         _Z4: q2 * q2,
+         _Z1SQ: rho_bar * rho_bar * qphi * qphi * (-2 * eps)},
     )
 
 
 def make_p_element(params: PParams, check: bool = True) -> HoloPolyMap:
     """The degree-2 holomorphic symmetry of the quartic model with the given parameters.
 
-    ``check=False`` skips the constraint (used to build a negative control).
+    Built once per validated ``params`` and kept in its ``_map``; the rows are
+    canonical once their zero coefficients are dropped.  ``check=False`` skips
+    the constraint and the kept map (used to build a negative control).
     """
     if check:
+        if params._map is not None:
+            return params._map
         params.validate()
     rows = _p_rows(sign_to_eps(params.sign), *_p_values(params))
-    return HoloPolyMap(SPACE4, SPACE4, [HermitianPolynomial(SPACE4, row) for row in rows])
+    f = HoloPolyMap._raw(SPACE4, SPACE4, [HermitianPolynomial._raw(
+        SPACE4, {e: c for e, c in row.items() if not c.is_zero()}, True) for row in rows])
+    if check:
+        object.__setattr__(params, "_map", f)
+    return f
 
 
 def p_params_from_map(f: HoloPolyMap, sign: str) -> PParams:
@@ -358,9 +360,8 @@ def p_params_from_map(f: HoloPolyMap, sign: str) -> PParams:
         raise ClosureViolation("parameter recovery runs on the exact tower")
     eps = sign_to_eps(sign)
     c1, c2, c3, c4 = f.components
-    zero_exps = (0,) * 8
 
-    a1 = c1.coefficient(_mono(SPACE4, z1=1))
+    a1 = c1.coefficient(_Z1)
     q = sqrt_exact(a1.abs2())
     if q is None or q == 0:
         raise ClosureViolation("|z1-coefficient|^2 is not a perfect rational square")
@@ -368,22 +369,21 @@ def p_params_from_map(f: HoloPolyMap, sign: str) -> PParams:
         phi = UnimodularPhase(a1 / GaussianRational(q))
     except DomainError as exc:
         raise ClosureViolation(str(exc)) from None
-    rho = c1.coefficient(zero_exps)
+    rho = c1.coefficient(_ONE)
 
-    c33 = c3.coefficient(_mono(SPACE4, z3=1))
+    c33 = c3.coefficient(_Z3)
     try:
         psi = UnimodularPhase(c33 / GaussianRational(q * q))
     except DomainError as exc:
         raise ClosureViolation(str(exc)) from None
-    tau = c3.coefficient(zero_exps)
-    c31 = c3.coefficient(_mono(SPACE4, z1=1))
-    d = (-(c31) / (phi.value * psi.value)).conjugate()
+    tau = c3.coefficient(_ONE)
+    d = (-c3.coefficient(_Z1) / (phi.value * psi.value)).conjugate()
 
-    sigma = c2.coefficient(zero_exps)
-    c21 = c2.coefficient(_mono(SPACE4, z1=1))
+    sigma = c2.coefficient(_ONE)
+    c21 = c2.coefficient(_Z1)
     b = (c21 + GaussianRational(rho.abs2()) * phi.value * GaussianRational(q) * (2 * eps)) / GaussianRational(q * q)
 
-    const4 = c4.coefficient(zero_exps)
+    const4 = c4.coefficient(_ONE)
     core = (
         rho * sigma.conjugate()
         + sigma * rho.conjugate()
@@ -397,10 +397,10 @@ def p_params_from_map(f: HoloPolyMap, sign: str) -> PParams:
 
     params = PParams(sign, q, phi, psi, u, rho, sigma, tau, b, d)
     try:
-        params.validate()
+        g = make_p_element(params)
     except ConstraintError as exc:
         raise ClosureViolation(f"recovered parameters violate the constraint: {exc}") from None
-    if make_p_element(params) != f:
+    if g != f:
         raise ClosureViolation("recovered parameters do not regenerate the map")
     return params
 
@@ -431,38 +431,30 @@ def invert_p_map(f: HoloPolyMap) -> HoloPolyMap:
     linearly on top of those, so back-substitution stays polynomial.
     """
     c1, c2, c3, c4 = f.components
-    zero_exps = (0,) * 8
     w1, w2, w3, w4 = (_var(SPACE4, i) for i in range(4))
 
-    a1 = c1.coefficient(_mono(SPACE4, z1=1))
-    Z1 = (w1 - HermitianPolynomial.constant(SPACE4, c1.coefficient(zero_exps))) * (1 / a1)
-
-    c33 = c3.coefficient(_mono(SPACE4, z3=1))
+    Z1 = (w1 - HermitianPolynomial.constant(SPACE4, c1.coefficient(_ONE))) * (1 / c1.coefficient(_Z1))
     Z3 = (
         w3
-        - HermitianPolynomial.constant(SPACE4, c3.coefficient(zero_exps))
-        - Z1 * c3.coefficient(_mono(SPACE4, z1=1))
-    ) * (1 / c33)
-
-    c22 = c2.coefficient(_mono(SPACE4, z2=1))
+        - HermitianPolynomial.constant(SPACE4, c3.coefficient(_ONE))
+        - Z1 * c3.coefficient(_Z1)
+    ) * (1 / c3.coefficient(_Z3))
     Z2 = (
         w2
-        - HermitianPolynomial.constant(SPACE4, c2.coefficient(zero_exps))
-        - Z1 * c2.coefficient(_mono(SPACE4, z1=1))
-        - Z3 * c2.coefficient(_mono(SPACE4, z3=1))
-        - Z1**2 * c2.coefficient(_mono(SPACE4, z1=2))
-    ) * (1 / c22)
-
-    c44 = c4.coefficient(_mono(SPACE4, z4=1))
+        - HermitianPolynomial.constant(SPACE4, c2.coefficient(_ONE))
+        - Z1 * c2.coefficient(_Z1)
+        - Z3 * c2.coefficient(_Z3)
+        - Z1**2 * c2.coefficient(_Z1SQ)
+    ) * (1 / c2.coefficient(_Z2))
     Z4 = (
         w4
-        - HermitianPolynomial.constant(SPACE4, c4.coefficient(zero_exps))
-        - Z1 * c4.coefficient(_mono(SPACE4, z1=1))
-        - Z2 * c4.coefficient(_mono(SPACE4, z2=1))
-        - Z3 * c4.coefficient(_mono(SPACE4, z3=1))
-        - Z1**2 * c4.coefficient(_mono(SPACE4, z1=2))
-    ) * (1 / c44)
-    return HoloPolyMap(SPACE4, SPACE4, [Z1, Z2, Z3, Z4])
+        - HermitianPolynomial.constant(SPACE4, c4.coefficient(_ONE))
+        - Z1 * c4.coefficient(_Z1)
+        - Z2 * c4.coefficient(_Z2)
+        - Z3 * c4.coefficient(_Z3)
+        - Z1**2 * c4.coefficient(_Z1SQ)
+    ) * (1 / c4.coefficient(_Z4))
+    return HoloPolyMap._raw(SPACE4, SPACE4, [Z1, Z2, Z3, Z4])
 
 
 def make_isotropy_matrix(params: PParams):

@@ -103,9 +103,18 @@ class HoloPolyMap:
                 raise SpaceError("component lives in the wrong source space")
             if not comp.is_holomorphic():
                 raise SpaceError("map components must be holomorphic (no zb variables)")
-        object.__setattr__(self, "space_in", space_in)
-        object.__setattr__(self, "space_out", space_out)
-        object.__setattr__(self, "components", components)
+        self._fill(space_in, space_out, components)
+
+    def _fill(self, space_in, space_out, components) -> "HoloPolyMap":
+        for name, value in zip(self.__slots__, (space_in, space_out, tuple(components))):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
+    def _raw(cls, space_in, space_out, components) -> "HoloPolyMap":
+        """Internal: a map whose components live in space_in and are holomorphic by
+        construction (no checks)."""
+        return object.__new__(cls)._fill(space_in, space_out, components)
 
     def __setattr__(self, name, value):
         raise AttributeError("HoloPolyMap is immutable")
@@ -160,7 +169,7 @@ def lift_affine(f: AffineMapR) -> HoloPolyMap:
         terms = {(0,) * (2 * f.n): _reduce(t, 0, d)} if t else {}
         terms.update((e, _reduce(a, 0, d)) for e, a in zip(units, row) if a)
         comps.append(HermitianPolynomial._raw(space, terms, True))
-    return HoloPolyMap(space, space, comps)
+    return HoloPolyMap._raw(space, space, comps)
 
 
 def compose(f: HoloPolyMap, g: HoloPolyMap) -> HoloPolyMap:
@@ -169,9 +178,9 @@ def compose(f: HoloPolyMap, g: HoloPolyMap) -> HoloPolyMap:
         raise SpaceError("composition spaces do not match")
     if f.exact != g.exact:
         raise TypeError("cannot compose exact with float maps; convert explicitly")
-    images = list(g.components) + [c.conjugate() for c in g.components]
-    comps = [c.substitute(images) for c in f.components]
-    return HoloPolyMap(g.space_in, f.space_out, comps)
+    # f's components are holomorphic: their zb slots are never read, so g fills them too
+    comps = [c.substitute(list(g.components) * 2) for c in f.components]
+    return HoloPolyMap._raw(g.space_in, f.space_out, comps)
 
 
 def pullback(rho: HermitianPolynomial, f: HoloPolyMap) -> HermitianPolynomial:

@@ -301,8 +301,8 @@ def phase_from_parameter(t) -> UnimodularPhase:
     dense in the circle, which is all the identity checking needs.
     """
     t = as_rational(t)
-    den = 1 + t * t
-    return UnimodularPhase(GaussianRational((1 - t * t) / den, 2 * t / den))
+    n, m = t.numerator, t.denominator  # t = n/m gives ((m^2 - n^2) + 2nm i) / (m^2 + n^2)
+    return UnimodularPhase(_reduce(m * m - n * n, 2 * n * m, m * m + n * n))
 
 
 def sqrt_exact(r) -> Fraction | None:

@@ -11,7 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tubecert import catalog
+from tubecert import catalog, exactla
 from tubecert.chern_moser import sign_to_eps
 from tubecert.catalog import (
     BASE_POINT,
@@ -447,6 +447,92 @@ def test_p_inverse_and_identity_recovery():
             assert p_compose(a, inv) == identity_p_params(sign)
             f = make_p_element(a)
             assert compose(f, invert_p_map(f)) == HoloPolyMap.identity(SP4)
+
+
+def _term_by_term(params: PParams) -> HoloPolyMap:
+    """The element built through the checked constructors, one coerced term at a time."""
+    rows = catalog._p_rows(sign_to_eps(params.sign), *catalog._p_values(params))
+    return HoloPolyMap(SP4, SP4, [HermitianPolynomial(SP4, row) for row in rows])
+
+
+def test_fast_p_element_equals_the_term_by_term_build():
+    rng = random.Random(18)
+    # sign -, q = 1, rho = 1, b = -2: the z1 coefficient 2|rho|^2 q phi + q^2 b of z2 vanishes
+    cancelling = replace(identity_p_params("-"), rho=GaussianRational(1), b=GaussianRational(-2),
+                         d=GaussianRational(2)).validate()
+    cases = [identity_p_params("+"), identity_p_params("-"), cancelling]
+    cases += [random_p_params(rng, sign) for sign in "+-" for _ in range(10)]
+    for params in cases:
+        fast, slow = make_p_element(params), _term_by_term(params)
+        assert fast == slow
+        assert [c.terms for c in fast.components] == [c.terms for c in slow.components]
+        assert all(not c.is_zero() for comp in fast.components for c in comp.terms.values())
+        assert all(comp.is_holomorphic() for comp in fast.components)
+    assert catalog._Z1 not in make_p_element(cancelling).components[1].terms
+
+
+def test_kept_element_map_is_never_stale():
+    a = random_p_params(random.Random(19), "+")
+    assert a._map is None
+    f = make_p_element(a)
+    assert a._map is f and make_p_element(a) is f
+    # equality, hashing and repr ignore the kept map
+    twin = replace(a)
+    assert twin._map is None and twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
+    moved = replace(a, u=a.u + 1)
+    assert moved._map is None and make_p_element(moved) != f
+    assert make_p_element(moved) == _term_by_term(moved)
+    # check=False neither reads nor fills the slot, so a kept map always passed validate()
+    good = replace(identity_p_params("+"), q=Fraction(2), b=GaussianRational(-1),
+                   d=GaussianRational(4)).validate()
+    bad = replace(good, d=good.d + 1)
+    make_p_element(bad, check=False)
+    assert bad._map is None
+    with pytest.raises(ConstraintError):
+        make_p_element(bad)
+    assert bad._map is None
+    assert make_p_element(good, check=False) is not make_p_element(good, check=False)
+    assert good._map is None
+
+
+def test_closure_draws_build_three_maps_each(monkeypatch):
+    builds = []
+    rows = catalog._p_rows
+    monkeypatch.setattr(catalog, "_p_rows", lambda *args: builds.append(1) or rows(*args))
+    rng = random.Random(20)
+    for sign in "+-":
+        a, b = random_p_params(rng, sign), random_p_params(rng, sign)
+        builds.clear()
+        p_compose(a, b)  # a, b and the recovered composite
+        assert len(builds) == 3
+        a = random_p_params(rng, sign)
+        builds.clear()
+        inv = p_inverse(a)
+        assert p_compose(inv, a) == identity_p_params(sign)  # a, its inverse, the identity
+        assert len(builds) == 3
+
+
+def test_gamma_base_partials_are_independent_for_every_alpha():
+    """The premise that lets an exact generator certificate stand in for a determinant.
+
+    g = z4 - f and alpha enters g only through -alpha z1^4, whose partial lives at
+    z1^3; at the monomials 1, z1, z2, z3 the four partials' rows do not depend on
+    alpha and already have rank 4.
+    """
+    units = [(0,) * 8] + [SP4.unit(i) for i in range(3)]
+    quartic = HermitianPolynomial(SP4, {(4,) + (0,) * 7: 1})
+    assert all(set(quartic.partial(i).terms).isdisjoint(units) for i in range(4))
+    base = catalog.gamma_base(0)
+    minor = [[base.partial(i).coefficient(e) for e in units] for i in range(4)]
+    assert exactla.rank(minor) == 4
+    for alpha in (Fraction(0), Fraction(1, 12), Fraction(-2), Fraction(2, 3),
+                  Fraction(-987654, 999983)):
+        g = catalog.gamma_base(alpha)
+        partials = [g.partial(i) for i in range(4)]
+        monos = sorted(set().union(*(p.terms for p in partials)))
+        rows = [[p.coefficient(e) for e in monos] for p in partials]
+        assert exactla.rank(rows) == 4
+        assert [[p.coefficient(e) for e in units] for p in partials] == minor
 
 
 def test_p_params_from_map_rejects_non_group_maps():

@@ -180,6 +180,57 @@ def test_failed_drawn_generator_certificate_reports_its_residual(monkeypatch):
     assert result.details["residual_head"] == ["(-2/3)", "(-1)*z3^1", "(-1)*z2^1"]
 
 
+@pytest.mark.parametrize("kind", ["phi", "psi", "mu", "nu"])
+@pytest.mark.parametrize("row", range(4))
+def test_a_singular_drawn_generator_still_fails_without_a_determinant(kind, row, monkeypatch):
+    """The drawn generators carry no determinant test: a map with a zero matrix row is
+    singular, and its certificate g o F = c g cannot be exact."""
+    def flattened(kind, alpha, param):
+        f = catalog.make_generator(kind, alpha, param)
+        mat = [r if i != row else (0,) * 4 for i, r in enumerate(f._m)]
+        return AffineMapR(mat, f._t, f._d)
+
+    monkeypatch.setattr(checks, "make_generator", flattened)
+    config = GAMMA_PSI.replace("psi", kind).replace("alpha=2/3", "alpha=1/12")
+    (result,) = run_suite(parse_config(config))
+    assert result.status == "fail"
+    assert re.fullmatch(rf"{kind} at \S+ is not an exact symmetry", result.details["reason"])
+
+
+GROUP_CHECKS = ("id = i\nkind = invariance\ntarget = M_{sign}\nseed = 3\nparam.draws = 4\n\n"
+                "id = c\nkind = closure\ntarget = P_{sign}\nseed = 3\nparam.draws = 2\n"
+                "param.inverse_draws = 2\n")
+
+
+@pytest.mark.parametrize("slot", [(k, mono) for k, terms in enumerate(catalog._p_rows(
+    1, *catalog._p_values(catalog.identity_p_params("+")))) for mono in terms])
+def test_every_wrong_p_rows_coefficient_is_killed(slot, monkeypatch):
+    """Adding 1 to any coefficient of the group element's formula fails group invariance
+    on both models, through the kept-map build."""
+    k, mono = slot
+    rows = catalog._p_rows
+
+    def shifted(*args):
+        out = [dict(r) for r in rows(*args)]
+        out[k][mono] = out[k][mono] + 1
+        return tuple(out)
+
+    monkeypatch.setattr(catalog, "_p_rows", shifted)
+    for sign in ("plus", "minus"):
+        invariance, _ = run_suite(parse_config(GROUP_CHECKS.format(sign=sign)))
+        assert invariance.status == "fail"
+
+
+def test_closure_check_builds_three_maps_per_draw(monkeypatch):
+    builds = []
+    rows = catalog._p_rows
+    monkeypatch.setattr(catalog, "_p_rows", lambda *args: builds.append(1) or rows(*args))
+    _, spec = parse_config(GROUP_CHECKS.format(sign="plus"))
+    (closure,) = run_suite([spec])
+    assert closure.status == "pass"
+    assert len(builds) == 3 * 2 + 1 + 3 * 2  # compose draws, the identity, inverse draws
+
+
 def test_negative_control_with_a_singular_map_fails(monkeypatch):
     """A degenerate map fails to certify trivially, so as a control it shows nothing."""
     space = VariableSpace(4)

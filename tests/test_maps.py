@@ -239,6 +239,27 @@ def test_compose_identity_and_spaces():
         compose(f, HoloPolyMap.identity(sp3))
 
 
+def test_compose_equals_substitution_with_the_conjugate_images():
+    """compose leaves f's never-read zb slots to g; the full substitution agrees."""
+    rng = random.Random(21)
+    for _ in range(10):
+        f, g = (make_p_element(random_p_params(rng, "-")) for _ in range(2))
+        images = list(g.components) + [c.conjugate() for c in g.components]
+        want = HoloPolyMap(SP4, SP4, [c.substitute(images) for c in f.components])
+        got = compose(f, g)
+        assert got == want and [c.terms for c in got.components] == [c.terms for c in want.components]
+    lifted = lift_affine(rand_affine(rng))
+    assert compose(lifted, make_p_element(random_p_params(rng, "+"))).components[0].is_holomorphic()
+
+
+def test_raw_map_equals_the_checked_constructor():
+    comps = [HermitianPolynomial.variable(SP4, i) * (i + 1) for i in range(4)]
+    raw = HoloPolyMap._raw(SP4, SP4, comps)
+    assert raw == HoloPolyMap(SP4, SP4, comps) and isinstance(raw.components, tuple)
+    with pytest.raises(AttributeError):
+        raw.components = ()
+
+
 def test_pullback_identity_and_realness():
     rng = random.Random(5)
     rho = make_gamma(Fraction(1, 3)).rho

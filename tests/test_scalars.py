@@ -83,6 +83,15 @@ def test_phase_examples():
     )
 
 
+@given(rationals)
+@settings(max_examples=200, deadline=None)
+def test_phase_from_integers_keeps_the_fraction_formula_triple(t):
+    den = 1 + t * t
+    want = GaussianRational((1 - t * t) / den, 2 * t / den)
+    got = phase_from_parameter(t).value
+    assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+
+
 def test_phase_products_are_phases():
     rng = random.Random(7)
     for _ in range(1000):
