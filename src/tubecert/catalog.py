@@ -434,6 +434,7 @@ def invert_p_map(f: HoloPolyMap) -> HoloPolyMap:
     w1, w2, w3, w4 = (_var(SPACE4, i) for i in range(4))
 
     Z1 = (w1 - HermitianPolynomial.constant(SPACE4, c1.coefficient(_ONE))) * (1 / c1.coefficient(_Z1))
+    Z1sq = Z1 * Z1
     Z3 = (
         w3
         - HermitianPolynomial.constant(SPACE4, c3.coefficient(_ONE))
@@ -444,7 +445,7 @@ def invert_p_map(f: HoloPolyMap) -> HoloPolyMap:
         - HermitianPolynomial.constant(SPACE4, c2.coefficient(_ONE))
         - Z1 * c2.coefficient(_Z1)
         - Z3 * c2.coefficient(_Z3)
-        - Z1**2 * c2.coefficient(_Z1SQ)
+        - Z1sq * c2.coefficient(_Z1SQ)
     ) * (1 / c2.coefficient(_Z2))
     Z4 = (
         w4
@@ -452,7 +453,7 @@ def invert_p_map(f: HoloPolyMap) -> HoloPolyMap:
         - Z1 * c4.coefficient(_Z1)
         - Z2 * c4.coefficient(_Z2)
         - Z3 * c4.coefficient(_Z3)
-        - Z1**2 * c4.coefficient(_Z1SQ)
+        - Z1sq * c4.coefficient(_Z1SQ)
     ) * (1 / c4.coefficient(_Z4))
     return HoloPolyMap._raw(SPACE4, SPACE4, [Z1, Z2, Z3, Z4])
 
@@ -517,7 +518,8 @@ def random_p_params(rng, sign: str) -> PParams:
     y = random_fraction(rng)
     # Re(phi * conj(b)) = -m with free imaginary part y.
     b = (phi.value.conjugate() * GaussianRational(-m, y)).conjugate()
-    return PParams(sign, q, phi, psi, u, rho, sigma, tau, b, d).validate()
+    # The constraint holds by construction; make_p_element validates on first build.
+    return PParams(sign, q, phi, psi, u, rho, sigma, tau, b, d)
 
 
 # -- the tangent map of the 13-parameter chart ---------------------------------

@@ -8,7 +8,9 @@ polynomials are identical iff their term maps are equal.
 
 Coefficients come in two towers that never mix silently:
 
-* exact  -- :class:`~tubecert.scalars.GaussianRational` (the default);
+* exact  -- :class:`~tubecert.scalars.GaussianRational` (the default); products
+  and substitutions clear each operand to Gaussian-integer numerators over one
+  denominator, sum integers only and canonicalise each output term once;
 * float  -- Python ``complex``, entered only via :meth:`HermitianPolynomial.to_float`
   or by constructing explicitly with ``exact=False``.  Its traffic is the
   irrational sigma graphs, the printed maps and the Levi numerics; every
@@ -21,11 +23,13 @@ ordinary polynomial here.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import DomainError, SpaceError
-from .scalars import GaussianRational, as_rational, format_gaussian
+from .scalars import GaussianRational, _reduce, as_rational, format_gaussian
 
 
 @dataclass(frozen=True)
@@ -93,6 +97,97 @@ def _merge(out: dict, terms: dict, exact: bool) -> None:
             out.pop(exps, None)
         else:
             out[exps] = s
+
+
+def _numerators(terms: dict) -> tuple[dict, int]:
+    """An exact term map as Gaussian-integer numerators {exps: (a, b)} over one
+    denominator D > 0, the lcm of its coefficients' denominators."""
+    d = math.lcm(*(c._d for c in terms.values()))
+    out = {}
+    for e, c in terms.items():
+        m = d // c._d
+        out[e] = (c._a * m, c._b * m)
+    return out, d
+
+
+def _num_mul(p: dict, q: dict) -> dict:
+    """The product of two numerator maps, over the product of their denominators.
+
+    Sums integers only; a sum that cancels is dropped at once, so the terms come
+    out in the order the term-by-term product of coefficients gives them.
+    """
+    out: dict = {}
+    for e1, (a1, b1) in p.items():
+        for e2, (a2, b2) in q.items():
+            e = tuple(map(add, e1, e2))
+            a, b = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2
+            s = out.get(e)
+            if s is not None:
+                a, b = a + s[0], b + s[1]
+                if not (a or b):
+                    del out[e]
+                    continue
+            out[e] = (a, b)
+    return out
+
+
+def _canonical(num: dict, d: int) -> dict:
+    """Numerators over d back to a canonical term map: one gcd per term."""
+    return {e: _reduce(a, b, d) for e, (a, b) in num.items()}
+
+
+def _substitute_exact(terms: dict, images: list, target: VariableSpace) -> dict:
+    """The exact composition behind :meth:`HermitianPolynomial.substitute`.
+
+    Image i becomes numerators over D_i when a power first needs it, and its
+    powers stay numerator maps (z_i^k over D_i^k).  Every term c * prod z_i^k
+    is summed over one denominator L, the lcm of c.d * prod D_i^k, with the
+    integer multiplier L // (c.d * prod D_i^k); only the sum is canonicalised.
+    """
+    converted: dict = {}
+
+    def image(i):
+        if i not in converted:
+            converted[i] = _numerators(images[i].terms)
+        return converted[i]
+
+    dens = [c._d * math.prod(image(i)[1] ** k for i, k in enumerate(e) if k)
+            for e, c in terms.items()]
+    common = math.lcm(*dens)
+    one = {(0,) * (2 * target.n): (1, 0)}
+    powers: dict = {}
+    out: dict = {}
+    for (e, c), den in zip(terms.items(), dens):
+        term = None
+        for i, k in enumerate(e):
+            if k:
+                if (i, k) not in powers:
+                    powers[i, k] = _power(image(i)[0], k, _num_mul)
+                term = powers[i, k] if term is None else _num_mul(term, powers[i, k])
+        m = common // den
+        a, b = c._a * m, c._b * m
+        for ex, (x, y) in (one if term is None else term).items():
+            x, y = x * a - y * b, x * b + y * a
+            s = out.get(ex)
+            if s is not None:
+                x, y = x + s[0], y + s[1]
+                if not (x or y):
+                    del out[ex]
+                    continue
+            out[ex] = (x, y)
+    return _canonical(out, common)
+
+
+def _power(base, k: int, times):
+    """base**k for k >= 1 by repeated squaring, multiplying with times."""
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else times(result, base)
+        k >>= 1
+        if k:
+            base = times(base, base)
+    return result
 
 
 class HermitianPolynomial:
@@ -184,6 +279,9 @@ class HermitianPolynomial:
                 self.space, {e: c * coeff for e, c in self.terms.items()}, self.exact
             )
         self._check_compat(other)
+        if self.exact:
+            (p, dp), (q, dq) = _numerators(self.terms), _numerators(other.terms)
+            return self._raw(self.space, _canonical(_num_mul(p, q), dp * dq), True)
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -191,11 +289,11 @@ class HermitianPolynomial:
                 c = c1 * c2
                 s = out.get(exps)
                 s = c if s is None else s + c
-                if (s.is_zero() if self.exact else s == 0):
+                if s == 0:
                     out.pop(exps, None)
                 else:
                     out[exps] = s
-        return self._raw(self.space, out, self.exact)
+        return self._raw(self.space, out, False)
 
     __rmul__ = __mul__
 
@@ -204,15 +302,7 @@ class HermitianPolynomial:
             raise DomainError("polynomial powers must be nonnegative integers")
         if k == 0:
             return HermitianPolynomial.constant(self.space, 1, self.exact)
-        result = None
-        base = self
-        while k:
-            if k & 1:
-                result = base if result is None else result * base
-            k >>= 1
-            if k:
-                base = base * base
-        return result
+        return _power(self, k, mul)
 
     @classmethod
     def _raw(cls, space, terms, exact):
@@ -328,7 +418,8 @@ class HermitianPolynomial:
                 raise SpaceError("substitution images live in different spaces")
             if img.exact != self.exact:
                 raise TypeError("substitution images must match the polynomial's tower")
-        exact = self.exact
+        if self.exact:
+            return self._raw(target, _substitute_exact(self.terms, images, target), True)
         out: dict = {}
         powers: dict[tuple[int, int], HermitianPolynomial] = {}
 
@@ -344,11 +435,11 @@ class HermitianPolynomial:
                 if k:
                     term = power(i, k) if term is None else term * power(i, k)
             if term is None:
-                term = HermitianPolynomial.constant(target, c, exact)
+                term = HermitianPolynomial.constant(target, c, False)
             else:
                 term = term * c
-            _merge(out, term.terms, exact)
-        return self._raw(target, out, exact)
+            _merge(out, term.terms, False)
+        return self._raw(target, out, False)
 
     def evaluate(self, point):
         """Evaluate at exact values for the n holomorphic variables.

@@ -13,6 +13,7 @@ import pytest
 
 from tubecert import catalog, exactla
 from tubecert.chern_moser import sign_to_eps
+from tubecert.cli import parse_config, run_suite
 from tubecert.catalog import (
     BASE_POINT,
     PParams,
@@ -346,6 +347,25 @@ def test_p_element_certificates_by_sign():
             cert = invariance_certificate(rho, make_p_element(params))
             assert cert.exact
             assert cert.factor == GaussianRational(params.q**4)
+
+
+def test_random_p_params_satisfy_the_constraint_by_construction():
+    rng = random.Random(23)
+    for sign in "+-":
+        for _ in range(200):
+            params = random_p_params(rng, sign)
+            assert params.validate() is params
+
+
+def test_a_group_invariance_draw_validates_its_parameters_once(monkeypatch):
+    """random_p_params leaves validation to make_p_element, which does it on first build."""
+    validated = []
+    validate = PParams.validate
+    monkeypatch.setattr(PParams, "validate", lambda self: validated.append(self) or validate(self))
+    (result,) = run_suite(parse_config(
+        "id = g\nkind = invariance\ntarget = M_minus\nseed = 5\nparam.draws = 1\n"))
+    assert result.status == "pass" and result.details["draws"] == 1
+    assert len(validated) == 1 and validated[0].sign == "-"
 
 
 def test_p_element_example_q2():

@@ -15,7 +15,7 @@ from tubecert.catalog import (
     random_p_params,
     make_p_element,
 )
-from tubecert import exactla
+from tubecert import exactla, poly
 from tubecert.errors import DomainError, SpaceError
 from tubecert.maps import (
     AffineMapR,
@@ -356,21 +356,23 @@ def test_equivalence_certificate_between_distinct_surfaces():
 
 
 def test_pullback_multiplies_no_polynomial_by_a_constant(monkeypatch):
-    """Powers and substituted terms never pay a polynomial product with a constant."""
+    """Powers and substituted terms never pay a polynomial product with a constant.
+
+    The exact substitution multiplies numerator maps ({exps: (a, b)}) with
+    ``poly._num_mul``, so that is the product recorded here.
+    """
     params = random_p_params(random.Random(31), "+")
     rho = model_surface("+").rho
     element = make_p_element(params)
     constant_flags = []  # (left is constant, right is constant) per polynomial product
-    original = HermitianPolynomial.__mul__
+    original = poly._num_mul
     constant_exps = {(0,) * (2 * SP4.n)}
 
-    def recording_mul(self, other):
-        if isinstance(other, HermitianPolynomial):
-            constant_flags.append((set(self.terms) <= constant_exps,
-                                   set(other.terms) <= constant_exps))
-        return original(self, other)
+    def recording_mul(p, q):
+        constant_flags.append((set(p) <= constant_exps, set(q) <= constant_exps))
+        return original(p, q)
 
-    monkeypatch.setattr(HermitianPolynomial, "__mul__", recording_mul)
+    monkeypatch.setattr(poly, "_num_mul", recording_mul)
     cert = invariance_certificate(rho, element)
     assert cert.exact
     assert constant_flags, "the pullback made no polynomial products"

@@ -260,3 +260,130 @@ def test_literal_format_shape():
     p = var(SP2, 0) ** 2 * var(SP2, 2) * GaussianRational(Fraction(3, 5), Fraction(4, 5))
     assert format_poly(p) == "(3/5+4/5i)*z1^2*zb1^1"
     assert format_poly(HermitianPolynomial.zero(SP2)) == "(0)"
+
+
+# -- the exact product kernel against the term-by-term loop it replaced --------
+#
+# Exact products and substitutions run on Gaussian-integer numerators over one
+# denominator.  The oracle below is the earlier engine: one GaussianRational
+# product and sum per term pair, dropping a sum the moment it cancels.  Both must
+# give the same terms in the same insertion order (float evaluation sums in that
+# order) with the same canonical (a, b, d) coefficients.
+
+
+def oracle_mul(p, q):
+    out = {}
+    for e1, c1 in p.items():
+        for e2, c2 in q.items():
+            exps = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(exps)
+            s = c1 * c2 if s is None else s + c1 * c2
+            if s.is_zero():
+                out.pop(exps, None)
+            else:
+                out[exps] = s
+    return out
+
+
+def oracle_power(p, k):
+    result, base = None, p
+    while k:
+        if k & 1:
+            result = base if result is None else oracle_mul(result, base)
+        k >>= 1
+        if k:
+            base = oracle_mul(base, base)
+    return result
+
+
+def oracle_substitute(p, images):
+    out, powers = {}, {}
+    for e, c in p.terms.items():
+        term = None
+        for i, k in enumerate(e):
+            if k:
+                if (i, k) not in powers:
+                    powers[i, k] = oracle_power(images[i].terms, k)
+                term = powers[i, k] if term is None else oracle_mul(term, powers[i, k])
+        if term is None:
+            term = {(0,) * (2 * images[0].space.n): GaussianRational(1)}
+        for exps, t in term.items():
+            s = out.get(exps)
+            s = t * c if s is None else s + t * c
+            if s.is_zero():
+                out.pop(exps, None)
+            else:
+                out[exps] = s
+    return out
+
+
+def triples(terms):
+    """The terms in insertion order, each coefficient as its canonical (a, b, d)."""
+    return [(e, c._a, c._b, c._d) for e, c in terms.items()]
+
+
+# Denominators mix small values with the 10^6 height of the large-alpha draws;
+# small numerators on a small exponent grid make term sums collide and cancel.
+DENOMINATORS = st.one_of(st.integers(1, 6), st.sampled_from([999_983, 10**6]))
+COEFFS = st.builds(GaussianRational, st.builds(Fraction, st.integers(-3, 3), DENOMINATORS),
+                   st.builds(Fraction, st.integers(-3, 3), DENOMINATORS))
+EXPONENTS = st.tuples(st.integers(0, 2), st.integers(0, 2), st.integers(0, 1), st.integers(0, 1))
+POLYS = st.dictionaries(EXPONENTS, COEFFS, max_size=5).map(lambda t: HermitianPolynomial(SP2, t))
+IMAGES = st.one_of(POLYS, COEFFS.map(lambda c: const(SP2, c)),
+                   st.just(HermitianPolynomial.zero(SP2)))
+
+
+@given(POLYS, POLYS)
+@settings(max_examples=100, deadline=None)
+def test_exact_product_matches_the_term_by_term_oracle(a, b):
+    for p, q in ((a, b), (a + b, a - b)):  # the cross terms of (a + b)(a - b) cancel
+        assert triples((p * q).terms) == triples(oracle_mul(p.terms, q.terms))
+
+
+@given(POLYS, st.lists(IMAGES, min_size=4, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_exact_substitution_matches_the_term_by_term_oracle(p, images):
+    # maps.compose hands the same components in for z and zb; then p and p with
+    # its z and zb exponents swapped have the same image, so their difference
+    # cancels to zero term by term
+    twice = images[:2] * 2
+    swapped = HermitianPolynomial(SP2, {e[2:] + e[:2]: c for e, c in p.terms.items()})
+    for q, imgs in ((p, images), (p, twice), (p - swapped, twice)):
+        assert triples(q.substitute(imgs).terms) == triples(oracle_substitute(q, imgs))
+
+
+def test_cancelled_terms_leave_the_product_and_return_at_the_end():
+    x = var(SP2, 0)
+    p, q = const(SP2, 1) + x + x**2, x**2 - x + const(SP2, 1)
+    product = p * q  # x and x^3 cancel; x^2 cancels, then comes back as 1*x^2
+    exps = [(k, 0, 0, 0) for k in (0, 4, 2)]
+    assert triples(product.terms) == [(e, 1, 0, 1) for e in exps]
+    y = var(SP2, 1) * Fraction(1, 10**6)
+    difference = x - var(SP2, 1) + x * var(SP2, 1) * GaussianRational(2, -1)
+    images = [y, y, const(SP2, 7), HermitianPolynomial.zero(SP2)]
+    assert difference.substitute(images) == y * y * GaussianRational(2, -1)
+    assert (x - var(SP2, 1)).substitute(images).is_zero()
+
+
+def test_pullback_of_a_group_element_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from tubecert.catalog import make_p_element, model_surface, random_p_params
+    from tubecert.maps import pullback
+
+    gens = sympy.symbols("z1:5 zb1:5")
+
+    def expr(p):
+        return sum((sympy.Rational(c._a, c._d) + sympy.I * sympy.Rational(c._b, c._d))
+                   * sympy.Mul(*(g**k for g, k in zip(gens, e))) for e, c in p.terms.items())
+
+    element = make_p_element(random_p_params(random.Random(29), "-"))
+    rho = model_surface("-").rho
+    images = [expr(c) for c in element.components] + [expr(c.conjugate())
+                                                      for c in element.components]
+    expected = sympy.Poly(expr(rho).xreplace(dict(zip(gens, images))), *gens,
+                          domain=sympy.QQ_I)
+    ours = pullback(rho, element)  # q^4 * rho, since the element is a symmetry
+    assert ours.terms
+    assert {e: (sympy.Rational(c._a, c._d), sympy.Rational(c._b, c._d))
+            for e, c in ours.terms.items()} == {
+        e: (sympy.re(c), sympy.im(c)) for e, c in expected.as_dict().items()}
