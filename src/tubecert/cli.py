@@ -213,6 +213,11 @@ def main(argv=None) -> int:
     except (ConfigError, OSError, KeyError, DomainError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    try:  # an unwritable report path fails before any check runs
+        report = open(args.out, "w") if args.out else None
+    except OSError as exc:
+        print(f"error: cannot write the report: {exc}", file=sys.stderr)
+        return 2
 
     results = run_suite(specs, fail_fast=args.fail_fast, seed_override=args.seed_override)
     json_lines = [result_json_line(r) for r in results]
@@ -221,8 +226,9 @@ def main(argv=None) -> int:
             print(line)
     else:
         print(markdown_summary(results))
-    if args.out:
-        Path(args.out).write_text("\n".join(json_lines) + "\n")
+    if report:
+        with report:
+            report.write("\n".join(json_lines) + "\n")
 
     # An empty config is an empty report that vacuously passes.
     return 1 if any(r.status != "pass" for r in results) else 0

@@ -23,7 +23,7 @@ from operator import mul
 from . import exactla
 from .errors import DomainError, SpaceError
 from .poly import HermitianPolynomial, VariableSpace
-from .scalars import GaussianRational, _reduce, as_rational, fourth_root_exact
+from .scalars import _reduce, as_rational, fourth_root_exact
 
 
 class AffineMapR:
@@ -239,9 +239,8 @@ def equivalence_certificate(
     lead = rho_source.first_monomial()
     num = p.coefficient(lead)
     den = rho_source.coefficient(lead)
-    if (num.is_zero() if rho_source.exact else num == 0):
-        factor = GaussianRational(0) if rho_source.exact else 0j
-        return InvarianceCertificate(f, rho_source, factor, False, p)
+    if num == 0:  # num is then the zero of rho_source's tower
+        return InvarianceCertificate(f, rho_source, num, False, p)
     factor = num / den
     residual = p - rho_source * factor
     exact = rho_source.exact and residual.is_zero()

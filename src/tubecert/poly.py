@@ -8,13 +8,16 @@ polynomials are identical iff their term maps are equal.
 
 Coefficients come in two towers that never mix silently:
 
-* exact  -- :class:`~tubecert.scalars.GaussianRational` (the default); products
-  and substitutions clear each operand to Gaussian-integer numerators over one
-  denominator, sum integers only and canonicalise each output term once;
+* exact  -- :class:`~tubecert.scalars.GaussianRational` (the default);
 * float  -- Python ``complex``, entered only via :meth:`HermitianPolynomial.to_float`
   or by constructing explicitly with ``exact=False``.  Its traffic is the
   irrational sigma graphs, the printed maps and the Levi numerics; every
   zero-residual certificate is computed on the exact tower.
+
+Products and substitutions of both towers run on numerator pairs {exps: (a, b)}
+over one denominator: Gaussian integers over the lcm of the coefficients'
+denominators, summed as integers and canonicalised once per output term, or a
+float's (real, imag) over 1, giving the bits of term-by-term ``complex`` arithmetic.
 
 Real-valued polynomials (defining functions) are those fixed by conjugation;
 ``Re z_k`` is represented as (z_k + zb_k)/2 so every defining function is an
@@ -88,20 +91,12 @@ def _coerce_float(c):
     raise TypeError(f"float polynomial coefficient must be numeric, got {type(c).__name__}")
 
 
-def _merge(out: dict, terms: dict, exact: bool) -> None:
-    """Add the term map ``terms`` into ``out`` in place, dropping terms that sum to zero."""
-    for exps, c in terms.items():
-        s = out.get(exps)
-        s = c if s is None else s + c
-        if s.is_zero() if exact else s == 0:
-            out.pop(exps, None)
-        else:
-            out[exps] = s
-
-
-def _numerators(terms: dict) -> tuple[dict, int]:
-    """An exact term map as Gaussian-integer numerators {exps: (a, b)} over one
-    denominator D > 0, the lcm of its coefficients' denominators."""
+def _numerators(terms: dict, exact: bool) -> tuple[dict, int]:
+    """A term map as numerator pairs {exps: (a, b)} over one denominator D > 0: on
+    the exact tower Gaussian integers over the lcm of the coefficients'
+    denominators, on the float tower each coefficient's (real, imag) over 1."""
+    if not exact:
+        return {e: (c.real, c.imag) for e, c in terms.items()}, 1
     d = math.lcm(*(c._d for c in terms.values()))
     out = {}
     for e, c in terms.items():
@@ -113,8 +108,9 @@ def _numerators(terms: dict) -> tuple[dict, int]:
 def _num_mul(p: dict, q: dict) -> dict:
     """The product of two numerator maps, over the product of their denominators.
 
-    Sums integers only; a sum that cancels is dropped at once, so the terms come
-    out in the order the term-by-term product of coefficients gives them.
+    A sum that cancels, or a float product that underflows to zero, is dropped at
+    once, so the terms come out in the order, and with the float bits, of the
+    term-by-term product of coefficients.
     """
     out: dict = {}
     for e1, (a1, b1) in p.items():
@@ -124,40 +120,44 @@ def _num_mul(p: dict, q: dict) -> dict:
             s = out.get(e)
             if s is not None:
                 a, b = a + s[0], b + s[1]
-                if not (a or b):
-                    del out[e]
-                    continue
-            out[e] = (a, b)
+            if a or b:
+                out[e] = (a, b)
+            elif s is not None:
+                del out[e]
     return out
 
 
-def _canonical(num: dict, d: int) -> dict:
-    """Numerators over d back to a canonical term map: one gcd per term."""
-    return {e: _reduce(a, b, d) for e, (a, b) in num.items()}
+def _canonical(num: dict, d: int, exact: bool) -> dict:
+    """Numerators over d back to a canonical term map: one gcd per exact term."""
+    if exact:
+        return {e: _reduce(a, b, d) for e, (a, b) in num.items()}
+    return {e: complex(a, b) for e, (a, b) in num.items()}
 
 
-def _substitute_exact(terms: dict, images: list, target: VariableSpace) -> dict:
-    """The exact composition behind :meth:`HermitianPolynomial.substitute`.
+def _substitute(terms: dict, images: list, target: VariableSpace, exact: bool) -> dict:
+    """The composition behind :meth:`HermitianPolynomial.substitute`.
 
     Image i becomes numerators over D_i when a power first needs it, and its
     powers stay numerator maps (z_i^k over D_i^k).  Every term c * prod z_i^k
     is summed over one denominator L, the lcm of c.d * prod D_i^k, with the
     integer multiplier L // (c.d * prod D_i^k); only the sum is canonicalised.
+    On the float tower every denominator is 1.
     """
     converted: dict = {}
 
     def image(i):
         if i not in converted:
-            converted[i] = _numerators(images[i].terms)
+            converted[i] = _numerators(images[i].terms, exact)
         return converted[i]
 
-    dens = [c._d * math.prod(image(i)[1] ** k for i, k in enumerate(e) if k)
-            for e, c in terms.items()]
+    parts = [(c._a, c._b, c._d) if exact else (c.real, c.imag, 1) for c in terms.values()]
+    dens = [d * math.prod(image(i)[1] ** k for i, k in enumerate(e) if k)
+            for e, (_, _, d) in zip(terms, parts)]
     common = math.lcm(*dens)
-    one = {(0,) * (2 * target.n): (1, 0)}
+    zero = (0,) * (2 * target.n)
     powers: dict = {}
     out: dict = {}
-    for (e, c), den in zip(terms.items(), dens):
+    for e, (a, b, _), den in zip(terms, parts, dens):
         term = None
         for i, k in enumerate(e):
             if k:
@@ -165,17 +165,20 @@ def _substitute_exact(terms: dict, images: list, target: VariableSpace) -> dict:
                     powers[i, k] = _power(image(i)[0], k, _num_mul)
                 term = powers[i, k] if term is None else _num_mul(term, powers[i, k])
         m = common // den
-        a, b = c._a * m, c._b * m
-        for ex, (x, y) in (one if term is None else term).items():
-            x, y = x * a - y * b, x * b + y * a
+        a, b = a * m, b * m
+        # a constant term adds its coefficient as it is: times 1 + 0i, a float
+        # -0.0 part would come back as +0.0
+        for ex, (x, y) in ({zero: (a, b)} if term is None else term).items():
+            if term is not None:
+                x, y = x * a - y * b, x * b + y * a
             s = out.get(ex)
             if s is not None:
                 x, y = x + s[0], y + s[1]
-                if not (x or y):
-                    del out[ex]
-                    continue
-            out[ex] = (x, y)
-    return _canonical(out, common)
+            if x or y:
+                out[ex] = (x, y)
+            elif s is not None:
+                del out[ex]
+    return _canonical(out, common, exact)
 
 
 def _power(base, k: int, times):
@@ -254,7 +257,13 @@ class HermitianPolynomial:
             other = HermitianPolynomial.constant(self.space, other, self.exact)
         self._check_compat(other)
         merged = dict(self.terms)
-        _merge(merged, other.terms, self.exact)
+        for exps, c in other.terms.items():
+            s = merged.get(exps)
+            s = c if s is None else s + c
+            if s.is_zero() if self.exact else s == 0:
+                merged.pop(exps, None)
+            else:
+                merged[exps] = s
         return self._raw(self.space, merged, self.exact)
 
     __radd__ = __add__
@@ -279,21 +288,8 @@ class HermitianPolynomial:
                 self.space, {e: c * coeff for e, c in self.terms.items()}, self.exact
             )
         self._check_compat(other)
-        if self.exact:
-            (p, dp), (q, dq) = _numerators(self.terms), _numerators(other.terms)
-            return self._raw(self.space, _canonical(_num_mul(p, q), dp * dq), True)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(exps)
-                s = c if s is None else s + c
-                if s == 0:
-                    out.pop(exps, None)
-                else:
-                    out[exps] = s
-        return self._raw(self.space, out, False)
+        (p, dp), (q, dq) = _numerators(self.terms, self.exact), _numerators(other.terms, self.exact)
+        return self._raw(self.space, _canonical(_num_mul(p, q), dp * dq, self.exact), self.exact)
 
     __rmul__ = __mul__
 
@@ -372,11 +368,7 @@ class HermitianPolynomial:
         )
 
     def max_abs_coefficient(self) -> float:
-        if not self.terms:
-            return 0.0
-        if self.exact:
-            return max(abs(complex(c)) for c in self.terms.values())
-        return max(abs(c) for c in self.terms.values())
+        return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
 
     # -- calculus and decomposition ------------------------------------------
 
@@ -407,7 +399,7 @@ class HermitianPolynomial:
         return self._raw(self.space, out, self.exact)
 
     def substitute(self, images: list["HermitianPolynomial"]) -> "HermitianPolynomial":
-        """Exact composition: replace variable i by images[i] for all 2n variables."""
+        """Composition: replace variable i by images[i] for all 2n variables."""
         if len(images) != 2 * self.space.n:
             raise SpaceError(
                 f"substitution needs {2 * self.space.n} images, got {len(images)}"
@@ -418,28 +410,7 @@ class HermitianPolynomial:
                 raise SpaceError("substitution images live in different spaces")
             if img.exact != self.exact:
                 raise TypeError("substitution images must match the polynomial's tower")
-        if self.exact:
-            return self._raw(target, _substitute_exact(self.terms, images, target), True)
-        out: dict = {}
-        powers: dict[tuple[int, int], HermitianPolynomial] = {}
-
-        def power(i, k):
-            key = (i, k)
-            if key not in powers:
-                powers[key] = images[i] ** k
-            return powers[key]
-
-        for e, c in self.terms.items():
-            term = None
-            for i, k in enumerate(e):
-                if k:
-                    term = power(i, k) if term is None else term * power(i, k)
-            if term is None:
-                term = HermitianPolynomial.constant(target, c, False)
-            else:
-                term = term * c
-            _merge(out, term.terms, False)
-        return self._raw(target, out, False)
+        return self._raw(target, _substitute(self.terms, images, target, self.exact), self.exact)
 
     def evaluate(self, point):
         """Evaluate at exact values for the n holomorphic variables.
@@ -539,9 +510,7 @@ class RealPolynomial:
         for e, c in poly.terms.items():
             if any(e[n:]):
                 raise SpaceError("real polynomial must not use conjugate variables")
-            if poly.exact and not c.is_real():
-                raise DomainError("real polynomial has a non-real coefficient")
-            if not poly.exact and abs(c.imag) > 0:
+            if c.conjugate() != c:
                 raise DomainError("real polynomial has a non-real coefficient")
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "_hess", None)
@@ -585,7 +554,7 @@ class RealPolynomial:
 
     def __str__(self):
         # Print with x-names for readability.
-        return format_poly(self.poly).replace("z", "x").replace("xb", "xb")
+        return format_poly(self.poly).replace("z", "x")
 
     def __repr__(self):
         return f"RealPolynomial({format_poly(self.poly)!r})"

@@ -329,6 +329,20 @@ def test_cli_markdown_and_out_file(tmp_path, capsys):
     assert json.loads(lines[0])["id"] == "ok"
 
 
+@pytest.mark.parametrize("where", ["missing-dir/report.jsonl", "."])
+def test_unwritable_out_path_exits_2_before_any_check(where, tmp_path, capsys, monkeypatch):
+    cfg = tmp_path / "one.cfg"
+    cfg.write_text("id = ok\nkind = line_witness\ntarget = D_plus(side=<)\nseed = 1\n")
+    ran = []
+    monkeypatch.setattr("tubecert.cli.run_check", lambda spec: ran.append(spec))
+    out = tmp_path / where
+    assert main(["verify", str(cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and ran == []
+    assert str(out) in captured.err and "Traceback" not in captured.err
+    assert len(captured.err.strip().splitlines()) == 1
+
+
 def test_cli_describe_and_list(capsys):
     assert main(["list"]) == 0
     listed = capsys.readouterr().out

@@ -262,13 +262,16 @@ def test_literal_format_shape():
     assert format_poly(HermitianPolynomial.zero(SP2)) == "(0)"
 
 
-# -- the exact product kernel against the term-by-term loop it replaced --------
+# -- the product kernel against the term-by-term loops it replaced --------------
 #
-# Exact products and substitutions run on Gaussian-integer numerators over one
-# denominator.  The oracle below is the earlier engine: one GaussianRational
-# product and sum per term pair, dropping a sum the moment it cancels.  Both must
-# give the same terms in the same insertion order (float evaluation sums in that
-# order) with the same canonical (a, b, d) coefficients.
+# Products and substitutions on both towers run on numerator pairs {exps: (a, b)}
+# over one denominator: Gaussian integers over an lcm, or a float's (real, imag)
+# over 1.  The oracles below are the earlier engines: one coefficient product and
+# sum per term pair, dropping a sum the moment it is zero, and a constant term
+# added as its coefficient.  On the float tower they are the deleted complex loops
+# verbatim.  Both must give the same terms in the same insertion order (float
+# evaluation sums in that order) with the same canonical (a, b, d) coefficients,
+# or on the float tower the same bits, signed zeros included.
 
 
 def oracle_mul(p, q):
@@ -278,7 +281,7 @@ def oracle_mul(p, q):
             exps = tuple(a + b for a, b in zip(e1, e2))
             s = out.get(exps)
             s = c1 * c2 if s is None else s + c1 * c2
-            if s.is_zero():
+            if s == 0:
                 out.pop(exps, None)
             else:
                 out[exps] = s
@@ -306,11 +309,13 @@ def oracle_substitute(p, images):
                     powers[i, k] = oracle_power(images[i].terms, k)
                 term = powers[i, k] if term is None else oracle_mul(term, powers[i, k])
         if term is None:
-            term = {(0,) * (2 * images[0].space.n): GaussianRational(1)}
+            term = {(0,) * (2 * images[0].space.n): c}
+        else:
+            term = {exps: t * c for exps, t in term.items()}
         for exps, t in term.items():
             s = out.get(exps)
-            s = t * c if s is None else s + t * c
-            if s.is_zero():
+            s = t if s is None else s + t
+            if s == 0:
                 out.pop(exps, None)
             else:
                 out[exps] = s
@@ -363,6 +368,84 @@ def test_cancelled_terms_leave_the_product_and_return_at_the_end():
     images = [y, y, const(SP2, 7), HermitianPolynomial.zero(SP2)]
     assert difference.substitute(images) == y * y * GaussianRational(2, -1)
     assert (x - var(SP2, 1)).substitute(images).is_zero()
+
+
+def float_bits(terms):
+    """The terms in insertion order, each complex coefficient by its repr (signed zeros show)."""
+    return [(e, repr(c)) for e, c in terms.items()]
+
+
+# Signed zeros, values whose sums round (0.1, 1/3), products that cancel (+-1, +-0.5)
+# and products that underflow to zero (1e-200 squared) or to a subnormal (1e-160 squared).
+FLOAT_PARTS = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 0.1, 1 / 3, -2.5,
+                               1e-200, -1e-200, 1e-160])
+FLOAT_COEFFS = st.builds(complex, FLOAT_PARTS, FLOAT_PARTS)
+FLOAT_POLYS = st.dictionaries(EXPONENTS, FLOAT_COEFFS, max_size=5).map(
+    lambda t: HermitianPolynomial(SP2, t, exact=False))
+FLOAT_IMAGES = st.one_of(FLOAT_POLYS, FLOAT_COEFFS.map(
+    lambda c: HermitianPolynomial.constant(SP2, c, exact=False)),
+    st.just(HermitianPolynomial.zero(SP2, exact=False)))
+
+
+@given(FLOAT_POLYS, FLOAT_POLYS)
+@settings(max_examples=150, deadline=None)
+def test_float_product_matches_the_term_by_term_oracle(a, b):
+    for p, q in ((a, b), (a + b, a - b), (a, a)):
+        assert float_bits((p * q).terms) == float_bits(oracle_mul(p.terms, q.terms))
+
+
+@given(FLOAT_POLYS, st.lists(FLOAT_IMAGES, min_size=4, max_size=4))
+@settings(max_examples=150, deadline=None)
+def test_float_substitution_matches_the_term_by_term_oracle(p, images):
+    twice = images[:2] * 2
+    swapped = HermitianPolynomial(SP2, {e[2:] + e[:2]: c for e, c in p.terms.items()},
+                                  exact=False)
+    for q, imgs in ((p, images), (p, twice), (p - swapped, twice)):
+        assert float_bits(q.substitute(imgs).terms) == float_bits(oracle_substitute(q, imgs))
+
+
+def test_underflowing_float_products_leave_no_zero_term():
+    x, y = (HermitianPolynomial.variable(SP2, i, exact=False) for i in (0, 1))
+    tiny = x * 1e-200
+    assert (tiny * tiny).is_zero() and (tiny**2).is_zero()
+    assert (x * x).substitute([tiny, y, x, y]).is_zero()
+    assert (x * y).substitute([tiny, tiny, x, y]).is_zero()
+    # x*y first underflows to 0.0, then gains a 1 after x^2 and y^2 came in: a zero
+    # kept in place until the end would move x*y ahead of them
+    p, q = tiny + y, y * 1e-200 + x
+    exps = [(2, 0, 0, 0), (0, 2, 0, 0), (1, 1, 0, 0)]
+    assert float_bits((p * q).terms) == [(e, "(1e-200+0j)") for e in exps[:2]] + [
+        (exps[2], "(1+0j)")]
+    assert float_bits((p * q).terms) == float_bits(oracle_mul(p.terms, q.terms))
+
+
+def test_float_constant_term_keeps_its_signed_zero():
+    x = HermitianPolynomial.variable(SP2, 0, exact=False)
+    p = x + complex(2.0, -0.0)
+    images = [x * 3.0, x, x, x]
+    assert float_bits(p.substitute(images).terms) == [((1, 0, 0, 0), "(3+0j)"),
+                                                       ((0, 0, 0, 0), "(2-0j)")]
+    assert float_bits(p.substitute(images).terms) == float_bits(oracle_substitute(p, images))
+
+
+def test_printed_map_pullback_runs_on_the_numerator_kernel(monkeypatch):
+    """The float tower multiplies with the same ``poly._num_mul`` as the exact one."""
+    from tubecert import poly
+    from tubecert.catalog import make_normalizer_rational
+    from tubecert.maps import pullback
+
+    rationalized = make_normalizer_rational(Fraction(7, 12))
+    pairs = []
+    original = poly._num_mul
+
+    def recording_mul(p, q):
+        pairs.extend(v for ab in (*p.values(), *q.values()) for v in ab)
+        return original(p, q)
+
+    monkeypatch.setattr(poly, "_num_mul", recording_mul)
+    result = pullback(rationalized.target_rho.to_float(), rationalized.printed_map())
+    assert not result.exact and result.terms
+    assert pairs and all(type(v) is float for v in pairs)
 
 
 def test_pullback_of_a_group_element_matches_sympy():
