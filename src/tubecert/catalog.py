@@ -8,7 +8,8 @@ Families built here:
 * the quartic models M_plus / M_minus (Re z4 = z1 zb2 + z2 zb1 + |z3|^2 +- |z1|^4),
   their 13-parameter holomorphic symmetry group with its algebraic constraint,
   composition/inversion with exact parameter recovery, and the isotropy
-  matrices of the linear parts;
+  matrices of the linear parts with their Lie algebra, all read off one
+  coefficient formula;
 * the normalizing equivalences carrying each tube onto its model (printed
   form with irrational scalings on the floating tower, plus a rationally
   conjugated exact form);
@@ -458,25 +459,22 @@ def invert_p_map(f: HoloPolyMap) -> HoloPolyMap:
     return HoloPolyMap._raw(SPACE4, SPACE4, [Z1, Z2, Z3, Z4])
 
 
+_Z_LINEAR = (_Z1, _Z2, _Z3)
+
+
 def make_isotropy_matrix(params: PParams):
     """3x3 matrix of the linear isotropy action of a translation-free symmetry.
 
-    Requires rho = sigma = tau = 0 and u = 0.  The matrix preserves the
-    pairing form H = lie.FORM_PAIRING in the sense U^t H conj(U) = H.
+    Requires rho = sigma = tau = 0 and u = 0.  The matrix is the z1..z3 block
+    of the first three components of :func:`_p_rows` over q^2, and preserves
+    the pairing form H = lie.FORM_PAIRING in the sense U^t H conj(U) = H.
     """
     if not (params.rho.is_zero() and params.sigma.is_zero() and params.tau.is_zero()) or params.u != 0:
         raise DomainError("isotropy matrices need translation-free parameters")
     params.validate()
-    q = GaussianRational(params.q)
-    phi = params.phi_phase.value
-    psi = params.psi_phase.value
-    b, d = params.b, params.d
-    zero = GaussianRational(0)
-    return (
-        (phi / q, zero, zero),
-        (b, q * phi, d / q),
-        (-(d.conjugate() / (q * q)) * phi * psi, zero, psi),
-    )
+    rows = _p_rows(sign_to_eps(params.sign), *_p_values(params))
+    scale, zero = GaussianRational(1 / params.q**2), GaussianRational(0)
+    return tuple(tuple(row[m] * scale if m in row else zero for m in _Z_LINEAR) for row in rows[:3])
 
 
 def pseudo_unitarity_residual(U):
@@ -533,36 +531,62 @@ P_CHART = (("q", 1), ("phi", I), ("psi", I), ("iu", I), ("rho", 1), ("rho", I),
            ("sigma", 1), ("sigma", I), ("tau", 1), ("tau", I), ("b", I), ("d", 1), ("d", I))
 
 
-def p_chart_jacobian(sign: str) -> list[list[Fraction]]:
-    """The exact 48 x 13 Jacobian of the chart-to-coefficients map at the identity.
+def _p_slopes(sign: str, name: str, tangent) -> list[dict]:
+    """Each component's ``{monomial: slope}`` at the identity along one chart direction.
 
-    Each direction moves one parameter of the identity by t = Re z1 in a
-    one-variable space.  The t-linear part of each of the 24 map coefficients,
-    split into real and imaginary parts, is one column.
+    The direction moves the parameter ``name`` of the identity by t * tangent,
+    t = Re z1 in a one-variable space; a slope is the t-linear part of the
+    coefficient, given for every monomial of ``P_MONOMIALS``.
     """
     space = VariableSpace(1)
     t = HermitianPolynomial.re_variable(space, 0)
-    zero = HermitianPolynomial.zero(space)
     z, zb = space.unit(0), space.unit(1)
     names = ("q", "phi", "psi", "iu", "rho", "sigma", "tau", "b", "d")
     identity = dict(zip(names, _p_values(identity_p_params(sign))))
-    columns = []
-    for name, tangent in P_CHART:
-        rows = _p_rows(sign_to_eps(sign), **{**identity, name: t * tangent + identity[name]})
-        column = []
-        for row in rows:
-            for mono in P_MONOMIALS:
-                # a coefficient the moving parameter does not reach is still a scalar
-                c = zero + row.get(mono, 0)
-                slope = c.coefficient(z) + c.coefficient(zb)
-                column += (slope.re, slope.im)
-        columns.append(column)
+    rows = _p_rows(sign_to_eps(sign), **{**identity, name: t * tangent + identity[name]})
+
+    def slope(c):
+        if isinstance(c, HermitianPolynomial):
+            return c.coefficient(z) + c.coefficient(zb)
+        return GaussianRational(0)  # a coefficient the moving parameter does not reach
+
+    return [{mono: slope(row.get(mono, 0)) for mono in P_MONOMIALS} for row in rows]
+
+
+def p_chart_jacobian(sign: str) -> list[list[Fraction]]:
+    """The exact 48 x 13 Jacobian of the chart-to-coefficients map at the identity.
+
+    Each column is one direction's slopes of the 24 map coefficients, split
+    into real and imaginary parts.
+    """
+    columns = [[part for row in _p_slopes(sign, name, tangent) for slope in row.values()
+                for part in (slope.re, slope.im)] for name, tangent in P_CHART]
     return [list(r) for r in zip(*columns)]
 
 
 def p_jacobian_rank_at_identity(sign: str) -> int:
     """Exact rank of the chart's tangent map at the identity; the group's dimension shows up as 13."""
     return exactla.rank(p_chart_jacobian(sign))
+
+
+@functools.cache
+def isotropy_algebra() -> lie.LieSubspace:
+    """The real Lie algebra of the isotropy matrices, tangent at the identity.
+
+    One generator per translation-free chart direction (q, the two phases,
+    Im b, Re d and Im d): the slope of the z-linear block of the first three
+    components, less 2 dq I for the division by q^2 (the block is I at the
+    identity).  The sign is '+': eps multiplies only rho terms, so both
+    models share the algebra.
+    """
+    basis = []
+    for name, tangent in P_CHART:
+        if name in ("q", "phi", "psi", "b", "d"):
+            slopes = _p_slopes("+", name, tangent)
+            dq2 = 2 * tangent if name == "q" else 0
+            basis.append(lie.mat([[slopes[i][m] - (dq2 if i == j else 0)
+                                   for j, m in enumerate(_Z_LINEAR)] for i in range(3)]))
+    return lie.LieSubspace(tuple(basis), "R")
 
 
 # ---------------------------------------------------------------------------

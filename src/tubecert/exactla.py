@@ -10,8 +10,8 @@ lists of rows whose entries are ``int``, ``Fraction`` or
 :class:`~tubecert.scalars.GaussianRational`; a matrix with any
 ``GaussianRational`` entry is over Q(i) and its results are
 ``GaussianRational``, any other is over Q and its results are ``Fraction``
-(``nullspace`` takes ``one`` to force a unit element for an empty or all-zero
-system).
+(``nullspace`` takes the column count and the field's ``one``, which an empty
+system cannot show).
 """
 
 from __future__ import annotations
@@ -165,14 +165,6 @@ def _eliminate(m, ring, steps=None):
     return pivots
 
 
-def _unit_for(rows, one):
-    if one is not None:
-        return one
-    if any(isinstance(x, GaussianRational) for row in rows for x in row):
-        return GaussianRational(1)
-    return Fraction(1)
-
-
 def rref(rows: list[list]) -> tuple[list[list], list[int]]:
     """Reduced row echelon form; returns (reduced rows, pivot column indices)."""
     if not rows:
@@ -189,21 +181,20 @@ def rank(rows: list[list]) -> int:
     return len(rref(rows)[1])
 
 
-def nullspace(rows: list[list], ncols: int | None = None, one=None) -> list[list]:
-    """Exact basis of {x : rows @ x = 0}."""
-    if rows:
-        ncols = len(rows[0])
-    if ncols is None:
-        raise ValueError("ncols required for an empty system")
-    unit = _unit_for(rows, one)
-    zero = unit - unit
+def nullspace(rows: list[list], ncols: int, one) -> list[list]:
+    """Exact basis of {x : rows @ x = 0} for x with ``ncols`` entries.
+
+    ``one`` is the unit of the field the basis lives in, Fraction(1) or
+    GaussianRational(1); an empty system has no entries to read it from.
+    """
+    zero = one - one
     reduced, pivots = rref(rows)
     basis = []
     for fc in range(ncols):
         if fc in pivots:
             continue
         v = [zero] * ncols
-        v[fc] = unit
+        v[fc] = one
         for r, pc in enumerate(pivots):
             v[pc] = -reduced[r][fc]
         basis.append(v)

@@ -28,11 +28,10 @@ from fractions import Fraction
 
 from .errors import DomainError, NotAHypersurfacePoint, SpaceError
 from .poly import HermitianPolynomial, RealPolynomial, VariableSpace
-from .scalars import GaussianRational, is_exact, to_tower
+from .scalars import GaussianRational, to_tower
 
 ZERO_EIGENVALUE_RELTOL = 1e-9
 SPECTRAL_FLOOR = 1e-30
-BOUNDARY_BAND = 1e-12
 
 
 class Hypersurface:
@@ -112,24 +111,16 @@ class SidedDomain:
 
 
 def side_of(domain: SidedDomain, point) -> str:
-    """Classify a point as 'inside', 'on_boundary', or 'outside'.
+    """Classify an exact point as 'inside', 'on_boundary', or 'outside' by the exact sign of rho.
 
-    Exact sign on the exact tower; the floating path treats |rho| below a
-    1e-12 band as on the boundary.
+    A float point or a float-tower domain is a TypeError.
     """
-    rho = domain.rho
-    if rho.exact and is_exact(point):
-        value = rho.evaluate(point)
-        if not value.is_real():
-            raise DomainError("defining function evaluated to a non-real value")
-        if value.re == 0:
-            return "on_boundary"
-        sign = 1 if value.re > 0 else -1
-    else:
-        v = rho.evaluate_complex(point).real
-        if abs(v) <= BOUNDARY_BAND:
-            return "on_boundary"
-        sign = 1 if v > 0 else -1
+    value = domain.rho.evaluate(point)
+    if not value.is_real():
+        raise DomainError("defining function evaluated to a non-real value")
+    if value.re == 0:
+        return "on_boundary"
+    sign = 1 if value.re > 0 else -1
     return "inside" if sign == domain.side else "outside"
 
 

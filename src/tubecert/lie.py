@@ -320,39 +320,17 @@ def stabilizer_up_to_scale_dim(v) -> int:
 
 
 # ---------------------------------------------------------------------------
-# the 6-dimensional isotropy algebra and the common-eigenvector test
+# the common-eigenvector test
 # ---------------------------------------------------------------------------
-
-
-def isotropy_algebra_generators() -> list[Mat3]:
-    """Tangent generators at the identity of the 6-parameter isotropy matrix family.
-
-    Obtained by differentiating the family along its six smooth directions at
-    the identity: the scale, the two phases, the imaginary part of the (2,1)
-    slope, and the real and imaginary parts of d.  All six satisfy the
-    pairing-form algebra condition.
-    """
-    i = GaussianRational(0, 1)
-    return [
-        mat([[-1, 0, 0], [0, 1, 0], [0, 0, 0]]),              # scale direction
-        mat([[i, 0, 0], [0, i, 0], [0, 0, 0]]),               # first phase
-        mat([[0, 0, 0], [0, 0, 0], [0, 0, i]]),               # second phase
-        mscale(E(1, 0), i),                                   # Im b
-        msub(E(1, 2), E(2, 0)),                               # Re d
-        madd(mscale(E(1, 2), i), mscale(E(2, 0), i)),         # Im d
-    ]
-
-
-def isotropy_algebra() -> LieSubspace:
-    return LieSubspace(tuple(isotropy_algebra_generators()), "R")
 
 
 def line_image_test(S: LieSubspace, w) -> bool:
     """True iff every X in S maps w into the line C*w (exact minor rank test).
 
-    For the isotropy algebra, the vectors passing this test are exactly the
-    multiples of (0, 1, 0): that line is the algebra's only common
-    eigenvector direction, which is what pins the group's connected pieces.
+    For the isotropy algebra (``catalog.isotropy_algebra``), the vectors
+    passing this test are exactly the multiples of (0, 1, 0): that line is
+    the algebra's only common eigenvector direction, which is what pins the
+    group's connected pieces.
     """
     ww = tuple(to_tower(x) for x in w)
     if all(x.is_zero() for x in ww):

@@ -130,10 +130,8 @@ class HoloPolyMap:
         )
 
     def apply(self, point) -> list:
-        """Evaluate all components at a point (exact values on the exact tower)."""
-        if self.exact:
-            return [c.evaluate(point) for c in self.components]
-        return [c.evaluate_complex(point) for c in self.components]
+        """Evaluate all components at an exact point, exactly (exact tower only)."""
+        return [c.evaluate(point) for c in self.components]
 
     def linear_part(self):
         """Matrix of degree-1 coefficients (rows: components, cols: variables)."""

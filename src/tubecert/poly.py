@@ -284,9 +284,10 @@ class HermitianPolynomial:
             coeff = _coerce_exact(other) if self.exact else _coerce_float(other)
             if coeff.is_zero() if self.exact else coeff == 0:
                 return HermitianPolynomial.zero(self.space, self.exact)
-            return self._raw(
-                self.space, {e: c * coeff for e, c in self.terms.items()}, self.exact
-            )
+            terms = {e: c * coeff for e, c in self.terms.items()}
+            if not self.exact:  # a float product can underflow to zero
+                terms = {e: c for e, c in terms.items() if c}
+            return self._raw(self.space, terms, self.exact)
         self._check_compat(other)
         (p, dp), (q, dq) = _numerators(self.terms, self.exact), _numerators(other.terms, self.exact)
         return self._raw(self.space, _canonical(_num_mul(p, q), dp * dq, self.exact), self.exact)

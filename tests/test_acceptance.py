@@ -165,7 +165,7 @@ def test_criterion_06_isotropy_matrices():
         ).validate()
         res = pseudo_unitarity_residual(make_isotropy_matrix(params))
         assert all(x.is_zero() for row in res for x in row)
-    algebra = lie.isotropy_algebra()
+    algebra = catalog.isotropy_algebra()
     assert algebra.dimension == 6
     assert lie.is_subalgebra(algebra).closed
 
@@ -238,7 +238,7 @@ def test_criterion_09_subalgebra_dimension_core():
 def test_criterion_10_common_eigenvector_line():
     """10. the line test accepts exactly the multiples of (0,1,0), on 50 draws"""
     rng = random.Random(110)
-    algebra = lie.isotropy_algebra()
+    algebra = catalog.isotropy_algebra()
     for k in range(50):
         if k % 2 == 0:
             s = random_gaussian(rng)

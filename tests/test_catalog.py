@@ -11,7 +11,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from tubecert import catalog, exactla
+from tubecert import catalog, exactla, lie
+from tubecert.checks import CheckSpec, run_check
 from tubecert.chern_moser import sign_to_eps
 from tubecert.cli import parse_config, run_suite
 from tubecert.catalog import (
@@ -703,6 +704,32 @@ def test_isotropy_rejects_translations():
         make_isotropy_matrix(bad)
 
 
+def test_a_flipped_p_rows_coefficient_fails_isotropy_family(monkeypatch):
+    """The isotropy matrices and their algebra are read off _p_rows, so a sign
+    flip of the z1 coefficient of its third component (-conj(d) phi psi) fails
+    the isotropy check: the matrices stop preserving the pairing form and the
+    Re d tangent leaves u(2,1)."""
+    p_rows = catalog._p_rows
+
+    def flipped(*args, **kwargs):
+        rows = p_rows(*args, **kwargs)
+        rows[2][catalog._Z1] = -rows[2][catalog._Z1]
+        return rows
+
+    spec = CheckSpec(id="iso", kind="lie", target="isotropy_family", seed=1601)
+    assert run_check(spec).status == "pass"
+    monkeypatch.setattr(catalog, "_p_rows", flipped)
+    catalog.isotropy_algebra.cache_clear()
+    try:
+        result = run_check(spec)
+        assert result.status == "fail"
+        assert "does not preserve the pairing form" in result.details["reason"]
+        assert not all(lie.is_zero_matrix(lie.algebra_membership_residual(B, lie.FORM_PAIRING))
+                       for B in catalog.isotropy_algebra().basis)
+    finally:
+        catalog.isotropy_algebra.cache_clear()
+
+
 # --- normalizers -----------------------------------------------------------------
 
 
@@ -799,6 +826,16 @@ def test_quadric_transitivity_random_draws():
             assert image == target
 
 
+def float_image(f, point) -> list:
+    """A printed (float-tower) map's image of a complex point; apply() is exact-only."""
+    return [c.evaluate_complex(point) for c in f.components]
+
+
+def float_inside(domain, point) -> bool:
+    """rho has the domain's sign beyond a 1e-12 band at a complex point; side_of is exact-only."""
+    return domain.rho.evaluate_complex(point).real * domain.side > 1e-12
+
+
 def test_tube_realisation_certificates_and_shape():
     for p, n in ((1, 1), (1, 2), (2, 3)):
         eq = make_tube_realisation_rational(p, n)
@@ -815,7 +852,7 @@ def test_tube_realisation_certificates_and_shape():
     assert printed.components[1].coefficient((2, 0, 0, 0)) == pytest.approx(1.0)
     assert printed.components[1].coefficient((0, 1, 0, 0)) == pytest.approx(1.0)
     # the last component fixes the axis z = 0
-    origin_image = printed.apply([0j, 3 + 1j])
+    origin_image = float_image(printed, [0j, 3 + 1j])
     assert origin_image[0] == 0 and origin_image[1] == pytest.approx(3 + 1j)
 
 
@@ -824,7 +861,7 @@ def test_cayley_certificate_and_origin():
     cert = equivalence_certificate(eq.conjugated_target_rho, eq.rational_map, eq.source_rho)
     assert cert.exact and cert.factor == GaussianRational(4)
     printed = make_cayley_map()
-    assert printed.apply([0j, 0j, 0j]) == [0j, 0j, 0j]
+    assert float_image(printed, [0j, 0j, 0j]) == [0j, 0j, 0j]
     cert_f = equivalence_certificate(
         eq.target_rho.to_float(), printed, eq.source_rho.to_float()
     )
@@ -844,8 +881,8 @@ def test_cayley_side_correspondence():
         pt = [complex(x[0], rng.uniform(-2, 2)), complex(x[1], rng.uniform(-2, 2)), 0j]
         graph = catalog.cayley_graph().evaluate_real(x)
         pt[2] = complex(graph + rng.uniform(0.1, 3), rng.uniform(-2, 2))
-        assert side_of(tube_above, pt) == "inside"
-        assert side_of(quadric_above, printed.apply(pt)) == "inside"
+        assert float_inside(tube_above, pt)
+        assert float_inside(quadric_above, float_image(printed, pt))
 
 
 # --- degree-4 family ---------------------------------------------------------------

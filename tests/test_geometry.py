@@ -52,9 +52,9 @@ def test_side_of_examples():
     d_plus_below = model_domain("+", "<")
     assert side_of(d_plus_below, [0, 0, 0, -1]) == "inside"
     assert side_of(d_plus_above, [0, 0, 0, -1]) == "outside"
-    # float path and boundary band
-    assert side_of(d_plus_above, [0j, 0j, 0j, 1e-15 + 0j]) == "on_boundary"
-    assert side_of(d_plus_above, [0j, 0j, 0j, 0.5 + 3j]) == "inside"
+    # sides are decided exactly; a float point is refused
+    with pytest.raises(TypeError):
+        side_of(d_plus_above, [0j, 0j, 0j, 0.5 + 3j])
 
 
 def test_side_of_base_point_in_every_gamma_domain():

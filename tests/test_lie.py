@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import pytest
 
+from tubecert import catalog
+from tubecert.catalog import isotropy_algebra
 from tubecert.errors import DomainError
 from tubecert.lie import (
     E,
@@ -22,8 +24,6 @@ from tubecert.lie import (
     combine,
     is_subalgebra,
     is_zero_matrix,
-    isotropy_algebra,
-    isotropy_algebra_generators,
     jordan_test_set,
     killing,
     line_image_test,
@@ -205,7 +205,7 @@ def test_isotropy_ad_kernel_dimensions_over_the_reals():
     which are independent over R, so the kernel is 4-dimensional.
     """
     algebra = isotropy_algebra()
-    dims = [ad_kernel_dim(P, algebra) for P in isotropy_algebra_generators()]
+    dims = [ad_kernel_dim(P, algebra) for P in algebra.basis]
     assert dims == [3, 4, 4, 5, 3, 3]
 
 
@@ -246,6 +246,36 @@ def test_stabilizer_dimensions_random_representatives():
             moved = apply_vec(U, v)
             assert stabilizer_up_to_scale_dim(moved) == want
             produced += 1
+
+
+def hand_differentiated_isotropy_generators() -> list:
+    """The isotropy tangents differentiated by hand from the matrix family, in chart order.
+
+    The family is (phi/q, 0, 0; b, q phi, d/q; -conj(d) phi psi / q^2, 0, psi);
+    its tangents at the identity along the scale, the two phases, Im b, Re d
+    and Im d.  An oracle for :func:`catalog.isotropy_algebra`, which reads
+    them off the group-element formula instead.
+    """
+    i = GaussianRational(0, 1)
+    return [
+        mat([[-1, 0, 0], [0, 1, 0], [0, 0, 0]]),              # scale direction
+        mat([[i, 0, 0], [0, i, 0], [0, 0, 0]]),               # first phase
+        mat([[0, 0, 0], [0, 0, 0], [0, 0, i]]),               # second phase
+        mscale(E(1, 0), i),                                   # Im b
+        msub(E(1, 2), E(2, 0)),                               # Re d
+        madd(mscale(E(1, 2), i), mscale(E(2, 0), i)),         # Im d
+    ]
+
+
+def test_isotropy_algebra_is_the_hand_differentiated_six_in_order():
+    assert list(isotropy_algebra().basis) == hand_differentiated_isotropy_generators()
+
+
+def test_isotropy_slopes_do_not_depend_on_the_sign():
+    """eps multiplies only rho terms, so both models' z-linear slopes agree."""
+    for name, tangent in catalog.P_CHART:
+        if name in ("q", "phi", "psi", "b", "d"):
+            assert catalog._p_slopes("-", name, tangent) == catalog._p_slopes("+", name, tangent)
 
 
 def test_isotropy_algebra_structure():

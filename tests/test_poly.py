@@ -419,6 +419,17 @@ def test_underflowing_float_products_leave_no_zero_term():
     assert float_bits((p * q).terms) == float_bits(oracle_mul(p.terms, q.terms))
 
 
+def test_underflowing_float_scalar_multiple_is_the_zero_polynomial():
+    x, y = (HermitianPolynomial.variable(SP2, i, exact=False) for i in (0, 1))
+    zero = HermitianPolynomial.zero(SP2, exact=False)
+    p = x * 1e-200 * 1e-200
+    assert p.is_zero() and p.terms == {} and p == zero
+    # only the underflowing term goes; the survivor keeps its value
+    q = (x * 1e-200 + y) * 1e-200
+    assert q.terms == {(0, 1, 0, 0): 1e-200 + 0j}
+    assert q - y * 1e-200 == zero
+
+
 def test_float_constant_term_keeps_its_signed_zero():
     x = HermitianPolynomial.variable(SP2, 0, exact=False)
     p = x + complex(2.0, -0.0)

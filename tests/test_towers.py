@@ -83,9 +83,14 @@ def _float_quadric_map():
     quadric_transitive_map(1, 2, 0.5, [complex(1, 2), 0j], 0.25)
 
 
+def _float_apply():
+    catalog.make_cayley_map().apply([0j, 0j, 0j])
+
+
 @pytest.mark.parametrize(
-    "call", [_float_line, _float_scaling, _float_quadric_map],
-    ids=["contains_complex_line", "linear_scaling_check", "quadric_transitive_map"],
+    "call", [_float_line, _float_scaling, _float_quadric_map, _float_apply],
+    ids=["contains_complex_line", "linear_scaling_check", "quadric_transitive_map",
+         "HoloPolyMap.apply"],
 )
 def test_float_input_to_exact_routines_is_a_type_error(call):
     with pytest.raises(TypeError):
@@ -112,5 +117,6 @@ def test_printed_maps_are_scaled_rational_maps(rationalized):
         point = [random_gaussian(rng) for _ in range(printed.space_in.n)]
         exact = rationalized.rational_map.apply(point)
         scaled = [complex(w) * float(r) ** 0.25 for w, r in zip(exact, rationalized.radicands)]
-        for got, want in zip(printed.apply(point), scaled, strict=True):
+        image = [c.evaluate_complex(point) for c in printed.components]
+        for got, want in zip(image, scaled, strict=True):
             assert close(got, want)
