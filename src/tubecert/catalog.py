@@ -17,17 +17,19 @@ Families built here:
   action, and the tube realisation;
 * the Cayley tube x3 = x1 x2 + x1^3 and its equivalence with the (1,1) quadric;
 * the one-parameter degree-4 family of graphs in R^7 used for signature
-  consistency checks.
+  consistency checks, on rational coordinates.
 
 All constants are entered as printed in their source displays; simplification
 only ever happens inside the certified pipeline, so transcription errors are
-caught by certificates instead of being hidden by hand algebra.
+caught by certificates instead of being hidden by hand algebra.  The one
+exception is the sigma family, whose first three coordinates are rescaled by
+square roots so that its coefficients are rational (see
+:func:`make_sigma_surface`).
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -62,10 +64,11 @@ from .scalars import (
 SPACE3 = VariableSpace(3)
 SPACE4 = VariableSpace(4)
 SPACE6 = VariableSpace(6)
+SPACE7 = VariableSpace(7)
 
 
-def _var(space, i, exact=True):
-    return HermitianPolynomial.variable(space, i, exact)
+def _var(space, i):
+    return HermitianPolynomial.variable(space, i)
 
 
 def _re(space, i):
@@ -814,34 +817,29 @@ def make_cayley_map() -> HoloPolyMap:
 # degree-4 one-parameter family of graphs in R^7
 # ---------------------------------------------------------------------------
 
-SIGMA_SUP = 17.0 + 12.0 * math.sqrt(2.0)  # ~33.9706; the largest radicand vanishes here
+def make_sigma_surface(sigma: Fraction) -> RealPolynomial:
+    """The degree-4 graph in y1, y2, y3, x4..x7 with rational parameter sigma
+    in [1, 17 + 12*sqrt(2)).
 
-
-def make_sigma_surface(sigma: float) -> RealPolynomial:
-    """The degree-4 graph in x1..x7 with parameter sigma in [1, 17 + 12*sqrt(2)).
-
-    Three coefficients are square roots, so the polynomial lives on the
-    floating tower.  No parameter value in the interval makes all radicands
-    rational squares simultaneously (2(1+sigma) and 3*sigma cannot both be
-    rational squares), so there is no exact special case to expose.
+    As printed, the graph in x1..x7 carries the coefficients 2*sqrt(r1),
+    2*sqrt(r2), (1+sigma)/sqrt(r2) and sqrt(r3), where r1 = 2(1+sigma),
+    r2 = 3 sigma and r3 = (-sigma^2 + 34 sigma - 1)/(3 sigma); no sigma makes
+    r1 and r2 both rational squares.  This is the one catalog object not
+    entered as printed: the diagonal change y_i = sqrt(r_i) x_i (i = 1, 2, 3)
+    makes every coefficient rational, and a real linear change of the base
+    keeps the tube's Levi signature.  The interval is decided exactly: sigma >= 1
+    and r3 > 0, whose numerator ``top`` vanishes at 17 + 12*sqrt(2).
     """
-    s = float(sigma)
-    if not (1.0 <= s < SIGMA_SUP):
-        raise DomainError(f"sigma must lie in [1, {SIGMA_SUP}), got {s}")
-    r1 = 2.0 * (1.0 + s)
-    r2 = 3.0 * s
-    r3 = (-s * s + 34.0 * s - 1.0) / (3.0 * s)
-    if r1 < 0 or r2 < 0 or r3 < 0:
-        raise DomainError("negative radicand; sigma outside the valid interval")
-    space = VariableSpace(7)
-    x = [_var(space, i, exact=False) for i in range(7)]
+    sigma = as_rational(sigma)
+    top = -sigma * sigma + 34 * sigma - 1
+    if not (sigma >= 1 and top > 0):
+        raise DomainError(f"sigma must lie in [1, 17 + 12*sqrt(2)), got {sigma}")
+    r1, r2, r3 = 2 * (1 + sigma), 3 * sigma, top / (3 * sigma)
+    y1, y2, y3, x4, x5, x6, x7 = (_var(SPACE7, i) for i in range(7))
     f = (
-        x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3] * x[4] + x[5] * x[6]
-        + x[0] * x[3] * x[5] * (2.0 * math.sqrt(r1))
-        + x[1] * x[5] ** 2 * (2.0 * math.sqrt(r2))
-        + x[1] * x[3] ** 2 * ((1.0 + s) / math.sqrt(r2))
-        + x[2] * x[3] ** 2 * math.sqrt(r3)
-        + (x[3] ** 2 + x[5] ** 2) * (x[3] ** 2 + x[5] ** 2 * s)
+        y1**2 * (1 / r1) + y2**2 * (1 / r2) + y3**2 * (1 / r3) + x4 * x5 + x6 * x7
+        + y1 * x4 * x6 * 2 + y2 * x6**2 * 2 + y2 * x4**2 * ((1 + sigma) / r2) + y3 * x4**2
+        + (x4**2 + x6**2) * (x4**2 + x6**2 * sigma)
     )
     return RealPolynomial(f)
 
@@ -953,7 +951,7 @@ def one_of(*options: str) -> Callable[[str], str]:
 # Identifier arguments and their parsers; every catalog family draws from these.
 IDENT_ARGS = {
     "alpha": as_rational,
-    "sigma": lambda text: float(Fraction(text)),
+    "sigma": as_rational,
     "p": int,
     "n": int,
     "side": one_of(">", "<"),
@@ -1032,7 +1030,7 @@ def parse_ident(ident: str) -> tuple[str, dict]:
     against it and returned with the ones it binds; any other name (a ``lie``
     check target) takes no arguments.  A malformed identifier or a missing,
     extra, repeated or unknown argument raises KeyError; a value its parser rejects
-    (``alpha=1/0``, ``side=x``, ``sigma=1e400``) raises DomainError.
+    (``alpha=1/0``, ``side=x``, ``sigma=nan``) raises DomainError.
     """
     ident = ident.strip().replace("σ", "sigma")
     name, paren, body = ident.partition("(")
@@ -1051,7 +1049,7 @@ def parse_ident(ident: str) -> tuple[str, dict]:
             raise KeyError(f"unknown, repeated or malformed {piece!r} in {ident!r}; {takes}")
         try:
             given[key] = IDENT_ARGS[key](value)
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise DomainError(f"bad value {value!r} for {key} in {ident!r}: {exc}") from None
     missing = [key for key in family.args if key not in given and key not in family.binds]
     if missing:

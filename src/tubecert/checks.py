@@ -33,7 +33,7 @@ from .catalog import (
     random_p_params,
     random_positive_fraction,
 )
-from .errors import ConfigError, DomainError
+from .errors import ClosureViolation, ConfigError, DomainError
 from .maps import (
     HoloPolyMap,
     equivalence_certificate,
@@ -314,13 +314,13 @@ def _levi_model(spec: CheckSpec, rng, sign: str, samples: int) -> dict:
             "worst_margin": worst_margin}
 
 
-def _levi_sigma(spec: CheckSpec, rng, sigma: float, points: int) -> dict:
+def _levi_sigma(spec: CheckSpec, rng, sigma: Fraction, points: int) -> dict:
     f = catalog.make_sigma_surface(sigma)
     for _ in range(points):
         x = [rng.uniform(-1, 1) for _ in range(7)]
         sig = geometry.tube_hessian_signature(f, x)
         _require(sig == (5, 2, 0), f"signature {sig} at {x} is not (5,2)")
-    return {"sigma": sigma, "points": points, "signature": [5, 2, 0]}
+    return {"sigma": float(sigma), "points": points, "signature": [5, 2, 0]}
 
 
 def _levi_gamma_crosscheck(spec: CheckSpec, rng, alpha: Fraction, points: int) -> dict:
@@ -558,23 +558,27 @@ def _line_witness(spec: CheckSpec, rng, **_target_args) -> dict:
 
 
 def _closure(spec: CheckSpec, rng, sign: str, draws: int, inverse_draws: int) -> dict:
-    for _ in range(draws):
-        a = random_p_params(rng, sign)
-        b = random_p_params(rng, sign)
-        ab = p_compose(a, b)  # raises ClosureViolation on any recovery failure
-        _require(ab.q == a.q * b.q, "composite scale is not the product of scales")
+    try:  # recovery raises ClosureViolation when a product or inverse leaves the group
+        for _ in range(draws):
+            a = random_p_params(rng, sign)
+            b = random_p_params(rng, sign)
+            ab = p_compose(a, b)
+            _require(ab.q == a.q * b.q, "composite scale is not the product of scales")
 
-    ident = p_params_from_map(HoloPolyMap.identity(catalog.SPACE4), sign)
-    _require(ident == identity_p_params(sign), "identity map did not recover trivial parameters")
+        ident = p_params_from_map(HoloPolyMap.identity(catalog.SPACE4), sign)
+        _require(ident == identity_p_params(sign),
+                 "identity map did not recover trivial parameters")
 
-    for _ in range(inverse_draws):
-        a = random_p_params(rng, sign)
-        inv = p_inverse(a)
-        _require(inv.q == 1 / a.q, "inverse scale is not the reciprocal")
-        _require(
-            p_compose(inv, a) == identity_p_params(sign),
-            "inverse composed with the element is not the identity",
-        )
+        for _ in range(inverse_draws):
+            a = random_p_params(rng, sign)
+            inv = p_inverse(a)
+            _require(inv.q == 1 / a.q, "inverse scale is not the reciprocal")
+            _require(
+                p_compose(inv, a) == identity_p_params(sign),
+                "inverse composed with the element is not the identity",
+            )
+    except ClosureViolation as exc:
+        raise CheckFailure(f"group law: {exc}") from None
     return {"sign": sign, "compose_draws": draws, "inverse_draws": inverse_draws,
             "recovery": "exact"}
 

@@ -46,9 +46,7 @@ class Hypersurface:
     __slots__ = ("rho", "space", "_derivs")
 
     def __init__(self, rho: HermitianPolynomial):
-        if rho.exact and not rho.is_real_valued():
-            raise DomainError("defining function must be real-valued")
-        if not rho.exact and not rho.is_real_valued(tol=1e-12):
+        if not rho.is_real_valued():
             raise DomainError("defining function must be real-valued")
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "space", rho.space)
@@ -361,13 +359,11 @@ def lifted_tube(f: RealPolynomial) -> Hypersurface:
     """The tube hypersurface over the graph x_{n+1} = f(x), as rho = f(Re z) - Re z_{n+1}.
 
     The orientation (graph side positive) matches the sign convention of
-    :func:`tube_hessian_signature`.  The tube is on f's own scalar tower.
+    :func:`tube_hessian_signature`.  f must be on the exact tower.
     """
     n = f.space.n
     big = VariableSpace(n + 1)
     re = [HermitianPolynomial.re_variable(big, i) for i in range(n + 1)]
-    if not f.exact:
-        re = [x.to_float() for x in re]
     # images for conjugate slots of f's space; f has no conjugates but the
     # substitution API wants a full list.
     images = re[:n] + [x.conjugate() for x in re[:n]]

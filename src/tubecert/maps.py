@@ -139,7 +139,8 @@ class HoloPolyMap:
         return [[comp.coefficient(e) for e in units] for comp in self.components]
 
     def linear_determinant(self):
-        return exactla.determinant(self.linear_part()) if self.exact else None
+        """Determinant of the linear part, exactly (exact tower only)."""
+        return exactla.determinant(self.linear_part())
 
     def __eq__(self, other):
         if not isinstance(other, HoloPolyMap):

@@ -9,10 +9,9 @@ polynomials are identical iff their term maps are equal.
 Coefficients come in two towers that never mix silently:
 
 * exact  -- :class:`~tubecert.scalars.GaussianRational` (the default);
-* float  -- Python ``complex``, entered only via :meth:`HermitianPolynomial.to_float`
-  or by constructing explicitly with ``exact=False``.  Its traffic is the
-  irrational sigma graphs, the printed maps and the Levi numerics; every
-  zero-residual certificate is computed on the exact tower.
+* float  -- Python ``complex``, entered only via :meth:`HermitianPolynomial.to_float`.
+  Its traffic is the printed maps and the Levi and tube-Hessian numerics;
+  every zero-residual certificate is computed on the exact tower.
 
 Products and substitutions of both towers run on numerator pairs {exps: (a, b)}
 over one denominator: Gaussian integers over the lcm of the coefficients'
@@ -232,8 +231,8 @@ class HermitianPolynomial:
         return HermitianPolynomial(space, {(0,) * (2 * space.n): c}, exact)
 
     @staticmethod
-    def variable(space: VariableSpace, index: int, exact: bool = True) -> "HermitianPolynomial":
-        return HermitianPolynomial(space, {space.unit(index): 1}, exact)
+    def variable(space: VariableSpace, index: int) -> "HermitianPolynomial":
+        return HermitianPolynomial(space, {space.unit(index): 1})
 
     @staticmethod
     def re_variable(space: VariableSpace, index: int) -> "HermitianPolynomial":
@@ -342,23 +341,9 @@ class HermitianPolynomial:
             self.exact,
         )
 
-    def is_real_valued(self, tol: float = 0.0) -> bool:
-        """True iff the polynomial is fixed by conjugation.
-
-        Exact polynomials are compared with zero remainder; float polynomials
-        compare coefficient-wise within ``tol``.
-        """
-        n = self.space.n
-        for e, c in self.terms.items():
-            partner = self.terms.get(_swap_exponents(e, n))
-            if self.exact:
-                if partner is None or partner != c.conjugate():
-                    return False
-            else:
-                ref = 0j if partner is None else partner
-                if abs(ref - c.conjugate()) > tol:
-                    return False
-        return True
+    def is_real_valued(self) -> bool:
+        """True iff the polynomial is fixed by conjugation."""
+        return self.conjugate() == self
 
     def to_float(self) -> "HermitianPolynomial":
         """Explicit, lossy, one-way conversion to the floating tower."""
@@ -522,10 +507,6 @@ class RealPolynomial:
     @property
     def space(self) -> VariableSpace:
         return self.poly.space
-
-    @property
-    def exact(self) -> bool:
-        return self.poly.exact
 
     def __eq__(self, other):
         if not isinstance(other, RealPolynomial):

@@ -297,7 +297,7 @@ def test_criterion_12_quadric_equivalences():
     cert = equivalence_certificate(eqc.conjugated_target_rho, eqc.rational_map, eqc.source_rho)
     assert cert.exact and cert.factor == GaussianRational(4)
     assert cert.factor_is_positive_real
-    for sigma in (1.0, 2.0, 17.0, 33.9):
+    for sigma in (Fraction(1), Fraction(2), Fraction(17), Fraction(339, 10)):
         f = make_sigma_surface(sigma)
         for _ in range(20):
             x = [rng.uniform(-1, 1) for _ in range(7)]

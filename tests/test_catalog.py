@@ -55,7 +55,7 @@ from tubecert.catalog import (
     transitive_params_omega,
 )
 from tubecert.errors import ClosureViolation, ConstraintError, DomainError
-from tubecert.geometry import side_of
+from tubecert.geometry import side_of, tube_hessian_signature
 from tubecert.maps import (
     AffineMapR,
     HoloPolyMap,
@@ -64,7 +64,7 @@ from tubecert.maps import (
     invariance_certificate,
     lift_affine,
 )
-from tubecert.poly import HermitianPolynomial, VariableSpace
+from tubecert.poly import HermitianPolynomial, RealPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational, phase_from_parameter
 
 from affine_helpers import affine_det, affine_parts, canonical, rational_affine
@@ -730,6 +730,27 @@ def test_a_flipped_p_rows_coefficient_fails_isotropy_family(monkeypatch):
         catalog.isotropy_algebra.cache_clear()
 
 
+@pytest.mark.parametrize("target", ["P_plus", "P_minus"])
+def test_a_flipped_p_rows_coefficient_fails_group_closure(monkeypatch, target):
+    """A broken group law is a failed closure claim, not an error: with the same
+    sign flip, parameter recovery raises ClosureViolation, and the check reports
+    its message as the reason."""
+    p_rows = catalog._p_rows
+
+    def flipped(*args, **kwargs):
+        rows = p_rows(*args, **kwargs)
+        rows[2][catalog._Z1] = -rows[2][catalog._Z1]
+        return rows
+
+    spec = CheckSpec(id="closure", kind="closure", target=target, seed=1)
+    assert run_check(spec).status == "pass"
+    monkeypatch.setattr(catalog, "_p_rows", flipped)
+    result = run_check(spec)
+    assert result.status == "fail"
+    assert result.details["reason"] == (
+        "group law: translation constant has a stray real part")
+
+
 # --- normalizers -----------------------------------------------------------------
 
 
@@ -889,29 +910,67 @@ def test_cayley_side_correspondence():
 
 
 def test_sigma_surface_coefficients():
-    f = make_sigma_surface(1.0)
+    """At sigma = 1 (r1 = 4, r2 = 3, r3 = 32/3) in the coordinates y_i = sqrt(r_i) x_i."""
+    f = make_sigma_surface(Fraction(1))
     sp = f.space
     def coeff(**pw):
         exps = [0] * (2 * sp.n)
         for name, k in pw.items():
             exps[int(name[1:]) - 1] = k
         return f.poly.coefficient(tuple(exps))
-    assert coeff(x1=1, x4=1, x6=1) == pytest.approx(4.0)  # 2 sqrt(2 (1+1))
-    assert coeff(x3=1, x4=2) == pytest.approx(math.sqrt(32.0 / 3.0))
-    assert coeff(x2=1, x6=2) == pytest.approx(2.0 * math.sqrt(3.0))
-    assert coeff(x2=1, x4=2) == pytest.approx(2.0 / math.sqrt(3.0))
-    assert coeff(x4=4) == pytest.approx(1.0)
-    assert coeff(x4=2, x6=2) == pytest.approx(2.0)  # 1 + sigma at sigma=1
-    assert coeff(x6=4) == pytest.approx(1.0)  # sigma at sigma=1
+    assert coeff(x1=2) == GaussianRational(Fraction(1, 4))  # 1 / r1
+    assert coeff(x2=2) == GaussianRational(Fraction(1, 3))  # 1 / r2
+    assert coeff(x3=2) == GaussianRational(Fraction(3, 32))  # 1 / r3
+    assert coeff(x1=1, x4=1, x6=1) == GaussianRational(2)
+    assert coeff(x3=1, x4=2) == GaussianRational(1)
+    assert coeff(x2=1, x6=2) == GaussianRational(2)
+    assert coeff(x2=1, x4=2) == GaussianRational(Fraction(2, 3))  # (1 + sigma) / r2
+    assert coeff(x4=4) == GaussianRational(1)
+    assert coeff(x4=2, x6=2) == GaussianRational(2)  # 1 + sigma at sigma=1
+    assert coeff(x6=4) == GaussianRational(1)  # sigma at sigma=1
+
+
+def _printed_sigma_surface(s: float) -> RealPolynomial:
+    """The sigma graph as printed, in x1..x7 with square-root coefficients on the
+    float tower: the catalog's formula before its rescaling, kept as an oracle."""
+    r1 = 2.0 * (1.0 + s)
+    r2 = 3.0 * s
+    r3 = (-s * s + 34.0 * s - 1.0) / (3.0 * s)
+    x = [HermitianPolynomial.variable(VariableSpace(7), i).to_float() for i in range(7)]
+    f = (
+        x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3] * x[4] + x[5] * x[6]
+        + x[0] * x[3] * x[5] * (2.0 * math.sqrt(r1))
+        + x[1] * x[5] ** 2 * (2.0 * math.sqrt(r2))
+        + x[1] * x[3] ** 2 * ((1.0 + s) / math.sqrt(r2))
+        + x[2] * x[3] ** 2 * math.sqrt(r3)
+        + (x[3] ** 2 + x[5] ** 2) * (x[3] ** 2 + x[5] ** 2 * s)
+    )
+    return RealPolynomial(f)
+
+
+@pytest.mark.parametrize("sigma", [Fraction(1), Fraction(2), Fraction(17), Fraction(339, 10),
+                                   Fraction(339699, 10000)], ids=str)
+def test_rational_sigma_graph_is_the_printed_graph_after_rescaling(sigma):
+    """f(y) equals the printed graph at x_i = y_i / sqrt(r_i) for i = 1, 2, 3, and the
+    two graphs' Hessians there have the same signature."""
+    rng = random.Random(20)
+    f, printed = make_sigma_surface(sigma), _printed_sigma_surface(float(sigma))
+    radicands = [2 * (1 + sigma), 3 * sigma, (-sigma * sigma + 34 * sigma - 1) / (3 * sigma)]
+    roots = [math.sqrt(r) for r in radicands] + [1.0] * 4
+    for _ in range(20):
+        y = [rng.uniform(-1, 1) for _ in range(7)]
+        x = [v / r for v, r in zip(y, roots)]
+        assert f.evaluate_real(y) == pytest.approx(printed.evaluate_real(x), rel=1e-12)
+        assert tube_hessian_signature(f, y) == tube_hessian_signature(printed, x) == (5, 2, 0)
 
 
 def test_sigma_interval_endpoints():
-    make_sigma_surface(1.0)
-    make_sigma_surface(33.9)
+    make_sigma_surface(Fraction(1))
+    make_sigma_surface(Fraction(3397056, 100000))  # 17 + 12 sqrt(2) = 33.970562...
     with pytest.raises(DomainError):
-        make_sigma_surface(0.99)
+        make_sigma_surface(Fraction(99, 100))
     with pytest.raises(DomainError):
-        make_sigma_surface(17 + 12 * math.sqrt(2))
+        make_sigma_surface(Fraction(3397057, 100000))
     # the largest radicand vanishes exactly at the right endpoint
     s = 17 + 12 * math.sqrt(2)
     assert abs(-s * s + 34 * s - 1) < 1e-9
@@ -919,7 +978,8 @@ def test_sigma_interval_endpoints():
 
 def test_no_simultaneously_rational_radicands():
     """2(1+s) and 3s cannot both be rational squares: 2 a^2 - 3 b^2 = -6 has no
-    rational points (mod-3 obstruction), so the family has no fully exact member."""
+    rational points (mod-3 obstruction), so no member of the family as printed has
+    rational coefficients; the catalog rescales x1, x2, x3 instead."""
     for bnum in range(1, 40):
         for bden in range(1, 12):
             b = Fraction(bnum, bden)  # b^2 = 2 (1 + s)

@@ -456,12 +456,16 @@ def test_describe_rejects_missing_and_extra_arguments(ident, capsys):
     assert "takes" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize(
-    "ident", ["gamma(alpha=1/0)", "sigma(sigma=1e400)", "quadric(p=x,n=2,side=>)"]
-)
-def test_describe_rejects_bad_values(ident, capsys):
+@pytest.mark.parametrize("ident, message", [
+    pytest.param("gamma(alpha=1/0)", "bad value", id="gamma(alpha=1/0)"),
+    # 1e400 parses as an exact rational, far outside sigma's interval
+    pytest.param("sigma(sigma=1e400)", "sigma must lie in [1, 17 + 12*sqrt(2))",
+                 id="sigma(sigma=1e400)"),
+    pytest.param("quadric(p=x,n=2,side=>)", "bad value", id="quadric(p=x,n=2,side=>)"),
+])
+def test_describe_rejects_bad_values(ident, message, capsys):
     assert main(["describe", ident]) == 2
-    assert "bad value" in capsys.readouterr().err
+    assert message in capsys.readouterr().err
 
 
 def test_block_lacking_a_key_is_named_by_its_last_line():

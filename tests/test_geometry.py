@@ -115,7 +115,7 @@ def test_tube_hessian_examples():
     f1 = RealPolynomial(HermitianPolynomial.variable(sp1, 0) ** 2)
     assert tube_hessian_signature(f1, [0.0]) == (1, 0, 0)
     # full family at the origin: quartic terms vanish there
-    assert tube_hessian_signature(make_sigma_surface(1.0), [0.0] * 7) == (5, 2, 0)
+    assert tube_hessian_signature(make_sigma_surface(Fraction(1)), [0.0] * 7) == (5, 2, 0)
 
 
 def test_tube_hessian_agrees_with_levi_on_lift():
@@ -135,14 +135,14 @@ def test_tube_hessian_agrees_with_levi_on_lift():
 
 
 def test_sigma_tube_hessian_agrees_with_levi_on_lift():
-    # The sigma graphs have irrational coefficients, so their tubes are built
-    # on the float tower; the Levi form there must read the same (5, 2)
-    # signature as the real Hessian of the graph at the same points.
+    # The sigma graphs have rational coefficients, so their tubes are exact;
+    # the Levi form there must read the same (5, 2) signature as the real
+    # Hessian of the graph at the same points.
     rng = random.Random(104)
-    for sigma in (1.0, 2.5, 33.9):
+    for sigma in (Fraction(1), Fraction(5, 2), Fraction(339, 10)):
         f = make_sigma_surface(sigma)
         tube = lifted_tube(f)
-        assert not tube.rho.exact and tube.space.n == 8
+        assert tube.rho.exact and tube.space.n == 8
         for _ in range(10):
             x = [rng.uniform(-1, 1) for _ in range(7)]
             z = [complex(v, rng.uniform(-1, 1)) for v in x]
@@ -309,7 +309,7 @@ def test_graph_solver_matches_evaluation():
 
 def _derivative_surfaces():
     """M_plus and a gamma tube (Levi form); the gamma and sigma graphs (tube Hessian)."""
-    graphs = [gamma_graph(Fraction(2, 3)), make_sigma_surface(2.5)]
+    graphs = [gamma_graph(Fraction(2, 3)), make_sigma_surface(Fraction(5, 2))]
     return [model_surface("+"), lifted_tube(graphs[0])], graphs
 
 
@@ -484,7 +484,7 @@ def test_tube_hessian_cut_counts_what_numpy_counts():
     """tube_hessian_signature reads the counts numpy's eigenvalues give at 1e-9 ||H||_F."""
     rng = random.Random(106)
     for f in [gamma_graph(Fraction(2, 3)), cayley_graph()] + [
-        make_sigma_surface(s) for s in (1.0, 2.5, 33.9)
+        make_sigma_surface(s) for s in (Fraction(1), Fraction(5, 2), Fraction(339, 10))
     ]:
         for _ in range(10):
             x = [rng.uniform(-2, 2) for _ in range(f.space.n)]

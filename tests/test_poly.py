@@ -405,7 +405,7 @@ def test_float_substitution_matches_the_term_by_term_oracle(p, images):
 
 
 def test_underflowing_float_products_leave_no_zero_term():
-    x, y = (HermitianPolynomial.variable(SP2, i, exact=False) for i in (0, 1))
+    x, y = (HermitianPolynomial.variable(SP2, i).to_float() for i in (0, 1))
     tiny = x * 1e-200
     assert (tiny * tiny).is_zero() and (tiny**2).is_zero()
     assert (x * x).substitute([tiny, y, x, y]).is_zero()
@@ -420,7 +420,7 @@ def test_underflowing_float_products_leave_no_zero_term():
 
 
 def test_underflowing_float_scalar_multiple_is_the_zero_polynomial():
-    x, y = (HermitianPolynomial.variable(SP2, i, exact=False) for i in (0, 1))
+    x, y = (HermitianPolynomial.variable(SP2, i).to_float() for i in (0, 1))
     zero = HermitianPolynomial.zero(SP2, exact=False)
     p = x * 1e-200 * 1e-200
     assert p.is_zero() and p.terms == {} and p == zero
@@ -431,7 +431,7 @@ def test_underflowing_float_scalar_multiple_is_the_zero_polynomial():
 
 
 def test_float_constant_term_keeps_its_signed_zero():
-    x = HermitianPolynomial.variable(SP2, 0, exact=False)
+    x = HermitianPolynomial.variable(SP2, 0).to_float()
     p = x + complex(2.0, -0.0)
     images = [x * 3.0, x, x, x]
     assert float_bits(p.substitute(images).terms) == [((1, 0, 0, 0), "(3+0j)"),

@@ -1,6 +1,6 @@
 """Every definition in the package is used by the package itself, every
-parameter default is overridden somewhere in it, and no module of it imports
-numpy.
+parameter default is overridden somewhere in it, no module of it imports
+numpy, and no call in it passes ``exact=False``.
 
 A function, class or method that only tests call is surface the certifier
 does not need: either a default-suite check should use it or it should go.
@@ -75,6 +75,19 @@ def test_no_module_imports_numpy():
             if any(name.split(".")[0] == "numpy" for name in names):
                 importers.add(module)
     assert not importers, f"numpy imported by: {sorted(importers)}"
+
+
+def test_no_call_passes_exact_false():
+    """``to_float()`` is the one way into the float polynomial tower: nothing in the
+    package builds a float polynomial, or any other object, with ``exact=False``."""
+    calls = [
+        f"{module}.py:{node.lineno}"
+        for module, tree in _trees().items()
+        for node in ast.walk(tree) if isinstance(node, ast.Call)
+        for k in node.keywords
+        if k.arg == "exact" and isinstance(k.value, ast.Constant) and k.value.value is False
+    ]
+    assert not calls, f"calls passing exact=False: {calls}"
 
 
 def test_every_definition_is_referenced_in_the_package():

@@ -5,8 +5,10 @@ Two formulas still serve both towers: :func:`catalog.transitive_params_omega`
 floats otherwise) and the printed maps, which scale a rational map by the
 fourth roots of its radicands.  Seeded rational draws go through the exact
 path and, converted to floats, through the float path; the float result must
-match ``complex(...)`` of the exact one within 1e-12 of its magnitude.  The
-routines that only exact data reach reject float input with a TypeError.
+match ``complex(...)`` of the exact one within 1e-12 of its magnitude.  Every
+catalog polynomial, the sigma graphs included, is built exact: a polynomial
+enters the float tower only through ``to_float()``.  The routines that only
+exact data reach reject float input with a TypeError.
 """
 
 import random
@@ -28,6 +30,7 @@ from tubecert.catalog import (
     random_positive_fraction,
     transitive_params_omega,
 )
+from tubecert.poly import HermitianPolynomial, RealPolynomial, VariableSpace
 
 TOL = 1e-12
 
@@ -87,10 +90,25 @@ def _float_apply():
     catalog.make_cayley_map().apply([0j, 0j, 0j])
 
 
+def _float_determinant():
+    catalog.make_cayley_map().linear_determinant()
+
+
+def _float_sigma():
+    catalog.make_sigma_surface(2.5)
+
+
+def _float_tube():
+    x = HermitianPolynomial.variable(VariableSpace(2), 0).to_float()
+    geometry.lifted_tube(RealPolynomial(x * x))
+
+
 @pytest.mark.parametrize(
-    "call", [_float_line, _float_scaling, _float_quadric_map, _float_apply],
+    "call", [_float_line, _float_scaling, _float_quadric_map, _float_apply, _float_determinant,
+             _float_sigma, _float_tube],
     ids=["contains_complex_line", "linear_scaling_check", "quadric_transitive_map",
-         "HoloPolyMap.apply"],
+         "HoloPolyMap.apply", "HoloPolyMap.linear_determinant", "make_sigma_surface",
+         "lifted_tube"],
 )
 def test_float_input_to_exact_routines_is_a_type_error(call):
     with pytest.raises(TypeError):
