@@ -10,9 +10,9 @@ Families built here:
   composition/inversion with exact parameter recovery, and the isotropy
   matrices of the linear parts with their Lie algebra, all read off one
   coefficient formula;
-* the normalizing equivalences carrying each tube onto its model (printed
-  form with irrational scalings on the floating tower, plus a rationally
-  conjugated exact form);
+* the normalizing equivalences carrying each tube onto its model, each a
+  rational map after a diagonal scaling by fourth roots of rationals, and
+  that scaling conjugated into the target exactly;
 * the quadric models over Hermitian forms H_{p,n}, their transitive affine
   action, and the tube realisation;
 * the Cayley tube x3 = x1 x2 + x1^3 and its equivalence with the (1,1) quadric;
@@ -30,6 +30,7 @@ square roots so that its coefficients are rational (see
 from __future__ import annotations
 
 import functools
+import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
@@ -347,21 +348,19 @@ def make_p_element(params: PParams, check: bool = True) -> HoloPolyMap:
         params.validate()
     rows = _p_rows(sign_to_eps(params.sign), *_p_values(params))
     f = HoloPolyMap._raw(SPACE4, SPACE4, [HermitianPolynomial._raw(
-        SPACE4, {e: c for e, c in row.items() if not c.is_zero()}, True) for row in rows])
+        SPACE4, {e: c for e, c in row.items() if not c.is_zero()}) for row in rows])
     if check:
         object.__setattr__(params, "_map", f)
     return f
 
 
 def p_params_from_map(f: HoloPolyMap, sign: str) -> PParams:
-    """Recover the 13 parameters from an expanded symmetry map (exact tower).
+    """Recover the 13 parameters from an expanded symmetry map, exactly.
 
     Raises ClosureViolation when the map is not of the group's shape or the
     recovered parameters fail to regenerate it exactly; that never happens
     for genuine compositions or inverses of group elements.
     """
-    if not f.exact:
-        raise ClosureViolation("parameter recovery runs on the exact tower")
     eps = sign_to_eps(sign)
     c1, c2, c3, c4 = f.components
 
@@ -624,15 +623,21 @@ class RationalizedEquivalence:
         conj = pullback_diagonal_quartic(self.target_rho, self.radicands)
         object.__setattr__(self, "conjugated_target_rho", conj)
 
-    def printed_map(self) -> HoloPolyMap:
-        """The printed map diag(radicand_i^(1/4)) o rational_map, on the floating tower."""
-        f = self.rational_map
-        comps = [c.to_float() * nth_root_float(r, 4) for c, r in zip(f.components, self.radicands)]
-        return HoloPolyMap(f.space_in, f.space_out, comps)
+    def printed_image(self, point) -> list[complex]:
+        """The printed map diag(radicand_i^(1/4)) o rational_map at a point of C^n,
+        in complex arithmetic."""
+        vals = self.rational_map.space_in.complex_values(point)
+        return [c.evaluate_values(vals) * nth_root_float(r, 4)
+                for c, r in zip(self.rational_map.components, self.radicands)]
 
 
 def make_normalizer_rational(alpha) -> RationalizedEquivalence:
-    """Exact form of the normalizing equivalence for certificates."""
+    """The normalizing equivalence of the gamma(alpha) tube.
+
+    For alpha != 1/12 the target is the quartic model (plus variant above
+    1/12, minus variant below); at alpha = 1/12 it is the signature-(2,1)
+    quadric model.  The printed map scales z1, z2 and z3 irrationally.
+    """
     alpha = as_rational(alpha)
     z1, z2, z3, z4 = (_var(SPACE4, i) for i in range(4))
     c4 = z4 * 4 - z1 * z2 * 2 - z3**2 * 2 - z1**2 * z3 - z1**4 * (alpha / 2)
@@ -651,17 +656,6 @@ def make_normalizer_rational(alpha) -> RationalizedEquivalence:
         target = model_surface("+" if s4 > 0 else "-").rho
         radicands = (abs(s4), 1 / abs(s4), Fraction(4), Fraction(1))
     return RationalizedEquivalence(nmap, target, source, radicands)
-
-
-def make_normalizer(alpha) -> HoloPolyMap:
-    """The printed normalizing map of the gamma(alpha) tube (floating tower).
-
-    For alpha != 1/12 the target is the quartic model (plus variant above
-    1/12, minus variant below); at alpha = 1/12 it is the signature-(2,1)
-    quadric model.  The z1/z2/z3 scalings are irrational, so the printed map
-    lives on floats; it is derived from :func:`make_normalizer_rational`.
-    """
-    return make_normalizer_rational(alpha).printed_map()
 
 
 # ---------------------------------------------------------------------------
@@ -768,18 +762,14 @@ def quadric_tube_surface(p: int, n: int) -> Hypersurface:
 
 
 def make_tube_realisation_rational(p: int, n: int) -> RationalizedEquivalence:
-    """Exact form: the map transforms the quadric model onto the tube over H(x,x)."""
+    """The printed map z |-> sqrt(2) z, last |-> last + H(z, z), which transforms the
+    quadric model onto the tube over H(x, x)."""
     space = quadric_space(n)
     zs = [_var(space, j) for j in range(n)]
     nmap = HoloPolyMap(space, space, zs + [_var(space, n) + QuadricFamily(p, n).form(zs, zs)])
     target = quadric_tube_surface(p, n).rho
     radicands = tuple([Fraction(4)] * n + [Fraction(1)])
     return RationalizedEquivalence(nmap, target, quadric_surface(p, n).rho, radicands)
-
-
-def make_tube_realisation(p: int, n: int) -> HoloPolyMap:
-    """Printed map z |-> sqrt(2) z, last |-> last + H(z, z), on the floating tower."""
-    return make_tube_realisation_rational(p, n).printed_map()
 
 
 # ---------------------------------------------------------------------------
@@ -799,6 +789,7 @@ def cayley_tube_surface() -> Hypersurface:
 
 
 def make_cayley_rational() -> RationalizedEquivalence:
+    """The equivalence of the Cayley tube with the (1,2) quadric model."""
     z1, z2, z3 = (_var(SPACE3, i) for i in range(3))
     core = z1 + z2 + z1**2 * Fraction(3, 2)
     anti = z1 - z2 - z1**2 * Fraction(3, 2)
@@ -806,11 +797,6 @@ def make_cayley_rational() -> RationalizedEquivalence:
     target = quadric_surface(1, 2).rho
     radicands = (Fraction(1, 4), Fraction(1, 4), Fraction(1))
     return RationalizedEquivalence(nmap, target, cayley_tube_surface().rho, radicands)
-
-
-def make_cayley_map() -> HoloPolyMap:
-    """Printed equivalence of the Cayley tube with the (1,2) quadric model (floats)."""
-    return make_cayley_rational().printed_map()
 
 
 # ---------------------------------------------------------------------------
@@ -833,7 +819,11 @@ def make_sigma_surface(sigma: Fraction) -> RealPolynomial:
     sigma = as_rational(sigma)
     top = -sigma * sigma + 34 * sigma - 1
     if not (sigma >= 1 and top > 0):
-        raise DomainError(f"sigma must lie in [1, 17 + 12*sqrt(2)), got {sigma}")
+        num, den, shown = sigma.numerator, sigma.denominator, sigma
+        if max(abs(num), den).bit_length() > 64:  # far out: its order of magnitude
+            size = round(math.log10(abs(num)) - math.log10(den))
+            shown = f"about {'-' if num < 0 else ''}10^{size}"
+        raise DomainError(f"sigma must lie in [1, 17 + 12*sqrt(2)), got {shown}")
     r1, r2, r3 = 2 * (1 + sigma), 3 * sigma, top / (3 * sigma)
     y1, y2, y3, x4, x5, x6, x7 = (_var(SPACE7, i) for i in range(7))
     f = (
@@ -998,13 +988,13 @@ FAMILIES = {
                               "quadric Re z_{obj.space.n} = H_{{{p},{n}}}(z, zb)"),
     "quadric_action": Family(("p", "n"), "action", QuadricFamily,
                              "transitive affine action on the quadric over H_{{{p},{n}}}"),
-    "tube_realisation": Family(("p", "n"), "map", make_tube_realisation,
+    "tube_realisation": Family(("p", "n"), "map", make_tube_realisation_rational,
                                "tube realisation of the H_{{{p},{n}}} quadric sides"),
-    "normalizer": Family(("alpha",), "map", make_normalizer,
+    "normalizer": Family(("alpha",), "map", make_normalizer_rational,
                          "normalizing equivalence for the gamma(alpha={alpha}) tubes"),
     "cayley": Family((), "hypersurface", cayley_tube_surface,
                      "tube over the Cayley graph x3 = x1 x2 + x1^3"),
-    "cayley_map": Family((), "map", make_cayley_map,
+    "cayley_map": Family((), "map", make_cayley_rational,
                          "equivalence of the Cayley tube with the H_{{1,2}} quadric"),
     "sigma": Family(("sigma",), "graph", make_sigma_surface,
                     "degree-4 graph family in R^7 at parameter {sigma}"),

@@ -160,6 +160,9 @@ def describe(ident: str) -> str:
     elif isinstance(obj, SidedDomain):
         rel = ">" if obj.side == 1 else "<"
         lines.append(f"points with rho {rel} 0, rho = {format_poly(obj.rho)}")
+    elif isinstance(obj, catalog.RationalizedEquivalence):  # the printed map, exactly
+        for i, (comp, r) in enumerate(zip(obj.rational_map.components, obj.radicands), start=1):
+            lines.append(f"z{i} -> ({r})^(1/4) * [{format_poly(comp)}]")
     elif isinstance(obj, HoloPolyMap):
         for i, comp in enumerate(obj.components, start=1):
             lines.append(f"z{i} -> {format_poly(comp)}")

@@ -38,9 +38,9 @@ class Hypersurface:
     """Zero set of a real-valued defining polynomial.
 
     The first derivatives d rho/dz_j and the mixed second derivatives
-    d^2 rho/dz_j dzb_k are differentiated once, on first use, and kept as
-    float polynomials (the second ones only where they are not identically
-    zero); equality and hashing read only rho.
+    d^2 rho/dz_j dzb_k are differentiated once, on first use, and kept (the
+    second ones only where they are not identically zero); equality and
+    hashing read only rho.
     """
 
     __slots__ = ("rho", "space", "_derivs")
@@ -56,14 +56,14 @@ class Hypersurface:
         raise AttributeError("Hypersurface is immutable")
 
     def _derivatives(self):
-        """(gradient, nonzero complex Hessian entries (j, k, d)) of rho as float
-        polynomials, built on first use."""
+        """(gradient, nonzero complex Hessian entries (j, k, d)) of rho, built on
+        first use."""
         if self._derivs is None:
             n = self.space.n
             grad = [self.rho.partial(j) for j in range(n)]
-            hess = tuple((j, k, d.to_float()) for j, dj in enumerate(grad) for k in range(n)
+            hess = tuple((j, k, d) for j, dj in enumerate(grad) for k in range(n)
                          if not (d := dj.partial(n + k)).is_zero())
-            object.__setattr__(self, "_derivs", (tuple(dj.to_float() for dj in grad), hess))
+            object.__setattr__(self, "_derivs", (tuple(grad), hess))
         return self._derivs
 
     def gradient_at(self, point) -> list[complex]:
@@ -111,7 +111,7 @@ class SidedDomain:
 def side_of(domain: SidedDomain, point) -> str:
     """Classify an exact point as 'inside', 'on_boundary', or 'outside' by the exact sign of rho.
 
-    A float point or a float-tower domain is a TypeError.
+    A float point is a TypeError.
     """
     value = domain.rho.evaluate(point)
     if not value.is_real():
@@ -359,7 +359,7 @@ def lifted_tube(f: RealPolynomial) -> Hypersurface:
     """The tube hypersurface over the graph x_{n+1} = f(x), as rho = f(Re z) - Re z_{n+1}.
 
     The orientation (graph side positive) matches the sign convention of
-    :func:`tube_hessian_signature`.  f must be on the exact tower.
+    :func:`tube_hessian_signature`.
     """
     n = f.space.n
     big = VariableSpace(n + 1)

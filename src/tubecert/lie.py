@@ -94,8 +94,11 @@ def bracket(X: Mat3, Y: Mat3) -> Mat3:
 
 
 def killing(X: Mat3, Y: Mat3) -> GaussianRational:
-    """The invariant trace form trace(XY); non-degenerate on sl(3,C)."""
-    return mtrace(mmul(X, Y))
+    """The invariant trace form trace(XY) = sum X[i][j] Y[j][i]; non-degenerate on sl(3,C)."""
+    (x00, x01, x02), (x10, x11, x12), (x20, x21, x22) = X
+    (y00, y01, y02), (y10, y11, y12), (y20, y21, y22) = Y
+    return (x00 * y00 + x01 * y10 + x02 * y20 + x10 * y01 + x11 * y11 + x12 * y21
+            + x20 * y02 + x21 * y12 + x22 * y22)
 
 
 def flatten(X: Mat3) -> list[GaussianRational]:

@@ -3,14 +3,13 @@
 The central proof object is :class:`InvarianceCertificate`: the exact
 statement ``rho o F = c * rho`` for a defining function rho and a map F,
 with the factor c computed (not guessed) and the full residual polynomial
-kept.  A certificate with ``exact=True`` has an identically zero residual;
-a positive factor means F preserves each side of the hypersurface, a
-negative one means it swaps them.
+kept.  An ``exact`` certificate has an identically zero residual; a
+positive factor means F preserves each side of the hypersurface, a negative
+one means it swaps them.
 
 Maps whose printed form carries irrational diagonal scalings (square and
-fourth roots) are handled two ways: exactly, after conjugating away the
-diagonal part (see :func:`pullback_diagonal_quartic`), and numerically on
-the floating tower.
+fourth roots) are certified after conjugating away the diagonal part (see
+:func:`pullback_diagonal_quartic`), which turns them into rational maps.
 """
 
 from __future__ import annotations
@@ -119,10 +118,6 @@ class HoloPolyMap:
     def __setattr__(self, name, value):
         raise AttributeError("HoloPolyMap is immutable")
 
-    @property
-    def exact(self) -> bool:
-        return self.components[0].exact
-
     @staticmethod
     def identity(space: VariableSpace) -> "HoloPolyMap":
         return HoloPolyMap(
@@ -130,7 +125,7 @@ class HoloPolyMap:
         )
 
     def apply(self, point) -> list:
-        """Evaluate all components at an exact point, exactly (exact tower only)."""
+        """Evaluate all components at an exact point, exactly."""
         return [c.evaluate(point) for c in self.components]
 
     def linear_part(self):
@@ -139,7 +134,7 @@ class HoloPolyMap:
         return [[comp.coefficient(e) for e in units] for comp in self.components]
 
     def linear_determinant(self):
-        """Determinant of the linear part, exactly (exact tower only)."""
+        """Determinant of the linear part, exactly."""
         return exactla.determinant(self.linear_part())
 
     def __eq__(self, other):
@@ -167,7 +162,7 @@ def lift_affine(f: AffineMapR) -> HoloPolyMap:
     for row, t in zip(f._m, f._t):
         terms = {(0,) * (2 * f.n): _reduce(t, 0, d)} if t else {}
         terms.update((e, _reduce(a, 0, d)) for e, a in zip(units, row) if a)
-        comps.append(HermitianPolynomial._raw(space, terms, True))
+        comps.append(HermitianPolynomial._raw(space, terms))
     return HoloPolyMap._raw(space, space, comps)
 
 
@@ -175,8 +170,6 @@ def compose(f: HoloPolyMap, g: HoloPolyMap) -> HoloPolyMap:
     """Exact polynomial composition f o g (f after g)."""
     if g.space_out != f.space_in:
         raise SpaceError("composition spaces do not match")
-    if f.exact != g.exact:
-        raise TypeError("cannot compose exact with float maps; convert explicitly")
     # f's components are holomorphic: their zb slots are never read, so g fills them too
     comps = [c.substitute(list(g.components) * 2) for c in f.components]
     return HoloPolyMap._raw(g.space_in, f.space_out, comps)
@@ -186,8 +179,6 @@ def pullback(rho: HermitianPolynomial, f: HoloPolyMap) -> HermitianPolynomial:
     """Substitute z_i -> f_i(z) and zb_i -> conjugate(f_i); real stays real."""
     if rho.space != f.space_out:
         raise SpaceError("pullback: rho is not defined on the map's target space")
-    if rho.exact != f.exact:
-        raise TypeError("cannot pull an exact rho back along a float map; convert explicitly")
     images = list(f.components) + [c.conjugate() for c in f.components]
     return rho.substitute(images)
 
@@ -197,28 +188,18 @@ class InvarianceCertificate:
     """The checked statement ``pullback(rho, map) = factor * rho``.
 
     ``exact`` is True only when the residual polynomial is identically zero.
-    On the floating tower the residual never vanishes bitwise; use
-    ``max_abs_residual`` against the caller's tolerance instead.
     """
 
     map: HoloPolyMap
     rho: HermitianPolynomial
-    factor: object  # GaussianRational (a polynomial on a real slice) or complex on the float tower
+    factor: object  # GaussianRational, or a polynomial on a real slice
     exact: bool
     residual: HermitianPolynomial
-
-    @property
-    def max_abs_residual(self) -> float:
-        return self.residual.max_abs_coefficient()
 
     @property
     def factor_is_positive_real(self) -> bool:
         """True when the exact factor is a positive rational."""
         return self.factor.is_real() and self.factor.re > 0
-
-    def within(self, tol: float) -> bool:
-        """Floating-path acceptance: residual coefficients all below tol."""
-        return self.max_abs_residual <= tol
 
 
 def equivalence_certificate(
@@ -238,12 +219,11 @@ def equivalence_certificate(
     lead = rho_source.first_monomial()
     num = p.coefficient(lead)
     den = rho_source.coefficient(lead)
-    if num == 0:  # num is then the zero of rho_source's tower
+    if num == 0:
         return InvarianceCertificate(f, rho_source, num, False, p)
     factor = num / den
     residual = p - rho_source * factor
-    exact = rho_source.exact and residual.is_zero()
-    return InvarianceCertificate(f, rho_source, factor, exact, residual)
+    return InvarianceCertificate(f, rho_source, factor, residual.is_zero(), residual)
 
 
 def invariance_certificate(rho: HermitianPolynomial, f: HoloPolyMap) -> InvarianceCertificate:
@@ -275,8 +255,6 @@ def pullback_diagonal_quartic(rho: HermitianPolynomial, radicands: list) -> Herm
     not.  This is how square-root and fourth-root diagonal scalings are
     conjugated away without algebraic-number arithmetic.
     """
-    if not rho.exact:
-        raise TypeError("diagonal quartic pullback is an exact-tower operation")
     rads = [as_rational(r) for r in radicands]
     if len(rads) != rho.space.n:
         raise SpaceError("need one radicand per holomorphic variable")

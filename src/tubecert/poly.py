@@ -6,17 +6,14 @@ Terms are stored sparsely as ``{exponent tuple: coefficient}``; the
 representation is canonical (no zero coefficients, merged monomials), so two
 polynomials are identical iff their term maps are equal.
 
-Coefficients come in two towers that never mix silently:
+Every coefficient is exact, a :class:`~tubecert.scalars.GaussianRational`; a
+``float`` or ``complex`` coefficient is a TypeError.  Floats appear only as the
+values of :meth:`HermitianPolynomial.evaluate_values` at complex points, which
+is how the Levi and tube-Hessian numerics and the printed maps are read.
 
-* exact  -- :class:`~tubecert.scalars.GaussianRational` (the default);
-* float  -- Python ``complex``, entered only via :meth:`HermitianPolynomial.to_float`.
-  Its traffic is the printed maps and the Levi and tube-Hessian numerics;
-  every zero-residual certificate is computed on the exact tower.
-
-Products and substitutions of both towers run on numerator pairs {exps: (a, b)}
-over one denominator: Gaussian integers over the lcm of the coefficients'
-denominators, summed as integers and canonicalised once per output term, or a
-float's (real, imag) over 1, giving the bits of term-by-term ``complex`` arithmetic.
+Products and substitutions run on numerator pairs {exps: (a, b)} over one
+denominator: Gaussian integers over the lcm of the coefficients' denominators,
+summed as integers and canonicalised once per output term.
 
 Real-valued polynomials (defining functions) are those fixed by conjugation;
 ``Re z_k`` is represented as (z_k + zb_k)/2 so every defining function is an
@@ -77,25 +74,12 @@ def _coerce_exact(c):
         return c
     if isinstance(c, (int, Fraction)):
         return GaussianRational(c)
-    raise TypeError(f"exact polynomial coefficient must be rational, got {type(c).__name__}")
+    raise TypeError(f"polynomial coefficient must be rational, got {type(c).__name__}")
 
 
-def _coerce_float(c):
-    if isinstance(c, complex):
-        return c
-    if isinstance(c, (int, float, Fraction)):
-        return complex(c)
-    if isinstance(c, GaussianRational):
-        raise TypeError("exact coefficient in float polynomial; convert explicitly")
-    raise TypeError(f"float polynomial coefficient must be numeric, got {type(c).__name__}")
-
-
-def _numerators(terms: dict, exact: bool) -> tuple[dict, int]:
-    """A term map as numerator pairs {exps: (a, b)} over one denominator D > 0: on
-    the exact tower Gaussian integers over the lcm of the coefficients'
-    denominators, on the float tower each coefficient's (real, imag) over 1."""
-    if not exact:
-        return {e: (c.real, c.imag) for e, c in terms.items()}, 1
+def _numerators(terms: dict) -> tuple[dict, int]:
+    """A term map as numerator pairs {exps: (a, b)}: Gaussian integers over the lcm
+    D > 0 of the coefficients' denominators."""
     d = math.lcm(*(c._d for c in terms.values()))
     out = {}
     for e, c in terms.items():
@@ -107,9 +91,8 @@ def _numerators(terms: dict, exact: bool) -> tuple[dict, int]:
 def _num_mul(p: dict, q: dict) -> dict:
     """The product of two numerator maps, over the product of their denominators.
 
-    A sum that cancels, or a float product that underflows to zero, is dropped at
-    once, so the terms come out in the order, and with the float bits, of the
-    term-by-term product of coefficients.
+    A sum that cancels is dropped at once, so the terms come out in the order of
+    the term-by-term product of coefficients.
     """
     out: dict = {}
     for e1, (a1, b1) in p.items():
@@ -126,30 +109,27 @@ def _num_mul(p: dict, q: dict) -> dict:
     return out
 
 
-def _canonical(num: dict, d: int, exact: bool) -> dict:
-    """Numerators over d back to a canonical term map: one gcd per exact term."""
-    if exact:
-        return {e: _reduce(a, b, d) for e, (a, b) in num.items()}
-    return {e: complex(a, b) for e, (a, b) in num.items()}
+def _canonical(num: dict, d: int) -> dict:
+    """Numerators over d back to a canonical term map: one gcd per term."""
+    return {e: _reduce(a, b, d) for e, (a, b) in num.items()}
 
 
-def _substitute(terms: dict, images: list, target: VariableSpace, exact: bool) -> dict:
+def _substitute(terms: dict, images: list, target: VariableSpace) -> dict:
     """The composition behind :meth:`HermitianPolynomial.substitute`.
 
     Image i becomes numerators over D_i when a power first needs it, and its
     powers stay numerator maps (z_i^k over D_i^k).  Every term c * prod z_i^k
     is summed over one denominator L, the lcm of c.d * prod D_i^k, with the
     integer multiplier L // (c.d * prod D_i^k); only the sum is canonicalised.
-    On the float tower every denominator is 1.
     """
     converted: dict = {}
 
     def image(i):
         if i not in converted:
-            converted[i] = _numerators(images[i].terms, exact)
+            converted[i] = _numerators(images[i].terms)
         return converted[i]
 
-    parts = [(c._a, c._b, c._d) if exact else (c.real, c.imag, 1) for c in terms.values()]
+    parts = [(c._a, c._b, c._d) for c in terms.values()]
     dens = [d * math.prod(image(i)[1] ** k for i, k in enumerate(e) if k)
             for e, (_, _, d) in zip(terms, parts)]
     common = math.lcm(*dens)
@@ -165,8 +145,6 @@ def _substitute(terms: dict, images: list, target: VariableSpace, exact: bool) -
                 term = powers[i, k] if term is None else _num_mul(term, powers[i, k])
         m = common // den
         a, b = a * m, b * m
-        # a constant term adds its coefficient as it is: times 1 + 0i, a float
-        # -0.0 part would come back as +0.0
         for ex, (x, y) in ({zero: (a, b)} if term is None else term).items():
             if term is not None:
                 x, y = x * a - y * b, x * b + y * a
@@ -177,7 +155,7 @@ def _substitute(terms: dict, images: list, target: VariableSpace, exact: bool) -
                 out[ex] = (x, y)
             elif s is not None:
                 del out[ex]
-    return _canonical(out, common, exact)
+    return _canonical(out, common)
 
 
 def _power(base, k: int, times):
@@ -193,12 +171,14 @@ def _power(base, k: int, times):
 
 
 class HermitianPolynomial:
-    """Sparse polynomial over GaussianRational (or complex) in z and zb variables."""
+    """Sparse polynomial over GaussianRational in z and zb variables."""
 
-    __slots__ = ("space", "terms", "exact")
+    __slots__ = ("space", "terms")
 
-    def __init__(self, space: VariableSpace, terms=None, exact: bool = True):
-        coerce = _coerce_exact if exact else _coerce_float
+    # Every polynomial is exact; tubebench/tracer.py still reads this flag.
+    exact = True
+
+    def __init__(self, space: VariableSpace, terms=None):
         canon = {}
         if terms:
             width = 2 * space.n
@@ -206,16 +186,15 @@ class HermitianPolynomial:
                 exps = tuple(exps)
                 if len(exps) != width or any(e < 0 for e in exps):
                     raise SpaceError(f"bad exponent tuple {exps} for space of {space.n}")
-                c = coerce(coeff)
+                c = _coerce_exact(coeff)
                 if exps in canon:
                     c = canon[exps] + c
-                if (c.is_zero() if exact else c == 0):
+                if c.is_zero():
                     canon.pop(exps, None)
                 else:
                     canon[exps] = c
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", canon)
-        object.__setattr__(self, "exact", exact)
 
     def __setattr__(self, name, value):
         raise AttributeError("HermitianPolynomial is immutable")
@@ -223,12 +202,12 @@ class HermitianPolynomial:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(space: VariableSpace, exact: bool = True) -> "HermitianPolynomial":
-        return HermitianPolynomial(space, {}, exact)
+    def zero(space: VariableSpace) -> "HermitianPolynomial":
+        return HermitianPolynomial(space, {})
 
     @staticmethod
-    def constant(space: VariableSpace, c, exact: bool = True) -> "HermitianPolynomial":
-        return HermitianPolynomial(space, {(0,) * (2 * space.n): c}, exact)
+    def constant(space: VariableSpace, c) -> "HermitianPolynomial":
+        return HermitianPolynomial(space, {(0,) * (2 * space.n): c})
 
     @staticmethod
     def variable(space: VariableSpace, index: int) -> "HermitianPolynomial":
@@ -246,33 +225,29 @@ class HermitianPolynomial:
     def _check_compat(self, other: "HermitianPolynomial"):
         if self.space != other.space:
             raise SpaceError(f"space mismatch: {self.space} vs {other.space}")
-        if self.exact != other.exact:
-            raise TypeError(
-                "cannot mix exact and float polynomials; convert explicitly with to_float()"
-            )
 
     def __add__(self, other):
         if not isinstance(other, HermitianPolynomial):
-            other = HermitianPolynomial.constant(self.space, other, self.exact)
+            other = HermitianPolynomial.constant(self.space, other)
         self._check_compat(other)
         merged = dict(self.terms)
         for exps, c in other.terms.items():
             s = merged.get(exps)
             s = c if s is None else s + c
-            if s.is_zero() if self.exact else s == 0:
+            if s.is_zero():
                 merged.pop(exps, None)
             else:
                 merged[exps] = s
-        return self._raw(self.space, merged, self.exact)
+        return self._raw(self.space, merged)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._raw(self.space, {e: -c for e, c in self.terms.items()}, self.exact)
+        return self._raw(self.space, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, HermitianPolynomial):
-            other = HermitianPolynomial.constant(self.space, other, self.exact)
+            other = HermitianPolynomial.constant(self.space, other)
         return self + (-other)
 
     def __rsub__(self, other):
@@ -280,16 +255,13 @@ class HermitianPolynomial:
 
     def __mul__(self, other):
         if not isinstance(other, HermitianPolynomial):
-            coeff = _coerce_exact(other) if self.exact else _coerce_float(other)
-            if coeff.is_zero() if self.exact else coeff == 0:
-                return HermitianPolynomial.zero(self.space, self.exact)
-            terms = {e: c * coeff for e, c in self.terms.items()}
-            if not self.exact:  # a float product can underflow to zero
-                terms = {e: c for e, c in terms.items() if c}
-            return self._raw(self.space, terms, self.exact)
+            coeff = _coerce_exact(other)
+            if coeff.is_zero():
+                return HermitianPolynomial.zero(self.space)
+            return self._raw(self.space, {e: c * coeff for e, c in self.terms.items()})
         self._check_compat(other)
-        (p, dp), (q, dq) = _numerators(self.terms, self.exact), _numerators(other.terms, self.exact)
-        return self._raw(self.space, _canonical(_num_mul(p, q), dp * dq, self.exact), self.exact)
+        (p, dp), (q, dq) = _numerators(self.terms), _numerators(other.terms)
+        return self._raw(self.space, _canonical(_num_mul(p, q), dp * dq))
 
     __rmul__ = __mul__
 
@@ -297,16 +269,15 @@ class HermitianPolynomial:
         if not isinstance(k, int) or k < 0:
             raise DomainError("polynomial powers must be nonnegative integers")
         if k == 0:
-            return HermitianPolynomial.constant(self.space, 1, self.exact)
+            return HermitianPolynomial.constant(self.space, 1)
         return _power(self, k, mul)
 
     @classmethod
-    def _raw(cls, space, terms, exact):
+    def _raw(cls, space, terms):
         """Internal: build from an already-canonical term map (no re-coercion)."""
         p = object.__new__(cls)
         object.__setattr__(p, "space", space)
         object.__setattr__(p, "terms", terms)
-        object.__setattr__(p, "exact", exact)
         return p
 
     # -- structure ----------------------------------------------------------
@@ -330,7 +301,7 @@ class HermitianPolynomial:
         c = self.terms.get(exps)
         if c is not None:
             return c
-        return GaussianRational(0) if self.exact else 0j
+        return GaussianRational(0)
 
     def conjugate(self) -> "HermitianPolynomial":
         """Swap each z_i with zb_i and conjugate all coefficients (an involution)."""
@@ -338,23 +309,11 @@ class HermitianPolynomial:
         return self._raw(
             self.space,
             {_swap_exponents(e, n): c.conjugate() for e, c in self.terms.items()},
-            self.exact,
         )
 
     def is_real_valued(self) -> bool:
         """True iff the polynomial is fixed by conjugation."""
         return self.conjugate() == self
-
-    def to_float(self) -> "HermitianPolynomial":
-        """Explicit, lossy, one-way conversion to the floating tower."""
-        if not self.exact:
-            return self
-        return self._raw(
-            self.space, {e: complex(c) for e, c in self.terms.items()}, False
-        )
-
-    def max_abs_coefficient(self) -> float:
-        return max((abs(complex(c)) for c in self.terms.values()), default=0.0)
 
     # -- calculus and decomposition ------------------------------------------
 
@@ -370,7 +329,7 @@ class HermitianPolynomial:
             d = list(e)
             d[var] = k - 1
             out[tuple(d)] = c * k
-        return self._raw(self.space, out, self.exact)
+        return self._raw(self.space, out)
 
     def bigraded_component(self, k: int, l: int) -> "HermitianPolynomial":
         """Sum of terms with z-degree exactly k and zb-degree exactly l."""
@@ -382,7 +341,7 @@ class HermitianPolynomial:
             for e, c in self.terms.items()
             if sum(e[:n]) == k and sum(e[n:]) == l
         }
-        return self._raw(self.space, out, self.exact)
+        return self._raw(self.space, out)
 
     def substitute(self, images: list["HermitianPolynomial"]) -> "HermitianPolynomial":
         """Composition: replace variable i by images[i] for all 2n variables."""
@@ -394,9 +353,7 @@ class HermitianPolynomial:
         for img in images:
             if img.space != target:
                 raise SpaceError("substitution images live in different spaces")
-            if img.exact != self.exact:
-                raise TypeError("substitution images must match the polynomial's tower")
-        return self._raw(target, _substitute(self.terms, images, target, self.exact), self.exact)
+        return self._raw(target, _substitute(self.terms, images, target))
 
     def evaluate(self, point):
         """Evaluate at exact values for the n holomorphic variables.
@@ -404,8 +361,6 @@ class HermitianPolynomial:
         Conjugate variables receive conjugated values automatically.  Exact in,
         exact out.
         """
-        if not self.exact:
-            raise TypeError("use evaluate_complex() on the floating tower")
         vals = [v if isinstance(v, GaussianRational) else GaussianRational(as_rational(v))
                 for v in point]
         if len(vals) != self.space.n:
@@ -421,14 +376,14 @@ class HermitianPolynomial:
         return total
 
     def evaluate_complex(self, point) -> complex:
-        """Evaluate on the floating path at complex values (explicit conversion)."""
+        """Evaluate at complex values, in complex arithmetic."""
         return self.evaluate_values(self.space.complex_values(point))
 
     def evaluate_values(self, vals) -> complex:
         """Evaluate at the 2n values of VariableSpace.complex_values, made once per point."""
         total = 0j
         for e, c in self.terms.items():
-            term = complex(c) if self.exact else c
+            term = complex(c._a / c._d, c._b / c._d)  # complex(c), without the method call
             for v, k in zip(vals, e):
                 if k:
                     term *= v**k
@@ -440,14 +395,10 @@ class HermitianPolynomial:
     def __eq__(self, other):
         if not isinstance(other, HermitianPolynomial):
             return NotImplemented
-        return (
-            self.space == other.space
-            and self.exact == other.exact
-            and self.terms == other.terms
-        )
+        return self.space == other.space and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.space, self.exact, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
+        return hash((self.space, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
     def __repr__(self):
         return f"HermitianPolynomial({format_poly(self)!r})"
@@ -468,8 +419,7 @@ def format_poly(p: HermitianPolynomial) -> str:
     parts = []
     for exps in sorted(p.terms):
         c = p.terms[exps]
-        coeff = format_gaussian(c) if p.exact else repr(c)
-        factors = [f"({coeff})"]
+        factors = [f"({format_gaussian(c)})"]
         for i, k in enumerate(exps):
             if k:
                 factors.append(f"{names[i]}^{k}")
@@ -484,9 +434,8 @@ class RealPolynomial:
     with real coefficients, read as a function on R^n.  Supplies the real
     calculus the tube shortcuts need (values and Hessians) and the lift that
     turns a graph x_{n+1} = f(x) into a tube hypersurface in C^{n+1}.  The
-    second derivatives are differentiated once, on first use, and kept as
-    float polynomials where they are not identically zero; equality and
-    hashing read only ``poly``.
+    second derivatives are differentiated once, on first use, and kept where
+    they are not identically zero; equality and hashing read only ``poly``.
     """
 
     __slots__ = ("poly", "_hess")
@@ -525,7 +474,7 @@ class RealPolynomial:
         n = self.space.n
         if self._hess is None:
             rows = (self.poly.partial(i) for i in range(n))
-            hess = tuple((i, j, d.to_float()) for i, di in enumerate(rows) for j in range(n)
+            hess = tuple((i, j, d) for i, di in enumerate(rows) for j in range(n)
                          if not (d := di.partial(j)).is_zero())
             object.__setattr__(self, "_hess", hess)
         vals = self.space.complex_values(complex(float(x), 0.0) for x in xs)

@@ -8,9 +8,10 @@ exact rational points on the unit circle standing in for phase factors
 e^{i*angle}, and the few floating helpers used when a value has no exact
 representative (fourth roots, irrational scale factors).
 
-The two scalar towers never mix silently: conversion from the exact tower to
-floats is explicit and one-way (``complex(w)``), and :func:`to_tower` admits
-exact values only.  The floating tower is just Python ``complex`` / ``float``.
+Exact values and floats never mix silently: conversion to floats is explicit
+and one-way (``complex(w)``), and :func:`to_tower` admits exact values only.
+Floats are plain Python ``complex`` / ``float`` values, used where a value is
+read at a point: Levi numerics, printed maps, the omega solver's float path.
 """
 
 from __future__ import annotations

@@ -24,11 +24,9 @@ from tubecert.catalog import (
     make_gamma,
     make_generator,
     make_isotropy_matrix,
-    make_normalizer,
     make_normalizer_rational,
     make_p_element,
     make_sigma_surface,
-    make_tube_realisation,
     make_tube_realisation_rational,
     model_surface,
     p_compose,
@@ -57,6 +55,8 @@ from tubecert.maps import (
 )
 from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational
+
+from float_oracle import printed_map_error
 
 FLOAT_TOL = 1e-9
 GOLDEN_REPORT = Path(__file__).parent / "data" / "default_suite.golden.ndjson"
@@ -118,10 +118,7 @@ def test_criterion_03_normalization_equivalences():
         assert cert.exact and cert.residual.is_zero()
         assert cert.factor_is_positive_real
         assert cert.factor == GaussianRational(4)  # recorded regression value
-        cert_f = equivalence_certificate(
-            eq.target_rho.to_float(), make_normalizer(alpha), eq.source_rho.to_float()
-        )
-        assert cert_f.within(FLOAT_TOL)
+        assert printed_map_error(eq, 4, random.Random(103)) <= FLOAT_TOL
 
 
 def test_criterion_04_group_preserves_models():
@@ -289,10 +286,7 @@ def test_criterion_12_quadric_equivalences():
             eq.conjugated_target_rho, eq.rational_map, eq.source_rho
         )
         assert cert.exact and cert.factor == GaussianRational(1)
-        cert_f = equivalence_certificate(
-            eq.target_rho.to_float(), make_tube_realisation(p, n), eq.source_rho.to_float()
-        )
-        assert cert_f.within(FLOAT_TOL)
+        assert printed_map_error(eq, 1, random.Random(212)) <= FLOAT_TOL
     eqc = catalog.make_cayley_rational()
     cert = equivalence_certificate(eqc.conjugated_target_rho, eqc.rational_map, eqc.source_rho)
     assert cert.exact and cert.factor == GaussianRational(4)

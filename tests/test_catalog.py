@@ -25,18 +25,15 @@ from tubecert.catalog import (
     control_wrong_phase,
     identity_p_params,
     invert_p_map,
-    make_cayley_map,
     make_cayley_rational,
     make_gamma,
     make_generator,
     make_isotropy_matrix,
-    make_normalizer,
     make_normalizer_rational,
     make_omega,
     make_p_element,
     make_quadric_domain,
     make_sigma_surface,
-    make_tube_realisation,
     make_tube_realisation_rational,
     model_domain,
     model_surface,
@@ -64,10 +61,11 @@ from tubecert.maps import (
     invariance_certificate,
     lift_affine,
 )
-from tubecert.poly import HermitianPolynomial, RealPolynomial, VariableSpace
+from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational, phase_from_parameter
 
 from affine_helpers import affine_det, affine_parts, canonical, rational_affine
+from float_oracle import FloatPoly, printed_map_error, printed_pullback
 
 SP4 = VariableSpace(4)
 
@@ -769,27 +767,27 @@ def test_normalizer_targets_by_alpha():
 
 
 def test_normalizer_printed_map_float_path():
+    """The printed map at seeded points, and pulled back on the float oracle."""
     for alpha in (Fraction(7, 12), Fraction(-1, 4), Fraction(1, 12)):
         eq = make_normalizer_rational(alpha)
-        printed = make_normalizer(alpha)
-        cert = equivalence_certificate(
-            eq.target_rho.to_float(), printed, eq.source_rho.to_float()
-        )
-        assert cert.within(1e-9)
-        assert abs(cert.factor - 4.0) < 1e-9
+        assert printed_map_error(eq, 4, random.Random(23)) <= 1e-9
+        factor, residual = printed_pullback(eq)
+        assert residual <= 1e-9
+        assert abs(factor - 4.0) < 1e-9
 
 
 def test_normalizer_printed_coefficients():
     alpha = Fraction(7, 12)
-    printed = make_normalizer(alpha)
-    lam = printed.components[0].coefficient((1, 0, 0, 0, 0, 0, 0, 0))
+    eq = make_normalizer_rational(alpha)
+    lam = eq.printed_image([1, 0, 0, 0])[0]
     assert abs(lam - (3 / 4) ** 0.25) < 1e-15  # |3/2 (alpha - 1/12)|^(1/4) = (3/4)^(1/4)
-    c4 = printed.components[3]
-    assert c4.coefficient((0, 0, 0, 1, 0, 0, 0, 0)) == pytest.approx(4.0)
-    assert c4.coefficient((1, 1, 0, 0, 0, 0, 0, 0)) == pytest.approx(-2.0)
-    assert c4.coefficient((0, 0, 2, 0, 0, 0, 0, 0)) == pytest.approx(-2.0)
-    assert c4.coefficient((2, 0, 1, 0, 0, 0, 0, 0)) == pytest.approx(-1.0)
-    assert c4.coefficient((4, 0, 0, 0, 0, 0, 0, 0)) == pytest.approx(-float(alpha) / 2)
+    assert eq.radicands[3] == 1  # the last component is printed as it is
+    c4 = eq.rational_map.components[3]
+    assert c4.coefficient((0, 0, 0, 1, 0, 0, 0, 0)) == GaussianRational(4)
+    assert c4.coefficient((1, 1, 0, 0, 0, 0, 0, 0)) == GaussianRational(-2)
+    assert c4.coefficient((0, 0, 2, 0, 0, 0, 0, 0)) == GaussianRational(-2)
+    assert c4.coefficient((2, 0, 1, 0, 0, 0, 0, 0)) == GaussianRational(-1)
+    assert c4.coefficient((4, 0, 0, 0, 0, 0, 0, 0)) == GaussianRational(-alpha / 2)
 
 
 # --- quadrics, tube realisations, Cayley ------------------------------------------
@@ -847,11 +845,6 @@ def test_quadric_transitivity_random_draws():
             assert image == target
 
 
-def float_image(f, point) -> list:
-    """A printed (float-tower) map's image of a complex point; apply() is exact-only."""
-    return [c.evaluate_complex(point) for c in f.components]
-
-
 def float_inside(domain, point) -> bool:
     """rho has the domain's sign beyond a 1e-12 band at a complex point; side_of is exact-only."""
     return domain.rho.evaluate_complex(point).real * domain.side > 1e-12
@@ -862,18 +855,16 @@ def test_tube_realisation_certificates_and_shape():
         eq = make_tube_realisation_rational(p, n)
         cert = equivalence_certificate(eq.conjugated_target_rho, eq.rational_map, eq.source_rho)
         assert cert.exact and cert.factor == GaussianRational(1)
-        printed = make_tube_realisation(p, n)
-        cert_f = equivalence_certificate(
-            eq.target_rho.to_float(), printed, eq.source_rho.to_float()
-        )
-        assert cert_f.within(1e-9)
-    printed = make_tube_realisation(1, 1)
-    sp = printed.space_in
-    assert printed.components[0].coefficient((1, 0, 0, 0)) == pytest.approx(math.sqrt(2))
-    assert printed.components[1].coefficient((2, 0, 0, 0)) == pytest.approx(1.0)
-    assert printed.components[1].coefficient((0, 1, 0, 0)) == pytest.approx(1.0)
+        assert printed_map_error(eq, 1, random.Random(24)) <= 1e-9
+        assert printed_pullback(eq)[1] <= 1e-9
+    eq = make_tube_realisation_rational(1, 1)
+    assert eq.printed_image([1, 0])[0] == pytest.approx(math.sqrt(2))
+    assert eq.radicands[1] == 1
+    last = eq.rational_map.components[1]
+    assert last.coefficient((2, 0, 0, 0)) == GaussianRational(1)
+    assert last.coefficient((0, 1, 0, 0)) == GaussianRational(1)
     # the last component fixes the axis z = 0
-    origin_image = float_image(printed, [0j, 3 + 1j])
+    origin_image = eq.printed_image([0j, 3 + 1j])
     assert origin_image[0] == 0 and origin_image[1] == pytest.approx(3 + 1j)
 
 
@@ -881,13 +872,11 @@ def test_cayley_certificate_and_origin():
     eq = make_cayley_rational()
     cert = equivalence_certificate(eq.conjugated_target_rho, eq.rational_map, eq.source_rho)
     assert cert.exact and cert.factor == GaussianRational(4)
-    printed = make_cayley_map()
-    assert float_image(printed, [0j, 0j, 0j]) == [0j, 0j, 0j]
-    cert_f = equivalence_certificate(
-        eq.target_rho.to_float(), printed, eq.source_rho.to_float()
-    )
-    assert cert_f.within(1e-9)
-    assert abs(cert_f.factor - 4.0) < 1e-9
+    assert eq.printed_image([0j, 0j, 0j]) == [0j, 0j, 0j]
+    assert printed_map_error(eq, 4, random.Random(25)) <= 1e-9
+    factor, residual = printed_pullback(eq)
+    assert residual <= 1e-9
+    assert abs(factor - 4.0) < 1e-9
 
 
 def test_cayley_side_correspondence():
@@ -895,7 +884,6 @@ def test_cayley_side_correspondence():
     rng = random.Random(22)
     eqc = make_cayley_rational()
     tube_above = catalog.SidedDomain(catalog.cayley_tube_surface(), +1)
-    printed = make_cayley_map()
     quadric_above = make_quadric_domain(1, 2, ">")
     for _ in range(50):
         x = [rng.uniform(-2, 2), rng.uniform(-2, 2)]
@@ -903,7 +891,7 @@ def test_cayley_side_correspondence():
         graph = catalog.cayley_graph().evaluate_real(x)
         pt[2] = complex(graph + rng.uniform(0.1, 3), rng.uniform(-2, 2))
         assert float_inside(tube_above, pt)
-        assert float_inside(quadric_above, float_image(printed, pt))
+        assert float_inside(quadric_above, eqc.printed_image(pt))
 
 
 # --- degree-4 family ---------------------------------------------------------------
@@ -930,13 +918,13 @@ def test_sigma_surface_coefficients():
     assert coeff(x6=4) == GaussianRational(1)  # sigma at sigma=1
 
 
-def _printed_sigma_surface(s: float) -> RealPolynomial:
+def _printed_sigma_graph(s: float) -> FloatPoly:
     """The sigma graph as printed, in x1..x7 with square-root coefficients on the
-    float tower: the catalog's formula before its rescaling, kept as an oracle."""
+    float oracle: the catalog's formula before its rescaling."""
     r1 = 2.0 * (1.0 + s)
     r2 = 3.0 * s
     r3 = (-s * s + 34.0 * s - 1.0) / (3.0 * s)
-    x = [HermitianPolynomial.variable(VariableSpace(7), i).to_float() for i in range(7)]
+    x = [FloatPoly.variable(14, i) for i in range(7)]
     f = (
         x[0] ** 2 + x[1] ** 2 + x[2] ** 2 + x[3] * x[4] + x[5] * x[6]
         + x[0] * x[3] * x[5] * (2.0 * math.sqrt(r1))
@@ -945,7 +933,14 @@ def _printed_sigma_surface(s: float) -> RealPolynomial:
         + x[2] * x[3] ** 2 * math.sqrt(r3)
         + (x[3] ** 2 + x[5] ** 2) * (x[3] ** 2 + x[5] ** 2 * s)
     )
-    return RealPolynomial(f)
+    return f
+
+
+def _signature(H) -> tuple[int, int, int]:
+    """numpy's eigenvalue counts beyond 1e-9 of ||H||_F, as tube_hessian_signature cuts."""
+    eig, cut = np.linalg.eigvalsh(H), 1e-9 * np.linalg.norm(H)
+    pos, neg = int((eig > cut).sum()), int((eig < -cut).sum())
+    return pos, neg, len(eig) - pos - neg
 
 
 @pytest.mark.parametrize("sigma", [Fraction(1), Fraction(2), Fraction(17), Fraction(339, 10),
@@ -954,14 +949,16 @@ def test_rational_sigma_graph_is_the_printed_graph_after_rescaling(sigma):
     """f(y) equals the printed graph at x_i = y_i / sqrt(r_i) for i = 1, 2, 3, and the
     two graphs' Hessians there have the same signature."""
     rng = random.Random(20)
-    f, printed = make_sigma_surface(sigma), _printed_sigma_surface(float(sigma))
+    f, printed = make_sigma_surface(sigma), _printed_sigma_graph(float(sigma))
+    second = [[printed.partial(i).partial(j) for j in range(7)] for i in range(7)]
     radicands = [2 * (1 + sigma), 3 * sigma, (-sigma * sigma + 34 * sigma - 1) / (3 * sigma)]
     roots = [math.sqrt(r) for r in radicands] + [1.0] * 4
     for _ in range(20):
         y = [rng.uniform(-1, 1) for _ in range(7)]
-        x = [v / r for v, r in zip(y, roots)]
-        assert f.evaluate_real(y) == pytest.approx(printed.evaluate_real(x), rel=1e-12)
-        assert tube_hessian_signature(f, y) == tube_hessian_signature(printed, x) == (5, 2, 0)
+        x = [v / r for v, r in zip(y, roots)] + [0.0] * 7
+        assert f.evaluate_real(y) == pytest.approx(printed.evaluate(x).real, rel=1e-12)
+        H = [[d.evaluate(x).real for d in row] for row in second]
+        assert tube_hessian_signature(f, y) == _signature(H) == (5, 2, 0)
 
 
 def test_sigma_interval_endpoints():

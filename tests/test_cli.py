@@ -468,6 +468,19 @@ def test_describe_rejects_bad_values(ident, message, capsys):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value, shown", [
+    ("1e400", "about 10^400"),
+    ("-1e400", "about -10^400"),
+    ("1e5000", "about 10^5000"),  # more digits than Python prints of an int
+    ("3397057/100000", "3397057/100000"),
+])
+def test_sigma_range_error_stays_short_and_names_the_value(value, shown, capsys):
+    assert main(["describe", f"sigma(sigma={value})"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: sigma must lie in [1, 17 + 12*sqrt(2)), got {shown}\n"
+    assert len(err) < 80
+
+
 def test_block_lacking_a_key_is_named_by_its_last_line():
     with pytest.raises(ConfigError, match="block ending at line 6 lacks 'target'"):
         parse_config("id = a\nkind = levi\ntarget = M_plus\n\nid = b\nkind = levi")

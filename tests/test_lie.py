@@ -33,6 +33,7 @@ from tubecert.lie import (
     mmul,
     mscale,
     msub,
+    mtrace,
     mtrans,
     perp,
     sl3_basis,
@@ -98,6 +99,17 @@ def test_killing_examples_and_symmetry():
     for _ in range(50):
         X, Y = rand_matrix(rng), rand_matrix(rng)
         assert killing(X, Y) == killing(Y, X)
+
+
+def test_killing_is_the_trace_of_the_product():
+    """The nine-product sum against trace(XY) by the full matrix product."""
+    rng = random.Random(62)
+    for _ in range(100):
+        X, Y = rand_matrix(rng), rand_matrix(rng)
+        assert killing(X, Y) == mtrace(mmul(X, Y))
+    for X in sl3_basis():
+        for Y in sl3_basis():
+            assert killing(X, Y) == mtrace(mmul(X, Y))
 
 
 def test_gram_rank_is_8():

@@ -1,6 +1,6 @@
 """Every definition in the package is used by the package itself, every
 parameter default is overridden somewhere in it, no module of it imports
-numpy, and no call in it passes ``exact=False``.
+numpy, and no float polynomial remains in it.
 
 A function, class or method that only tests call is surface the certifier
 does not need: either a default-suite check should use it or it should go.
@@ -13,7 +13,13 @@ what is unused, not a call graph.
 """
 
 import ast
+from fractions import Fraction
 from pathlib import Path
+
+import pytest
+
+from tubecert.poly import HermitianPolynomial, VariableSpace
+from tubecert.scalars import GaussianRational
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tubecert"
 
@@ -77,17 +83,37 @@ def test_no_module_imports_numpy():
     assert not importers, f"numpy imported by: {sorted(importers)}"
 
 
-def test_no_call_passes_exact_false():
-    """``to_float()`` is the one way into the float polynomial tower: nothing in the
-    package builds a float polynomial, or any other object, with ``exact=False``."""
-    calls = [
-        f"{module}.py:{node.lineno}"
-        for module, tree in _trees().items()
-        for node in ast.walk(tree) if isinstance(node, ast.Call)
-        for k in node.keywords
-        if k.arg == "exact" and isinstance(k.value, ast.Constant) and k.value.value is False
-    ]
-    assert not calls, f"calls passing exact=False: {calls}"
+@pytest.mark.parametrize("coefficient", [0.5, 2.0, 1j, complex(1, 0)], ids=repr)
+def test_polynomials_reject_float_and_complex_coefficients(coefficient):
+    space = VariableSpace(1)
+    with pytest.raises(TypeError):
+        HermitianPolynomial(space, {(1, 0): coefficient})
+    with pytest.raises(TypeError):
+        HermitianPolynomial.constant(space, coefficient)
+    for exact in (1, Fraction(1, 2), GaussianRational(1, 2)):
+        assert not HermitianPolynomial(space, {(1, 0): exact}).is_zero()
+
+
+def test_no_float_tower_names_remain_in_the_package():
+    """Every polynomial is exact: no name ``to_float`` or ``printed_map``, no
+    ``exact=`` keyword in a call and no parameter named ``exact``."""
+    found = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            names = []
+            if isinstance(node, ast.Name):
+                names = [node.id]
+            elif isinstance(node, ast.Attribute):
+                names = [node.attr]
+            elif isinstance(node, (ast.FunctionDef, ast.alias)):
+                names = [node.name]
+            elif isinstance(node, ast.Call):
+                names = [f"{k.arg}=" for k in node.keywords if k.arg == "exact"]
+            elif isinstance(node, ast.arg) and node.arg == "exact":
+                names = ["parameter exact"]
+            found += [f"{module}.py:{getattr(node, 'lineno', '?')}: {name}" for name in names
+                      if name in ("to_float", "printed_map", "exact=", "parameter exact")]
+    assert not found, f"float-tower names in src/tubecert: {found}"
 
 
 def test_every_definition_is_referenced_in_the_package():

@@ -1,14 +1,14 @@
-"""Where the two scalar towers meet.
+"""Where exact values and floats meet.
 
-Two formulas still serve both towers: :func:`catalog.transitive_params_omega`
-(exact parameters for exact targets whose graph defect is a fourth power,
-floats otherwise) and the printed maps, which scale a rational map by the
-fourth roots of its radicands.  Seeded rational draws go through the exact
-path and, converted to floats, through the float path; the float result must
-match ``complex(...)`` of the exact one within 1e-12 of its magnitude.  Every
-catalog polynomial, the sigma graphs included, is built exact: a polynomial
-enters the float tower only through ``to_float()``.  The routines that only
-exact data reach reject float input with a TypeError.
+Two formulas serve both: :func:`catalog.transitive_params_omega` (exact
+parameters for exact targets whose graph defect is a fourth power, floats
+otherwise) and the printed maps, which scale a rational map by the fourth
+roots of its radicands and are read at complex points
+(``RationalizedEquivalence.printed_image``).  Seeded rational draws go through
+the exact path and, converted to floats, through the float path; the float
+result must match ``complex(...)`` of the exact one within 1e-12 of its
+magnitude.  Every polynomial is exact; the routines that only exact data reach
+reject float input with a TypeError.
 """
 
 import random
@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from tubecert import catalog, chern_moser, geometry, lie
+from tubecert import catalog, checks, chern_moser, geometry, lie, poly
 from tubecert.catalog import (
     BASE_POINT,
     composed_generator,
@@ -30,7 +30,11 @@ from tubecert.catalog import (
     random_positive_fraction,
     transitive_params_omega,
 )
+from tubecert.maps import HoloPolyMap
 from tubecert.poly import HermitianPolynomial, RealPolynomial, VariableSpace
+from tubecert.scalars import GaussianRational
+
+from float_oracle import printed_components
 
 TOL = 1e-12
 
@@ -42,13 +46,18 @@ def close(got, want) -> bool:
 
 @pytest.mark.parametrize("sign", "+-")
 def test_p_element_towers_agree(sign):
-    """The P group lives on the exact tower only; its formula on complex values
+    """The P group has exact coefficients only; its formula on complex values
     is checked against the exact chart Jacobian in test_catalog."""
     rng = random.Random(301 if sign == "+" else 302)
+
+    def exact(f):
+        coefficients = (c for comp in f.components for c in comp.terms.values())
+        return all(type(c) is GaussianRational for c in coefficients)
+
     for _ in range(40):
         params = random_p_params(rng, sign)
-        assert make_p_element(params).exact
-    assert control_wrong_phase(sign).exact
+        assert exact(make_p_element(params))
+    assert exact(control_wrong_phase(sign))
     assert p_jacobian_rank_at_identity(sign) == 13
 
 
@@ -87,11 +96,13 @@ def _float_quadric_map():
 
 
 def _float_apply():
-    catalog.make_cayley_map().apply([0j, 0j, 0j])
+    catalog.make_cayley_rational().rational_map.apply([0j, 0j, 0j])
 
 
 def _float_determinant():
-    catalog.make_cayley_map().linear_determinant()
+    # a float coefficient stops at the polynomial, before a map can hold it
+    space = VariableSpace(1)
+    HoloPolyMap(space, space, [HermitianPolynomial(space, {(1, 0): 0.5})]).linear_determinant()
 
 
 def _float_sigma():
@@ -99,7 +110,7 @@ def _float_sigma():
 
 
 def _float_tube():
-    x = HermitianPolynomial.variable(VariableSpace(2), 0).to_float()
+    x = HermitianPolynomial(VariableSpace(2), {(1, 0, 0, 0): 1.0})
     geometry.lifted_tube(RealPolynomial(x * x))
 
 
@@ -129,12 +140,55 @@ def test_float_input_to_exact_routines_is_a_type_error(call):
          "cayley"],
 )
 def test_printed_maps_are_scaled_rational_maps(rationalized):
-    printed = rationalized.printed_map()
+    """printed_image is the exact image scaled by float fourth roots, and it agrees
+    with the printed map built as float polynomials (the test oracle)."""
+    oracle = printed_components(rationalized)
+    n = rationalized.rational_map.space_in.n
     rng = random.Random(307)
     for _ in range(20):
-        point = [random_gaussian(rng) for _ in range(printed.space_in.n)]
+        point = [random_gaussian(rng) for _ in range(n)]
         exact = rationalized.rational_map.apply(point)
         scaled = [complex(w) * float(r) ** 0.25 for w, r in zip(exact, rationalized.radicands)]
-        image = [c.evaluate_complex(point) for c in printed.components]
-        for got, want in zip(image, scaled, strict=True):
-            assert close(got, want)
+        image = rationalized.printed_image(point)
+        values = [complex(w) for w in point] + [complex(w.conjugate()) for w in point]
+        for got, want, c in zip(image, scaled, oracle, strict=True):
+            assert close(got, want) and close(got, c.evaluate(values))
+
+
+@pytest.mark.parametrize("path", ["exact", "float", "both"])
+def test_a_perturbed_fourth_root_fails_the_float_path_only(path, monkeypatch):
+    """Mutation control: the printed map with one fourth root off by 1e-6 (that of
+    the radicand 3/4 of normalizer(alpha=7/12)) misses the model, so the float
+    path fails with the printed-map error; the exact certificate never reads it."""
+    nth_root_float = catalog.nth_root_float
+
+    def perturbed(r, n):
+        root = nth_root_float(r, n)
+        return root * (1 + 1e-6) if r == Fraction(3, 4) else root
+
+    monkeypatch.setattr(catalog, "nth_root_float", perturbed)
+    spec = checks.CheckSpec("n", "invariance", "normalizer(alpha=7/12)", seed=11, path=path)
+    result = checks.run_check(spec)
+    if path == "exact":
+        assert result.status == "pass", result.details
+    else:
+        assert result.status == "fail"
+        assert result.details["reason"].startswith("printed map error")
+
+
+def test_printed_map_check_multiplies_no_polynomials(monkeypatch):
+    """The float path reads the printed map at points: with the equivalence built,
+    it runs no polynomial product or substitution."""
+    rationalized = catalog.make_normalizer_rational(Fraction(7, 12))
+
+    def refuse(*args):
+        raise AssertionError("polynomial arithmetic on the float path")
+
+    monkeypatch.setattr(poly, "_num_mul", refuse)
+    monkeypatch.setattr(poly, "_substitute", refuse)
+    spec = checks.CheckSpec("n", "invariance", "normalizer(alpha=7/12)", seed=11, path="float")
+    details = checks._invariance_equivalence(
+        spec, random.Random(11), rationalized, checks.EXPECTED_NORMALIZER_FACTOR)
+    assert details["float_points"] == checks.FLOAT_POINTS
+    assert details["float_worst_error"] <= checks.FLOAT_TOL
+
