@@ -34,6 +34,7 @@ import math
 from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import islice
 from operator import mul
 
 from . import exactla, lie
@@ -312,27 +313,28 @@ def _p_values(params: PParams) -> list:
     return [q, phi, psi, I * params.u, rho, sigma, tau, b, d]
 
 
-def _p_rows(eps, q, phi, psi, iu, rho, sigma, tau, b, d) -> tuple:
-    """The four components of a symmetry map as ``{monomial: coefficient}``.
+def _p_rows(eps, q, phi, psi, iu, rho, sigma, tau, b, d):
+    """The four components of a symmetry map as ``{monomial: coefficient}``, yielded in turn.
 
     The one formula for the group element.  The values are Q(i) scalars, or
     polynomials in chart coordinates (the tangent map of the rank check);
-    ``eps`` is the model's sign as +-1 and ``iu`` is i times the real u.
+    ``eps`` is the model's sign as +-1 and ``iu`` is i times the real u.  A
+    caller that reads only the first three components (the isotropy block)
+    never computes the fourth, the costliest.
     """
-    rho_bar, sigma_bar, tau_bar, d_bar = (x.conjugate() for x in (rho, sigma, tau, d))
+    rho_bar, d_bar = rho.conjugate(), d.conjugate()
     qphi, q2, phipsi, rho2 = q * phi, q * q, phi * psi, rho * rho_bar
-    return (
-        {_ONE: rho, _Z1: qphi},
-        {_ONE: sigma, _Z1: rho2 * qphi * (-2 * eps) + q2 * b, _Z2: q2 * qphi, _Z3: q * d,
-         _Z1SQ: rho_bar * qphi * qphi * (-2 * eps)},
-        {_ONE: tau, _Z1: -d_bar * phipsi, _Z3: q2 * psi},
-        {_ONE: rho * sigma_bar + sigma * rho_bar + tau * tau_bar + rho2 * rho2 * eps + iu,
-         _Z1: (sigma_bar * qphi + rho_bar * q2 * b - tau_bar * d_bar * phipsi) * 2,
-         _Z2: rho_bar * q2 * qphi * 2,
-         _Z3: (rho_bar * q * d + tau_bar * q2 * psi) * 2,
-         _Z4: q2 * q2,
-         _Z1SQ: rho_bar * rho_bar * qphi * qphi * (-2 * eps)},
-    )
+    yield {_ONE: rho, _Z1: qphi}
+    yield {_ONE: sigma, _Z1: rho2 * qphi * (-2 * eps) + q2 * b, _Z2: q2 * qphi, _Z3: q * d,
+           _Z1SQ: rho_bar * qphi * qphi * (-2 * eps)}
+    yield {_ONE: tau, _Z1: -d_bar * phipsi, _Z3: q2 * psi}
+    sigma_bar, tau_bar = sigma.conjugate(), tau.conjugate()
+    yield {_ONE: rho * sigma_bar + sigma * rho_bar + tau * tau_bar + rho2 * rho2 * eps + iu,
+           _Z1: (sigma_bar * qphi + rho_bar * q2 * b - tau_bar * d_bar * phipsi) * 2,
+           _Z2: rho_bar * q2 * qphi * 2,
+           _Z3: (rho_bar * q * d + tau_bar * q2 * psi) * 2,
+           _Z4: q2 * q2,
+           _Z1SQ: rho_bar * rho_bar * qphi * qphi * (-2 * eps)}
 
 
 def make_p_element(params: PParams, check: bool = True) -> HoloPolyMap:
@@ -476,7 +478,8 @@ def make_isotropy_matrix(params: PParams):
     params.validate()
     rows = _p_rows(sign_to_eps(params.sign), *_p_values(params))
     scale, zero = GaussianRational(1 / params.q**2), GaussianRational(0)
-    return tuple(tuple(row[m] * scale if m in row else zero for m in _Z_LINEAR) for row in rows[:3])
+    return tuple(tuple(row[m] * scale if m in row else zero for m in _Z_LINEAR)
+                 for row in islice(rows, 3))
 
 
 def pseudo_unitarity_residual(U):

@@ -184,11 +184,15 @@ def linear_scaling_check(s: NormalFormSurface, U, lam) -> ScalingReport:
     """Check F_(2,2)(U z, conj(U z)) = (1/lam^2) F_(2,2)(z, zb) for lam > 0, exactly.
 
     U's entries and lam must be exact (int, Fraction, GaussianRational or a
-    unimodular phase); a float is a TypeError.  Whether U preserves the
-    surface's Hermitian form is reported beside the relation.  This is the
-    necessary condition every linear isotropy of a non-umbilic normal-form
-    surface satisfies.
+    unimodular phase); a float is a TypeError, and a lam that is not a
+    positive rational a DomainError.  Whether U preserves the surface's
+    Hermitian form is reported beside the relation.  This is the necessary
+    condition every linear isotropy of a non-umbilic normal-form surface
+    satisfies.
     """
+    lam = to_tower(lam)
+    if not lam.is_real() or lam.re <= 0:
+        raise DomainError(f"the scale lam must be a positive rational, got {lam}")
     space = VariableSpace(s.form.m)
     comps = [
         HermitianPolynomial(space, {space.unit(j): to_tower(x) for j, x in enumerate(row)})
@@ -197,7 +201,7 @@ def linear_scaling_check(s: NormalFormSurface, U, lam) -> ScalingReport:
     umap = HoloPolyMap(space, space, comps)
     form_poly, f22 = s.form.poly(space), s.component(2, 2)
     form_res = pullback(form_poly, umap) - form_poly
-    residual = pullback(f22, umap) - f22 * (1 / to_tower(lam) ** 2)
+    residual = pullback(f22, umap) - f22 * (1 / lam ** 2)
     return ScalingReport(form_res.is_zero(), residual.is_zero())
 
 

@@ -4,11 +4,11 @@ Elimination is fraction-free: each row is cleared to integers over its own
 least common denominator (Gaussian-integer ``(a, b)`` pairs over Q(i)), rows
 are combined as ``pivot*row_i - f*row_r`` and divided by the gcd of their
 entries (see Bareiss, *Math. Comp.* 22, 1968), and only the finished rows are
-turned back into field elements, one canonicalisation per entry.  So ranks,
-kernels, inverses and determinants computed here are exact.  Matrices are
-lists of rows whose entries are ``int``, ``Fraction`` or
-:class:`~tubecert.scalars.GaussianRational`; a matrix with any
-``GaussianRational`` entry is over Q(i) and its results are
+turned back into field elements, one canonicalisation per entry; a rank is the
+pivot count and builds none.  So ranks, kernels, inverses and determinants
+computed here are exact.  Matrices are lists of rows whose entries are
+``int``, ``Fraction`` or :class:`~tubecert.scalars.GaussianRational`; a matrix
+with any ``GaussianRational`` entry is over Q(i) and its results are
 ``GaussianRational``, any other is over Q and its results are ``Fraction``
 (``nullspace`` takes the column count and the field's ``one``, which an empty
 system cannot show).
@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, NamedTuple
 
-from .scalars import GaussianRational, _make, to_tower
+from .scalars import GaussianRational, _make, _over_lcm, to_tower
 
 
 def _q_combine(p, row, f, prow):
@@ -111,11 +111,8 @@ def _cleared(rows):
         if len(kinds) > 1:
             rows = [[to_tower(x) for x in row] for row in rows]
         for row in rows:
-            d = math.lcm(*[x._d for x in row])
-            if d == 1:
-                m.append([(x._a, x._b) for x in row])
-            else:
-                m.append([(x._a * (d // x._d), x._b * (d // x._d)) for x in row])
+            pairs, d = _over_lcm(row)
+            m.append(pairs)
             dens.append(d)
         return m, dens, _ZI
     for row in rows:
@@ -178,7 +175,11 @@ def rref(rows: list[list]) -> tuple[list[list], list[int]]:
 
 
 def rank(rows: list[list]) -> int:
-    return len(rref(rows)[1])
+    """The number of pivots of the cleared rows' elimination; builds no field elements."""
+    if not rows:
+        return 0
+    m, _, ring = _cleared(rows)
+    return len(_eliminate(m, ring))
 
 
 def nullspace(rows: list[list], ncols: int, one) -> list[list]:

@@ -4,7 +4,11 @@ Everything here is exact.  Each subspace is the kernel of a linear map
 written once (trace-form pairing, bracket, the u(2,1) membership residual,
 trace, line minors), computed from the images of a basis by rational Gaussian
 elimination: complex kernels over Q(i), real ones by doubling each complex
-entry into two rational coordinates.
+entry into two rational coordinates.  Where only a dimension is wanted it is
+the basis size less a rank, and ranks count pivots without building kernel
+vectors.  The hot kernels run on Gaussian-integer numerators over one
+denominator: a 3x3 product sums integers and canonicalises each entry once,
+and the line minors of (Xw, w) come out as plain ints.
 
 The dimension bookkeeping this enables: the trace form on sl(3,C) is
 non-degenerate (Gram rank 8); among a representative set of Jordan shapes,
@@ -20,10 +24,11 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from . import exactla
 from .errors import DomainError
-from .scalars import GaussianRational, to_tower
+from .scalars import GaussianRational, _over_lcm, _reduce, to_tower
 
 Mat3 = tuple  # 3x3 nested tuples of GaussianRational
 
@@ -59,12 +64,21 @@ def mscale(X: Mat3, c) -> Mat3:
     return tuple(tuple(a * c for a in row) for row in X)
 
 
+def _dot(xs, ys) -> tuple[int, int]:
+    """sum x*y over paired Gaussian integers (a, b), as a pair."""
+    re = im = 0
+    for (a, b), (c, e) in zip(xs, ys):
+        re += a * c - b * e
+        im += a * e + b * c
+    return re, im
+
+
 def mmul(X: Mat3, Y: Mat3) -> Mat3:
-    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = Y
-    return tuple(
-        (x0 * a0 + x1 * b0 + x2 * c0, x0 * a1 + x1 * b1 + x2 * c1, x0 * a2 + x1 * b2 + x2 * c2)
-        for x0, x1, x2 in X
-    )
+    """XY, summed on Gaussian-integer numerators with one canonicalisation per entry."""
+    (x, dx), (y, dy) = _over_lcm(flatten(X)), _over_lcm(flatten(Y))
+    d = dx * dy
+    cols = (y[0::3], y[1::3], y[2::3])
+    return tuple(tuple(_reduce(*_dot(x[r:r + 3], col), d) for col in cols) for r in (0, 3, 6))
 
 
 def mtrans(X: Mat3) -> Mat3:
@@ -201,8 +215,8 @@ def sl3_gram_rank() -> int:
 
 
 def ad_kernel_dim(P: Mat3, S: LieSubspace) -> int:
-    """Dimension of {X in S : [P, X] = 0}, over S's own scalar field."""
-    return len(_kernel([flatten(bracket(P, b)) for b in S.basis], S.field))
+    """Dimension of {X in S : [P, X] = 0} over S's own scalar field: dim S less a rank."""
+    return S.dimension - S.rank_of([bracket(P, b) for b in S.basis])
 
 
 @dataclass(frozen=True)
@@ -300,26 +314,41 @@ def cayley_group_element(A: Mat3) -> Mat3:
     return mmul(msub(IDENTITY3, A), mat(inv))
 
 
-def _pair_minors(w, v) -> list[GaussianRational]:
-    return [
-        w[0] * v[1] - w[1] * v[0],
-        w[0] * v[2] - w[2] * v[0],
-        w[1] * v[2] - w[2] * v[1],
-    ]
+def _line_minors(mats, w):
+    """Yield, for each X in mats, the 2x2 minors of (Xw, w) as six ints (real, imaginary parts).
+
+    w and each X enter as Gaussian-integer numerators over the lcm of their
+    denominators, so each row is a positive integer multiple of X's true
+    minors.  Scaling w or X by a positive integer does not change whether
+    Xw lies in C*w, so a row is zero exactly when the true minors are, and
+    scaling rows does not change the rank of the rows.
+    """
+    n, _ = _over_lcm(w)
+    for X in mats:
+        x, _ = _over_lcm(flatten(X))
+        u = [_dot(x[r:r + 3], n) for r in (0, 3, 6)]
+        row = []
+        for i, j in ((0, 1), (0, 2), (1, 2)):  # u_i n_j - u_j n_i
+            row.extend(_dot((u[i], u[j]), (n[j], (-n[i][0], -n[i][1]))))
+        yield row
+
+
+def _nonzero_vector(v) -> tuple:
+    vv = tuple(to_tower(x) for x in v)
+    if all(x.is_zero() for x in vv):
+        raise DomainError("the zero vector spans no line")
+    return vv
 
 
 def stabilizer_up_to_scale_dim(v) -> int:
     """Real dimension of {X in su(2,1) : X v in C v}, for su(2,1) of the diagonal form.
 
     The proportionality condition is the vanishing of the 2x2 minors of
-    (Xv, v), which is real-linear in X, so the dimension is an exact kernel
-    computation over the rationals.
+    (Xv, v), which is real-linear in X, so the dimension is 8 less the exact
+    rank of the basis elements' minors over the rationals.
     """
-    vv = tuple(to_tower(x) for x in v)
-    if all(x.is_zero() for x in vv):
-        raise DomainError("stabilizer of the zero vector is undefined")
-    images = [_pair_minors(apply_vec(B, vv), vv) for B in su21_basis()]
-    return len(_kernel(images, "R"))
+    basis = su21_basis()
+    return len(basis) - exactla.rank(list(_line_minors(basis, _nonzero_vector(v))))
 
 
 # ---------------------------------------------------------------------------
@@ -328,18 +357,11 @@ def stabilizer_up_to_scale_dim(v) -> int:
 
 
 def line_image_test(S: LieSubspace, w) -> bool:
-    """True iff every X in S maps w into the line C*w (exact minor rank test).
+    """True iff every X in S maps w into the line C*w: every integer line minor is zero.
 
     For the isotropy algebra (``catalog.isotropy_algebra``), the vectors
     passing this test are exactly the multiples of (0, 1, 0): that line is
     the algebra's only common eigenvector direction, which is what pins the
     group's connected pieces.
     """
-    ww = tuple(to_tower(x) for x in w)
-    if all(x.is_zero() for x in ww):
-        raise DomainError("the zero vector spans no line")
-    for B in S.basis:
-        minors = _pair_minors(apply_vec(B, ww), ww)
-        if any(not m.is_zero() for m in minors):
-            return False
-    return True
+    return not any(chain.from_iterable(_line_minors(S.basis, _nonzero_vector(w))))

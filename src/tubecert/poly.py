@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import DomainError, SpaceError
-from .scalars import GaussianRational, _reduce, as_rational, format_gaussian
+from .scalars import GaussianRational, _over_lcm, _reduce, as_rational, format_gaussian
 
 
 @dataclass(frozen=True)
@@ -80,12 +80,8 @@ def _coerce_exact(c):
 def _numerators(terms: dict) -> tuple[dict, int]:
     """A term map as numerator pairs {exps: (a, b)}: Gaussian integers over the lcm
     D > 0 of the coefficients' denominators."""
-    d = math.lcm(*(c._d for c in terms.values()))
-    out = {}
-    for e, c in terms.items():
-        m = d // c._d
-        out[e] = (c._a * m, c._b * m)
-    return out, d
+    pairs, d = _over_lcm(terms.values())
+    return dict(zip(terms, pairs)), d
 
 
 def _num_mul(p: dict, q: dict) -> dict:

@@ -232,6 +232,19 @@ def _reduce(a: int, b: int, d: int) -> GaussianRational:
     return _make(a, b, d)
 
 
+def _over_lcm(values) -> tuple[list, int]:
+    """A collection of Q(i) values as Gaussian-integer pairs (a, b) over the lcm
+    d > 0 of their denominators."""
+    d = math.lcm(*[x._d for x in values])
+    if d == 1:
+        return [(x._a, x._b) for x in values], 1
+    out = []
+    for x in values:
+        m = d // x._d
+        out.append((x._a * m, x._b * m))
+    return out, d
+
+
 I = GaussianRational(0, 1)
 
 

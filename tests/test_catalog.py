@@ -702,6 +702,27 @@ def test_isotropy_rejects_translations():
         make_isotropy_matrix(bad)
 
 
+def test_isotropy_matrix_never_builds_the_fourth_component(monkeypatch):
+    """The isotropy block reads the first three components of _p_rows, so the
+    fourth, most of the formula's arithmetic, is never computed."""
+    p_rows = catalog._p_rows
+    built = []
+
+    def counting(*args):
+        for row in p_rows(*args):
+            built.append(row)
+            yield row
+
+    monkeypatch.setattr(catalog, "_p_rows", counting)
+    params = replace(identity_p_params("+"), q=Fraction(2), b=GaussianRational(-1),
+                     d=GaussianRational(4)).validate()
+    make_isotropy_matrix(params)
+    assert len(built) == 3
+    built.clear()
+    make_p_element(params, check=False)
+    assert len(built) == 4
+
+
 def test_a_flipped_p_rows_coefficient_fails_isotropy_family(monkeypatch):
     """The isotropy matrices and their algebra are read off _p_rows, so a sign
     flip of the z1 coefficient of its third component (-conj(d) phi psi) fails
@@ -710,7 +731,7 @@ def test_a_flipped_p_rows_coefficient_fails_isotropy_family(monkeypatch):
     p_rows = catalog._p_rows
 
     def flipped(*args, **kwargs):
-        rows = p_rows(*args, **kwargs)
+        rows = list(p_rows(*args, **kwargs))
         rows[2][catalog._Z1] = -rows[2][catalog._Z1]
         return rows
 
@@ -736,7 +757,7 @@ def test_a_flipped_p_rows_coefficient_fails_group_closure(monkeypatch, target):
     p_rows = catalog._p_rows
 
     def flipped(*args, **kwargs):
-        rows = p_rows(*args, **kwargs)
+        rows = list(p_rows(*args, **kwargs))
         rows[2][catalog._Z1] = -rows[2][catalog._Z1]
         return rows
 

@@ -18,6 +18,7 @@ from tubecert.chern_moser import (
     umbilicity_at_origin,
 )
 from tubecert.errors import DomainError
+from tubecert.lie import IDENTITY3
 from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational, phase_from_parameter
 
@@ -165,6 +166,14 @@ def test_linear_scaling_identity_phase_and_negative_control():
     )
     rep_bad = linear_scaling_check(surface, bad, Fraction(1))
     assert rep_bad.form_preserved and not rep_bad.relation_holds
+
+
+@pytest.mark.parametrize("lam", [-1, 0, Fraction(-1, 4), GaussianRational(0, 1),
+                                 GaussianRational(1, 1)])
+def test_linear_scaling_rejects_a_scale_that_is_not_a_positive_rational(lam):
+    """lam = -1 would pass the relation (it enters squared) and lam = 0 divides by zero."""
+    with pytest.raises(DomainError, match="positive rational"):
+        linear_scaling_check(model_normal_form("+"), IDENTITY3, lam)
 
 
 @pytest.mark.parametrize("build", [model_normal_form, model_surface])

@@ -137,6 +137,33 @@ def test_rref_matches_the_field_loop(name, m):
     assert all(type(x) is kind for row in rows for x in row)
 
 
+def _int_cases():
+    """Plain-int matrices, the shape of the Lie line minors, full rank and deficient."""
+    rng = random.Random(22)
+    cases = [("int-empty", [])]
+    for k in range(4):
+        cases.append((f"int-random-{k}", [[rng.randint(-9, 9) for _ in range(6)]
+                                           for _ in range(rng.randint(1, 8))]))
+    left = [[rng.randint(-3, 3) for _ in range(2)] for _ in range(8)]
+    right = [[rng.randint(-3, 3) for _ in range(6)] for _ in range(2)]
+    cases.append(("int-deficient", [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)]
+                                    for row in left]))
+    cases.append(("int-all-zero", [[0] * 6 for _ in range(8)]))
+    return cases
+
+
+RANK_CASES = CASES + _int_cases()
+
+
+@pytest.mark.parametrize("name,m", RANK_CASES, ids=[c[0] for c in RANK_CASES])
+def test_count_only_rank_equals_the_rref_pivot_count(name, m):
+    """rank counts pivots without building field elements; the oracle is the
+    pivot list of the full rref, and over the field loop where it applies."""
+    assert exactla.rank(m) == len(exactla.rref(m)[1])
+    if m and not all(type(x) is int for row in m for x in row):
+        assert exactla.rank(m) == len(ref_rref(m)[1])
+
+
 @pytest.mark.parametrize("name,m", CASES, ids=[c[0] for c in CASES])
 def test_nullspace_vectors_annihilate_the_rows(name, m):
     basis = exactla.nullspace(m, len(m[0]), _field_type(m)(1))
@@ -212,6 +239,10 @@ def test_shape_errors():
             exactla.nullspace(ragged, 2, Fraction(1))
     with pytest.raises(TypeError):
         exactla.rref([[1.5, 2]])
+    with pytest.raises(TypeError):
+        exactla.rank([[1.5, 2]])
+    with pytest.raises(TypeError):
+        exactla.rank([[GaussianRational(1), 0.5]])
 
 
 def test_empty_and_degenerate_inputs():

@@ -1,11 +1,14 @@
 """Exact Lie-algebra computations: brackets, trace form, dimensions, stabilizers."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from tubecert import catalog
+from tubecert import catalog, lie
+from tubecert.checks import run_check
+from tubecert.cli import default_config_text, parse_config
 from tubecert.catalog import isotropy_algebra
 from tubecert.errors import DomainError
 from tubecert.lie import (
@@ -350,3 +353,214 @@ def test_cayley_elements_land_in_the_group():
         assert is_zero_matrix(res)
         count += 1
     assert cayley_group_element(ZERO3) == IDENTITY3
+
+
+# --- the integer kernels against the Q(i) route they replaced -------------------
+
+
+def qi_minors(X, v) -> list:
+    """The 2x2 minors of (Xv, v) in Q(i) arithmetic (the route before the integer minors)."""
+    w = apply_vec(X, v)
+    return [w[0] * v[1] - w[1] * v[0], w[0] * v[2] - w[2] * v[0], w[1] * v[2] - w[2] * v[1]]
+
+
+def qi_stabilizer_dim(v) -> int:
+    return len(lie._kernel([qi_minors(B, v) for B in su21_basis()], "R"))
+
+
+def qi_line_image(S, w) -> bool:
+    return all(m.is_zero() for B in S.basis for m in qi_minors(B, w))
+
+
+def _big_scalar(rng, zero_share=0.0):
+    """A Q(i) scalar with denominators up to 10^6, zero with the given probability."""
+    if rng.random() < zero_share:
+        return GaussianRational(0)
+    return GaussianRational(Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)),
+                            Fraction(rng.randint(-10**6, 10**6), rng.randint(1, 10**6)))
+
+
+def _moved_model_vectors(rng, count):
+    """Model vectors of each length class, moved by Cayley elements of SU(2,1)."""
+    basis = su21_basis()
+    g0, g1 = GaussianRational(0), GaussianRational(1)
+    out = []
+    while len(out) < count:
+        A = combine([Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in basis], basis)
+        try:
+            U = cayley_group_element(A)
+        except ZeroDivisionError:
+            continue
+        out.append(apply_vec(U, [(g1, g0, g0), (g0, g0, g1), (g1, g0, g1)][len(out) % 3]))
+    return out
+
+
+def _oracle_vectors():
+    """Seeded nonzero vectors: big random entries, some zero entries, moved model vectors."""
+    rng = random.Random(2201)
+    vectors = [tuple(_big_scalar(rng) for _ in range(3)) for _ in range(60)]
+    while len(vectors) < 140:
+        v = tuple(_big_scalar(rng, zero_share=0.5) for _ in range(3))
+        if not all(x.is_zero() for x in v):
+            vectors.append(v)
+    g0 = GaussianRational(0)
+    vectors += [(g0, _big_scalar(rng), g0), (_big_scalar(rng), g0, g0), (g0, g0, _big_scalar(rng))]
+    return vectors + _moved_model_vectors(rng, 60)
+
+
+ORACLE_VECTORS = _oracle_vectors()
+
+
+def test_integer_line_minors_are_positive_multiples_of_the_q_i_minors():
+    """Each row of _line_minors is c times the realified Q(i) minors for one c > 0."""
+    algebra = isotropy_algebra()
+    mats = list(su21_basis()) + list(algebra.basis)
+    for v in ORACLE_VECTORS[::7]:
+        for X, row in zip(mats, lie._line_minors(mats, v)):
+            assert all(type(x) is int for x in row)
+            ref = lie.realify(qi_minors(X, v))
+            if not any(ref):
+                assert not any(row)
+                continue
+            k = next(i for i, x in enumerate(ref) if x)
+            c = row[k] / ref[k]
+            assert c > 0 and [c * x for x in ref] == row
+
+
+def test_stabilizer_and_line_test_match_the_q_i_route():
+    assert len(ORACLE_VECTORS) >= 200
+    subspaces = [isotropy_algebra(), candidate_subalgebra(1), candidate_subalgebra(2),
+                 LieSubspace(su21_basis(), "R")]
+    rng = random.Random(2202)
+    dims = set()
+    for v in ORACLE_VECTORS:
+        lam = _big_scalar(rng)
+        while lam.is_zero():
+            lam = _big_scalar(rng)
+        # The integer route rests on scale invariance, so check lam * v as well.
+        for w in (v, tuple(lam * x for x in v)):
+            dim = stabilizer_up_to_scale_dim(w)
+            assert dim == qi_stabilizer_dim(w)
+            dims.add(dim)
+            for S in subspaces:
+                assert line_image_test(S, w) == qi_line_image(S, w)
+    assert dims == {4, 5}  # the null vectors are the moved (1, 0, 1)s
+
+
+def test_stabilizer_rank_agrees_with_sympy():
+    """8 less the rank of the realified minor matrix, formed and ranked by sympy."""
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(x):
+        return (sympy.Rational(x.re.numerator, x.re.denominator)
+                + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator))
+
+    g0, g1 = GaussianRational(0), GaussianRational(1)
+    models = [(g1, g0, g0), (g0, g0, g1), (g1, g0, g1)]
+    vectors = models + _moved_model_vectors(random.Random(2203), 5)
+    basis = [sympy.Matrix([[to_sympy(x) for x in row] for row in B]) for B in su21_basis()]
+    for v in vectors:
+        sv = sympy.Matrix([to_sympy(x) for x in v])
+        rows = []
+        for B in basis:
+            w = B * sv
+            minors = [sympy.expand(w[i] * sv[j] - w[j] * sv[i])
+                      for i, j in ((0, 1), (0, 2), (1, 2))]
+            rows.append([part for m in minors for part in (sympy.re(m), sympy.im(m))])
+        assert stabilizer_up_to_scale_dim(v) == 8 - sympy.Matrix(rows).rank()
+
+
+def term_by_term_mmul(X, Y):
+    """The product summed one Q(i) operation at a time (the body before the numerator product)."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = Y
+    return tuple(
+        (x0 * a0 + x1 * b0 + x2 * c0, x0 * a1 + x1 * b1 + x2 * c1, x0 * a2 + x1 * b2 + x2 * c2)
+        for x0, x1, x2 in X
+    )
+
+
+def test_numerator_product_matches_the_term_by_term_product():
+    rng = random.Random(2204)
+
+    def mixed(rng):
+        # integers, small and big denominators, and zero rows in one matrix
+        rows = []
+        for r in range(3):
+            kind = rng.choice(["int", "small", "big", "zero"])
+            if kind == "zero":
+                rows.append([0, 0, 0])
+            elif kind == "int":
+                rows.append([GaussianRational(rng.randint(-5, 5), rng.randint(-5, 5))
+                             for _ in range(3)])
+            elif kind == "small":
+                rows.append([GaussianRational(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                                              Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+                             for _ in range(3)])
+            else:
+                rows.append([_big_scalar(rng, zero_share=0.2) for _ in range(3)])
+        return mat(rows)
+
+    mats = [mixed(rng) for _ in range(60)] + [rand_matrix(rng) for _ in range(20)]
+    mats += [IDENTITY3, ZERO3, FORM_PAIRING, FORM_DIAG]
+    for X in mats:
+        for Y in rng.sample(mats, 8) + [IDENTITY3, X]:
+            got = mmul(X, Y)
+            assert got == term_by_term_mmul(X, Y)
+            assert all(math.gcd(x._a, x._b, x._d) == 1 and x._d > 0 for row in got for x in row)
+        assert mmul(X, IDENTITY3) == X == mmul(IDENTITY3, X)
+
+
+# --- mutation controls: the checks read the new kernels -------------------------
+
+
+def _lie_check(check_id):
+    specs = {spec.id: spec for spec in parse_config(default_config_text())}
+    return run_check(specs[check_id])
+
+
+def test_a_sign_flipped_line_minor_fails_the_dimension_check(monkeypatch):
+    """One flipped sign changes the minor matrix's rank, so a stabilizer dimension."""
+    minors = lie._line_minors
+
+    def flipped(mats, w):
+        out = list(minors(mats, w))
+        out[0][0] = -out[0][0]
+        return out
+
+    assert _lie_check("subalgebra-dimensions").status == "pass"
+    monkeypatch.setattr(lie, "_line_minors", flipped)
+    result = _lie_check("subalgebra-dimensions")
+    assert result.status == "fail"
+    assert "moved by a form-preserving element has stabilizer" in result.details["reason"]
+
+
+def test_a_shifted_line_minor_fails_the_line_check(monkeypatch):
+    """The line test asks only whether every minor is zero, which a sign flip keeps,
+    so its control adds one to an entry: the multiples of (0, 1, 0) stop passing."""
+    minors = lie._line_minors
+
+    def shifted(mats, w):
+        out = list(minors(mats, w))
+        out[0][0] += 1
+        return out
+
+    assert _lie_check("common-eigenvector-line").status == "pass"
+    monkeypatch.setattr(lie, "_line_minors", shifted)
+    result = _lie_check("common-eigenvector-line")
+    assert result.status == "fail"
+    assert result.details["reason"].endswith("returned False, expected True")
+
+
+def test_a_conjugated_product_entry_fails_the_isotropy_check(monkeypatch):
+    product = lie.mmul
+
+    def conjugated(X, Y):
+        rows = [list(row) for row in product(X, Y)]
+        rows[0][1] = rows[0][1].conjugate()
+        return tuple(map(tuple, rows))
+
+    assert _lie_check("isotropy-pseudo-unitary").status == "pass"
+    monkeypatch.setattr(lie, "mmul", conjugated)
+    result = _lie_check("isotropy-pseudo-unitary")
+    assert result.status == "fail"
+    assert "does not preserve the pairing form" in result.details["reason"]
