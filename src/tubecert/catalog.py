@@ -38,7 +38,7 @@ from itertools import islice
 from operator import mul
 
 from . import exactla, lie
-from .chern_moser import pairing_form, sign_to_eps
+from .chern_moser import pairing_poly, sign_to_eps
 from .errors import ClosureViolation, ConstraintError, DomainError
 from .geometry import Hypersurface, SidedDomain, lifted_tube
 from .maps import (
@@ -56,7 +56,6 @@ from .scalars import (
     UnimodularPhase,
     as_rational,
     fourth_root_exact,
-    is_exact,
     nth_root_float,
     phase_from_parameter,
     sqrt_exact,
@@ -206,32 +205,30 @@ class TransitivityResult:
     r: object
     s: object
     t: object
-    exact: bool
 
 
 def transitive_params_omega(alpha, target) -> TransitivityResult:
     """Parameters (q, r, s, t) moving the base point (0,0,0,1) to the target.
 
-    The target must lie strictly on the '>' side of gamma(alpha).  The path is
-    exact when the target is exact and its graph defect is a perfect fourth
-    power of a rational; otherwise the parameters come back as floats (sup-norm
-    error of the reproduced target below 1e-9).
+    The target must lie strictly on the '>' side of gamma(alpha).  A target
+    with a float coordinate is solved in floats (sup-norm error of the
+    reproduced target below 1e-9); any other target is solved exactly, and
+    its graph defect must then be the fourth power of a rational.
     """
-    alpha = as_rational(alpha)
-    exact = is_exact(target)
-    x1, x2, x3, x4 = (as_rational(x) if exact else float(x) for x in target)
+    floating = any(isinstance(x, float) for x in target)
+    alpha = float(as_rational(alpha)) if floating else as_rational(alpha)
+    x1, x2, x3, x4 = (float(x) if floating else as_rational(x) for x in target)
     rad = x4 - x1 * x2 - x3**2 - x1**2 * x3 - alpha * x1**4
     if rad <= 0:
         raise DomainError("target is not strictly above the graph")
-    q = fourth_root_exact(rad) if exact else None
-    if q is None:  # the floating tower, from the defect computed above
-        x1, x2, x3, alpha = float(x1), float(x2), float(x3), float(alpha)
-        q = nth_root_float(rad, 4)
+    q = nth_root_float(rad, 4) if floating else fourth_root_exact(rad)
+    if q is None:
+        raise DomainError(f"graph defect {rad} is not the fourth power of a rational")
     r = x1 / q
     s = (x2 + Fraction(4, 3) * alpha * (4 * alpha - 1) * x1**3 + x1 * x3
          + 2 * alpha * x1**3) / q**3
     t = (x3 + 2 * alpha * x1**2) / q**2
-    return TransitivityResult(q, r, s, t, isinstance(q, Fraction))
+    return TransitivityResult(q, r, s, t)
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +242,7 @@ def model_surface(sign: str) -> Hypersurface:
     z1 = _var(SPACE4, 0)
     zb1 = _var(SPACE4, 4)
     quartic = z1**2 * zb1**2
-    return Hypersurface(_re(SPACE4, 3) - pairing_form().poly(SPACE4) - quartic * eps)
+    return Hypersurface(_re(SPACE4, 3) - pairing_poly(SPACE4) - quartic * eps)
 
 
 def model_domain(sign: str, side: str) -> SidedDomain:

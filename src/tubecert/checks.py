@@ -244,8 +244,10 @@ def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regres
             q = random_positive_fraction(rng)
             r, s, t = (random_fraction(rng) for _ in range(3))
             target = composed_generator(alpha, q, s, t, r).apply(BASE_POINT)
-            sol = catalog.transitive_params_omega(alpha, target)
-            _require(sol.exact, f"constructed target {target} missed the exact path")
+            try:
+                sol = catalog.transitive_params_omega(alpha, target)
+            except DomainError:
+                raise CheckFailure(f"constructed target {target} missed the exact path") from None
             # equal parameters give the target's own map, so its image is the target
             _require(
                 (sol.q, sol.r, sol.s, sol.t) == (q, r, s, t),
@@ -358,56 +360,56 @@ def _levi_quadric_surface(spec: CheckSpec, rng, p: int, n: int) -> dict:
 
 
 def _chern_moser(spec: CheckSpec, rng, sign: str, constant_draws: int) -> dict:
-    surface = chern_moser.model_normal_form(sign)
-    form = surface.form
+    components = chern_moser.model_normal_form(sign)
 
-    reports = chern_moser.normal_form_check(surface)
-    for r in reports:
-        _require(r.passed, f"{r.name} residual is nonzero: {r.residual}")
+    conditions = chern_moser.normal_form_check(components)
+    for name, residual in conditions:
+        _require(residual.is_zero(), f"{name} residual is nonzero: {residual}")
 
-    umb = chern_moser.umbilicity_at_origin(surface)
-    _require(not umb.umbilic, "model is unexpectedly umbilic at the origin")
+    # Non-umbilic at the origin: F_(2,2) is nonzero, and it is the witness.
+    f22 = components[2, 2]
+    _require(not f22.is_zero(), "model is unexpectedly umbilic at the origin")
     eps = chern_moser.sign_to_eps(sign)
     sp = VariableSpace(3)
     want = HermitianPolynomial.variable(sp, 0) ** 2 * HermitianPolynomial.variable(sp, 3) ** 2 * eps
-    _require(umb.witness == want, "umbilicity witness is not the expected quartic")
+    _require(f22 == want, "umbilicity witness is not the expected quartic")
 
     # The constant in tr(c <z,z>^2) = 8 c <z,z> is computed, not assumed.
-    fp = form.poly()
+    fp, g = chern_moser.pairing_poly(sp), chern_moser.pairing_inverse()
     for _ in range(constant_draws):
         c = random_gaussian(rng)
         while c.is_zero():
             c = random_gaussian(rng)
-        lhs = chern_moser.trace_op(fp * fp * c, form)
+        lhs = chern_moser.trace_op(fp * fp * c, g)
         _require((lhs - fp * (c * 8)).is_zero(), f"trace of c<z,z>^2 is not 8c<z,z> for c={c}")
 
     # Scaling relation: identity and a phase isotropy pass with lambda = 1, a
     # q-scaled isotropy with lambda = q^2; the form-preserving diag(2,1/2,1)
     # violates the relation at lambda = 1 (negative control).
-    rep = chern_moser.linear_scaling_check(surface, lie.IDENTITY3, Fraction(1))
-    _require(rep.form_preserved and rep.relation_holds, "identity scaling check failed")
+    preserved, holds = chern_moser.linear_scaling_check(f22, lie.IDENTITY3, Fraction(1))
+    _require(preserved and holds, "identity scaling check failed")
 
     identity = identity_p_params(sign)
     phases = replace(identity, phi_phase=phase_from_parameter(Fraction(1, 2)),
                      psi_phase=phase_from_parameter(Fraction(2, 3))).validate()
-    rep = chern_moser.linear_scaling_check(surface, catalog.make_isotropy_matrix(phases), Fraction(1))
-    _require(rep.form_preserved and rep.relation_holds, "phase isotropy scaling check failed")
+    preserved, holds = chern_moser.linear_scaling_check(
+        f22, catalog.make_isotropy_matrix(phases), Fraction(1))
+    _require(preserved and holds, "phase isotropy scaling check failed")
 
     scaled = replace(identity, q=Fraction(2), b=GaussianRational(-1),
                      d=GaussianRational(4)).validate()
-    rep = chern_moser.linear_scaling_check(
-        surface, catalog.make_isotropy_matrix(scaled), Fraction(4)
-    )
-    _require(rep.form_preserved and rep.relation_holds, "q-scaled isotropy check failed")
+    preserved, holds = chern_moser.linear_scaling_check(
+        f22, catalog.make_isotropy_matrix(scaled), Fraction(4))
+    _require(preserved and holds, "q-scaled isotropy check failed")
 
     bad = lie.mat([[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]])
-    rep = chern_moser.linear_scaling_check(surface, bad, Fraction(1))
-    _require(rep.form_preserved, "negative control no longer preserves the form")
-    _require(not rep.relation_holds, "negative control failed to violate the scaling relation")
+    preserved, holds = chern_moser.linear_scaling_check(f22, bad, Fraction(1))
+    _require(preserved, "negative control no longer preserves the form")
+    _require(not holds, "negative control failed to violate the scaling relation")
 
     return {
         "sign": sign,
-        "trace_conditions": [r.name for r in reports],
+        "trace_conditions": [name for name, _ in conditions],
         "umbilic": False,
         "trace_constant": 8,
         "scaling_controls": "pass/pass/pass/expected-fail",

@@ -306,12 +306,13 @@ def su21_basis(H: Mat3 = FORM_DIAG) -> tuple:
 def cayley_group_element(A: Mat3) -> Mat3:
     """(I - A)(I + A)^{-1}: an exact group element from an algebra element A.
 
-    If A satisfies A^t H + H conj(A) = 0 then the result U satisfies
-    U^t H conj(U) = H (checked by the caller's tests); raises if I + A is
-    singular, in which case the caller should redraw.
+    It is computed as 2(I + A)^{-1} - I, the same matrix, since
+    I - A = 2I - (I + A).  If A satisfies A^t H + H conj(A) = 0 then the
+    result U satisfies U^t H conj(U) = H (checked by the caller's tests);
+    raises if I + A is singular, in which case the caller should redraw.
     """
     inv = exactla.invert([list(r) for r in madd(IDENTITY3, A)])
-    return mmul(msub(IDENTITY3, A), mat(inv))
+    return msub(mscale(inv, 2), IDENTITY3)
 
 
 def _line_minors(mats, w):

@@ -28,7 +28,7 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import DomainError, SpaceError
-from .scalars import GaussianRational, _over_lcm, _reduce, as_rational, format_gaussian
+from .scalars import GaussianRational, _over_lcm, _power, _reduce, as_rational, format_gaussian
 
 
 @dataclass(frozen=True)
@@ -152,18 +152,6 @@ def _substitute(terms: dict, images: list, target: VariableSpace) -> dict:
             elif s is not None:
                 del out[ex]
     return _canonical(out, common)
-
-
-def _power(base, k: int, times):
-    """base**k for k >= 1 by repeated squaring, multiplying with times."""
-    result = None
-    while k:
-        if k & 1:
-            result = base if result is None else times(result, base)
-        k >>= 1
-        if k:
-            base = times(base, base)
-    return result
 
 
 class HermitianPolynomial:
@@ -325,18 +313,6 @@ class HermitianPolynomial:
             d = list(e)
             d[var] = k - 1
             out[tuple(d)] = c * k
-        return self._raw(self.space, out)
-
-    def bigraded_component(self, k: int, l: int) -> "HermitianPolynomial":
-        """Sum of terms with z-degree exactly k and zb-degree exactly l."""
-        if k < 0 or l < 0:
-            raise DomainError("bidegrees must be nonnegative")
-        n = self.space.n
-        out = {
-            e: c
-            for e, c in self.terms.items()
-            if sum(e[:n]) == k and sum(e[n:]) == l
-        }
         return self._raw(self.space, out)
 
     def substitute(self, images: list["HermitianPolynomial"]) -> "HermitianPolynomial":

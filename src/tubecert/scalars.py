@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import DomainError
 
@@ -139,17 +140,11 @@ class GaussianRational:
     def __pow__(self, n: int):
         if not isinstance(n, int):
             return NotImplemented
+        if n == 0:
+            return GaussianRational(1)
         if n < 0:
-            return GaussianRational(1) / self ** (-n)
-        result = GaussianRational(1)
-        base = self
-        k = n
-        while k:
-            if k & 1:
-                result = result * base
-            base = base * base
-            k >>= 1
-        return result
+            return GaussianRational(1) / _power(self, -n, mul)
+        return _power(self, n, mul)
 
     # -- structure ----------------------------------------------------------
 
@@ -245,12 +240,19 @@ def _over_lcm(values) -> tuple[list, int]:
     return out, d
 
 
+def _power(base, k: int, times):
+    """base**k for k >= 1 by repeated squaring, multiplying with times."""
+    result = None
+    while k:
+        if k & 1:
+            result = base if result is None else times(result, base)
+        k >>= 1
+        if k:
+            base = times(base, base)
+    return result
+
+
 I = GaussianRational(0, 1)
-
-
-def is_exact(values) -> bool:
-    """True when every value is an int, a Fraction or a GaussianRational."""
-    return all(isinstance(v, (int, Fraction, GaussianRational)) for v in values)
 
 
 def to_tower(x) -> GaussianRational:

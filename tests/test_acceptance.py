@@ -90,7 +90,7 @@ def test_criterion_02_affine_homogeneity():
             r, s, t = (random_fraction(rng) for _ in range(3))
             target = composed_generator(alpha, q, s, t, r).apply(BASE_POINT)
             sol = transitive_params_omega(alpha, target)
-            assert sol.exact
+            assert isinstance(sol.q, Fraction)
             image = composed_generator(alpha, sol.q, sol.s, sol.t, sol.r).apply(BASE_POINT)
             assert list(image) == list(target)  # zero error on the exact path
         produced = 0
@@ -185,22 +185,21 @@ def test_criterion_08_normal_form_conditions():
     rng = random.Random(108)
     sp = VariableSpace(3)
     for sign, eps in (("+", 1), ("-", -1)):
-        surface = chern_moser.model_normal_form(sign)
-        assert all(r.passed for r in chern_moser.normal_form_check(surface))
-        umb = chern_moser.umbilicity_at_origin(surface)
+        components = chern_moser.model_normal_form(sign)
+        assert all(res.is_zero() for _, res in chern_moser.normal_form_check(components))
         want = (
             HermitianPolynomial.variable(sp, 0) ** 2
             * HermitianPolynomial.variable(sp, 3) ** 2
             * eps
         )
-        assert not umb.umbilic and umb.witness == want
-    form = chern_moser.pairing_form()
-    fp = form.poly()
+        f22 = components[2, 2]
+        assert not f22.is_zero() and f22 == want
+    fp, g = chern_moser.pairing_poly(sp), chern_moser.pairing_inverse()
     for _ in range(10):
         c = random_gaussian(rng)
         while c.is_zero():
             c = random_gaussian(rng)
-        assert (chern_moser.trace_op(fp * fp * c, form) - fp * (c * 8)).is_zero()
+        assert (chern_moser.trace_op(fp * fp * c, g) - fp * (c * 8)).is_zero()
 
 
 def test_criterion_09_subalgebra_dimension_core():

@@ -279,7 +279,7 @@ def test_importing_the_cli_builds_no_universal_certificate():
 
 def test_transitivity_regression_and_identity():
     sol = transitive_params_omega(1, (1, 0, 0, 2))
-    assert (sol.q, sol.r, sol.s, sol.t) == (1, 1, 6, 2) and sol.exact
+    assert (sol.q, sol.r, sol.s, sol.t) == (1, 1, 6, 2) and isinstance(sol.q, Fraction)
     image = composed_generator(1, sol.q, sol.s, sol.t, sol.r).apply(BASE_POINT)
     assert image == [1, 0, 0, 2]
     ident = transitive_params_omega(0, (0, 0, 0, 1))
@@ -295,6 +295,17 @@ def test_transitivity_rejects_points_not_above():
         transitive_params_omega(0, (0, 0, 0, -1))
 
 
+def test_an_exact_target_off_the_exact_path_fails_transitivity(monkeypatch):
+    """A constructed target whose defect has no rational fourth root is a fail, not an error."""
+    spec = CheckSpec(id="omega", kind="transitivity", target="omega(alpha=0,side=>)", seed=1)
+    assert run_check(spec).status == "pass"
+    monkeypatch.setattr(catalog, "fourth_root_exact", lambda r: None)
+    result = run_check(spec)
+    assert result.status == "fail"
+    assert result.details["reason"].startswith("constructed target ")
+    assert result.details["reason"].endswith(" missed the exact path")
+
+
 def test_transitivity_exact_and_float_paths():
     rng = random.Random(13)
     for alpha in (0, Fraction(1, 12), 1, -2):
@@ -304,7 +315,7 @@ def test_transitivity_exact_and_float_paths():
             target = composed_generator(alpha, q, s, t, r).apply(BASE_POINT)
             assert side_of(make_omega(alpha, ">"), target) == "inside"
             sol = transitive_params_omega(alpha, target)
-            assert sol.exact
+            assert isinstance(sol.q, Fraction)
             assert (sol.q, sol.r, sol.s, sol.t) == (q, r, s, t)
         worst = 0.0
         produced = 0

@@ -142,7 +142,8 @@ def test_sigma_tube_hessian_agrees_with_levi_on_lift():
     for sigma in (Fraction(1), Fraction(5, 2), Fraction(339, 10)):
         f = make_sigma_surface(sigma)
         tube = lifted_tube(f)
-        assert tube.rho.exact and tube.space.n == 8
+        assert all(isinstance(c, GaussianRational) for c in tube.rho.terms.values())
+        assert tube.space.n == 8
         for _ in range(10):
             x = [rng.uniform(-1, 1) for _ in range(7)]
             z = [complex(v, rng.uniform(-1, 1)) for v in x]

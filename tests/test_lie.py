@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from tubecert import catalog, lie
+from tubecert import catalog, exactla, lie
 from tubecert.checks import run_check
 from tubecert.cli import default_config_text, parse_config
 from tubecert.catalog import isotropy_algebra
@@ -353,6 +353,22 @@ def test_cayley_elements_land_in_the_group():
         assert is_zero_matrix(res)
         count += 1
     assert cayley_group_element(ZERO3) == IDENTITY3
+
+
+def test_cayley_element_matches_the_two_product_formula():
+    """2(I + A)^{-1} - I is (I - A)(I + A)^{-1}, entry for entry, on seeded su(2,1) draws."""
+    rng = random.Random(2301)
+    basis = su21_basis()
+    count = 0
+    while count < 60:
+        A = combine([Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in basis], basis)
+        try:
+            U = cayley_group_element(A)
+        except ZeroDivisionError:
+            continue
+        inv = mat(exactla.invert([list(r) for r in madd(IDENTITY3, A)]))
+        assert U == mmul(msub(IDENTITY3, A), inv)
+        count += 1
 
 
 # --- the integer kernels against the Q(i) route they replaced -------------------

@@ -193,23 +193,6 @@ def test_partials_commute():
         assert p.partial(0).partial(3) == p.partial(3).partial(0)
 
 
-def test_bigraded_components():
-    z1, z2 = var(SP4, 0), var(SP4, 1)
-    zb1, zb2 = var(SP4, 4), var(SP4, 5)
-    p = z1 * zb2 + z1**2 * zb1**2
-    assert p.bigraded_component(1, 1) == z1 * zb2
-    assert p.bigraded_component(2, 2) == z1**2 * zb1**2
-    assert p.bigraded_component(0, 0).is_zero()
-    assert (p + const(SP4, 7)).bigraded_component(0, 0) == const(SP4, 7)
-    rng = random.Random(49)
-    for _ in range(200):
-        q = rand_poly(rng, SP2)
-        total = HermitianPolynomial.zero(SP2)
-        for k, l in {(sum(e[:SP2.n]), sum(e[SP2.n:])) for e in q.terms}:
-            total = total + q.bigraded_component(k, l)
-        assert total == q
-
-
 def test_evaluate_examples():
     p = var(SP2, 0) * var(SP2, 2)  # |z1|^2
     assert p.evaluate([GaussianRational(3, 4), GaussianRational(0)]) == GaussianRational(25)

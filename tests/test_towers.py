@@ -1,14 +1,14 @@
 """Where exact values and floats meet.
 
 Two formulas serve both: :func:`catalog.transitive_params_omega` (exact
-parameters for exact targets whose graph defect is a fourth power, floats
-otherwise) and the printed maps, which scale a rational map by the fourth
-roots of its radicands and are read at complex points
-(``RationalizedEquivalence.printed_image``).  Seeded rational draws go through
-the exact path and, converted to floats, through the float path; the float
-result must match ``complex(...)`` of the exact one within 1e-12 of its
-magnitude.  Every polynomial is exact; the routines that only exact data reach
-reject float input with a TypeError.
+parameters for an exact target, whose graph defect must then be a fourth
+power, and floats for a float target) and the printed maps, which scale a
+rational map by the fourth roots of its radicands and are read at complex
+points (``RationalizedEquivalence.printed_image``).  Seeded rational draws
+go through the exact path and, converted to floats, through the float path;
+the float result must match ``complex(...)`` of the exact one within 1e-12 of
+its magnitude.  Every polynomial is exact; the routines that only exact data
+reach reject float input with a TypeError.
 """
 
 import random
@@ -30,6 +30,7 @@ from tubecert.catalog import (
     random_positive_fraction,
     transitive_params_omega,
 )
+from tubecert.errors import DomainError
 from tubecert.maps import HoloPolyMap
 from tubecert.poly import HermitianPolynomial, RealPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational
@@ -70,12 +71,15 @@ def test_transitive_params_omega_towers_agree():
             target = composed_generator(alpha, q, s, t, r).apply(BASE_POINT)
             exact = transitive_params_omega(alpha, target)
             floats = transitive_params_omega(alpha, [float(x) for x in target])
-            assert exact.exact and not floats.exact
+            assert isinstance(exact.q, Fraction) and isinstance(floats.q, float)
             for name in "qrst":
                 assert close(getattr(floats, name), getattr(exact, name)), name
-    # an exact target whose graph defect is not a fourth power takes the float path
-    sol = transitive_params_omega(Fraction(0), (0, 0, 0, 2))
-    assert not sol.exact and close(sol.q**4, 2)
+    # the tower follows the target: an exact target whose graph defect is not
+    # a fourth power is an error, and the same point in floats is solved
+    with pytest.raises(DomainError, match="graph defect 2 is not the fourth power"):
+        transitive_params_omega(Fraction(0), (0, 0, 0, 2))
+    sol = transitive_params_omega(Fraction(0), (0, 0, 0, 2.0))
+    assert isinstance(sol.q, float) and close(sol.q**4, 2)
 
 
 def _float_line():
@@ -88,7 +92,7 @@ def _float_line():
 
 def _float_scaling():
     U = [[complex(x) for x in row] for row in lie.IDENTITY3]
-    chern_moser.linear_scaling_check(chern_moser.model_normal_form("+"), U, 1.0)
+    chern_moser.linear_scaling_check(chern_moser.model_normal_form("+")[2, 2], U, 1.0)
 
 
 def _float_quadric_map():
