@@ -54,6 +54,8 @@ from .scalars import (
     GaussianRational,
     I,
     UnimodularPhase,
+    _reduce,
+    _Unreduced,
     as_rational,
     fourth_root_exact,
     nth_root_float,
@@ -279,12 +281,17 @@ class PParams:
         sign_to_eps(self.sign)
         if self.q <= 0:
             raise ConstraintError("scale parameter q must be positive")
-        w = self.phi_phase.value * self.b.conjugate()
-        if w.re > 0:
+        # On numerators over positive denominators: Re(phase * conj(b)) = r / (phase_d b_d)
+        # and |d|^2 = (d_a^2 + d_b^2) / d_d^2, so the identity cross-multiplies to integers.
+        phi, b, d, q = self.phi_phase.value, self.b, self.d, self.q
+        r = phi._a * b._a + phi._b * b._b
+        if r > 0:
             raise ConstraintError("Re(phase * conj(b)) must be <= 0")
-        if self.d.abs2() != -2 * self.q**3 * w.re:
+        if ((d._a * d._a + d._b * d._b) * q.denominator**3 * phi._d * b._d
+                != -2 * q.numerator**3 * r * d._d * d._d):
+            w = phi * b.conjugate()
             raise ConstraintError(
-                f"|d|^2 = {self.d.abs2()} != -2 q^3 Re(phase*conj(b)) = {-2 * self.q ** 3 * w.re}"
+                f"|d|^2 = {d.abs2()} != -2 q^3 Re(phase*conj(b)) = {-2 * q ** 3 * w.re}"
             )
         return self
 
@@ -315,39 +322,42 @@ def _p_rows(eps, q, phi, psi, iu, rho, sigma, tau, b, d):
 
     The one formula for the group element.  The values are Q(i) scalars, or
     polynomials in chart coordinates (the tangent map of the rank check);
-    ``eps`` is the model's sign as +-1 and ``iu`` is i times the real u.  A
-    caller that reads only the first three components (the isotropy block)
-    never computes the fourth, the costliest.
+    ``eps`` is the model's sign as +-1 and ``iu`` is i times the real u.  Each
+    repeated product is computed once.  A caller that reads only the first
+    three components (the isotropy block) never computes the fourth, the
+    costliest.
     """
     rho_bar, d_bar = rho.conjugate(), d.conjugate()
-    qphi, q2, phipsi, rho2 = q * phi, q * q, phi * psi, rho * rho_bar
+    qphi, q2, rho2 = q * phi, q * q, rho * rho_bar
+    q2qphi, q2b, qd, q2psi, dphipsi = q2 * qphi, q2 * b, q * d, q2 * psi, d_bar * (phi * psi)
+    z1sq = rho_bar * qphi * qphi * (-2 * eps)
     yield {_ONE: rho, _Z1: qphi}
-    yield {_ONE: sigma, _Z1: rho2 * qphi * (-2 * eps) + q2 * b, _Z2: q2 * qphi, _Z3: q * d,
-           _Z1SQ: rho_bar * qphi * qphi * (-2 * eps)}
-    yield {_ONE: tau, _Z1: -d_bar * phipsi, _Z3: q2 * psi}
+    yield {_ONE: sigma, _Z1: rho2 * qphi * (-2 * eps) + q2b, _Z2: q2qphi, _Z3: qd, _Z1SQ: z1sq}
+    yield {_ONE: tau, _Z1: -dphipsi, _Z3: q2psi}
     sigma_bar, tau_bar = sigma.conjugate(), tau.conjugate()
     yield {_ONE: rho * sigma_bar + sigma * rho_bar + tau * tau_bar + rho2 * rho2 * eps + iu,
-           _Z1: (sigma_bar * qphi + rho_bar * q2 * b - tau_bar * d_bar * phipsi) * 2,
-           _Z2: rho_bar * q2 * qphi * 2,
-           _Z3: (rho_bar * q * d + tau_bar * q2 * psi) * 2,
+           _Z1: (sigma_bar * qphi + rho_bar * q2b - tau_bar * dphipsi) * 2,
+           _Z2: rho_bar * q2qphi * 2,
+           _Z3: (rho_bar * qd + tau_bar * q2psi) * 2,
            _Z4: q2 * q2,
-           _Z1SQ: rho_bar * rho_bar * qphi * qphi * (-2 * eps)}
+           _Z1SQ: rho_bar * z1sq}
 
 
 def make_p_element(params: PParams, check: bool = True) -> HoloPolyMap:
     """The degree-2 holomorphic symmetry of the quartic model with the given parameters.
 
-    Built once per validated ``params`` and kept in its ``_map``; the rows are
-    canonical once their zero coefficients are dropped.  ``check=False`` skips
-    the constraint and the kept map (used to build a negative control).
+    Built once per validated ``params`` and kept in its ``_map``.  The rows
+    are evaluated on unreduced Gaussian-integer numerators and each nonzero
+    coefficient is canonicalised once.  ``check=False`` skips the constraint
+    and the kept map (used to build a negative control).
     """
     if check:
         if params._map is not None:
             return params._map
         params.validate()
-    rows = _p_rows(sign_to_eps(params.sign), *_p_values(params))
+    rows = _p_rows(sign_to_eps(params.sign), *map(_Unreduced.of, _p_values(params)))
     f = HoloPolyMap._raw(SPACE4, SPACE4, [HermitianPolynomial._raw(
-        SPACE4, {e: c for e, c in row.items() if not c.is_zero()}) for row in rows])
+        SPACE4, {e: c.reduced() for e, c in row.items() if not c.is_zero()}) for row in rows])
     if check:
         object.__setattr__(params, "_map", f)
     return f
@@ -473,9 +483,10 @@ def make_isotropy_matrix(params: PParams):
     if not (params.rho.is_zero() and params.sigma.is_zero() and params.tau.is_zero()) or params.u != 0:
         raise DomainError("isotropy matrices need translation-free parameters")
     params.validate()
-    rows = _p_rows(sign_to_eps(params.sign), *_p_values(params))
-    scale, zero = GaussianRational(1 / params.q**2), GaussianRational(0)
-    return tuple(tuple(row[m] * scale if m in row else zero for m in _Z_LINEAR)
+    rows = _p_rows(sign_to_eps(params.sign), *map(_Unreduced.of, _p_values(params)))
+    scale = _Unreduced(params.q.denominator**2, 0, params.q.numerator**2)  # 1 / q^2
+    zero = GaussianRational(0)
+    return tuple(tuple((row[m] * scale).reduced() if m in row else zero for m in _Z_LINEAR)
                  for row in islice(rows, 3))
 
 
@@ -497,7 +508,7 @@ def random_positive_fraction(rng) -> Fraction:
 
 
 def random_gaussian(rng) -> GaussianRational:
-    return GaussianRational(random_fraction(rng, -2, 2), random_fraction(rng, -2, 2))
+    return _reduce(rng.randint(-8, 8), rng.randint(-8, 8), 4)  # both parts in [-2, 2]
 
 
 def random_phase(rng) -> UnimodularPhase:
@@ -505,21 +516,21 @@ def random_phase(rng) -> UnimodularPhase:
 
 
 def random_p_params(rng, sign: str) -> PParams:
-    """A random exact group element: draw d first, then solve for b's real slope."""
-    q = random_positive_fraction(rng)
-    phi = random_phase(rng)
-    psi = random_phase(rng)
-    u = random_fraction(rng)
-    rho = random_gaussian(rng)
-    sigma = random_gaussian(rng)
-    tau = random_gaussian(rng)
-    d = random_gaussian(rng)
-    m = d.abs2() / (2 * q**3)
-    y = random_fraction(rng)
-    # Re(phi * conj(b)) = -m with free imaginary part y.
-    b = (phi.value.conjugate() * GaussianRational(-m, y)).conjugate()
+    """A random exact group element: draw d first, then solve for b's real slope.
+
+    With q = n/4, d = (da + db i)/4 and Im(phi conj(b)) = y/4 drawn, the
+    constraint Re(phi conj(b)) = -|d|^2 / (2 q^3) = -8 (da^2 + db^2) / (4 n^3)
+    fixes b as an integer expression over 4 n^3.
+    """
+    n = rng.randint(1, 12)
+    phi, psi, u = random_phase(rng), random_phase(rng), random_fraction(rng)
+    rho, sigma, tau = random_gaussian(rng), random_gaussian(rng), random_gaussian(rng)
+    da, db = rng.randint(-8, 8), rng.randint(-8, 8)  # as random_gaussian
+    x, y = -8 * (da * da + db * db), rng.randint(-12, 12) * n**3
+    w = phi.value  # b = w (x - i y) / (4 n^3)
+    b = _reduce(w._a * x + w._b * y, w._b * x - w._a * y, w._d * 4 * n**3)
     # The constraint holds by construction; make_p_element validates on first build.
-    return PParams(sign, q, phi, psi, u, rho, sigma, tau, b, d)
+    return PParams(sign, Fraction(n, 4), phi, psi, u, rho, sigma, tau, b, _reduce(da, db, 4))
 
 
 # -- the tangent map of the 13-parameter chart ---------------------------------

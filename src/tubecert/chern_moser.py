@@ -36,6 +36,7 @@ def pairing_inverse() -> tuple:
     return tuple(tuple(row) for row in exactla.invert([list(row) for row in lie.FORM_PAIRING]))
 
 
+@cache  # polynomials and spaces are immutable; the normal-form checks reuse it
 def pairing_poly(space: VariableSpace) -> HermitianPolynomial:
     """<z, z> = sum h[a][b] z_a zb_b over the first three variables of space."""
     total = HermitianPolynomial.zero(space)

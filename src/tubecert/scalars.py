@@ -227,6 +227,59 @@ def _reduce(a: int, b: int, d: int) -> GaussianRational:
     return _make(a, b, d)
 
 
+class _Unreduced:
+    """A Q(i) value (a + b*i) / d, d > 0, kept out of lowest terms.
+
+    Its ring operations take unreduced values or ints on either side and call
+    no gcd, so a formula evaluated over it canonicalises once per result
+    (:meth:`reduced`), not once per operation.
+    """
+
+    __slots__ = ("a", "b", "d")
+
+    def __init__(self, a: int, b: int, d: int):
+        self.a, self.b, self.d = a, b, d
+
+    @staticmethod
+    def of(x: GaussianRational) -> "_Unreduced":
+        return _Unreduced(x._a, x._b, x._d)
+
+    def reduced(self) -> GaussianRational:
+        return _reduce(self.a, self.b, self.d)
+
+    def is_zero(self) -> bool:
+        return self.a == 0 and self.b == 0
+
+    def conjugate(self) -> "_Unreduced":
+        return _Unreduced(self.a, -self.b, self.d)
+
+    def __neg__(self):
+        return _Unreduced(-self.a, -self.b, self.d)
+
+    def __add__(self, o):
+        if type(o) is int:
+            return _Unreduced(self.a + o * self.d, self.b, self.d)
+        if self.d == o.d:
+            return _Unreduced(self.a + o.a, self.b + o.b, self.d)
+        return _Unreduced(self.a * o.d + o.a * self.d, self.b * o.d + o.b * self.d, self.d * o.d)
+
+    __radd__ = __add__
+
+    def __sub__(self, o):
+        return self + -o
+
+    def __rsub__(self, o):
+        return -self + o
+
+    def __mul__(self, o):
+        if type(o) is int:
+            return _Unreduced(self.a * o, self.b * o, self.d)
+        a1, b1, a2, b2 = self.a, self.b, o.a, o.b
+        return _Unreduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, self.d * o.d)
+
+    __rmul__ = __mul__
+
+
 def _over_lcm(values) -> tuple[list, int]:
     """A collection of Q(i) values as Gaussian-integer pairs (a, b) over the lcm
     d > 0 of their denominators."""
@@ -288,7 +341,7 @@ class UnimodularPhase:
     __slots__ = ("value",)
 
     def __init__(self, value: GaussianRational):
-        if value.abs2() != 1:
+        if value._a * value._a + value._b * value._b != value._d * value._d:
             raise DomainError(f"not unimodular: |{value}|^2 = {value.abs2()}")
         object.__setattr__(self, "value", value)
 

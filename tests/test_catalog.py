@@ -10,6 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubecert import catalog, exactla, lie
 from tubecert.checks import CheckSpec, run_check
@@ -62,7 +64,7 @@ from tubecert.maps import (
     lift_affine,
 )
 from tubecert.poly import HermitianPolynomial, VariableSpace
-from tubecert.scalars import GaussianRational, phase_from_parameter
+from tubecert.scalars import GaussianRational, _Unreduced, phase_from_parameter
 
 from affine_helpers import affine_det, affine_parts, canonical, rational_affine
 from float_oracle import FloatPoly, printed_map_error, printed_pullback
@@ -523,6 +525,132 @@ def test_kept_element_map_is_never_stale():
     assert bad._map is None
     assert make_p_element(good, check=False) is not make_p_element(good, check=False)
     assert good._map is None
+
+
+def _triples(rows):
+    return [{m: (c._a, c._b, c._d) for m, c in row.items() if not c.is_zero()} for row in rows]
+
+
+@st.composite
+def _p_params(draw):
+    """A valid element: q over 1, 2 or 4, then d, then b solved from the constraint;
+    translation-free (the isotropy case) in about half the draws."""
+    def gaussian():
+        return GaussianRational(Fraction(draw(st.integers(-8, 8)), 4),
+                                Fraction(draw(st.integers(-8, 8)), 4))
+
+    def phase():
+        return phase_from_parameter(Fraction(draw(st.integers(-15, 15)), draw(st.integers(1, 5))))
+
+    sign = draw(st.sampled_from("+-"))
+    q = Fraction(draw(st.integers(1, 12)), draw(st.sampled_from([1, 2, 4])))
+    phi, psi = phase(), phase()
+    if draw(st.booleans()):
+        u, rho, sigma, tau = Fraction(0), GaussianRational(0), GaussianRational(0), GaussianRational(0)
+    else:
+        u, rho, sigma, tau = Fraction(draw(st.integers(-12, 12)), 4), gaussian(), gaussian(), gaussian()
+    d = gaussian()
+    y = Fraction(draw(st.integers(-12, 12)), 4)
+    b = (phi.value.conjugate() * GaussianRational(-d.abs2() / (2 * q**3), y)).conjugate()
+    return PParams(sign, q, phi, psi, u, rho, sigma, tau, b, d).validate()
+
+
+@given(_p_params())
+@settings(max_examples=150, deadline=None)
+def test_unreduced_p_rows_match_the_gaussian_rational_rows(params):
+    """The formula over unreduced numerators, reduced once per coefficient, gives
+    the triples of the formula over GaussianRational with zeros dropped, and the
+    built map holds only canonical GaussianRational coefficients."""
+    eps, values = sign_to_eps(params.sign), catalog._p_values(params)
+    want = _triples(catalog._p_rows(eps, *values))
+    unreduced = list(catalog._p_rows(eps, *map(_Unreduced.of, values)))
+    assert all(type(c) is _Unreduced for row in unreduced for c in row.values())
+    assert _triples([{m: c.reduced() for m, c in row.items()} for row in unreduced]) == want
+    f = make_p_element(params)
+    for comp in f.components:
+        for c in comp.terms.values():
+            assert type(c) is GaussianRational and c._d > 0
+            assert math.gcd(c._a, c._b, c._d) == 1 and not c.is_zero()
+    assert _triples(comp.terms for comp in f.components) == want
+
+
+def _fraction_random_p_params(rng, sign):
+    """random_p_params as it was written on Fractions: the oracle for the integer draws."""
+    def fraction(lo=-3, hi=3, den=4):
+        return Fraction(rng.randint(lo * den, hi * den), den)
+
+    def gaussian():
+        return GaussianRational(fraction(-2, 2), fraction(-2, 2))
+
+    def phase():
+        return phase_from_parameter(fraction(-3, 3, 5))
+
+    q = Fraction(rng.randint(1, 12), 4)
+    phi, psi, u = phase(), phase(), fraction()
+    rho, sigma, tau, d = gaussian(), gaussian(), gaussian(), gaussian()
+    m = d.abs2() / (2 * q**3)
+    y = fraction()
+    b = (phi.value.conjugate() * GaussianRational(-m, y)).conjugate()
+    return PParams(sign, q, phi, psi, u, rho, sigma, tau, b, d)
+
+
+def test_integer_draws_equal_the_fraction_draws_and_keep_the_stream():
+    fields = ("q", "phi_phase", "psi_phase", "u", "rho", "sigma", "tau", "b", "d")
+    for seed in range(500):
+        sign = "+-"[seed % 2]
+        old_rng, new_rng = random.Random(seed), random.Random(seed)
+        old, new = _fraction_random_p_params(old_rng, sign), random_p_params(new_rng, sign)
+        for name in fields:
+            a, b = getattr(old, name), getattr(new, name)
+            assert type(a) is type(b) and a == b, (seed, name)
+            if isinstance(a, GaussianRational):
+                assert (a._a, a._b, a._d) == (b._a, b._b, b._d)
+        assert old == new
+        assert old_rng.randint(-10**6, 10**6) == new_rng.randint(-10**6, 10**6)
+
+
+def _fraction_constraint_error(params):
+    """The constraint checked on Fractions, as the error text it raises, or None."""
+    w = params.phi_phase.value * params.b.conjugate()
+    if w.re > 0:
+        return "Re(phase * conj(b)) must be <= 0"
+    if params.d.abs2() != -2 * params.q**3 * w.re:
+        return f"|d|^2 = {params.d.abs2()} != -2 q^3 Re(phase*conj(b)) = {-2 * params.q ** 3 * w.re}"
+    return None
+
+
+def _constraint_error(params):
+    try:
+        params.validate()
+    except ConstraintError as exc:
+        return str(exc)
+    return None
+
+
+def test_integer_constraint_matches_the_fraction_formula():
+    phi = phase_from_parameter(Fraction(1, 2))
+    # The boundary: Re(phase * conj(b)) = 0 with d = 0.
+    boundary = replace(identity_p_params("+"), phi_phase=phi, q=Fraction(3, 2),
+                       b=phi.value * GaussianRational(0, Fraction(5, 3)))
+    assert _constraint_error(boundary) is None and _fraction_constraint_error(boundary) is None
+    rng = random.Random(24)
+    rejected = 0
+    for sign in "+-":
+        for _ in range(100):
+            p = random_p_params(rng, sign)
+            assert _constraint_error(p) is None and _fraction_constraint_error(p) is None
+            a, b, den = p.d._a, p.d._b, p.d._d
+            for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+                moved = replace(p, d=GaussianRational(Fraction(a + da, den), Fraction(b + db, den)))
+                text = _constraint_error(moved)
+                assert text is not None and text.startswith("|d|^2 = ")
+                assert text == _fraction_constraint_error(moved)
+            if not p.d.is_zero():  # then Re(phase * conj(b)) < 0, and -b makes it positive
+                flipped = replace(p, b=-p.b)
+                assert _constraint_error(flipped) == "Re(phase * conj(b)) must be <= 0"
+                assert _fraction_constraint_error(flipped) == "Re(phase * conj(b)) must be <= 0"
+                rejected += 1
+    assert rejected > 150
 
 
 def test_closure_draws_build_three_maps_each(monkeypatch):

@@ -42,6 +42,9 @@ def test_form_inverse_and_signature():
     # h is an involution here, so g = h
     assert pairing_inverse() == FORM_PAIRING
     assert pairing_poly(SP3) == var(0) * var(4) + var(1) * var(3) + var(2) * var(5)
+    # Built once per space: an equal space reads the same polynomial.
+    assert pairing_poly(VariableSpace(3)) is pairing_poly(SP3)
+    assert pairing_poly(VariableSpace(4)) is not pairing_poly(SP3)
 
 
 def test_trace_examples():

@@ -12,6 +12,7 @@ from tubecert.errors import DomainError
 from tubecert.scalars import (
     GaussianRational,
     UnimodularPhase,
+    _Unreduced,
     format_gaussian,
     fourth_root_exact,
     nth_root_float,
@@ -105,6 +106,21 @@ def test_phase_products_are_phases():
 def test_unimodular_rejects_non_unit():
     with pytest.raises(DomainError):
         UnimodularPhase(GaussianRational(Fraction(1, 2)))
+
+
+def test_unimodular_check_on_integers_matches_the_fraction_modulus():
+    """a^2 + b^2 = d^2 on the canonical triple accepts exactly the values of
+    modulus 1, and a rejection keeps the text stated with the Fraction modulus."""
+    rng = random.Random(24)
+    units = [phase_from_parameter(rand_fraction(rng)).value for _ in range(200)]
+    near = [w * GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9))) for w in units]
+    for w in units + near + [GaussianRational(0), GaussianRational(1, 1)]:
+        if w.abs2() == 1:
+            assert UnimodularPhase(w).value == w
+            continue
+        with pytest.raises(DomainError) as exc:
+            UnimodularPhase(w)
+        assert str(exc.value) == f"not unimodular: |{w}|^2 = {w.abs2()}"
 
 
 def test_sqrt_exact():
@@ -350,3 +366,26 @@ def test_floats_do_not_mix_and_values_stay_immutable():
         3 / GaussianRational(0)
     with pytest.raises(ZeroDivisionError):
         w / Fraction(0)
+
+
+def _triple(w):
+    return (w._a, w._b, w._d)
+
+
+@given(rationals, rationals, rationals, rationals, st.integers(-20, 20))
+@settings(max_examples=200, deadline=None)
+def test_unreduced_operations_reduce_to_the_gaussian_rational_results(p, q, r, s, k):
+    """Each operation of the unreduced value, int operands on either side
+    included, reduces to the canonical triple of the same GaussianRational
+    operation."""
+    x, y = GaussianRational(p, q), GaussianRational(r, s)
+    ux, uy = _Unreduced.of(x), _Unreduced.of(y)
+    pairs = [
+        (ux * uy, x * y), (ux + uy, x + y), (ux - uy, x - y), (-ux, -x),
+        (ux.conjugate(), x.conjugate()), (ux * k, x * k), (k * ux, k * x),
+        (ux + k, x + k), (k + ux, k + x), (ux - k, x - k), (k - ux, k - x),
+    ]
+    for got, want in pairs:
+        assert type(got) is _Unreduced and got.d > 0
+        assert _triple(got.reduced()) == _triple(want)
+        assert got.is_zero() == want.is_zero()
