@@ -7,9 +7,9 @@ Families built here:
   symmetry generators, and the closed-form transitivity solver;
 * the quartic models M_plus / M_minus (Re z4 = z1 zb2 + z2 zb1 + |z3|^2 +- |z1|^4),
   their 13-parameter holomorphic symmetry group with its algebraic constraint,
-  composition/inversion with exact parameter recovery, and the isotropy
-  matrices of the linear parts with their Lie algebra, all read off one
-  coefficient formula;
+  composition with exact parameter recovery, the inverse in closed form, and
+  the isotropy matrices of the linear parts with their Lie algebra, all read
+  off one coefficient formula;
 * the normalizing equivalences carrying each tube onto its model, each a
   rational map after a diagonal scaling by fourth roots of rationals, and
   that scaling conjugated into the target exactly;
@@ -426,48 +426,29 @@ def p_compose(a: PParams, b: PParams) -> PParams:
 
 
 def p_inverse(a: PParams) -> PParams:
-    """Parameters of the inverse element, via exact triangular inversion."""
-    f = make_p_element(a)
-    g = invert_p_map(f)
-    params = p_params_from_map(g, a.sign)
-    if compose(f, make_p_element(params)) != HoloPolyMap.identity(SPACE4):
-        raise ClosureViolation("inverse recovery failed to produce a two-sided inverse")
-    return params
+    """Parameters of the inverse element in closed form, certified by composing to the identity.
 
-
-def invert_p_map(f: HoloPolyMap) -> HoloPolyMap:
-    """Invert a symmetry map exactly.
-
-    The components are triangular: z1 enters alone, z3 through (z1, z3), z2
-    through (z1, z2, z3) with the only nonlinearity a z1^2 term, and z4
-    linearly on top of those, so back-substitution stays polynomial.
+    Each element is T∘L: L its linear factor (a's q, phases, b and d) and T a
+    translation (q = 1, unit phases, b = d = 0, a's rho, sigma, tau and u) whose
+    inverse negates those four.  So F^-1 has linear factor L^-1 and its
+    translation part is read off F^-1(0) = L^-1(T^-1(0)).
     """
-    c1, c2, c3, c4 = f.components
-    w1, w2, w3, w4 = (_var(SPACE4, i) for i in range(4))
-
-    Z1 = (w1 - HermitianPolynomial.constant(SPACE4, c1.coefficient(_ONE))) * (1 / c1.coefficient(_Z1))
-    Z1sq = Z1 * Z1
-    Z3 = (
-        w3
-        - HermitianPolynomial.constant(SPACE4, c3.coefficient(_ONE))
-        - Z1 * c3.coefficient(_Z1)
-    ) * (1 / c3.coefficient(_Z3))
-    Z2 = (
-        w2
-        - HermitianPolynomial.constant(SPACE4, c2.coefficient(_ONE))
-        - Z1 * c2.coefficient(_Z1)
-        - Z3 * c2.coefficient(_Z3)
-        - Z1sq * c2.coefficient(_Z1SQ)
-    ) * (1 / c2.coefficient(_Z2))
-    Z4 = (
-        w4
-        - HermitianPolynomial.constant(SPACE4, c4.coefficient(_ONE))
-        - Z1 * c4.coefficient(_Z1)
-        - Z2 * c4.coefficient(_Z2)
-        - Z3 * c4.coefficient(_Z3)
-        - Z1sq * c4.coefficient(_Z1SQ)
-    ) * (1 / c4.coefficient(_Z4))
-    return HoloPolyMap._raw(SPACE4, SPACE4, [Z1, Z2, Z3, Z4])
+    f = make_p_element(a)
+    q, q3, phi, psi = a.q, a.q**3, a.phi_phase.value.conjugate(), a.psi_phase.value.conjugate()
+    d = -phi * psi * a.d / q3
+    b = -phi * (phi * a.b + a.d.abs2() / q3)
+    rho = -phi * a.rho / q
+    tau = -(a.d.conjugate() * a.rho / q + psi * a.tau) / (q * q)
+    sigma = -(b * a.rho / (q * q) + phi * a.sigma / q3 + d * a.tau / q)
+    params = PParams(a.sign, 1 / q, UnimodularPhase(phi), UnimodularPhase(psi), -a.u / q**4,
+                     rho, sigma, tau, b, d)
+    try:
+        g = make_p_element(params)
+    except ConstraintError as exc:
+        raise ClosureViolation(f"inverse parameters violate the constraint: {exc}") from None
+    if compose(f, g) != HoloPolyMap.identity(SPACE4):
+        raise ClosureViolation("inverse parameters do not give a two-sided inverse")
+    return params
 
 
 _Z_LINEAR = (_Z1, _Z2, _Z3)
@@ -830,11 +811,7 @@ def make_sigma_surface(sigma: Fraction) -> RealPolynomial:
     sigma = as_rational(sigma)
     top = -sigma * sigma + 34 * sigma - 1
     if not (sigma >= 1 and top > 0):
-        num, den, shown = sigma.numerator, sigma.denominator, sigma
-        if max(abs(num), den).bit_length() > 64:  # far out: its order of magnitude
-            size = round(math.log10(abs(num)) - math.log10(den))
-            shown = f"about {'-' if num < 0 else ''}10^{size}"
-        raise DomainError(f"sigma must lie in [1, 17 + 12*sqrt(2)), got {shown}")
+        raise DomainError(f"sigma must lie in [1, 17 + 12*sqrt(2)), got {_shown(sigma)}")
     r1, r2, r3 = 2 * (1 + sigma), 3 * sigma, top / (3 * sigma)
     y1, y2, y3, x4, x5, x6, x7 = (_var(SPACE7, i) for i in range(7))
     f = (
@@ -938,6 +915,24 @@ class RegistryEntry:
     obj: object
 
 
+def _shown(x: Fraction) -> str:
+    """A rational as printed, or its order of magnitude when it is far out."""
+    num, den = abs(x.numerator), x.denominator
+    if max(num, den).bit_length() <= 64:
+        return str(x)
+    return f"about {'-' if x < 0 else ''}10^{round(math.log10(num) - math.log10(den))}"
+
+
+def printable_rational(value: str) -> Fraction:
+    """An exact rational with no more digits than Python prints of an int."""
+    x = as_rational(value)
+    try:
+        str(x)
+    except ValueError:
+        raise ValueError(f"{_shown(x)} has more digits than can be printed") from None
+    return x
+
+
 def one_of(*options: str) -> Callable[[str], str]:
     """A parser that accepts exactly the given strings."""
 
@@ -951,7 +946,7 @@ def one_of(*options: str) -> Callable[[str], str]:
 
 # Identifier arguments and their parsers; every catalog family draws from these.
 IDENT_ARGS = {
-    "alpha": as_rational,
+    "alpha": printable_rational,
     "sigma": as_rational,
     "p": int,
     "n": int,

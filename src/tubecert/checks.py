@@ -45,6 +45,8 @@ from .scalars import GaussianRational, phase_from_parameter
 
 FLOAT_TOL = 1e-9
 
+OMEGA_DRAWS_PER_TARGET = 1000  # uniform draws per omega float target before the path fails
+
 # Seeded points at which a printed equivalence map is checked, each coordinate's real
 # and imaginary parts drawn from [-0.7, 0.7], inside the unit polydisc.
 FLOAT_POINTS = 20
@@ -256,9 +258,9 @@ def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regres
         details["exact_targets"] = exact_count
 
     if spec.path in ("float", "both"):
-        worst = 0.0
-        produced = 0
-        while produced < float_count:
+        worst, produced, drawn = 0.0, 0, 0
+        while produced < float_count and drawn < OMEGA_DRAWS_PER_TARGET * float_count:
+            drawn += 1
             target = [rng.uniform(-3, 3) for _ in range(4)]
             try:
                 sol = catalog.transitive_params_omega(alpha, target)
@@ -269,6 +271,8 @@ def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regres
             image = composed_generator(alpha, qq, ss, tt, rr).apply(BASE_POINT)
             err = max(abs(float(a) - b) for a, b in zip(image, target))
             worst = max(worst, err)
+        _require(produced == float_count, f"only {produced} of {float_count} float targets "
+                 f"lay in the domain in {drawn} draws")
         _require(worst <= FLOAT_TOL, f"floating path sup-norm error {worst:.3e} above {FLOAT_TOL}")
         details["float_targets"] = float_count
         details["float_worst_error"] = worst
@@ -349,7 +353,7 @@ def _levi_gamma_crosscheck(spec: CheckSpec, rng, alpha: Fraction, points: int) -
 def _levi_quadric_surface(spec: CheckSpec, rng, p: int, n: int) -> dict:
     surface = catalog.quadric_surface(p, n)
     data = geometry.levi_form(surface, [0.0] * surface.space.n)
-    want = (p, n - p, 0)
+    want = (max(p, n - p), min(p, n - p), 0)  # orientation-free: the larger count first
     _require(data.signature == want, f"origin signature {data.signature} != {want}")
     return {"surface": spec.target, "signature": list(data.signature)}
 

@@ -1,10 +1,12 @@
 """Catalog constructors: printed coefficients, group laws, solvers, registry."""
 
+import inspect
 import math
 import os
 import random
 import subprocess
 import sys
+import textwrap
 from dataclasses import replace
 from fractions import Fraction
 
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tubecert import catalog, exactla, lie
+from tubecert import catalog, checks, exactla, lie
 from tubecert.checks import CheckSpec, run_check
 from tubecert.chern_moser import sign_to_eps
 from tubecert.cli import parse_config, run_suite
@@ -26,7 +28,6 @@ from tubecert.catalog import (
     control_bad_constraint,
     control_wrong_phase,
     identity_p_params,
-    invert_p_map,
     make_cayley_rational,
     make_gamma,
     make_generator,
@@ -477,8 +478,6 @@ def test_p_inverse_and_identity_recovery():
             inv = p_inverse(a)
             assert p_compose(inv, a) == identity_p_params(sign)
             assert p_compose(a, inv) == identity_p_params(sign)
-            f = make_p_element(a)
-            assert compose(f, invert_p_map(f)) == HoloPolyMap.identity(SP4)
 
 
 def _term_by_term(params: PParams) -> HoloPolyMap:
@@ -668,6 +667,110 @@ def test_closure_draws_build_three_maps_each(monkeypatch):
         inv = p_inverse(a)
         assert p_compose(inv, a) == identity_p_params(sign)  # a, its inverse, the identity
         assert len(builds) == 3
+
+
+def _invert_p_map(f: HoloPolyMap) -> HoloPolyMap:
+    """Invert a symmetry map by back-substitution: the oracle for :func:`p_inverse`.
+
+    The components are triangular: z1 enters alone, z3 through (z1, z3), z2
+    through (z1, z2, z3) with the only nonlinearity a z1^2 term, and z4
+    linearly on top of those, so back-substitution stays polynomial.
+    """
+    one, z1, z2, z3, z4, z1sq = catalog.P_MONOMIALS
+    c1, c2, c3, c4 = f.components
+    w1, w2, w3, w4 = (HermitianPolynomial.variable(SP4, i) for i in range(4))
+
+    def const(c):
+        return HermitianPolynomial.constant(SP4, c.coefficient(one))
+
+    Z1 = (w1 - const(c1)) * (1 / c1.coefficient(z1))
+    Z1sq = Z1 * Z1
+    Z3 = (w3 - const(c3) - Z1 * c3.coefficient(z1)) * (1 / c3.coefficient(z3))
+    Z2 = (w2 - const(c2) - Z1 * c2.coefficient(z1) - Z3 * c2.coefficient(z3)
+          - Z1sq * c2.coefficient(z1sq)) * (1 / c2.coefficient(z2))
+    Z4 = (w4 - const(c4) - Z1 * c4.coefficient(z1) - Z2 * c4.coefficient(z2)
+          - Z3 * c4.coefficient(z3) - Z1sq * c4.coefficient(z1sq)) * (1 / c4.coefficient(z4))
+    return HoloPolyMap(SP4, SP4, [Z1, Z2, Z3, Z4])
+
+
+def _translation(a: PParams) -> PParams:
+    """T: q = 1, unit phases, b = d = 0, and a's rho, sigma, tau and u."""
+    return replace(identity_p_params(a.sign), u=a.u, rho=a.rho, sigma=a.sigma, tau=a.tau)
+
+
+def _linear(a: PParams) -> PParams:
+    """L: a's q, phases, b and d, with rho = sigma = tau = u = 0."""
+    zero = GaussianRational(0)
+    return replace(a, u=Fraction(0), rho=zero, sigma=zero, tau=zero)
+
+
+@st.composite
+def _inverse_cases(draw):
+    """The _p_params draws (translation-free in about half), as drawn, with d = 0,
+    with b = d = 0, or cut to their translation part."""
+    a = draw(_p_params())
+    shape = draw(st.sampled_from(["as drawn", "d = 0", "b = 0", "translation only"]))
+    zero = GaussianRational(0)
+    if shape == "d = 0":  # b = phi (-|d|^2 / (2 q^3) - i y) loses its |d|^2 part
+        return replace(a, d=zero, b=a.b + a.phi_phase.value * (a.d.abs2() / (2 * a.q**3)))
+    if shape == "b = 0":
+        return replace(a, b=zero, d=zero)
+    if shape == "translation only":
+        return _translation(a)
+    return a
+
+
+@given(_inverse_cases())
+@settings(max_examples=150, deadline=None)
+def test_closed_form_inverse_equals_the_back_substituted_inverse(a):
+    f = make_p_element(a)
+    g = _invert_p_map(f)
+    assert compose(f, g) == HoloPolyMap.identity(SP4)
+    inv = p_inverse(a)
+    assert make_p_element(inv) == g
+    assert p_compose(inv, a) == identity_p_params(a.sign)
+
+
+def test_each_element_is_its_translation_after_its_linear_factor():
+    rng = random.Random(25)
+    for sign in "+-":
+        for _ in range(30):
+            a = random_p_params(rng, sign)
+            t = _translation(a)
+            assert make_p_element(a) == compose(make_p_element(t), make_p_element(_linear(a)))
+            t_inv = replace(t, u=-t.u, rho=-t.rho, sigma=-t.sigma, tau=-t.tau)
+            assert compose(make_p_element(t), make_p_element(t_inv)) == HoloPolyMap.identity(SP4)
+            assert p_inverse(t) == t_inv
+
+
+# One line of p_inverse's formulas each, as (text, perturbed text).
+_INVERSE_MUTANTS = {
+    "sign of d'": ("d = -phi * psi * a.d / q3", "d = phi * psi * a.d / q3"),
+    "|d|^2/q^3 term of b'": ("phi * a.b + a.d.abs2() / q3", "phi * a.b - a.d.abs2() / q3"),
+    "conj(d) rho term of tau'": ("-(a.d.conjugate() * a.rho / q", "-(-a.d.conjugate() * a.rho / q"),
+    "power of q in u'": ("-a.u / q**4", "-a.u / q**3"),
+}
+
+
+@pytest.mark.parametrize("target", ["P_plus", "P_minus"])
+@pytest.mark.parametrize("mutant", [None, *_INVERSE_MUTANTS])
+def test_a_perturbed_inverse_formula_fails_group_closure(monkeypatch, mutant, target):
+    """p_inverse recompiled from its source with one formula perturbed: the
+    closure check reports a group-law failure; unperturbed, it passes."""
+    source = textwrap.dedent(inspect.getsource(catalog.p_inverse))
+    if mutant is not None:
+        text, perturbed = _INVERSE_MUTANTS[mutant]
+        assert source.count(text) == 1
+        source = source.replace(text, perturbed)
+    namespace = dict(vars(catalog))
+    exec(source, namespace)
+    monkeypatch.setattr(checks, "p_inverse", namespace["p_inverse"])
+    result = run_check(CheckSpec(id="closure", kind="closure", target=target, seed=1))
+    if mutant is None:
+        assert result.status == "pass"
+    else:
+        assert result.status == "fail"
+        assert result.details["reason"].startswith("group law: inverse parameters ")
 
 
 def test_gamma_base_partials_are_independent_for_every_alpha():

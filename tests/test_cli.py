@@ -19,6 +19,7 @@ from tubecert.cli import (
     resolve_targets,
     run_suite,
 )
+from tubecert.errors import DomainError
 from tubecert.maps import AffineMapR, HoloPolyMap
 from tubecert.poly import HermitianPolynomial, VariableSpace
 
@@ -437,6 +438,7 @@ REJECTED = {
     "param.count = 2",
     "seed-repeated": "kind = levi\ntarget = M_plus\nseed = 1\nseed = 2",
     "sigma-overflow": "kind = levi\ntarget = sigma(sigma=1e400)",
+    "alpha-unprintable": "kind = levi\ntarget = gamma(alpha=1e5000)",
 }
 
 
@@ -462,6 +464,13 @@ def test_describe_rejects_missing_and_extra_arguments(ident, capsys):
     pytest.param("sigma(sigma=1e400)", "sigma must lie in [1, 17 + 12*sqrt(2))",
                  id="sigma(sigma=1e400)"),
     pytest.param("quadric(p=x,n=2,side=>)", "bad value", id="quadric(p=x,n=2,side=>)"),
+    # more digits than Python prints of an int, named by order of magnitude
+    *(pytest.param(ident, f"bad value {value!r} for alpha in {ident!r}: {shown} has more "
+                   "digits than can be printed", id=ident)
+      for ident, value, shown in [
+          ("gamma(alpha=1e5000)", "1e5000", "about 10^5000"),
+          ("omega(alpha=-1e5000,side=>)", "-1e5000", "about -10^5000"),
+          ("normalizer(alpha=1e-5000)", "1e-5000", "about 10^-5000")]),
 ])
 def test_describe_rejects_bad_values(ident, message, capsys):
     assert main(["describe", ident]) == 2
@@ -479,6 +488,46 @@ def test_sigma_range_error_stays_short_and_names_the_value(value, shown, capsys)
     err = capsys.readouterr().err
     assert err == f"error: sigma must lie in [1, 17 + 12*sqrt(2)), got {shown}\n"
     assert len(err) < 80
+
+
+@pytest.mark.parametrize("p, n", [(p, n) for n in range(1, 5) for p in range(1, n + 1)])
+def test_levi_on_a_quadric_surface_passes_whichever_count_is_larger(p, n):
+    spec = CheckSpec(id="q", kind="levi", target=f"quadric_surface(p={p},n={n})", seed=1)
+    result = checks.run_check(spec)
+    assert result.status == "pass", result.details
+    assert result.details["signature"] == [max(p, n - p), min(p, n - p), 0]
+
+
+def test_omega_float_path_stops_at_the_draw_cap(monkeypatch):
+    """alpha = 1e300 leaves almost no uniform draw above the graph; the float path
+    gives up after OMEGA_DRAWS_PER_TARGET draws per target instead of looping."""
+    calls, solver = [], catalog.transitive_params_omega
+
+    def counted(alpha, target):
+        calls.append(target)
+        if len(calls) > 10_000:  # ends an uncapped loop as an error
+            raise RuntimeError("no draw cap")
+        if alpha == 0 and len(calls) == 5:  # one target in the domain
+            target = [0.0, 0.0, 0.0, 2.0]
+        elif alpha == 0:
+            raise DomainError("outside")
+        return solver(alpha, target)
+
+    monkeypatch.setattr(catalog, "transitive_params_omega", counted)
+    result = checks.run_check(
+        CheckSpec(id="w", kind="transitivity", target="omega(alpha=1e300,side=>)",
+                  parameters={"float_count": "2"}, seed=3, path="float"))
+    assert result.details == {
+        "reason": "only 0 of 2 float targets lay in the domain in 2000 draws"}
+    assert len(calls) == 2 * 1000 == 2 * checks.OMEGA_DRAWS_PER_TARGET
+
+    calls.clear()
+    result = checks.run_check(
+        CheckSpec(id="w", kind="transitivity", target="omega(alpha=0,side=>)",
+                  parameters={"float_count": "3"}, seed=3, path="float"))
+    assert result.details == {
+        "reason": "only 1 of 3 float targets lay in the domain in 3000 draws"}
+    assert len(calls) == 3000
 
 
 def test_block_lacking_a_key_is_named_by_its_last_line():
