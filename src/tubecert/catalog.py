@@ -131,8 +131,8 @@ def _generator_rows(kind: str, A, B, n, m):
     numeric generator, parameter polynomials with B = m = 1 the universal one.
     """
     if kind == "phi":  # diag(q, q^3, q^2, q^4) with q = n/m, over m^4
-        return ([[n * m**3, 0, 0, 0], [0, n**3 * m, 0, 0], [0, 0, n**2 * m**2, 0],
-                 [0, 0, 0, n**4]], [0] * 4, m**4)
+        return (((n * m**3, 0, 0, 0), (0, n**3 * m, 0, 0), (0, 0, n**2 * m**2, 0),
+                 (0, 0, 0, n**4)), (0,) * 4, m**4)
     if kind == "psi":
         # r = n/m, a = A/B and c = 4a - 1 = C/B:
         # x1 -> x1 + r, x2 -> x2 - 4ac r^2 x1 + 2c r x3 - 4/3 ac r^3,
@@ -140,19 +140,19 @@ def _generator_rows(kind: str, A, B, n, m):
         C = 4 * A - B
         d = 3 * B**2 * m**4  # the diagonal entries are d / d = 1
         return (
-            [[d, 0, 0, 0],
-             [-12 * A * C * n**2 * m**2, d, 6 * B * C * n * m**3, 0],
-             [-12 * A * B * n * m**3, 0, d, 0],
-             [-4 * A * C * n**3 * m, 3 * B**2 * n * m**3, 3 * B * C * n**2 * m**2, d]],
-            [3 * B**2 * n * m**3, -4 * A * C * n**3 * m, -6 * A * B * n**2 * m**2, -A * C * n**4],
+            ((d, 0, 0, 0),
+             (-12 * A * C * n**2 * m**2, d, 6 * B * C * n * m**3, 0),
+             (-12 * A * B * n * m**3, 0, d, 0),
+             (-4 * A * C * n**3 * m, 3 * B**2 * n * m**3, 3 * B * C * n**2 * m**2, d)),
+            (3 * B**2 * n * m**3, -4 * A * C * n**3 * m, -6 * A * B * n**2 * m**2, -A * C * n**4),
             d,
         )
     if kind == "mu":  # s = n/m: x2 -> x2 + s, x4 -> x4 + s x1
-        return [[m, 0, 0, 0], [0, m, 0, 0], [0, 0, m, 0], [n, 0, 0, m]], [0, n, 0, 0], m
+        return ((m, 0, 0, 0), (0, m, 0, 0), (0, 0, m, 0), (n, 0, 0, m)), (0, n, 0, 0), m
     if kind == "nu":  # t = n/m: x2 -> x2 - t x1, x3 -> x3 + t, x4 -> x4 + 2t x3 + t^2
         mm = m * m
-        return ([[mm, 0, 0, 0], [-n * m, mm, 0, 0], [0, 0, mm, 0], [0, 0, 2 * n * m, mm]],
-                [0, 0, n * m, n * n], mm)
+        return (((mm, 0, 0, 0), (-n * m, mm, 0, 0), (0, 0, mm, 0), (0, 0, 2 * n * m, mm)),
+                (0, 0, n * m, n * n), mm)
     raise DomainError(f"unknown generator kind {kind!r}")
 
 
@@ -343,24 +343,20 @@ def _p_rows(eps, q, phi, psi, iu, rho, sigma, tau, b, d):
            _Z1SQ: rho_bar * z1sq}
 
 
-def make_p_element(params: PParams, check: bool = True) -> HoloPolyMap:
-    """The degree-2 holomorphic symmetry of the quartic model with the given parameters.
-
-    Built once per validated ``params`` and kept in its ``_map``.  The rows
-    are evaluated on unreduced Gaussian-integer numerators and each nonzero
-    coefficient is canonicalised once.  ``check=False`` skips the constraint
-    and the kept map (used to build a negative control).
-    """
-    if check:
-        if params._map is not None:
-            return params._map
-        params.validate()
+def _p_map(params: PParams) -> HoloPolyMap:
+    """The map of ``params``, unchecked and not kept.  The rows are evaluated on unreduced
+    Gaussian-integer numerators and each nonzero coefficient is canonicalised once."""
     rows = _p_rows(sign_to_eps(params.sign), *map(_Unreduced.of, _p_values(params)))
-    f = HoloPolyMap._raw(SPACE4, SPACE4, [HermitianPolynomial._raw(
+    return HoloPolyMap._raw(SPACE4, SPACE4, [HermitianPolynomial._raw(
         SPACE4, {e: c.reduced() for e, c in row.items() if not c.is_zero()}) for row in rows])
-    if check:
-        object.__setattr__(params, "_map", f)
-    return f
+
+
+def make_p_element(params: PParams) -> HoloPolyMap:
+    """The degree-2 holomorphic symmetry of the quartic model with the given parameters,
+    built once per validated ``params`` and kept in its ``_map``."""
+    if params._map is None:
+        object.__setattr__(params.validate(), "_map", _p_map(params))
+    return params._map
 
 
 def p_params_from_map(f: HoloPolyMap, sign: str) -> PParams:
@@ -881,7 +877,7 @@ def control_bad_constraint(sign: str) -> HoloPolyMap:
     must the certificate."""
     good = replace(identity_p_params(sign), q=Fraction(2), b=GaussianRational(-1),
                    d=GaussianRational(4)).validate()
-    return make_p_element(replace(good, d=good.d + 1), check=False)
+    return _p_map(replace(good, d=good.d + 1))
 
 
 def control_wrong_phase(sign: str) -> HoloPolyMap:
@@ -933,6 +929,16 @@ def printable_rational(value: str) -> Fraction:
     return x
 
 
+MAX_DIMENSION = 64  # the largest p and n an identifier takes
+
+
+def dimension(value: str) -> int:
+    k = int(value)
+    if k > MAX_DIMENSION:
+        raise ValueError(f"must be at most {MAX_DIMENSION}")
+    return k
+
+
 def one_of(*options: str) -> Callable[[str], str]:
     """A parser that accepts exactly the given strings."""
 
@@ -948,8 +954,8 @@ def one_of(*options: str) -> Callable[[str], str]:
 IDENT_ARGS = {
     "alpha": printable_rational,
     "sigma": as_rational,
-    "p": int,
-    "n": int,
+    "p": dimension,
+    "n": dimension,
     "side": one_of(">", "<"),
     "sign": one_of("+", "-"),
 }

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 import time
 from collections.abc import Callable
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -90,6 +91,15 @@ class CheckFailure(Exception):
 def _require(cond: bool, message: str, details: dict | None = None):
     if not cond:
         raise CheckFailure(message, details)
+
+
+@contextmanager
+def _float_range():
+    """Fail the check, naming the overflow, when a float path leaves the float range."""
+    try:
+        yield
+    except OverflowError as exc:
+        raise CheckFailure(f"float overflow: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +192,12 @@ def _invariance_equivalence(spec: CheckSpec, rng, rationalized, expected) -> dic
         # rho_target(F(z)) = c rho_source(z) for the printed map F and the pinned c
         target, source, c = rationalized.target_rho, rationalized.source_rho, complex(expected)
         worst = 0.0
-        for _ in range(FLOAT_POINTS):
-            z = [complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-                 for _ in range(source.space.n)]
-            image = rationalized.printed_image(z)
-            worst = max(worst, abs(target.evaluate_complex(image) - c * source.evaluate_complex(z)))
+        with _float_range():
+            for _ in range(FLOAT_POINTS):
+                z = [complex(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
+                     for _ in range(source.space.n)]
+                image = rationalized.printed_image(z)
+                worst = max(worst, abs(target.evaluate_complex(image) - c * source.evaluate_complex(z)))
         _require(worst <= FLOAT_TOL, f"printed map error {worst:.3e} above {FLOAT_TOL}")
         details["float_points"] = FLOAT_POINTS
         details["float_worst_error"] = worst
@@ -259,18 +270,19 @@ def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regres
 
     if spec.path in ("float", "both"):
         worst, produced, drawn = 0.0, 0, 0
-        while produced < float_count and drawn < OMEGA_DRAWS_PER_TARGET * float_count:
-            drawn += 1
-            target = [rng.uniform(-3, 3) for _ in range(4)]
-            try:
-                sol = catalog.transitive_params_omega(alpha, target)
-            except DomainError:
-                continue
-            produced += 1
-            qq, rr, ss, tt = (Fraction(v) for v in (sol.q, sol.r, sol.s, sol.t))
-            image = composed_generator(alpha, qq, ss, tt, rr).apply(BASE_POINT)
-            err = max(abs(float(a) - b) for a, b in zip(image, target))
-            worst = max(worst, err)
+        with _float_range():
+            while produced < float_count and drawn < OMEGA_DRAWS_PER_TARGET * float_count:
+                drawn += 1
+                target = [rng.uniform(-3, 3) for _ in range(4)]
+                try:
+                    sol = catalog.transitive_params_omega(alpha, target)
+                except DomainError:
+                    continue
+                produced += 1
+                qq, rr, ss, tt = (Fraction(v) for v in (sol.q, sol.r, sol.s, sol.t))
+                image = composed_generator(alpha, qq, ss, tt, rr).apply(BASE_POINT)
+                err = max(abs(float(a) - b) for a, b in zip(image, target))
+                worst = max(worst, err)
         _require(produced == float_count, f"only {produced} of {float_count} float targets "
                  f"lay in the domain in {drawn} draws")
         _require(worst <= FLOAT_TOL, f"floating path sup-norm error {worst:.3e} above {FLOAT_TOL}")
@@ -336,17 +348,18 @@ def _levi_sigma(spec: CheckSpec, rng, sigma: Fraction, points: int) -> dict:
 def _levi_gamma_crosscheck(spec: CheckSpec, rng, alpha: Fraction, points: int) -> dict:
     f = catalog.gamma_graph(alpha)
     tube = geometry.lifted_tube(f)
-    for _ in range(points):
-        x = [rng.uniform(-2, 2) for _ in range(3)]
-        sig = geometry.tube_hessian_signature(f, x)
-        z = [complex(v, 0.0) for v in x] + [
-            complex(f.evaluate_real(x), rng.uniform(-1, 1))
-        ]
-        levi = geometry.levi_form(tube, z)
-        _require(
-            sig == levi.signature_signed,
-            f"tube shortcut {sig} disagrees with Levi computation {levi.signature_signed}",
-        )
+    with _float_range():
+        for _ in range(points):
+            x = [rng.uniform(-2, 2) for _ in range(3)]
+            sig = geometry.tube_hessian_signature(f, x)
+            z = [complex(v, 0.0) for v in x] + [
+                complex(f.evaluate_real(x), rng.uniform(-1, 1))
+            ]
+            levi = geometry.levi_form(tube, z)
+            _require(
+                sig == levi.signature_signed,
+                f"tube shortcut {sig} disagrees with Levi computation {levi.signature_signed}",
+            )
     return {"alpha": str(alpha), "points": points, "agreement": True}
 
 

@@ -1,5 +1,8 @@
 """Affine maps of R^n, holomorphic polynomial maps of C^n, and invariance certificates.
 
+An affine map of R^n is a plain integer triple (m, t, d), x |-> (m x + t) / d, as
+the catalog writes the gamma generators; it is lifted to C^n to be certified.
+
 The central proof object is :class:`InvarianceCertificate`: the exact
 statement ``rho o F = c * rho`` for a defining function rho and a map F,
 with the factor c computed (not guessed) and the full residual polynomial
@@ -18,6 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
+from typing import NamedTuple
 
 from . import exactla
 from .errors import DomainError, SpaceError
@@ -25,65 +29,32 @@ from .poly import HermitianPolynomial, VariableSpace
 from .scalars import _reduce, as_rational, fourth_root_exact
 
 
-class AffineMapR:
-    """x |-> (matrix @ x + translation) / d with integer entries and d > 0.
+class AffineMapR(NamedTuple):
+    """x |-> (m @ x + t) / d with integer entries and d > 0, as the catalog builds it.
 
-    Stored in canonical form as ``_m``, ``_t`` and ``_d``, with the gcd of all
-    entries and d equal to 1 (as GaussianRational stores its parts), so
-    ``compose`` and ``apply`` are integer arithmetic ending in one gcd.
+    Nothing reduces the entries: ``compose`` multiplies integers and ``apply``
+    returns Fractions, which reduce themselves.
     """
 
-    __slots__ = ("_m", "_t", "_d")
-
-    def __init__(self, matrix, translation, d: int = 1):
-        n = len(translation)
-        if len(matrix) != n or any(len(row) != n for row in matrix):
-            raise SpaceError("affine map needs an n x n matrix and an n-translation")
-        if not all(isinstance(a, int) for a in (d, *translation, *(a for r in matrix for a in r))):
-            raise TypeError("affine map entries and denominator must be integers")
-        if d <= 0:
-            raise DomainError(f"affine map denominator must be positive, got {d}")
-        _store(self, matrix, translation, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("AffineMapR is immutable")
-
-    @property
-    def n(self) -> int:
-        return len(self._t)
+    m: tuple
+    t: tuple
+    d: int
 
     def apply(self, xs) -> list[Fraction]:
         xs = [as_rational(x) for x in xs]
-        if len(xs) != self.n:
-            raise SpaceError(f"affine map of R^{self.n} applied to a point of R^{len(xs)}")
         e = math.lcm(*(x.denominator for x in xs))
         v = [x.numerator * (e // x.denominator) for x in xs]
-        d = self._d * e
-        return [Fraction(sum(map(mul, row, v)) + t * e, d) for row, t in zip(self._m, self._t)]
+        d = self.d * e
+        return [Fraction(sum(map(mul, row, v)) + t * e, d) for row, t in zip(self.m, self.t)]
 
     def compose(self, other: "AffineMapR") -> "AffineMapR":
         """self after other: (self o other)(x) = self(other(x))."""
-        if self.n != other.n:
-            raise SpaceError("affine composition dimension mismatch")
-        cols = tuple(zip(*other._m))
-        mat = [[sum(map(mul, row, col)) for col in cols] for row in self._m]
-        d2 = other._d
-        tr = [sum(map(mul, row, other._t)) + t * d2 for row, t in zip(self._m, self._t)]
-        return _store(object.__new__(AffineMapR), mat, tr, self._d * d2)
-
-    def __repr__(self):
-        return f"AffineMapR({self._m}, {self._t}, {self._d})"
-
-
-def _store(f: AffineMapR, mat, tr, d: int) -> AffineMapR:
-    """Fill f with x |-> (mat @ x + tr) / d (integers, d > 0) in canonical form."""
-    g = math.gcd(d, *tr, *(a for row in mat for a in row))
-    if g > 1:
-        mat, tr, d = [[a // g for a in row] for row in mat], [a // g for a in tr], d // g
-    object.__setattr__(f, "_m", tuple(map(tuple, mat)))
-    object.__setattr__(f, "_t", tuple(tr))
-    object.__setattr__(f, "_d", d)
-    return f
+        cols = tuple(zip(*other.m))
+        return AffineMapR(
+            tuple(tuple(sum(map(mul, row, col)) for col in cols) for row in self.m),
+            tuple(sum(map(mul, row, other.t)) + t * other.d for row, t in zip(self.m, self.t)),
+            self.d * other.d,
+        )
 
 
 class HoloPolyMap:
@@ -156,11 +127,11 @@ class HoloPolyMap:
 
 def lift_affine(f: AffineMapR) -> HoloPolyMap:
     """Lift an affine map of R^n to the affine map of C^n with the same coefficients."""
-    space = VariableSpace(f.n)
-    d, units = f._d, [space.unit(j) for j in range(f.n)]
+    space, d = VariableSpace(len(f.t)), f.d
+    units = [space.unit(j) for j in range(space.n)]
     comps = []
-    for row, t in zip(f._m, f._t):
-        terms = {(0,) * (2 * f.n): _reduce(t, 0, d)} if t else {}
+    for row, t in zip(f.m, f.t):
+        terms = {(0,) * (2 * space.n): _reduce(t, 0, d)} if t else {}
         terms.update((e, _reduce(a, 0, d)) for e, a in zip(units, row) if a)
         comps.append(HermitianPolynomial._raw(space, terms))
     return HoloPolyMap._raw(space, space, comps)

@@ -12,22 +12,19 @@ def rational_affine(matrix, translation) -> AffineMapR:
     mat = [[Fraction(x) for x in row] for row in matrix]
     tr = [Fraction(x) for x in translation]
     d = math.lcm(*(x.denominator for x in tr), *(x.denominator for row in mat for x in row))
-    return AffineMapR([[int(x * d) for x in row] for row in mat], [int(x * d) for x in tr], d)
+    return AffineMapR(tuple(tuple(int(x * d) for x in row) for row in mat),
+                      tuple(int(x * d) for x in tr), d)
 
 
 def affine_parts(f: AffineMapR):
     """(matrix, translation) of f as Fraction tuples, read off by ``apply`` at 0 and e_1..e_n."""
-    translation = tuple(f.apply([0] * f.n))
+    n = len(f.t)
+    translation = tuple(f.apply([0] * n))
     columns = [
-        [a - t for a, t in zip(f.apply([int(i == j) for i in range(f.n)]), translation)]
-        for j in range(f.n)
+        [a - t for a, t in zip(f.apply([int(i == j) for i in range(n)]), translation)]
+        for j in range(n)
     ]
     return tuple(zip(*columns)), translation
-
-
-def canonical(f: AffineMapR):
-    """The stored form (matrix, translation, d): equal maps have equal triples."""
-    return f._m, f._t, f._d
 
 
 def affine_det(f: AffineMapR):

@@ -67,7 +67,7 @@ from tubecert.maps import (
 from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational, _Unreduced, phase_from_parameter
 
-from affine_helpers import affine_det, affine_parts, canonical, rational_affine
+from affine_helpers import affine_det, affine_parts, rational_affine
 from float_oracle import FloatPoly, printed_map_error, printed_pullback
 
 SP4 = VariableSpace(4)
@@ -102,8 +102,8 @@ def test_generator_printed_entries():
     assert affine_det(make_generator("phi", 0, 2)) == Fraction(1024)  # 2^10
     for kind in ("psi", "mu", "nu"):
         assert affine_det(make_generator(kind, Fraction(1, 3), Fraction(5, 2))) == 1
-    identity = catalog.AffineMapR([[int(i == j) for j in range(4)] for i in range(4)], [0] * 4)
-    assert canonical(make_generator("psi", 1, 0)) == canonical(identity)
+    identity = rational_affine([[int(i == j) for j in range(4)] for i in range(4)], [0] * 4)
+    assert affine_parts(make_generator("psi", 1, 0)) == affine_parts(identity)
     with pytest.raises(DomainError):
         make_generator("phi", 1, 0)
 
@@ -115,10 +115,10 @@ def test_generator_one_parameter_group_laws():
         a, b = frac(rng), frac(rng)
         for kind in ("psi", "mu", "nu"):
             left = make_generator(kind, alpha, a).compose(make_generator(kind, alpha, b))
-            assert canonical(left) == canonical(make_generator(kind, alpha, a + b))
+            assert affine_parts(left) == affine_parts(make_generator(kind, alpha, a + b))
         qa, qb = a or Fraction(1), b or Fraction(1)
         left = make_generator("phi", alpha, qa).compose(make_generator("phi", alpha, qb))
-        assert canonical(left) == canonical(make_generator("phi", alpha, qa * qb))
+        assert affine_parts(left) == affine_parts(make_generator("phi", alpha, qa * qb))
 
 
 def test_generator_invariance_each_alpha():
@@ -178,9 +178,39 @@ def test_integer_generators_match_the_fraction_formulas():
                 mat, tr = _fraction_generator(kind, alpha, p)
                 want = tuple(tuple(map(Fraction, row)) for row in mat), tuple(tr)
                 assert affine_parts(g) == want
-                assert canonical(g) == canonical(rational_affine(mat, tr))
-                assert g._d > 0 and math.gcd(g._d, *g._t, *(a for row in g._m for a in row)) == 1
+                assert affine_parts(g) == affine_parts(rational_affine(mat, tr))
                 assert affine_det(g) == (p**10 if kind == "phi" else 1)
+
+
+def _fraction_orbit_point(alpha, q, s, t, r):
+    """BASE_POINT moved by psi(r), nu(t), mu(s) and then phi(q), each as a plain Fraction
+    matrix and translation."""
+    x = list(BASE_POINT)
+    for kind, p in (("psi", r), ("nu", t), ("mu", s), ("phi", q)):
+        mat, tr = _fraction_generator(kind, alpha, p)
+        x = [sum((Fraction(a) * v for a, v in zip(row, x)), Fraction(0)) + c
+             for row, c in zip(mat, tr)]
+    return x
+
+
+@pytest.mark.parametrize("style", ["small", "float"])
+def test_composed_generator_moves_the_base_point_as_the_fraction_matrices_do(style):
+    """200 draws of small rationals, and 200 of Fraction(float) parameters as the omega
+    float path passes them, at small and large alpha heights."""
+    rng = random.Random(47 if style == "small" else 48)
+    for i in range(200):
+        if i % 2:
+            alpha = frac(rng, 12, 12)
+        else:
+            alpha = Fraction(rng.randint(-3 * 10**5, 3 * 10**5), rng.randint(10**5, 10**6))
+        if style == "small":
+            q = Fraction(rng.randint(1, 9), rng.randint(1, 9))
+            s, t, r = (frac(rng) for _ in range(3))
+        else:
+            q = Fraction(rng.uniform(0.1, 3))
+            s, t, r = (Fraction(rng.uniform(-3, 3)) for _ in range(3))
+        got = composed_generator(alpha, q, s, t, r).apply(BASE_POINT)
+        assert got == _fraction_orbit_point(alpha, q, s, t, r), (alpha, q, s, t, r)
 
 
 def test_one_wrong_integer_entry_of_psi_breaks_invariance():
@@ -190,12 +220,12 @@ def test_one_wrong_integer_entry_of_psi_breaks_invariance():
         assert invariance_certificate(rho, lift_affine(psi)).exact
         for i in range(4):
             for j in range(5):  # column 4 is the translation
-                mat, tr = [list(row) for row in psi._m], list(psi._t)
+                mat, tr = [list(row) for row in psi.m], list(psi.t)
                 if j < 4:
                     mat[i][j] += 1
                 else:
                     tr[i] += 1
-                cert = invariance_certificate(rho, lift_affine(AffineMapR(mat, tr, psi._d)))
+                cert = invariance_certificate(rho, lift_affine(AffineMapR(mat, tr, psi.d)))
                 assert not cert.exact, (alpha, r, i, j)
 
 
@@ -256,9 +286,9 @@ def test_base_graph_and_tube_certificates_agree(alpha):
             f = make_generator(kind, alpha, param)
             base, tube = (invariance_certificate(p, lift_affine(f)) for p in (g, rho))
             assert base.exact and tube.exact and base.factor == tube.factor
-            mat, tr = [list(row) for row in f._m], list(f._t)
+            mat, tr = [list(row) for row in f.m], list(f.t)
             mat[rng.randrange(4)][rng.randrange(4)] += 1
-            bad = lift_affine(AffineMapR(mat, tr, f._d))
+            bad = lift_affine(AffineMapR(mat, tr, f.d))
             assert not invariance_certificate(g, bad).exact
             assert not invariance_certificate(rho, bad).exact
 
@@ -513,16 +543,16 @@ def test_kept_element_map_is_never_stale():
     moved = replace(a, u=a.u + 1)
     assert moved._map is None and make_p_element(moved) != f
     assert make_p_element(moved) == _term_by_term(moved)
-    # check=False neither reads nor fills the slot, so a kept map always passed validate()
+    # the unchecked build neither reads nor fills the slot, so a kept map always passed validate()
     good = replace(identity_p_params("+"), q=Fraction(2), b=GaussianRational(-1),
                    d=GaussianRational(4)).validate()
     bad = replace(good, d=good.d + 1)
-    make_p_element(bad, check=False)
+    catalog._p_map(bad)
     assert bad._map is None
     with pytest.raises(ConstraintError):
         make_p_element(bad)
     assert bad._map is None
-    assert make_p_element(good, check=False) is not make_p_element(good, check=False)
+    assert catalog._p_map(good) is not catalog._p_map(good)
     assert good._map is None
 
 
@@ -961,7 +991,7 @@ def test_isotropy_matrix_never_builds_the_fourth_component(monkeypatch):
     make_isotropy_matrix(params)
     assert len(built) == 3
     built.clear()
-    make_p_element(params, check=False)
+    catalog._p_map(params)
     assert len(built) == 4
 
 

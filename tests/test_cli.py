@@ -3,11 +3,12 @@
 import importlib.util
 import json
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from tubecert import catalog, checks
+from tubecert import catalog, checks, scalars
 from tubecert.checks import CheckSpec, prepare
 from tubecert.cli import (
     ConfigError,
@@ -154,7 +155,7 @@ def test_failed_universal_generator_certificate_reports_its_residual(monkeypatch
 
     def shifted_x1(*args):
         mat, tr, d = rows(*args)
-        return mat, [tr[0] + 1] + tr[1:], d
+        return mat, (tr[0] + 1, *tr[1:]), d
 
     monkeypatch.setattr(catalog, "_generator_rows", shifted_x1)
     monkeypatch.setattr(catalog, "universal_generator_certificate",
@@ -171,7 +172,7 @@ def test_failed_universal_generator_certificate_reports_its_residual(monkeypatch
 def test_failed_drawn_generator_certificate_reports_its_residual(monkeypatch):
     def shifted(kind, alpha, param):
         f = catalog.make_generator(kind, alpha, param)
-        return AffineMapR(f._m, (f._t[0] + 1,) + f._t[1:], f._d)
+        return AffineMapR(f.m, (f.t[0] + f.d, *f.t[1:]), f.d)  # x1 moved by 1
 
     monkeypatch.setattr(checks, "make_generator", shifted)
     (result,) = run_suite(parse_config(GAMMA_PSI))
@@ -188,8 +189,8 @@ def test_a_singular_drawn_generator_still_fails_without_a_determinant(kind, row,
     singular, and its certificate g o F = c g cannot be exact."""
     def flattened(kind, alpha, param):
         f = catalog.make_generator(kind, alpha, param)
-        mat = [r if i != row else (0,) * 4 for i, r in enumerate(f._m)]
-        return AffineMapR(mat, f._t, f._d)
+        mat = tuple(r if i != row else (0,) * 4 for i, r in enumerate(f.m))
+        return AffineMapR(mat, f.t, f.d)
 
     monkeypatch.setattr(checks, "make_generator", flattened)
     config = GAMMA_PSI.replace("psi", kind).replace("alpha=2/3", "alpha=1/12")
@@ -439,6 +440,7 @@ REJECTED = {
     "seed-repeated": "kind = levi\ntarget = M_plus\nseed = 1\nseed = 2",
     "sigma-overflow": "kind = levi\ntarget = sigma(sigma=1e400)",
     "alpha-unprintable": "kind = levi\ntarget = gamma(alpha=1e5000)",
+    "n-above-limit": "kind = levi\ntarget = quadric_surface(p=1,n=65)",
 }
 
 
@@ -471,10 +473,58 @@ def test_describe_rejects_missing_and_extra_arguments(ident, capsys):
           ("gamma(alpha=1e5000)", "1e5000", "about 10^5000"),
           ("omega(alpha=-1e5000,side=>)", "-1e5000", "about -10^5000"),
           ("normalizer(alpha=1e-5000)", "1e-5000", "about 10^-5000")]),
+    pytest.param("quadric(p=1,n=65,side=>)",
+                 "bad value '65' for n in 'quadric(p=1,n=65,side=>)': must be at most 64",
+                 id="quadric(p=1,n=65,side=>)"),
+    pytest.param("quadric_action(p=65,n=65)",
+                 "bad value '65' for p in 'quadric_action(p=65,n=65)': must be at most 64",
+                 id="quadric_action(p=65,n=65)"),
 ])
 def test_describe_rejects_bad_values(ident, message, capsys):
     assert main(["describe", ident]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_the_dimension_limit_is_accepted():
+    assert catalog.parse_ident("quadric(p=64,n=64,side=>)") == (
+        "quadric", {"p": 64, "n": 64, "side": ">"})
+
+
+@pytest.mark.parametrize("ident", ["gamma(alpha=1e999999999)", "sigma(sigma=-2E+999_999_999)",
+                                   "normalizer(alpha=1e-999999999)", f"gamma(alpha=1e{'9' * 50})"])
+def test_a_huge_decimal_exponent_is_refused_before_fraction_expands_it(ident, monkeypatch,
+                                                                       capsys):
+    """Fraction would build an integer of 10^9 digits (415 MB) or more; the spy stops it."""
+    texts = []
+
+    class Spy(Fraction):
+        def __new__(cls, numerator=0, denominator=None):
+            if isinstance(numerator, str):
+                texts.append(numerator)
+                raise AssertionError(f"Fraction was asked to expand {numerator!r}")
+            return Fraction(numerator, denominator)
+
+    monkeypatch.setattr(scalars, "Fraction", Spy)
+    assert main(["describe", ident]) == 2
+    assert "decimal exponent beyond ±10000" in capsys.readouterr().err
+    assert texts == []
+
+
+OVERFLOWING = {
+    "levi-1e300": ("levi", "gamma(alpha=1e300)", "exact"),
+    "levi-1e4000": ("levi", "gamma(alpha=1e4000)", "exact"),
+    "invariance-1e4000": ("invariance", "normalizer(alpha=1e4000)", "float"),
+    "transitivity-1e4000": ("transitivity", "omega(alpha=1e4000,side=>)", "float"),
+}
+
+
+@pytest.mark.parametrize("check_id", sorted(OVERFLOWING))
+def test_a_float_path_that_overflows_fails_naming_the_overflow(check_id):
+    kind, target, path = OVERFLOWING[check_id]
+    config = f"id = {check_id}\nkind = {kind}\ntarget = {target}\nseed = 1\npath = {path}\n"
+    (result,) = run_suite(parse_config(config))
+    assert result.status == "fail", result.details
+    assert result.details["reason"].startswith("float overflow: ")
 
 
 @pytest.mark.parametrize("value, shown", [

@@ -13,6 +13,7 @@ from tubecert.scalars import (
     GaussianRational,
     UnimodularPhase,
     _Unreduced,
+    as_rational,
     format_gaussian,
     fourth_root_exact,
     nth_root_float,
@@ -31,6 +32,23 @@ def rand_fraction(rng, span=40, den=12):
 
 def rand_gaussian(rng):
     return GaussianRational(rand_fraction(rng), rand_fraction(rng))
+
+
+@pytest.mark.parametrize("text", ["1e10000", "-2.5E-10000", "1e+0_010_000", "7e00010000 "])
+def test_a_decimal_exponent_up_to_the_limit_is_expanded(text):
+    assert as_rational(text) == Fraction(text)
+
+
+@pytest.mark.parametrize("text", ["1e10001", "1e-10001", "0e10001", "1E+1_0001"])
+def test_a_decimal_exponent_beyond_the_limit_is_refused(text):
+    with pytest.raises(ValueError, match="decimal exponent beyond ±10000"):
+        as_rational(text)
+
+
+@pytest.mark.parametrize("text", ["e5", "1/2e", "nan", "1e"])
+def test_text_with_no_readable_exponent_is_left_to_fraction(text):
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        as_rational(text)
 
 
 def test_field_axioms_on_random_triples():
