@@ -36,6 +36,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import islice
 from operator import mul
+from typing import NamedTuple
 
 from . import exactla, lie
 from .chern_moser import pairing_poly, sign_to_eps
@@ -53,7 +54,6 @@ from .poly import HermitianPolynomial, RealPolynomial, VariableSpace
 from .scalars import (
     GaussianRational,
     I,
-    UnimodularPhase,
     _reduce,
     _Unreduced,
     as_rational,
@@ -188,8 +188,9 @@ def universal_generator_certificate(kind: str) -> InvarianceCertificate:
     return real_slice_certificate(rho, f, GENERATORS[kind][1](z[5]), (4, 5))
 
 
-def composed_generator(alpha, q, s, t, r) -> AffineMapR:
-    """The transitive composite: scaling after shear after the two translations."""
+def composed_generator(alpha, q, r, s, t) -> AffineMapR:
+    """The transitive composite phi(q) o mu(s) o nu(t) o psi(r): scaling after shear
+    after the two translations, with the parameters in the solver's order."""
     return (
         make_generator("phi", alpha, q)
         .compose(make_generator("mu", alpha, s))
@@ -201,8 +202,7 @@ def composed_generator(alpha, q, s, t, r) -> AffineMapR:
 BASE_POINT = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
 
 
-@dataclass(frozen=True)
-class TransitivityResult:
+class TransitivityResult(NamedTuple):
     q: object
     r: object
     s: object
@@ -255,8 +255,9 @@ def model_domain(sign: str, side: str) -> SidedDomain:
 class PParams:
     """The 13 real parameters of a quartic-model symmetry, with their constraint.
 
-    Elements carry Fractions / GaussianRationals / UnimodularPhases.  The
-    constraint ties |d|^2 to q, the first phase, and b:
+    q and u are Fractions; the two phases, rho, sigma, tau, b and d are
+    GaussianRationals.  :meth:`validate` checks q > 0, that each phase has
+    modulus 1, and the constraint tying |d|^2 to q, the first phase, and b:
 
         |d|^2 = -2 q^3 Re(phase_phi * conj(b)),  Re(phase_phi * conj(b)) <= 0.
 
@@ -281,9 +282,13 @@ class PParams:
         sign_to_eps(self.sign)
         if self.q <= 0:
             raise ConstraintError("scale parameter q must be positive")
-        # On numerators over positive denominators: Re(phase * conj(b)) = r / (phase_d b_d)
-        # and |d|^2 = (d_a^2 + d_b^2) / d_d^2, so the identity cross-multiplies to integers.
-        phi, b, d, q = self.phi_phase.value, self.b, self.d, self.q
+        # On numerators over positive denominators: |w|^2 = 1 is a^2 + b^2 = d^2,
+        # Re(phase * conj(b)) = r / (phase_d b_d) and |d|^2 = (d_a^2 + d_b^2) / d_d^2,
+        # so each condition cross-multiplies to integers.
+        for name, w in (("phi", self.phi_phase), ("psi", self.psi_phase)):
+            if w._a * w._a + w._b * w._b != w._d * w._d:
+                raise ConstraintError(f"phase {name} must have modulus 1: |{w}|^2 = {w.abs2()}")
+        phi, b, d, q = self.phi_phase, self.b, self.d, self.q
         r = phi._a * b._a + phi._b * b._b
         if r > 0:
             raise ConstraintError("Re(phase * conj(b)) must be <= 0")
@@ -297,8 +302,7 @@ class PParams:
 
 
 def identity_p_params(sign: str) -> PParams:
-    one = UnimodularPhase(GaussianRational(1))
-    zero = GaussianRational(0)
+    one, zero = GaussianRational(1), GaussianRational(0)
     return PParams(sign, Fraction(1), one, one, Fraction(0), zero, zero, zero, zero, zero)
 
 
@@ -373,23 +377,16 @@ def p_params_from_map(f: HoloPolyMap, sign: str) -> PParams:
     q = sqrt_exact(a1.abs2())
     if q is None or q == 0:
         raise ClosureViolation("|z1-coefficient|^2 is not a perfect rational square")
-    try:
-        phi = UnimodularPhase(a1 / GaussianRational(q))
-    except DomainError as exc:
-        raise ClosureViolation(str(exc)) from None
+    phi = a1 / GaussianRational(q)  # modulus 1, as q = |a1|
     rho = c1.coefficient(_ONE)
 
-    c33 = c3.coefficient(_Z3)
-    try:
-        psi = UnimodularPhase(c33 / GaussianRational(q * q))
-    except DomainError as exc:
-        raise ClosureViolation(str(exc)) from None
+    psi = c3.coefficient(_Z3) / GaussianRational(q * q)  # validate checks its modulus
     tau = c3.coefficient(_ONE)
-    d = (-c3.coefficient(_Z1) / (phi.value * psi.value)).conjugate()
+    d = -phi * psi * c3.coefficient(_Z1).conjugate()  # the z1 coefficient is -conj(d) phi psi
 
     sigma = c2.coefficient(_ONE)
     c21 = c2.coefficient(_Z1)
-    b = (c21 + GaussianRational(rho.abs2()) * phi.value * GaussianRational(q) * (2 * eps)) / GaussianRational(q * q)
+    b = (c21 + GaussianRational(rho.abs2()) * phi * GaussianRational(q) * (2 * eps)) / GaussianRational(q * q)
 
     const4 = c4.coefficient(_ONE)
     core = (
@@ -430,14 +427,13 @@ def p_inverse(a: PParams) -> PParams:
     translation part is read off F^-1(0) = L^-1(T^-1(0)).
     """
     f = make_p_element(a)
-    q, q3, phi, psi = a.q, a.q**3, a.phi_phase.value.conjugate(), a.psi_phase.value.conjugate()
+    q, q3, phi, psi = a.q, a.q**3, a.phi_phase.conjugate(), a.psi_phase.conjugate()
     d = -phi * psi * a.d / q3
     b = -phi * (phi * a.b + a.d.abs2() / q3)
     rho = -phi * a.rho / q
     tau = -(a.d.conjugate() * a.rho / q + psi * a.tau) / (q * q)
     sigma = -(b * a.rho / (q * q) + phi * a.sigma / q3 + d * a.tau / q)
-    params = PParams(a.sign, 1 / q, UnimodularPhase(phi), UnimodularPhase(psi), -a.u / q**4,
-                     rho, sigma, tau, b, d)
+    params = PParams(a.sign, 1 / q, phi, psi, -a.u / q**4, rho, sigma, tau, b, d)
     try:
         g = make_p_element(params)
     except ConstraintError as exc:
@@ -488,7 +484,7 @@ def random_gaussian(rng) -> GaussianRational:
     return _reduce(rng.randint(-8, 8), rng.randint(-8, 8), 4)  # both parts in [-2, 2]
 
 
-def random_phase(rng) -> UnimodularPhase:
+def random_phase(rng) -> GaussianRational:
     return phase_from_parameter(random_fraction(rng, -3, 3, 5))
 
 
@@ -504,8 +500,8 @@ def random_p_params(rng, sign: str) -> PParams:
     rho, sigma, tau = random_gaussian(rng), random_gaussian(rng), random_gaussian(rng)
     da, db = rng.randint(-8, 8), rng.randint(-8, 8)  # as random_gaussian
     x, y = -8 * (da * da + db * db), rng.randint(-12, 12) * n**3
-    w = phi.value  # b = w (x - i y) / (4 n^3)
-    b = _reduce(w._a * x + w._b * y, w._b * x - w._a * y, w._d * 4 * n**3)
+    # b = phi (x - i y) / (4 n^3)
+    b = _reduce(phi._a * x + phi._b * y, phi._b * x - phi._a * y, phi._d * 4 * n**3)
     # The constraint holds by construction; make_p_element validates on first build.
     return PParams(sign, Fraction(n, 4), phi, psi, u, rho, sigma, tau, b, _reduce(da, db, 4))
 
@@ -624,26 +620,24 @@ def make_normalizer_rational(alpha) -> RationalizedEquivalence:
 
     For alpha != 1/12 the target is the quartic model (plus variant above
     1/12, minus variant below); at alpha = 1/12 it is the signature-(2,1)
-    quadric model.  The printed map scales z1, z2 and z3 irrationally.
+    quadric model, reached by composing the same rows with the split
+    (z1 + z2, z3, z1 - z2, z4).  The printed map scales z1, z2 and z3
+    irrationally.
     """
     alpha = as_rational(alpha)
     z1, z2, z3, z4 = (_var(SPACE4, i) for i in range(4))
     c4 = z4 * 4 - z1 * z2 * 2 - z3**2 * 2 - z1**2 * z3 - z1**4 * (alpha / 2)
-    source = make_gamma(alpha).rho
-    if alpha == Fraction(1, 12):
-        core = z1 + z2 + z1 * z3 + z1**3 * Fraction(1, 12)
-        anti = z1 - z2 - z1 * z3 - z1**3 * Fraction(1, 12)
-        nmap = HoloPolyMap(SPACE4, SPACE4, [core, z3 + z1**2 * Fraction(1, 4), anti, c4])
+    rows = [z1, z2 + z1 * z3 + z1**3 * alpha, z3 + z1**2 * Fraction(1, 4), c4]
+    nmap = HoloPolyMap(SPACE4, SPACE4, rows)
+    s4 = normalizer_strength(alpha)
+    if s4 == 0:
+        nmap = compose(HoloPolyMap(SPACE4, SPACE4, [z1 + z2, z3, z1 - z2, z4]), nmap)
         target = quadric_surface(2, 3).rho
         radicands = (Fraction(1, 4), Fraction(4), Fraction(1, 4), Fraction(1))
     else:
-        s4 = normalizer_strength(alpha)
-        nmap = HoloPolyMap(
-            SPACE4, SPACE4, [z1, z2 + z1 * z3 + z1**3 * alpha, z3 + z1**2 * Fraction(1, 4), c4]
-        )
         target = model_surface("+" if s4 > 0 else "-").rho
         radicands = (abs(s4), 1 / abs(s4), Fraction(4), Fraction(1))
-    return RationalizedEquivalence(nmap, target, source, radicands)
+    return RationalizedEquivalence(nmap, target, make_gamma(alpha).rho, radicands)
 
 
 # ---------------------------------------------------------------------------
@@ -715,8 +709,7 @@ def quadric_base_point(p: int, n: int, side: str):
     return [GaussianRational(0)] * n + [GaussianRational(_side_sign(side))]
 
 
-@dataclass(frozen=True)
-class QuadricTransitivityResult:
+class QuadricTransitivityResult(NamedTuple):
     a: object
     b: tuple
     c: object
@@ -892,8 +885,7 @@ def control_wrong_phase(sign: str) -> HoloPolyMap:
                      psi_phase=phase_from_parameter(Fraction(1, 3)),
                      tau=GaussianRational(1)).validate()
     *head, last = make_p_element(params).components
-    phi, psi = params.phi_phase.value, params.psi_phase.value
-    coeff = params.tau.conjugate() * (phi - psi) * (2 * params.q**2)
+    coeff = params.tau.conjugate() * (params.phi_phase - params.psi_phase) * (2 * params.q**2)
     slip = HermitianPolynomial(SPACE4, {SPACE4.unit(2): coeff})
     return HoloPolyMap(SPACE4, SPACE4, [*head, last + slip])
 

@@ -46,6 +46,10 @@ from .scalars import GaussianRational, phase_from_parameter
 
 FLOAT_TOL = 1e-9
 
+# The largest draw, sample or point count a check takes: 50 times the largest a
+# shipped config or workload asks for (200), and about 7 s of closure draws.
+MAX_COUNT = 10_000
+
 OMEGA_DRAWS_PER_TARGET = 1000  # uniform draws per omega float target before the path fails
 
 # Seeded points at which a printed equivalence map is checked, each coordinate's real
@@ -256,16 +260,13 @@ def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regres
         for _ in range(exact_count):
             q = random_positive_fraction(rng)
             r, s, t = (random_fraction(rng) for _ in range(3))
-            target = composed_generator(alpha, q, s, t, r).apply(BASE_POINT)
+            target = composed_generator(alpha, q, r, s, t).apply(BASE_POINT)
             try:
                 sol = catalog.transitive_params_omega(alpha, target)
             except DomainError:
                 raise CheckFailure(f"constructed target {target} missed the exact path") from None
             # equal parameters give the target's own map, so its image is the target
-            _require(
-                (sol.q, sol.r, sol.s, sol.t) == (q, r, s, t),
-                "recovered parameters differ from the generating ones",
-            )
+            _require(sol == (q, r, s, t), "recovered parameters differ from the generating ones")
         details["exact_targets"] = exact_count
 
     if spec.path in ("float", "both"):
@@ -279,8 +280,7 @@ def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regres
                 except DomainError:
                     continue
                 produced += 1
-                qq, rr, ss, tt = (Fraction(v) for v in (sol.q, sol.r, sol.s, sol.t))
-                image = composed_generator(alpha, qq, ss, tt, rr).apply(BASE_POINT)
+                image = composed_generator(alpha, *map(Fraction, sol)).apply(BASE_POINT)
                 err = max(abs(float(a) - b) for a, b in zip(image, target))
                 worst = max(worst, err)
         _require(produced == float_count, f"only {produced} of {float_count} float targets "
@@ -291,11 +291,7 @@ def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regres
 
     if regression == "alpha1":
         sol = catalog.transitive_params_omega(Fraction(1), (1, 0, 0, 2))
-        got = (sol.q, sol.r, sol.s, sol.t)
-        _require(
-            got == (Fraction(1), Fraction(1), Fraction(6), Fraction(2)),
-            f"regression target gave {got}",
-        )
+        _require(sol == (1, 1, 6, 2), f"regression target gave {tuple(sol)}")
         details["regression"] = "alpha=1 target (1,0,0,2) -> (q,r,s,t)=(1,1,6,2)"
     return details
 
@@ -308,7 +304,7 @@ def _transitivity_quadric(spec: CheckSpec, rng, p: int, n: int, side: str, draws
         c = random_fraction(rng)
         target = catalog.quadric_transitive_map(p, n, a, b, c).apply(base)
         sol = catalog.quadric_transitive_params(p, n, side, target)
-        image = catalog.quadric_transitive_map(p, n, sol.a, list(sol.b), sol.c).apply(base)
+        image = catalog.quadric_transitive_map(p, n, *sol).apply(base)
         _require(list(image) == list(target), "quadric action failed to reproduce the target")
     return {"p": p, "n": n, "side": side, "draws": draws, "all_exact": True}
 
@@ -619,8 +615,8 @@ def _rank(spec: CheckSpec, rng, sign: str) -> dict:
 
 def _count(value) -> int:
     count = int(value)
-    if count < 1:
-        raise ValueError(f"must be at least 1, got {count}")
+    if not 1 <= count <= MAX_COUNT:
+        raise ValueError(f"must be from 1 to {MAX_COUNT}, got {count}")
     return count
 
 

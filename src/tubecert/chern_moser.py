@@ -107,11 +107,10 @@ def normal_form_check(components: dict) -> list[tuple[str, HermitianPolynomial]]
 def linear_scaling_check(f22: HermitianPolynomial, U, lam) -> tuple[bool, bool]:
     """(U preserves <z, z>, F_(2,2)(U z, conj(U z)) = (1/lam^2) F_(2,2)(z, zb)), exactly.
 
-    U's entries and lam must be exact (int, Fraction, GaussianRational or a
-    unimodular phase); a float is a TypeError, and a lam that is not a
-    positive rational a DomainError.  The relation is the necessary
-    condition every linear isotropy of a non-umbilic normal-form surface
-    satisfies.
+    U's entries and lam must be exact (int, Fraction or GaussianRational); a
+    float is a TypeError, and a lam that is not a positive rational a
+    DomainError.  The relation is the necessary condition every linear
+    isotropy of a non-umbilic normal-form surface satisfies.
     """
     lam = to_tower(lam)
     if not lam.is_real() or lam.re <= 0:

@@ -320,12 +320,9 @@ I = GaussianRational(0, 1)
 def to_tower(x) -> GaussianRational:
     """x as a scalar of the exact tower: a GaussianRational.
 
-    Takes an int, a Fraction, a rational string, a GaussianRational or a
-    unimodular phase (which enters as its value); a float or complex is a
-    TypeError.
+    Takes an int, a Fraction, a rational string or a GaussianRational; a
+    float or complex is a TypeError.
     """
-    if isinstance(x, UnimodularPhase):
-        return x.value
     return x if isinstance(x, GaussianRational) else GaussianRational(x)
 
 
@@ -339,40 +336,7 @@ def format_gaussian(w: GaussianRational) -> str:
     return f"{w.re}{sign}{abs(w.im)}i"
 
 
-class UnimodularPhase:
-    """An exact point on the unit circle: |value|^2 = 1 as a rational identity.
-
-    Stands in for e^{i*angle} wherever a group law or invariance identity is
-    checked with zero remainder; genuinely transcendental angles only appear
-    on the floating path.
-    """
-
-    __slots__ = ("value",)
-
-    def __init__(self, value: GaussianRational):
-        if value._a * value._a + value._b * value._b != value._d * value._d:
-            raise DomainError(f"not unimodular: |{value}|^2 = {value.abs2()}")
-        object.__setattr__(self, "value", value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("UnimodularPhase is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, UnimodularPhase):
-            return self.value == other.value
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(("phase", self.value))
-
-    def __complex__(self):
-        return complex(self.value)
-
-    def __repr__(self):
-        return f"UnimodularPhase({self.value})"
-
-
-def phase_from_parameter(t) -> UnimodularPhase:
+def phase_from_parameter(t) -> GaussianRational:
     """Exact unit-circle point ((1-t^2) + 2t*i) / (1+t^2) for rational t.
 
     t=0 gives 1, t=1 gives i; as t runs over the rationals the values are
@@ -380,7 +344,7 @@ def phase_from_parameter(t) -> UnimodularPhase:
     """
     t = as_rational(t)
     n, m = t.numerator, t.denominator  # t = n/m gives ((m^2 - n^2) + 2nm i) / (m^2 + n^2)
-    return UnimodularPhase(_reduce(m * m - n * n, 2 * n * m, m * m + n * n))
+    return _reduce(m * m - n * n, 2 * n * m, m * m + n * n)
 
 
 def sqrt_exact(r) -> Fraction | None:

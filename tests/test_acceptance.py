@@ -88,10 +88,10 @@ def test_criterion_02_affine_homogeneity():
         for _ in range(25):
             q = random_positive_fraction(rng)
             r, s, t = (random_fraction(rng) for _ in range(3))
-            target = composed_generator(alpha, q, s, t, r).apply(BASE_POINT)
+            target = composed_generator(alpha, q, r, s, t).apply(BASE_POINT)
             sol = transitive_params_omega(alpha, target)
             assert isinstance(sol.q, Fraction)
-            image = composed_generator(alpha, sol.q, sol.s, sol.t, sol.r).apply(BASE_POINT)
+            image = composed_generator(alpha, *sol).apply(BASE_POINT)
             assert list(image) == list(target)  # zero error on the exact path
         produced = 0
         while produced < 25:
@@ -101,11 +101,10 @@ def test_criterion_02_affine_homogeneity():
             except DomainError:
                 continue
             produced += 1
-            qq, rr, ss, tt = (Fraction(v) for v in (sol.q, sol.r, sol.s, sol.t))
-            image = composed_generator(alpha, qq, ss, tt, rr).apply(BASE_POINT)
+            image = composed_generator(alpha, *map(Fraction, sol)).apply(BASE_POINT)
             assert max(abs(float(a) - b) for a, b in zip(image, target)) <= FLOAT_TOL
     sol = transitive_params_omega(Fraction(1), (1, 0, 0, 2))
-    assert (sol.q, sol.r, sol.s, sol.t) == (1, 1, 6, 2)
+    assert sol == (1, 1, 6, 2)
 
 
 def test_criterion_03_normalization_equivalences():

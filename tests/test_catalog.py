@@ -182,7 +182,7 @@ def test_integer_generators_match_the_fraction_formulas():
                 assert affine_det(g) == (p**10 if kind == "phi" else 1)
 
 
-def _fraction_orbit_point(alpha, q, s, t, r):
+def _fraction_orbit_point(alpha, q, r, s, t):
     """BASE_POINT moved by psi(r), nu(t), mu(s) and then phi(q), each as a plain Fraction
     matrix and translation."""
     x = list(BASE_POINT)
@@ -209,8 +209,8 @@ def test_composed_generator_moves_the_base_point_as_the_fraction_matrices_do(sty
         else:
             q = Fraction(rng.uniform(0.1, 3))
             s, t, r = (Fraction(rng.uniform(-3, 3)) for _ in range(3))
-        got = composed_generator(alpha, q, s, t, r).apply(BASE_POINT)
-        assert got == _fraction_orbit_point(alpha, q, s, t, r), (alpha, q, s, t, r)
+        got = composed_generator(alpha, q, r, s, t).apply(BASE_POINT)
+        assert got == _fraction_orbit_point(alpha, q, r, s, t), (alpha, q, r, s, t)
 
 
 def test_one_wrong_integer_entry_of_psi_breaks_invariance():
@@ -312,13 +312,13 @@ def test_importing_the_cli_builds_no_universal_certificate():
 
 def test_transitivity_regression_and_identity():
     sol = transitive_params_omega(1, (1, 0, 0, 2))
-    assert (sol.q, sol.r, sol.s, sol.t) == (1, 1, 6, 2) and isinstance(sol.q, Fraction)
-    image = composed_generator(1, sol.q, sol.s, sol.t, sol.r).apply(BASE_POINT)
+    assert sol == (1, 1, 6, 2) and isinstance(sol.q, Fraction)
+    image = composed_generator(1, *sol).apply(BASE_POINT)
     assert image == [1, 0, 0, 2]
     ident = transitive_params_omega(0, (0, 0, 0, 1))
-    assert (ident.q, ident.r, ident.s, ident.t) == (1, 0, 0, 0)
+    assert ident == (1, 0, 0, 0)
     pure_scale = transitive_params_omega(0, (0, 0, 0, 16))
-    assert (pure_scale.q, pure_scale.r, pure_scale.s, pure_scale.t) == (2, 0, 0, 0)
+    assert pure_scale == (2, 0, 0, 0)
 
 
 def test_transitivity_rejects_points_not_above():
@@ -345,11 +345,11 @@ def test_transitivity_exact_and_float_paths():
         for _ in range(25):
             q = Fraction(rng.randint(1, 12), rng.randint(1, 4))
             r, s, t = (frac(rng) for _ in range(3))
-            target = composed_generator(alpha, q, s, t, r).apply(BASE_POINT)
+            target = composed_generator(alpha, q, r, s, t).apply(BASE_POINT)
             assert side_of(make_omega(alpha, ">"), target) == "inside"
             sol = transitive_params_omega(alpha, target)
             assert isinstance(sol.q, Fraction)
-            assert (sol.q, sol.r, sol.s, sol.t) == (q, r, s, t)
+            assert sol == (q, r, s, t)
         worst = 0.0
         produced = 0
         while produced < 25:
@@ -359,8 +359,7 @@ def test_transitivity_exact_and_float_paths():
             except DomainError:
                 continue
             produced += 1
-            qq, rr, ss, tt = (Fraction(v) for v in (sol.q, sol.r, sol.s, sol.t))
-            image = composed_generator(alpha, qq, ss, tt, rr).apply(BASE_POINT)
+            image = composed_generator(alpha, *map(Fraction, sol)).apply(BASE_POINT)
             worst = max(worst, max(abs(float(a) - b) for a, b in zip(image, target)))
         assert worst <= 1e-9
 
@@ -443,6 +442,33 @@ def test_constraint_validation():
         ).validate()
 
 
+@pytest.mark.parametrize("field", ["phi_phase", "psi_phase"])
+def test_validate_rejects_a_non_unit_phase(field):
+    params = replace(identity_p_params("+"), **{field: GaussianRational(Fraction(1, 2))})
+    with pytest.raises(ConstraintError, match=f"phase {field[:3]} must have modulus 1"):
+        params.validate()
+    with pytest.raises(ConstraintError):
+        make_p_element(params)
+
+
+def test_validate_phase_check_on_integers_matches_the_fraction_modulus():
+    """a^2 + b^2 = d^2 on the canonical triple accepts exactly the phases of
+    modulus 1, and a rejection states the Fraction modulus."""
+    rng = random.Random(24)
+    units = [phase_from_parameter(Fraction(rng.randint(-40, 40), rng.randint(1, 12)))
+             for _ in range(200)]
+    near = [w * GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9))) for w in units]
+    for w in units + near + [GaussianRational(0), GaussianRational(1, 1)]:
+        for field in ("phi_phase", "psi_phase"):
+            params = replace(identity_p_params("-"), **{field: w})
+            if w.abs2() == 1:
+                assert params.validate() is params
+                continue
+            with pytest.raises(ConstraintError) as exc:
+                params.validate()
+            assert str(exc.value) == f"phase {field[:3]} must have modulus 1: |{w}|^2 = {w.abs2()}"
+
+
 def test_negative_controls_fail_certification():
     for sign, build in (("+", control_bad_constraint), ("+", control_wrong_phase)):
         cert = invariance_certificate(model_surface(sign).rho, build(sign))
@@ -460,8 +486,8 @@ def test_wrong_phase_control_misreads_only_the_z3_coefficient_of_z4():
         bad = control_wrong_phase(sign).components
         z3 = SP4.unit(2)
         assert bad[:3] == good[:3] and list((bad[3] - good[3]).terms) == [z3]
-        assert bad[3].coefficient(z3) == params.tau.conjugate() * params.phi_phase.value * 2
-        assert good[3].coefficient(z3) == params.tau.conjugate() * params.psi_phase.value * 2
+        assert bad[3].coefficient(z3) == params.tau.conjugate() * params.phi_phase * 2
+        assert good[3].coefficient(z3) == params.tau.conjugate() * params.psi_phase * 2
 
 
 def test_p_compose_laws():
@@ -580,7 +606,7 @@ def _p_params(draw):
         u, rho, sigma, tau = Fraction(draw(st.integers(-12, 12)), 4), gaussian(), gaussian(), gaussian()
     d = gaussian()
     y = Fraction(draw(st.integers(-12, 12)), 4)
-    b = (phi.value.conjugate() * GaussianRational(-d.abs2() / (2 * q**3), y)).conjugate()
+    b = (phi.conjugate() * GaussianRational(-d.abs2() / (2 * q**3), y)).conjugate()
     return PParams(sign, q, phi, psi, u, rho, sigma, tau, b, d).validate()
 
 
@@ -619,7 +645,7 @@ def _fraction_random_p_params(rng, sign):
     rho, sigma, tau, d = gaussian(), gaussian(), gaussian(), gaussian()
     m = d.abs2() / (2 * q**3)
     y = fraction()
-    b = (phi.value.conjugate() * GaussianRational(-m, y)).conjugate()
+    b = (phi.conjugate() * GaussianRational(-m, y)).conjugate()
     return PParams(sign, q, phi, psi, u, rho, sigma, tau, b, d)
 
 
@@ -640,7 +666,7 @@ def test_integer_draws_equal_the_fraction_draws_and_keep_the_stream():
 
 def _fraction_constraint_error(params):
     """The constraint checked on Fractions, as the error text it raises, or None."""
-    w = params.phi_phase.value * params.b.conjugate()
+    w = params.phi_phase * params.b.conjugate()
     if w.re > 0:
         return "Re(phase * conj(b)) must be <= 0"
     if params.d.abs2() != -2 * params.q**3 * w.re:
@@ -660,7 +686,7 @@ def test_integer_constraint_matches_the_fraction_formula():
     phi = phase_from_parameter(Fraction(1, 2))
     # The boundary: Re(phase * conj(b)) = 0 with d = 0.
     boundary = replace(identity_p_params("+"), phi_phase=phi, q=Fraction(3, 2),
-                       b=phi.value * GaussianRational(0, Fraction(5, 3)))
+                       b=phi * GaussianRational(0, Fraction(5, 3)))
     assert _constraint_error(boundary) is None and _fraction_constraint_error(boundary) is None
     rng = random.Random(24)
     rejected = 0
@@ -742,7 +768,7 @@ def _inverse_cases(draw):
     shape = draw(st.sampled_from(["as drawn", "d = 0", "b = 0", "translation only"]))
     zero = GaussianRational(0)
     if shape == "d = 0":  # b = phi (-|d|^2 / (2 q^3) - i y) loses its |d|^2 part
-        return replace(a, d=zero, b=a.b + a.phi_phase.value * (a.d.abs2() / (2 * a.q**3)))
+        return replace(a, d=zero, b=a.b + a.phi_phase * (a.d.abs2() / (2 * a.q**3)))
     if shape == "b = 0":
         return replace(a, b=zero, d=zero)
     if shape == "translation only":
@@ -829,6 +855,20 @@ def test_gamma_base_partials_are_independent_for_every_alpha():
 def test_p_params_from_map_rejects_non_group_maps():
     with pytest.raises(ClosureViolation):
         p_params_from_map(control_bad_constraint("+"), "+")
+
+
+def test_p_params_from_map_rejects_a_second_phase_off_the_unit_circle():
+    """The z3 coefficient q^2 (2 + i) of the third component reads as psi = 2 + i;
+    the recovered parameters fail validate, and recovery names the phase."""
+    params = random_p_params(random.Random(3), "+")
+    c1, c2, c3, c4 = make_p_element(params).components
+    z3 = SP4.unit(2)
+    bent = c3 + HermitianPolynomial(SP4, {z3: GaussianRational(2, 1) * params.q**2
+                                          - c3.coefficient(z3)})
+    assert bent.coefficient(z3) == GaussianRational(2, 1) * params.q**2
+    with pytest.raises(ClosureViolation, match="recovered parameters violate the constraint: "
+                                               "phase psi must have modulus 1"):
+        p_params_from_map(HoloPolyMap(SP4, SP4, [c1, c2, bent, c4]), "+")
 
 
 def test_jacobian_rank_is_13():
@@ -931,7 +971,7 @@ def test_isotropy_pure_second_phase():
     ).validate()
     U = make_isotropy_matrix(params)
     assert U[0][0] == GaussianRational(1) and U[1][1] == GaussianRational(1)
-    assert U[2][2] == psi.value
+    assert U[2][2] == psi
     assert U[2][0].is_zero() and U[0][2].is_zero()
 
 
@@ -1114,7 +1154,7 @@ def test_quadric_transitivity_example():
     sol = quadric_transitive_params(1, 1, ">", [GaussianRational(0), GaussianRational(4)])
     assert sol.a == 2 and sol.c == 0
     assert all(x.is_zero() for x in sol.b)
-    image = quadric_transitive_map(1, 1, sol.a, list(sol.b), sol.c).apply(
+    image = quadric_transitive_map(1, 1, *sol).apply(
         quadric_base_point(1, 1, ">")
     )
     assert image == [GaussianRational(0), GaussianRational(4)]
@@ -1134,7 +1174,7 @@ def test_quadric_transitivity_random_draws():
             c = frac(rng)
             target = quadric_transitive_map(p, n, a, b, c).apply(base)
             sol = quadric_transitive_params(p, n, side, target)
-            image = quadric_transitive_map(p, n, sol.a, list(sol.b), sol.c).apply(base)
+            image = quadric_transitive_map(p, n, *sol).apply(base)
             assert image == target
 
 

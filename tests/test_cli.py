@@ -454,6 +454,22 @@ def test_rejected_argument_exits_2_naming_the_check(check_id, tmp_path, capsys):
     assert f"check {check_id!r}" in captured.err
 
 
+@pytest.mark.parametrize("draws", ["1000000000", str(checks.MAX_COUNT + 1)])
+def test_a_count_above_the_limit_exits_2_before_any_check_runs(draws, tmp_path, capsys,
+                                                                monkeypatch):
+    """10^9 closure draws would run for days; the count is refused with its limit named."""
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text(f"id = huge\nkind = closure\ntarget = P_plus\nparam.draws = {draws}\n")
+    ran = []
+    monkeypatch.setattr("tubecert.cli.run_check", lambda spec: ran.append(spec))
+    assert main(["verify", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and ran == []
+    assert f"param.draws = {draws!r}: must be from 1 to 10000, got {draws}" in captured.err
+    limit = f"id = ok\nkind = closure\ntarget = P_plus\nparam.draws = {checks.MAX_COUNT}\n"
+    assert parse_config(limit)[0].parameters["draws"] == checks.MAX_COUNT
+
+
 @pytest.mark.parametrize("ident", ["gamma", "M_plus(alpha=2)"])
 def test_describe_rejects_missing_and_extra_arguments(ident, capsys):
     assert main(["describe", ident]) == 2

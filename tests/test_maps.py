@@ -143,7 +143,7 @@ def test_composed_generator_determinant_is_q_to_the_tenth():
         alpha = Fraction(rng.randint(-12, 12), rng.randint(1, 12))
         q = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
         s, t, r = (Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(3))
-        assert affine_det(composed_generator(alpha, q, s, t, r)) == q**10
+        assert affine_det(composed_generator(alpha, q, r, s, t)) == q**10
 
 
 def test_lift_identity_and_examples():

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from tubecert.errors import DomainError
 from tubecert.scalars import (
     GaussianRational,
-    UnimodularPhase,
     _Unreduced,
     as_rational,
     format_gaussian,
@@ -91,13 +90,13 @@ def test_conjugation_involution_and_modulus():
 @settings(max_examples=200, deadline=None)
 def test_phase_unit_modulus(t):
     p = phase_from_parameter(t)
-    assert p.value.abs2() == 1
+    assert p.abs2() == 1
 
 
 def test_phase_examples():
-    assert phase_from_parameter(0).value == GaussianRational(1)
-    assert phase_from_parameter(1).value == GaussianRational(0, 1)
-    assert phase_from_parameter(Fraction(1, 2)).value == GaussianRational(
+    assert phase_from_parameter(0) == GaussianRational(1)
+    assert phase_from_parameter(1) == GaussianRational(0, 1)
+    assert phase_from_parameter(Fraction(1, 2)) == GaussianRational(
         Fraction(3, 5), Fraction(4, 5)
     )
 
@@ -107,7 +106,7 @@ def test_phase_examples():
 def test_phase_from_integers_keeps_the_fraction_formula_triple(t):
     den = 1 + t * t
     want = GaussianRational((1 - t * t) / den, 2 * t / den)
-    got = phase_from_parameter(t).value
+    got = phase_from_parameter(t)
     assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
 
 
@@ -116,29 +115,10 @@ def test_phase_products_are_phases():
     for _ in range(1000):
         p = phase_from_parameter(rand_fraction(rng))
         q = phase_from_parameter(rand_fraction(rng))
-        prod = UnimodularPhase(p.value * q.value)  # raises unless |value|^2 = 1
-        assert prod.value.abs2() == 1
-        assert p.value * p.value.conjugate() == GaussianRational(1)
-
-
-def test_unimodular_rejects_non_unit():
-    with pytest.raises(DomainError):
-        UnimodularPhase(GaussianRational(Fraction(1, 2)))
-
-
-def test_unimodular_check_on_integers_matches_the_fraction_modulus():
-    """a^2 + b^2 = d^2 on the canonical triple accepts exactly the values of
-    modulus 1, and a rejection keeps the text stated with the Fraction modulus."""
-    rng = random.Random(24)
-    units = [phase_from_parameter(rand_fraction(rng)).value for _ in range(200)]
-    near = [w * GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9))) for w in units]
-    for w in units + near + [GaussianRational(0), GaussianRational(1, 1)]:
-        if w.abs2() == 1:
-            assert UnimodularPhase(w).value == w
-            continue
-        with pytest.raises(DomainError) as exc:
-            UnimodularPhase(w)
-        assert str(exc.value) == f"not unimodular: |{w}|^2 = {w.abs2()}"
+        prod = p * q
+        assert prod._a * prod._a + prod._b * prod._b == prod._d * prod._d
+        assert prod.abs2() == 1
+        assert p * p.conjugate() == GaussianRational(1)
 
 
 def test_sqrt_exact():

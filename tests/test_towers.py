@@ -68,7 +68,7 @@ def test_transitive_params_omega_towers_agree():
         for _ in range(25):
             q = random_positive_fraction(rng)
             r, s, t = (random_fraction(rng) for _ in range(3))
-            target = composed_generator(alpha, q, s, t, r).apply(BASE_POINT)
+            target = composed_generator(alpha, q, r, s, t).apply(BASE_POINT)
             exact = transitive_params_omega(alpha, target)
             floats = transitive_params_omega(alpha, [float(x) for x in target])
             assert isinstance(exact.q, Fraction) and isinstance(floats.q, float)
