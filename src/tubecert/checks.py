@@ -138,11 +138,10 @@ def _invariance_generators(spec: CheckSpec, rng, alpha: Fraction, count: int, ge
             # g are linearly independent for every alpha, so v = 0.
             cert = invariance_certificate(g, lift_affine(make_generator(kind, alpha, param)))
             want = catalog.GENERATORS[kind][1](param)
-            _require(cert.exact, f"{kind} at {param} is not an exact symmetry", _evidence(cert))
-            _require(
-                cert.factor == GaussianRational(want),
-                f"{kind} at {param}: factor {cert.factor} != {want}",
-            )
+            if not cert.exact:
+                raise CheckFailure(f"{kind} at {param} is not an exact symmetry", _evidence(cert))
+            if cert.factor != GaussianRational(want):
+                raise CheckFailure(f"{kind} at {param}: factor {cert.factor} != {want}")
             checked += 1
     return {
         "alpha": str(alpha),
@@ -159,16 +158,13 @@ def _invariance_group(spec: CheckSpec, rng, sign: str, draws: int) -> dict:
     for _ in range(draws):
         params = random_p_params(rng, sign)
         element = make_p_element(params)
-        _require(
-            not element.linear_determinant().is_zero(),
-            f"group draw with q={params.q} has a singular linear part",
-        )
+        if element.linear_determinant().is_zero():
+            raise CheckFailure(f"group draw with q={params.q} has a singular linear part")
         cert = invariance_certificate(rho, element)
-        _require(cert.exact, f"group draw with q={params.q} did not certify exactly")
-        _require(
-            cert.factor == GaussianRational(params.q**4),
-            f"factor {cert.factor} != q^4 = {params.q ** 4}",
-        )
+        if not cert.exact:
+            raise CheckFailure(f"group draw with q={params.q} did not certify exactly")
+        if cert.factor != GaussianRational(params.q**4):
+            raise CheckFailure(f"factor {cert.factor} != q^4 = {params.q ** 4}")
     return {"sign": sign, "draws": draws, "factor": "q^4", "exact": True}
 
 
@@ -217,8 +213,10 @@ def _invariance_quadric_action(spec: CheckSpec, rng, p: int, n: int, draws: int)
         b = [random_gaussian(rng) for _ in range(n)]
         c = random_fraction(rng)
         cert = invariance_certificate(rho, catalog.quadric_transitive_map(p, n, a, b, c))
-        _require(cert.exact, f"quadric action draw a={a} did not certify")
-        _require(cert.factor == GaussianRational(a * a), f"factor {cert.factor} != a^2 = {a * a}")
+        if not cert.exact:
+            raise CheckFailure(f"quadric action draw a={a} did not certify")
+        if cert.factor != GaussianRational(a * a):
+            raise CheckFailure(f"factor {cert.factor} != a^2 = {a * a}")
     return {"p": p, "n": n, "draws": draws, "factor": "a^2", "exact": True}
 
 
@@ -321,10 +319,8 @@ def _levi_model(spec: CheckSpec, rng, sign: str, samples: int) -> dict:
     points = [[GaussianRational(0)] * 4] + geometry.sample_boundary_points(surface, rng, samples)
     for pt in points:
         data = geometry.levi_form(surface, [complex(v) for v in pt])
-        _require(
-            data.signature == (2, 1, 0),
-            f"signature {data.signature} at {pt} is not (2,1)",
-        )
+        if data.signature != (2, 1, 0):
+            raise CheckFailure(f"signature {data.signature} at {pt} is not (2,1)")
         margin = data.min_abs_eigenvalue / data.spectral_radius
         worst_margin = min(worst_margin, margin)
     _require(worst_margin > margin_floor, f"margin {worst_margin:.2e} at or below {margin_floor}")
@@ -337,7 +333,8 @@ def _levi_sigma(spec: CheckSpec, rng, sigma: Fraction, points: int) -> dict:
     for _ in range(points):
         x = [rng.uniform(-1, 1) for _ in range(7)]
         sig = geometry.tube_hessian_signature(f, x)
-        _require(sig == (5, 2, 0), f"signature {sig} at {x} is not (5,2)")
+        if sig != (5, 2, 0):
+            raise CheckFailure(f"signature {sig} at {x} is not (5,2)")
     return {"sigma": float(sigma), "points": points, "signature": [5, 2, 0]}
 
 
@@ -465,7 +462,7 @@ def _lie_dimensions(spec: CheckSpec, rng, stabilizer_reps: int) -> dict:
         "negative": ((g0, g0, g1), 4),
         "null": ((g1, g0, g1), 5),
     }
-    basis = lie.su21_basis()
+    su21 = lie.su21()
     for label, (v, want) in models.items():
         _require(
             lie.stabilizer_up_to_scale_dim(v) == want,
@@ -473,7 +470,7 @@ def _lie_dimensions(spec: CheckSpec, rng, stabilizer_reps: int) -> dict:
         )
         produced = 0
         while produced < stabilizer_reps:
-            A = lie.combine([Fraction(rng.randint(-2, 2), 3) for _ in basis], basis)
+            A = lie.combine([Fraction(rng.randint(-2, 2), 3) for _ in su21.basis], su21)
             try:
                 U = lie.cayley_group_element(A)
             except ZeroDivisionError:
@@ -533,10 +530,9 @@ def _lie_line_image(spec: CheckSpec, rng, draws: int) -> dict:
                 w = (random_gaussian(rng), random_gaussian(rng), random_gaussian(rng))
             expected = False
         got = lie.line_image_test(algebra, w)
-        _require(
-            got == expected,
-            f"line test at {tuple(str(x) for x in w)} returned {got}, expected {expected}",
-        )
+        if got != expected:
+            raise CheckFailure(
+                f"line test at {tuple(str(x) for x in w)} returned {got}, expected {expected}")
         proportional += got
     return {"draws": draws, "proportional_hits": proportional}
 

@@ -7,8 +7,10 @@ elimination: complex kernels over Q(i), real ones by doubling each complex
 entry into two rational coordinates.  Where only a dimension is wanted it is
 the basis size less a rank, and ranks count pivots without building kernel
 vectors.  The hot kernels run on Gaussian-integer numerators over one
-denominator: a 3x3 product sums integers and canonicalises each entry once,
-and the line minors of (Xw, w) come out as plain ints.
+denominator, kept once per subspace: a 3x3 product and a combination of basis
+matrices sum integers and canonicalise each entry once, a Cayley group element
+is a closed-form adjugate over a Gaussian-integer determinant with no field
+inverse, and the line minors of (Xw, w) come out as plain ints.
 
 The dimension bookkeeping this enables: the trace form on sl(3,C) is
 non-degenerate (Gram rank 8); among a representative set of Jordan shapes,
@@ -28,7 +30,7 @@ from itertools import chain
 
 from . import exactla
 from .errors import DomainError
-from .scalars import GaussianRational, _over_lcm, _reduce, to_tower
+from .scalars import GaussianRational, _coerce, _over_lcm, _reduce, to_tower
 
 Mat3 = tuple  # 3x3 nested tuples of GaussianRational
 
@@ -127,12 +129,13 @@ def realify(vec) -> list[Fraction]:
     return out
 
 
-def sl3_basis() -> list[Mat3]:
-    """Standard basis: six off-diagonal units plus E11-E22 and E22-E33."""
+@functools.cache
+def sl3() -> LieSubspace:
+    """sl(3,C) on its standard basis: six off-diagonal units plus E11-E22 and E22-E33."""
     basis = [E(i, j) for i in range(3) for j in range(3) if i != j]
     basis.append(msub(E(0, 0), E(1, 1)))
     basis.append(msub(E(1, 1), E(2, 2)))
-    return basis
+    return LieSubspace(tuple(basis), "C")
 
 
 @dataclass(frozen=True)
@@ -156,6 +159,12 @@ class LieSubspace:
     @property
     def dimension(self) -> int:
         return len(self.basis)
+
+    @functools.cached_property
+    def numerators(self) -> tuple[list, int]:
+        """(rows, d): each basis matrix as nine Gaussian-integer pairs over one d > 0."""
+        pairs, d = _over_lcm([x for X in self.basis for x in flatten(X)])
+        return [pairs[k:k + 9] for k in range(0, len(pairs), 9)], d
 
     def rank_of(self, mats) -> int:
         if self.field == "C":
@@ -181,18 +190,13 @@ def _kernel(images, field: str) -> list[list]:
     return exactla.nullspace(list(zip(*columns)), ncols=len(columns), one=one)
 
 
-def combine(coords, basis) -> Mat3:
-    """The matrix sum of coords[k] * basis[k], over the nonzero coordinates and entries."""
-    X = [list(row) for row in ZERO3]
-    for coeff, e in zip(coords, basis):
-        c = to_tower(coeff)
-        if c.is_zero():
-            continue
-        for r, row in enumerate(e):
-            for s, x in enumerate(row):
-                if not x.is_zero():
-                    X[r][s] = X[r][s] + c * x
-    return tuple(map(tuple, X))
+def combine(coords, S: LieSubspace) -> Mat3:
+    """The matrix sum of coords[k] * S.basis[k], summed on Gaussian-integer numerators
+    over one denominator with one canonicalisation per entry."""
+    c, dc = _over_lcm([_coerce(x) for x in coords])
+    rows, d = S.numerators
+    x = [_reduce(*_dot(c, col), dc * d) for col in zip(*rows)]
+    return tuple(x[0:3]), tuple(x[3:6]), tuple(x[6:9])
 
 
 def perp(S: LieSubspace) -> LieSubspace:
@@ -202,14 +206,14 @@ def perp(S: LieSubspace) -> LieSubspace:
     """
     if S.field != "C":
         raise DomainError("perp is a complex-ambient operation")
-    basis8 = sl3_basis()
-    coords = _kernel([[killing(e, b) for b in S.basis] for e in basis8], "C")
-    return LieSubspace(tuple(combine(c, basis8) for c in coords), "C")
+    ambient = sl3()
+    coords = _kernel([[killing(e, b) for b in S.basis] for e in ambient.basis], "C")
+    return LieSubspace(tuple(combine(c, ambient) for c in coords), "C")
 
 
 def sl3_gram_rank() -> int:
     """Rank of the trace-form Gram matrix on the standard sl(3,C) basis (8 iff non-degenerate)."""
-    basis8 = sl3_basis()
+    basis8 = sl3().basis
     rows = [[killing(x, y) for y in basis8] for x in basis8]
     return exactla.rank(rows)
 
@@ -282,51 +286,74 @@ def algebra_membership_residual(X: Mat3, H: Mat3) -> Mat3:
     return madd(mmul(mtrans(X), H), mmul(H, mconj(X)))
 
 
-def _gl3_real_basis() -> list[Mat3]:
-    """E_ij and i E_ij, in the coordinate order of realify(flatten(X))."""
+@functools.cache
+def _gl3_real() -> LieSubspace:
+    """gl(3,C) as a real subspace: E_ij and i E_ij, in the order of realify(flatten(X))."""
     units = [E(k // 3, k % 3) for k in range(9)]
-    return [X for e in units for X in (e, mscale(e, GaussianRational(0, 1)))]
+    return LieSubspace(tuple(X for e in units for X in (e, mscale(e, GaussianRational(0, 1)))), "R")
 
 
 def u21_basis(H: Mat3 = FORM_DIAG) -> list[Mat3]:
     """Exact real basis of u(2,1) w.r.t. H: the kernel of the membership residual (dimension 9)."""
-    gl3 = _gl3_real_basis()
-    coords = _kernel([flatten(algebra_membership_residual(X, H)) for X in gl3], "R")
+    gl3 = _gl3_real()
+    coords = _kernel([flatten(algebra_membership_residual(X, H)) for X in gl3.basis], "R")
     return [combine(c, gl3) for c in coords]
 
 
 @functools.cache
 def su21_basis(H: Mat3 = FORM_DIAG) -> tuple:
     """Exact real basis of su(2,1) w.r.t. H: the trace-free part of u(2,1) (dimension 8)."""
-    gl3 = _gl3_real_basis()
-    images = [flatten(algebra_membership_residual(X, H)) + [mtrace(X)] for X in gl3]
+    gl3 = _gl3_real()
+    images = [flatten(algebra_membership_residual(X, H)) + [mtrace(X)] for X in gl3.basis]
     return tuple(combine(c, gl3) for c in _kernel(images, "R"))
+
+
+@functools.cache
+def su21() -> LieSubspace:
+    """su(2,1) of the diagonal form as a real subspace, so its numerators are built once."""
+    return LieSubspace(su21_basis(), "R")
 
 
 def cayley_group_element(A: Mat3) -> Mat3:
     """(I - A)(I + A)^{-1}: an exact group element from an algebra element A.
 
-    It is computed as 2(I + A)^{-1} - I, the same matrix, since
-    I - A = 2I - (I + A).  If A satisfies A^t H + H conj(A) = 0 then the
-    result U satisfies U^t H conj(U) = H (checked by the caller's tests);
-    raises if I + A is singular, in which case the caller should redraw.
+    Since I - A = 2I - (I + A) it is 2(I + A)^{-1} - I.  With I + A = M / d on
+    Gaussian-integer numerators that is (2d adj(M) - det(M) I) / det(M): a
+    closed-form adjugate, each entry divided by det(M) through its conjugate and
+    canonicalised once.  If A satisfies A^t H + H conj(A) = 0 then the result U
+    satisfies U^t H conj(U) = H (checked by the caller's tests); raises
+    ZeroDivisionError exactly when I + A is singular, and the caller redraws.
     """
-    inv = exactla.invert([list(r) for r in madd(IDENTITY3, A)])
-    return msub(mscale(inv, 2), IDENTITY3)
+    x, d = _over_lcm(flatten(A))
+    m = [[(a + d, b) if r == c else (a, b) for c, (a, b) in enumerate(x[3 * r:3 * r + 3])]
+         for r in range(3)]  # M, with I + A = M / d
+
+    def cofactor(r, c):  # of M[r][c]; taking the indices mod 3 gives its sign
+        a, b = m[r - 1][c - 2]
+        return _dot((m[r - 2][c - 2], m[r - 2][c - 1]), (m[r - 1][c - 1], (-a, -b)))
+
+    adj = [cofactor(c, r) for r in range(3) for c in range(3)]  # adj(M), flattened
+    p, q = _dot(m[0], adj[0::3])  # det(M), along the first row
+    n = p * p + q * q
+    if n == 0:
+        raise ZeroDivisionError("I + A is singular")
+    # U = 2d adj(M) conj(det M) / |det M|^2 - I; k % 4 == 0 on the diagonal
+    u = [_reduce(2 * d * (a * p + b * q) - (n if k % 4 == 0 else 0), 2 * d * (b * p - a * q), n)
+         for k, (a, b) in enumerate(adj)]
+    return tuple(u[0:3]), tuple(u[3:6]), tuple(u[6:9])
 
 
-def _line_minors(mats, w):
-    """Yield, for each X in mats, the 2x2 minors of (Xw, w) as six ints (real, imaginary parts).
+def _line_minors(S: LieSubspace, w):
+    """Yield, for each X in S.basis, the 2x2 minors of (Xw, w) as six ints (real, imaginary parts).
 
-    w and each X enter as Gaussian-integer numerators over the lcm of their
-    denominators, so each row is a positive integer multiple of X's true
-    minors.  Scaling w or X by a positive integer does not change whether
-    Xw lies in C*w, so a row is zero exactly when the true minors are, and
-    scaling rows does not change the rank of the rows.
+    w and the basis enter as Gaussian-integer numerators over positive denominators
+    (S.numerators), so each row is a positive integer multiple of X's true minors.
+    Scaling w or X by a positive integer does not change whether Xw lies in C*w, so a
+    row is zero exactly when the true minors are, and scaling rows does not change
+    the rank of the rows.
     """
     n, _ = _over_lcm(w)
-    for X in mats:
-        x, _ = _over_lcm(flatten(X))
+    for x in S.numerators[0]:
         u = [_dot(x[r:r + 3], n) for r in (0, 3, 6)]
         row = []
         for i, j in ((0, 1), (0, 2), (1, 2)):  # u_i n_j - u_j n_i
@@ -348,8 +375,8 @@ def stabilizer_up_to_scale_dim(v) -> int:
     (Xv, v), which is real-linear in X, so the dimension is 8 less the exact
     rank of the basis elements' minors over the rationals.
     """
-    basis = su21_basis()
-    return len(basis) - exactla.rank(list(_line_minors(basis, _nonzero_vector(v))))
+    S = su21()
+    return S.dimension - exactla.rank(list(_line_minors(S, _nonzero_vector(v))))
 
 
 # ---------------------------------------------------------------------------
@@ -365,4 +392,4 @@ def line_image_test(S: LieSubspace, w) -> bool:
     the algebra's only common eigenvector direction, which is what pins the
     group's connected pieces.
     """
-    return not any(chain.from_iterable(_line_minors(S.basis, _nonzero_vector(w))))
+    return not any(chain.from_iterable(_line_minors(S, _nonzero_vector(w))))

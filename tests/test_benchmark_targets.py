@@ -7,15 +7,19 @@ tree, without importing or changing it, and resolves every entry against the
 package, so a deletion that breaks the gate fails here in about a second.
 
 The gate also fails a traced run when a target is not called on a workload it
-is assigned to.  The last test generates the ``levi`` and ``pullback`` configs
-with ``tubebench/workloads.py``, runs them in-process under ``cProfile`` and
-checks each assignment, so moving a target off its workload fails here too.
+is assigned to.  The last test generates the ``levi``, ``pullback`` and
+``elimination`` configs with ``tubebench/workloads.py``, empties the package's
+``functools`` caches (a worker pass starts in a fresh interpreter, so a target
+called only inside a cached routine runs once in it), runs the config
+in-process under ``cProfile`` and checks each assignment, so moving a target
+off its workload fails here too.
 """
 
 import ast
 import cProfile
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
@@ -65,12 +69,22 @@ def test_every_tracer_check_kind_has_a_handler():
     assert [kind for kind in kinds if kind not in checks.HANDLERS] == []
 
 
-@pytest.mark.parametrize("workload", ["levi", "pullback"])
+def _clear_package_caches():
+    """Empty every functools cache of the package, as a fresh interpreter starts."""
+    for name, module in list(sys.modules.items()):
+        if name.startswith("tubecert."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
+
+
+@pytest.mark.parametrize("workload", ["levi", "pullback", "elimination"])
 def test_every_tracer_target_is_called_on_its_workload(workload):
     spec = importlib.util.spec_from_file_location("tubebench_workloads", WORKLOADS)
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     text, expected = workloads.generate(workload, 1, ROOT)
+    _clear_package_caches()
     profiler = cProfile.Profile(builtins=False)
     profiler.enable()
     try:

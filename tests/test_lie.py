@@ -5,6 +5,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubecert import catalog, exactla, lie
 from tubecert.checks import run_check
@@ -39,7 +41,6 @@ from tubecert.lie import (
     mtrace,
     mtrans,
     perp,
-    sl3_basis,
     sl3_gram_rank,
     stabilizer_up_to_scale_dim,
     su21_basis,
@@ -75,26 +76,6 @@ def test_bracket_examples_and_identities():
         assert is_zero_matrix(jacobi)
 
 
-def test_combine_matches_the_scaled_sum():
-    """combine adds only nonzero products; it must equal the plain sum of scaled matrices."""
-    rng = random.Random(61)
-    bases = [list(su21_basis()), list(sl3_basis()), [rand_matrix(rng) for _ in range(5)]]
-    for basis in bases:
-        for _ in range(20):
-            coords = [
-                rng.choice([0, Fraction(rng.randint(-3, 3), rng.randint(1, 4)),
-                            GaussianRational(rng.randint(-2, 2), rng.randint(-2, 2))])
-                for _ in basis
-            ]
-            want = ZERO3
-            for c, B in zip(coords, basis):
-                want = madd(want, mscale(B, c))
-            got = combine(coords, basis)
-            assert got == want
-            assert all(type(x) is GaussianRational for row in got for x in row)
-    assert combine([0] * 8, list(sl3_basis())) == ZERO3
-
-
 def test_killing_examples_and_symmetry():
     assert killing(E(0, 1), E(0, 1)) == GaussianRational(0)
     assert killing(E(0, 1), E(1, 0)) == GaussianRational(1)
@@ -110,8 +91,8 @@ def test_killing_is_the_trace_of_the_product():
     for _ in range(100):
         X, Y = rand_matrix(rng), rand_matrix(rng)
         assert killing(X, Y) == mtrace(mmul(X, Y))
-    for X in sl3_basis():
-        for Y in sl3_basis():
+    for X in lie.sl3().basis:
+        for Y in lie.sl3().basis:
             assert killing(X, Y) == mtrace(mmul(X, Y))
 
 
@@ -120,13 +101,13 @@ def test_gram_rank_is_8():
 
 
 def test_perp_trivial_cases_and_dimension_law():
-    full = LieSubspace(tuple(sl3_basis()), "C")
+    full = lie.sl3()
     assert perp(full).dimension == 0
     empty = LieSubspace((), "C")
     assert perp(empty).dimension == 8
     rng = random.Random(62)
     for size in (1, 2, 3):
-        S = LieSubspace(tuple(rng.sample(sl3_basis(), size)), "C")
+        S = LieSubspace(tuple(rng.sample(lie.sl3().basis, size)), "C")
         assert S.dimension + perp(S).dimension == 8
 
 
@@ -358,10 +339,10 @@ def test_cayley_elements_land_in_the_group():
 def test_cayley_element_matches_the_two_product_formula():
     """2(I + A)^{-1} - I is (I - A)(I + A)^{-1}, entry for entry, on seeded su(2,1) draws."""
     rng = random.Random(2301)
-    basis = su21_basis()
+    su21 = lie.su21()
     count = 0
     while count < 60:
-        A = combine([Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in basis], basis)
+        A = combine([Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in su21.basis], su21)
         try:
             U = cayley_group_element(A)
         except ZeroDivisionError:
@@ -398,11 +379,11 @@ def _big_scalar(rng, zero_share=0.0):
 
 def _moved_model_vectors(rng, count):
     """Model vectors of each length class, moved by Cayley elements of SU(2,1)."""
-    basis = su21_basis()
+    su21 = lie.su21()
     g0, g1 = GaussianRational(0), GaussianRational(1)
     out = []
     while len(out) < count:
-        A = combine([Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in basis], basis)
+        A = combine([Fraction(rng.randint(-3, 3), rng.randint(1, 7)) for _ in su21.basis], su21)
         try:
             U = cayley_group_element(A)
         except ZeroDivisionError:
@@ -429,18 +410,18 @@ ORACLE_VECTORS = _oracle_vectors()
 
 def test_integer_line_minors_are_positive_multiples_of_the_q_i_minors():
     """Each row of _line_minors is c times the realified Q(i) minors for one c > 0."""
-    algebra = isotropy_algebra()
-    mats = list(su21_basis()) + list(algebra.basis)
+    subspaces = [lie.su21(), isotropy_algebra(), candidate_subalgebra(1)]
     for v in ORACLE_VECTORS[::7]:
-        for X, row in zip(mats, lie._line_minors(mats, v)):
-            assert all(type(x) is int for x in row)
-            ref = lie.realify(qi_minors(X, v))
-            if not any(ref):
-                assert not any(row)
-                continue
-            k = next(i for i, x in enumerate(ref) if x)
-            c = row[k] / ref[k]
-            assert c > 0 and [c * x for x in ref] == row
+        for S in subspaces:
+            for X, row in zip(S.basis, lie._line_minors(S, v), strict=True):
+                assert all(type(x) is int for x in row)
+                ref = lie.realify(qi_minors(X, v))
+                if not any(ref):
+                    assert not any(row)
+                    continue
+                k = next(i for i, x in enumerate(ref) if x)
+                c = row[k] / ref[k]
+                assert c > 0 and [c * x for x in ref] == row
 
 
 def test_stabilizer_and_line_test_match_the_q_i_route():
@@ -524,6 +505,83 @@ def test_numerator_product_matches_the_term_by_term_product():
             assert got == term_by_term_mmul(X, Y)
             assert all(math.gcd(x._a, x._b, x._d) == 1 and x._d > 0 for row in got for x in row)
         assert mmul(X, IDENTITY3) == X == mmul(IDENTITY3, X)
+
+
+# --- the numerator Cayley element and combine against plain Q(i) arithmetic ------
+
+
+def inverse_cayley(A):
+    """2 (I + A)^{-1} - I through exactla.invert (the route before the closed-form adjugate)."""
+    inv = mat(exactla.invert([list(r) for r in madd(IDENTITY3, A)]))
+    return msub(mscale(inv, 2), IDENTITY3)
+
+
+def is_canonical(X):
+    return all(math.gcd(x._a, x._b, x._d) == 1 and x._d > 0 for row in X for x in row)
+
+
+# small, mixed and large denominators, so the parts of one value differ
+RATIONALS = st.builds(Fraction, st.integers(-9, 9),
+                      st.sampled_from([1, 2, 3, 4, 7, 12, 1_000_003, 10**12 + 39]))
+COORDINATES = st.one_of(st.integers(-2, 2), RATIONALS,
+                        st.builds(GaussianRational, RATIONALS, RATIONALS))
+
+
+# sl(3) on a basis with denominators, so the basis numerators share a d > 1
+SCALED_SL3 = LieSubspace(tuple(mscale(B, GaussianRational(Fraction(k + 1, 2 * k + 3), Fraction(1, 4)))
+                               for k, B in enumerate(lie.sl3().basis)), "C")
+
+
+@st.composite
+def combinations(draw):
+    """A subspace (su(2,1), sl(3) on two bases, the isotropy algebra) and Q(i) coordinates
+    on its basis."""
+    S = draw(st.sampled_from([lie.su21(), lie.sl3(), SCALED_SL3, isotropy_algebra()]))
+    return S, draw(st.lists(COORDINATES, min_size=S.dimension, max_size=S.dimension))
+
+
+@given(combinations())
+@settings(max_examples=200, deadline=None)
+def test_combine_matches_the_scaled_sum(case):
+    """The numerator sum against the plain sum of scaled matrices in GaussianRational."""
+    S, coords = case
+    want = ZERO3
+    for c, B in zip(coords, S.basis, strict=True):
+        want = madd(want, mscale(B, c))
+    got = combine(coords, S)
+    assert got == want
+    assert is_canonical(got)
+    assert combine([0] * S.dimension, S) == ZERO3
+
+
+@given(combinations())
+@settings(max_examples=200, deadline=None)
+def test_cayley_element_matches_the_inverse_route(case):
+    S, coords = case
+    A = combine(coords, S)
+    try:
+        want = inverse_cayley(A)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            cayley_group_element(A)
+        return
+    got = cayley_group_element(A)
+    assert got == want
+    assert is_canonical(got)
+
+
+@pytest.mark.parametrize("S, A", [
+    (None, mscale(IDENTITY3, -1)),
+    (lie.sl3(), mat([[-1, 0, 0], [0, 0, 0], [0, 0, 1]])),
+    (lie.su21(), madd(E(0, 2), E(2, 0))),  # eigenvalues -1, 0, 1
+    (lie.su21(), mat([[0, 0, GaussianRational(0, -1)], [0, 0, 0], [GaussianRational(0, 1), 0, 0]])),
+])
+def test_a_singular_i_plus_a_raises_on_both_routes(S, A):
+    assert S is None or S.contains(A)
+    with pytest.raises(ZeroDivisionError):
+        inverse_cayley(A)
+    with pytest.raises(ZeroDivisionError):
+        cayley_group_element(A)
 
 
 # --- mutation controls: the checks read the new kernels -------------------------
