@@ -162,7 +162,8 @@ def _invariance_group(spec: CheckSpec, rng, sign: str, draws: int) -> dict:
             raise CheckFailure(f"group draw with q={params.q} has a singular linear part")
         cert = invariance_certificate(rho, element)
         if not cert.exact:
-            raise CheckFailure(f"group draw with q={params.q} did not certify exactly")
+            raise CheckFailure(f"group draw with q={params.q} did not certify exactly",
+                               _evidence(cert))
         if cert.factor != GaussianRational(params.q**4):
             raise CheckFailure(f"factor {cert.factor} != q^4 = {params.q ** 4}")
     return {"sign": sign, "draws": draws, "factor": "q^4", "exact": True}
@@ -180,7 +181,8 @@ def _invariance_equivalence(spec: CheckSpec, rng, rationalized, expected) -> dic
             rationalized.rational_map,
             rationalized.source_rho,
         )
-        _require(cert.exact, "conjugated equivalence did not certify exactly")
+        if not cert.exact:
+            raise CheckFailure("conjugated equivalence did not certify exactly", _evidence(cert))
         _require(cert.factor_is_positive_real, f"factor {cert.factor} is not positive")
         _require(
             cert.factor == expected,
@@ -214,7 +216,7 @@ def _invariance_quadric_action(spec: CheckSpec, rng, p: int, n: int, draws: int)
         c = random_fraction(rng)
         cert = invariance_certificate(rho, catalog.quadric_transitive_map(p, n, a, b, c))
         if not cert.exact:
-            raise CheckFailure(f"quadric action draw a={a} did not certify")
+            raise CheckFailure(f"quadric action draw a={a} did not certify", _evidence(cert))
         if cert.factor != GaussianRational(a * a):
             raise CheckFailure(f"factor {cert.factor} != a^2 = {a * a}")
     return {"p": p, "n": n, "draws": draws, "factor": "a^2", "exact": True}

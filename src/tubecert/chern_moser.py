@@ -25,7 +25,7 @@ from functools import cache
 
 from . import exactla, lie
 from .errors import DomainError, SpaceError
-from .maps import HoloPolyMap, pullback
+from .maps import HoloPolyMap, invariance_certificate
 from .poly import HermitianPolynomial, VariableSpace
 from .scalars import to_tower
 
@@ -109,8 +109,10 @@ def linear_scaling_check(f22: HermitianPolynomial, U, lam) -> tuple[bool, bool]:
 
     U's entries and lam must be exact (int, Fraction or GaussianRational); a
     float is a TypeError, and a lam that is not a positive rational a
-    DomainError.  The relation is the necessary condition every linear
-    isotropy of a non-umbilic normal-form surface satisfies.
+    DomainError.  Both identities are invariance certificates, with factor 1
+    for the form and 1/lam^2 for F_(2,2).  The relation is the necessary
+    condition every linear isotropy of a non-umbilic normal-form surface
+    satisfies.
     """
     lam = to_tower(lam)
     if not lam.is_real() or lam.re <= 0:
@@ -121,7 +123,8 @@ def linear_scaling_check(f22: HermitianPolynomial, U, lam) -> tuple[bool, bool]:
         for row in U
     ]
     umap = HoloPolyMap(space, space, comps)
-    form_poly = pairing_poly(space)
-    form_res = pullback(form_poly, umap) - form_poly
-    residual = pullback(f22, umap) - f22 * (1 / lam ** 2)
-    return form_res.is_zero(), residual.is_zero()
+    form = invariance_certificate(pairing_poly(space), umap)
+    if f22.is_zero():
+        return form.exact and form.factor == 1, True
+    scaled = invariance_certificate(f22, umap)
+    return form.exact and form.factor == 1, scaled.exact and scaled.factor == 1 / lam ** 2

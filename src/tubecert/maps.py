@@ -25,8 +25,15 @@ from typing import NamedTuple
 
 from . import exactla
 from .errors import DomainError, SpaceError
-from .poly import HermitianPolynomial, VariableSpace
-from .scalars import _reduce, as_rational, fourth_root_exact
+from .poly import (
+    HermitianPolynomial,
+    VariableSpace,
+    _canonical,
+    _conjugate_numerators,
+    _numerators,
+    _substitute_num,
+)
+from .scalars import GaussianRational, _reduce, as_rational, fourth_root_exact
 
 
 class AffineMapR(NamedTuple):
@@ -146,12 +153,16 @@ def compose(f: HoloPolyMap, g: HoloPolyMap) -> HoloPolyMap:
     return HoloPolyMap._raw(g.space_in, f.space_out, comps)
 
 
-def pullback(rho: HermitianPolynomial, f: HoloPolyMap) -> HermitianPolynomial:
-    """Substitute z_i -> f_i(z) and zb_i -> conjugate(f_i); real stays real."""
+def pullback(rho: HermitianPolynomial, f: HoloPolyMap) -> tuple[dict, int]:
+    """rho o f as Gaussian-integer numerators over one denominator (num, D): z_i -> f_i(z)
+    and zb_i -> conjugate(f_i), each conjugate image read off f_i's numerators."""
     if rho.space != f.space_out:
         raise SpaceError("pullback: rho is not defined on the map's target space")
-    images = list(f.components) + [c.conjugate() for c in f.components]
-    return rho.substitute(images)
+    n, m = f.space_out.n, f.space_in.n
+    images = [_numerators(c.terms) for c in f.components]
+    return _substitute_num(
+        rho.terms, lambda i: images[i] if i < n else _conjugate_numerators(images[i - n], m),
+        f.space_in)
 
 
 @dataclass(frozen=True)
@@ -173,6 +184,22 @@ class InvarianceCertificate:
         return self.factor.is_real() and self.factor.re > 0
 
 
+def _proportional(num: dict, source: dict, lead) -> bool:
+    """Whether num = c * source for numerator maps without zero entries, c read at lead.
+
+    With rho_source = S / E and a pullback N / D, the identity N / D = factor * S / E
+    is N * S_lead == N_lead * S, term by term in Gaussian integers.
+    """
+    if len(num) != len(source):
+        return False
+    (na, nb), (sa, sb) = num[lead], source[lead]
+    for e, (x, y) in source.items():
+        a, b = num.get(e, (0, 0))
+        if a * sa - b * sb != na * x - nb * y or a * sb + b * sa != na * y + nb * x:
+            return False
+    return True
+
+
 def equivalence_certificate(
     rho_target: HermitianPolynomial, f: HoloPolyMap, rho_source: HermitianPolynomial
 ) -> InvarianceCertificate:
@@ -181,20 +208,25 @@ def equivalence_certificate(
     The factor is read off at the lexicographically first monomial of
     rho_source (canonical term order makes this deterministic); if that
     monomial is absent from the pullback the certificate is inexact with the
-    full pullback as residual.  The certificate's ``rho`` field records
-    rho_source, the defining function being matched.
+    full pullback as residual.  The identity is tested on the pullback's
+    numerators; only a certificate that fails builds its residual
+    ``pullback - factor * rho_source`` over Q(i).  The certificate's ``rho``
+    field records rho_source, the defining function being matched.
     """
     if rho_source.is_zero():
         raise DomainError("equivalence certificate needs a nonzero defining function")
-    p = pullback(rho_target, f)
+    num, den = pullback(rho_target, f)
     lead = rho_source.first_monomial()
-    num = p.coefficient(lead)
-    den = rho_source.coefficient(lead)
-    if num == 0:
-        return InvarianceCertificate(f, rho_source, num, False, p)
-    factor = num / den
-    residual = p - rho_source * factor
-    return InvarianceCertificate(f, rho_source, factor, residual.is_zero(), residual)
+    at_lead = num.get(lead)
+    if at_lead is None:
+        p = HermitianPolynomial._raw(f.space_in, _canonical(num, den))
+        return InvarianceCertificate(f, rho_source, GaussianRational(0), False, p)
+    factor = _reduce(*at_lead, den) / rho_source.terms[lead]
+    if _proportional(num, _numerators(rho_source.terms)[0], lead):
+        zero = HermitianPolynomial.zero(f.space_in)
+        return InvarianceCertificate(f, rho_source, factor, True, zero)
+    residual = HermitianPolynomial._raw(f.space_in, _canonical(num, den)) - rho_source * factor
+    return InvarianceCertificate(f, rho_source, factor, False, residual)
 
 
 def invariance_certificate(rho: HermitianPolynomial, f: HoloPolyMap) -> InvarianceCertificate:

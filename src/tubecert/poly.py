@@ -13,7 +13,9 @@ is how the Levi and tube-Hessian numerics and the printed maps are read.
 
 Products and substitutions run on numerator pairs {exps: (a, b)} over one
 denominator: Gaussian integers over the lcm of the coefficients' denominators,
-summed as integers and canonicalised once per output term.
+summed as integers.  A product or :meth:`HermitianPolynomial.substitute` is
+canonicalised once per output term; a pullback (:func:`~tubecert.maps.pullback`)
+stays on numerators, so a certificate canonicalises only a residual that fails.
 
 Real-valued polynomials (defining functions) are those fixed by conjugation;
 ``Re z_k`` is represented as (z_k + zb_k)/2 so every defining function is an
@@ -110,23 +112,30 @@ def _canonical(num: dict, d: int) -> dict:
     return {e: _reduce(a, b, d) for e, (a, b) in num.items()}
 
 
-def _substitute(terms: dict, images: list, target: VariableSpace) -> dict:
-    """The composition behind :meth:`HermitianPolynomial.substitute`.
+def _conjugate_numerators(image: tuple[dict, int], n: int) -> tuple[dict, int]:
+    """The formal conjugate of a polynomial given as numerators (num, D) in a space of
+    n variables: each z_i swapped with zb_i and each b negated, over the same D."""
+    num, d = image
+    return {_swap_exponents(e, n): (a, -b) for e, (a, b) in num.items()}, d
 
-    Image i becomes numerators over D_i when a power first needs it, and its
-    powers stay numerator maps (z_i^k over D_i^k).  Every term c * prod z_i^k
-    is summed over one denominator L, the lcm of c.d * prod D_i^k, with the
-    integer multiplier L // (c.d * prod D_i^k); only the sum is canonicalised.
+
+def _substitute_num(terms: dict, image, target: VariableSpace) -> tuple[dict, int]:
+    """The composition behind :meth:`HermitianPolynomial.substitute` and
+    :func:`~tubecert.maps.pullback`, as numerators (num, D): the result is num / D.
+
+    ``image(i)`` gives image i as numerators (num_i, D_i); it is called once for
+    each variable that occurs, and the powers stay numerator maps (z_i^k over
+    D_i^k).  Every term c * prod z_i^k is summed over one denominator D, the lcm
+    of c.d * prod D_i^k, with the integer multiplier D // (c.d * prod D_i^k).
+    Nothing is canonicalised.
     """
-    converted: dict = {}
-
-    def image(i):
-        if i not in converted:
-            converted[i] = _numerators(images[i].terms)
-        return converted[i]
-
+    held: dict = {}
+    for e in terms:
+        for i, k in enumerate(e):
+            if k and i not in held:
+                held[i] = image(i)
     parts = [(c._a, c._b, c._d) for c in terms.values()]
-    dens = [d * math.prod(image(i)[1] ** k for i, k in enumerate(e) if k)
+    dens = [d * math.prod(held[i][1] ** k for i, k in enumerate(e) if k)
             for e, (_, _, d) in zip(terms, parts)]
     common = math.lcm(*dens)
     zero = (0,) * (2 * target.n)
@@ -137,7 +146,7 @@ def _substitute(terms: dict, images: list, target: VariableSpace) -> dict:
         for i, k in enumerate(e):
             if k:
                 if (i, k) not in powers:
-                    powers[i, k] = _power(image(i)[0], k, _num_mul)
+                    powers[i, k] = _power(held[i][0], k, _num_mul)
                 term = powers[i, k] if term is None else _num_mul(term, powers[i, k])
         m = common // den
         a, b = a * m, b * m
@@ -151,7 +160,12 @@ def _substitute(terms: dict, images: list, target: VariableSpace) -> dict:
                 out[ex] = (x, y)
             elif s is not None:
                 del out[ex]
-    return _canonical(out, common)
+    return out, common
+
+
+def _substitute(terms: dict, images: list, target: VariableSpace) -> dict:
+    """:func:`_substitute_num` on polynomial images, canonicalised once per output term."""
+    return _canonical(*_substitute_num(terms, lambda i: _numerators(images[i].terms), target))
 
 
 class HermitianPolynomial:

@@ -871,6 +871,31 @@ def test_p_params_from_map_rejects_a_second_phase_off_the_unit_circle():
         p_params_from_map(HoloPolyMap(SP4, SP4, [c1, c2, bent, c4]), "+")
 
 
+def _bent_identity(component, monomial, coefficient) -> HoloPolyMap:
+    """The identity map of SP4 with one coefficient of one component set."""
+    comps = [HermitianPolynomial.variable(SP4, i) for i in range(4)]
+    comps[component] = comps[component] + HermitianPolynomial(
+        SP4, {monomial: coefficient - comps[component].coefficient(monomial)})
+    return HoloPolyMap(SP4, SP4, comps)
+
+
+@pytest.mark.parametrize("component, monomial, coefficient, message", [
+    (0, SP4.unit(0), GaussianRational(2, 1),
+     "|z1-coefficient|^2 is not a perfect rational square"),
+    (0, SP4.unit(0), GaussianRational(0), "|z1-coefficient|^2 is not a perfect rational square"),
+    (3, (0,) * 8, GaussianRational(1), "translation constant has a stray real part"),
+    (2, SP4.unit(2), GaussianRational(2), "recovered parameters violate the constraint: "
+                                          "phase psi must have modulus 1: |2|^2 = 4"),
+    (0, SP4.unit(1), GaussianRational(1), "recovered parameters do not regenerate the map"),
+], ids=["not a square", "zero", "stray real part", "constraint", "regenerate"])
+def test_each_closure_violation_message(component, monomial, coefficient, message):
+    f = _bent_identity(component, monomial, coefficient)
+    for sign in "+-":
+        with pytest.raises(ClosureViolation) as exc:
+            p_params_from_map(f, sign)
+        assert str(exc.value) == message
+
+
 def test_jacobian_rank_is_13():
     for sign in "+-":
         jac = p_chart_jacobian(sign)

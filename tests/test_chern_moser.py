@@ -1,13 +1,22 @@
 """Trace operator, normal-form conditions, non-umbilicity, scaling relation."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubecert import chern_moser
-from tubecert.catalog import PParams, make_isotropy_matrix, model_surface
+from tubecert.catalog import (
+    PParams,
+    make_isotropy_matrix,
+    model_surface,
+    random_gaussian,
+    random_p_params,
+)
 from tubecert.checks import CheckSpec, run_check
 from tubecert.chern_moser import (
     linear_scaling_check,
@@ -167,6 +176,59 @@ def test_linear_scaling_identity_phase_and_negative_control():
         for row in [[2, 0, 0], [0, Fraction(1, 2), 0], [0, 0, 1]]
     )
     assert linear_scaling_check(f22, bad, Fraction(1)) == (True, False)
+
+
+def reference_scaling(f22, U, lam):
+    """linear_scaling_check by the canonical route: each identity's two sides as
+    canonical polynomials (conjugate images from ``conjugate()``) and their difference."""
+    comps = [HermitianPolynomial(SP3, {SP3.unit(j): GaussianRational(x) if not isinstance(
+        x, GaussianRational) else x for j, x in enumerate(row)}) for row in U]
+    images = comps + [c.conjugate() for c in comps]
+    form = pairing_poly(SP3)
+    return ((form.substitute(images) - form).is_zero(),
+            (f22.substitute(images) - f22 * (1 / GaussianRational(lam) ** 2)).is_zero())
+
+
+@st.composite
+def scaling_cases(draw):
+    """(F_(2,2), U, lam): a model's F_(2,2), a random (2,2) polynomial or zero; the
+    isotropy matrix of a drawn group element, translations dropped, with lam = q^2, or with lam off by a factor,
+    or with one entry of U changed."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    sign = draw(st.sampled_from("+-"))
+    which = draw(st.sampled_from(["model", "model", "random", "zero"]))
+    if which == "model":
+        f22 = model_normal_form(sign)[2, 2]
+    elif which == "random":
+        monomials = [(a, b, c, d, e, f) for a in range(3) for b in range(3) for d in range(3)
+                     for e in range(3) if a + b <= 2 and d + e <= 2
+                     for c, f in [(2 - a - b, 2 - d - e)]]
+        f22 = HermitianPolynomial(SP3, {e: random_gaussian(rng) for e in draw(
+            st.lists(st.sampled_from(monomials), min_size=1, max_size=4))})
+    else:
+        f22 = HermitianPolynomial.zero(SP3)
+    zero = GaussianRational(0)
+    params = replace(random_p_params(rng, sign), u=Fraction(0), rho=zero, sigma=zero, tau=zero)
+    U = [list(row) for row in make_isotropy_matrix(params)]
+    lam = params.q ** 2
+    shape = draw(st.sampled_from(["as built", "lam", "U"]))
+    if shape == "lam":
+        lam *= draw(st.sampled_from([Fraction(1, 2), 2, 3, Fraction(4, 9)]))
+    elif shape == "U":
+        i, j = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        re, im = draw(st.tuples(st.integers(-3, 3), st.integers(-3, 3)).filter(any))
+        U[i][j] = U[i][j] + GaussianRational(Fraction(re, 2), im)
+    return f22, U, lam, (which, shape)
+
+
+@given(scaling_cases())
+@settings(max_examples=200, deadline=None)
+def test_linear_scaling_certificates_match_the_canonical_route(case):
+    f22, U, lam, (which, shape) = case
+    got = linear_scaling_check(f22, U, lam)
+    assert got == reference_scaling(f22, U, lam)
+    if shape == "as built":
+        assert got[0] and (got[1] or which == "random")
 
 
 @pytest.mark.parametrize("lam", [-1, 0, Fraction(-1, 4), GaussianRational(0, 1),

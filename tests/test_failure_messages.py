@@ -2,8 +2,9 @@
 
 These conditions build their message only when they fail.  Each test forces
 one of them to fail on a default-suite check, by swapping a routine the check
-reads for one returning a failing value, and pins the reason text (and, where
-a certificate fails, its evidence) byte for byte.
+reads for one returning a failing value or by certifying a bent map, and pins
+the reason text (and, where a certificate fails, its evidence: factor and
+residual head) byte for byte.
 """
 
 from dataclasses import replace
@@ -13,6 +14,7 @@ import pytest
 
 from tubecert import catalog, checks, geometry, lie
 from tubecert.checks import run_check
+from tubecert.maps import HoloPolyMap
 from tubecert.cli import default_config_text, parse_config
 from tubecert.scalars import GaussianRational
 
@@ -52,9 +54,13 @@ def test_universal_generator_certificate(monkeypatch):
           "residual_terms": 0, "residual_head": []}),
         ("gamma-generators-alpha-1-12", _doubled,
          {"reason": "phi at 11/4: factor 14641/128 != 14641/256"}),
-        ("group-invariance-plus", _inexact, {"reason": "group draw with q=3 did not certify exactly"}),
+        ("group-invariance-plus", _inexact,
+         {"reason": "group draw with q=3 did not certify exactly", "factor": "81",
+          "residual_terms": 0, "residual_head": []}),
         ("group-invariance-plus", _doubled, {"reason": "factor 162 != q^4 = 81"}),
-        ("quadric-action-2-3", _inexact, {"reason": "quadric action draw a=11/4 did not certify"}),
+        ("quadric-action-2-3", _inexact,
+         {"reason": "quadric action draw a=11/4 did not certify", "factor": "121/16",
+          "residual_terms": 0, "residual_head": []}),
         ("quadric-action-2-3", _doubled, {"reason": "factor 121/8 != a^2 = 121/16"}),
     ],
 )
@@ -62,6 +68,45 @@ def test_certificate_draws(monkeypatch, check_id, change, details):
     issue = checks.invariance_certificate
     monkeypatch.setattr(checks, "invariance_certificate", lambda *args: change(issue(*args)))
     assert _details(check_id) == details
+
+
+def _bent(f):
+    """f with its first component doubled: no symmetry of any surface here."""
+    return HoloPolyMap(f.space_in, f.space_out, [f.components[0] * 2, *f.components[1:]])
+
+
+@pytest.mark.parametrize(
+    "check_id, details",
+    [
+        ("group-invariance-plus",
+         {"reason": "group draw with q=3 did not certify exactly", "factor": "81",
+          "residual_terms": 17, "residual_head": [
+              "(-12327/64)", "(-9/16-153/16i)*zb3^1", "(-18117/388+8343/388i)*zb2^1"]}),
+        ("quadric-action-2-3",
+         {"reason": "quadric action draw a=11/4 did not certify", "factor": "121/16",
+          "residual_terms": 4, "residual_head": [
+              "(-27/8)", "(-99/16+99/16i)*zb1^1", "(-99/16-99/16i)*z1^1"]}),
+        ("normalizer-alpha-7-12",
+         {"reason": "conjugated equivalence did not certify exactly", "factor": "4",
+          "residual_terms": 7, "residual_head": [
+              "(-1)*z2^1*zb1^1", "(-1)*z1^1*zb2^1", "(-1)*z1^1*zb1^1*zb3^1"]}),
+    ],
+)
+def test_a_failing_certificate_shows_its_factor_and_residual(monkeypatch, check_id, details):
+    """Certified on a bent map, each draw fails on a genuine nonzero residual."""
+    invariance, equivalence = checks.invariance_certificate, checks.equivalence_certificate
+    monkeypatch.setattr(checks, "invariance_certificate", lambda rho, f: invariance(rho, _bent(f)))
+    monkeypatch.setattr(checks, "equivalence_certificate",
+                        lambda target, f, source: equivalence(target, _bent(f), source))
+    assert _details(check_id) == details
+
+
+def test_an_inexact_equivalence_shows_its_evidence(monkeypatch):
+    issue = checks.equivalence_certificate
+    monkeypatch.setattr(checks, "equivalence_certificate", lambda *args: _inexact(issue(*args)))
+    assert _details("normalizer-alpha-7-12") == {
+        "reason": "conjugated equivalence did not certify exactly", "factor": "4",
+        "residual_terms": 0, "residual_head": []}
 
 
 def test_group_draw_with_a_singular_linear_part(monkeypatch):

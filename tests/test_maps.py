@@ -5,16 +5,23 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tubecert.catalog import (
     composed_generator,
     make_gamma,
     make_generator,
+    make_normalizer_rational,
     model_surface,
+    quadric_surface,
+    quadric_transitive_map,
+    random_fraction,
+    random_gaussian,
     random_p_params,
     make_p_element,
 )
-from tubecert import exactla, poly
+from tubecert import exactla, maps, poly
 from tubecert.errors import DomainError, SpaceError
 from tubecert.maps import (
     AffineMapR,
@@ -23,7 +30,6 @@ from tubecert.maps import (
     equivalence_certificate,
     invariance_certificate,
     lift_affine,
-    pullback,
     pullback_diagonal_quartic,
     real_slice_certificate,
 )
@@ -31,6 +37,7 @@ from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational
 
 from affine_helpers import affine_det, affine_parts, rational_affine
+from pullback_helpers import canonical_pullback
 
 SP4 = VariableSpace(4)
 IDENTITY4 = AffineMapR(tuple(tuple(int(i == j) for j in range(4)) for i in range(4)), (0,) * 4, 1)
@@ -243,10 +250,10 @@ def test_raw_map_equals_the_checked_constructor():
 def test_pullback_identity_and_realness():
     rng = random.Random(5)
     rho = make_gamma(Fraction(1, 3)).rho
-    assert pullback(rho, HoloPolyMap.identity(SP4)) == rho
+    assert canonical_pullback(rho, HoloPolyMap.identity(SP4)) == rho
     for _ in range(100):
         f = lift_affine(rand_affine(rng))
-        assert pullback(rho, f).is_real_valued()
+        assert canonical_pullback(rho, f).is_real_valued()
 
 
 def test_weighted_scaling_pullback_factor():
@@ -357,3 +364,102 @@ def test_pullback_multiplies_no_polynomial_by_a_constant(monkeypatch):
     assert cert.exact
     assert constant_flags, "the pullback made no polynomial products"
     assert [flags for flags in constant_flags if any(flags)] == []
+
+
+# --- the numerator zero test against the canonical route ---------------------------
+
+
+def reference_certificate(rho_target, f, rho_source):
+    """(exact, factor, residual terms) by the canonical route: the pullback built with
+    each conjugate image from ``conjugate()`` and canonicalised, then p - rho_source * factor."""
+    p = rho_target.substitute(list(f.components) + [c.conjugate() for c in f.components])
+    lead = rho_source.first_monomial()
+    num = p.coefficient(lead)
+    if num == 0:
+        return False, num, p.terms
+    factor = num / rho_source.coefficient(lead)
+    residual = p - rho_source * factor
+    return residual.is_zero(), factor, residual.terms
+
+
+@st.composite
+def certificate_cases(draw):
+    """(rho_target, map, rho_source, shape): a group element, a quadric action, a lifted
+    generator or a normalizer, with both defining functions scaled by Q(i) constants or
+    not; the map as built, with one coefficient of one component changed, or (group
+    elements) with the last component zero, so that the model's lead monomial zb4 is
+    absent from the pullback."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    kind = draw(st.sampled_from(["group", "quadric", "generator", "normalizer"]))
+    if kind == "group":
+        sign = draw(st.sampled_from("+-"))
+        rho, f = model_surface(sign).rho, make_p_element(random_p_params(rng, sign))
+        source = rho
+    elif kind == "quadric":
+        p, n = draw(st.sampled_from([(1, 2), (2, 3), (1, 3)]))
+        a = random_fraction(rng, 1, 3, 4)
+        f = quadric_transitive_map(p, n, a, [random_gaussian(rng) for _ in range(n)],
+                                   random_fraction(rng))
+        rho = source = quadric_surface(p, n).rho
+    elif kind == "generator":
+        alpha = draw(st.sampled_from([Fraction(1, 12), Fraction(-2, 3), Fraction(123457, 4096)]))
+        generator = draw(st.sampled_from(["phi", "psi", "mu", "nu"]))
+        rho = source = make_gamma(alpha).rho
+        f = lift_affine(make_generator(generator, alpha, random_fraction(rng, 1, 3, 4)))
+    else:
+        eq = make_normalizer_rational(draw(st.sampled_from(
+            [Fraction(7, 12), Fraction(-1, 4), Fraction(1, 12)])))
+        rho, f, source = eq.conjugated_target_rho, eq.rational_map, eq.source_rho
+    if draw(st.booleans()):  # Q(i) multiples: a lead coefficient off the real line
+        rho, source = (r * GaussianRational(Fraction(draw(st.integers(1, 5)), 3),
+                                            draw(st.integers(-3, 3))) for r in (rho, source))
+    shape = draw(st.sampled_from(["as built", "mutated"] + ["lead vanishes"] * (kind == "group")))
+    comps, space = list(f.components), f.space_in
+    if shape == "mutated":
+        i = draw(st.integers(0, len(comps) - 1))
+        monomials = [(0,) * (2 * space.n), *(space.unit(j) for j in range(space.n)),
+                     (2,) + (0,) * (2 * space.n - 1), *comps[i].terms]
+        e = draw(st.sampled_from(monomials))
+        re, im = draw(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any))
+        delta = GaussianRational(Fraction(re, draw(st.sampled_from([1, 3]))), im)
+        comps[i] = comps[i] + HermitianPolynomial(space, {e: delta})
+    elif shape == "lead vanishes":
+        comps[-1] = HermitianPolynomial.zero(space)
+    return rho, HoloPolyMap(space, f.space_out, comps), source, (kind, shape)
+
+
+@given(certificate_cases())
+@settings(max_examples=200, deadline=None)
+def test_numerator_zero_test_matches_the_canonical_route(case):
+    """The certificate's exactness, factor and residual (its terms in order, each a
+    canonical triple) equal the canonical route's, passing or failing."""
+    rho, f, source, shape = case
+    cert = equivalence_certificate(rho, f, source)
+    exact, factor, residual = reference_certificate(rho, f, source)
+    assert cert.exact is exact
+    assert (cert.factor._a, cert.factor._b, cert.factor._d) == (factor._a, factor._b, factor._d)
+    assert [(e, c._a, c._b, c._d) for e, c in cert.residual.terms.items()] == [
+        (e, c._a, c._b, c._d) for e, c in residual.items()]
+    assert cert.residual.space == f.space_in
+    if shape[1] == "lead vanishes":
+        assert not cert.exact and cert.factor == 0 and cert.residual.terms
+    if shape[1] == "as built":
+        assert cert.exact
+
+
+def test_the_zero_test_canonicalises_only_a_failing_residual(monkeypatch):
+    """An exact certificate builds no Q(i) polynomial from the pullback: poly._canonical
+    runs only when the numerator test fails."""
+    canonicalised = []
+    original = poly._canonical
+
+    def recording(num, d):
+        canonicalised.append(len(num))
+        return original(num, d)
+
+    monkeypatch.setattr(maps, "_canonical", recording)
+    rho = model_surface("+").rho
+    element = make_p_element(random_p_params(random.Random(41), "+"))
+    assert invariance_certificate(rho, element).exact and canonicalised == []
+    bent = HoloPolyMap(SP4, SP4, [element.components[0] * 2, *element.components[1:]])
+    assert not invariance_certificate(rho, bent).exact and len(canonicalised) == 1
