@@ -47,8 +47,8 @@ from .maps import (
     HoloPolyMap,
     InvarianceCertificate,
     compose,
+    equivalence_certificate,
     pullback_diagonal_quartic,
-    real_slice_certificate,
 )
 from .poly import HermitianPolynomial, RealPolynomial, VariableSpace
 from .scalars import (
@@ -107,11 +107,15 @@ def gamma_graph(alpha) -> RealPolynomial:
     return RealPolynomial(_gamma_f(*(_var(SPACE3, i) for i in range(3)), as_rational(alpha)))
 
 
+def _gamma_g(z, alpha) -> HermitianPolynomial:
+    """g = z4 - f(z1,z2,z3) in the holomorphic variables z, alpha a number or a variable."""
+    return z[3] - _gamma_f(z[0], z[1], z[2], alpha)
+
+
 def gamma_base(alpha) -> HermitianPolynomial:
     """g = x4 - f(x1,x2,x3) in z1..z4.  The tube's rho is g(Re z), so a real
     affine F has rho o F = c rho exactly when g o F = c g."""
-    z1, z2, z3, z4 = (_var(SPACE4, i) for i in range(4))
-    return z4 - _gamma_f(z1, z2, z3, as_rational(alpha))
+    return _gamma_g([_var(SPACE4, i) for i in range(4)], as_rational(alpha))
 
 
 def make_gamma(alpha) -> Hypersurface:
@@ -176,16 +180,20 @@ GENERATORS = {"phi": ("q", lambda q: q**4), "psi": ("r", lambda r: 1),
 
 @functools.cache
 def universal_generator_certificate(kind: str) -> InvarianceCertificate:
-    """rho o F = c rho for one generator kind at every real alpha and parameter, built
-    on first use.  alpha = Re z5 and the parameter = Re z6 join the tube's space with
-    identity images, and the certificate is taken on their real slice."""
+    """g o F = c g for one generator kind at every alpha and parameter, built on first use.
+
+    alpha = z5 and the parameter = z6 join g's space as holomorphic variables with
+    identity images, and F is matched against g * c(z6), so an exact certificate has
+    factor 1.  A zero residual proves the identity as polynomials, at every value of
+    alpha and the parameter, real ones included; and rho o F = c rho follows for the
+    tube's rho = g(Re z), since F is real affine.
+    """
     z = [_var(SPACE6, i) for i in range(6)]
     mat, tr, d = _generator_rows(kind, z[4], 1, z[5], 1)
     comps = [sum(map(mul, row, z), t) * Fraction(1, d) for row, t in zip(mat, tr)]
     f = HoloPolyMap(SPACE6, SPACE6, comps + z[4:])
-    x = [_re(SPACE6, i) for i in range(6)]
-    rho = x[3] - _gamma_f(x[0], x[1], x[2], x[4])
-    return real_slice_certificate(rho, f, GENERATORS[kind][1](z[5]), (4, 5))
+    g = _gamma_g(z, z[4])
+    return equivalence_certificate(g, f, g * GENERATORS[kind][1](z[5]))
 
 
 def composed_generator(alpha, q, r, s, t) -> AffineMapR:

@@ -126,7 +126,8 @@ def _invariance_generators(spec: CheckSpec, rng, alpha: Fraction, count: int, ge
     for kind in generators:
         covers[kind] = ["alpha", catalog.GENERATORS[kind][0]]
         cert = catalog.universal_generator_certificate(kind)
-        _require(cert.exact, f"{kind} is not a symmetry for every {' and '.join(covers[kind])}",
+        _require(cert.exact and cert.factor == 1,
+                 f"{kind} is not a symmetry for every {' and '.join(covers[kind])}",
                  _evidence(cert))
         for _ in range(count):
             param = random_fraction(rng, -3, 3, 4)

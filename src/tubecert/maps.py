@@ -148,8 +148,10 @@ def compose(f: HoloPolyMap, g: HoloPolyMap) -> HoloPolyMap:
     """Exact polynomial composition f o g (f after g)."""
     if g.space_out != f.space_in:
         raise SpaceError("composition spaces do not match")
-    # f's components are holomorphic: their zb slots are never read, so g fills them too
-    comps = [c.substitute(list(g.components) * 2) for c in f.components]
+    # g's components are cleared once; f's are holomorphic, so only z slots are read
+    images = [_numerators(c.terms) for c in g.components]
+    comps = [HermitianPolynomial._raw(g.space_in, _canonical(
+        *_substitute_num(c.terms, images.__getitem__, g.space_in))) for c in f.components]
     return HoloPolyMap._raw(g.space_in, f.space_out, comps)
 
 
@@ -174,7 +176,7 @@ class InvarianceCertificate:
 
     map: HoloPolyMap
     rho: HermitianPolynomial
-    factor: object  # GaussianRational, or a polynomial on a real slice
+    factor: GaussianRational
     exact: bool
     residual: HermitianPolynomial
 
@@ -232,21 +234,6 @@ def equivalence_certificate(
 def invariance_certificate(rho: HermitianPolynomial, f: HoloPolyMap) -> InvarianceCertificate:
     """Certificate for ``rho o f = c * rho`` (self-equivalence of one surface)."""
     return equivalence_certificate(rho, f, rho)
-
-
-def real_slice_certificate(rho: HermitianPolynomial, f: HoloPolyMap, factor,
-                           real: tuple[int, ...]) -> InvarianceCertificate:
-    """Check ``rho o f = factor * rho`` on the slice zb_k = z_k (k in ``real``), where the
-    factor may be a polynomial in those z_k.  Real points are Zariski-dense, so a zero
-    residual proves the identity at every real value of them."""
-    n = rho.space.n
-    z = [HermitianPolynomial.variable(rho.space, i) for i in range(2 * n)]
-    for k in real:
-        z[n + k] = z[k]
-    # zb_k -> z_k is a ring map: restrict the images, not the larger pullback
-    images = list(f.components) + [c.conjugate().substitute(z) for c in f.components]
-    residual = rho.substitute(images) - rho.substitute(z) * factor
-    return InvarianceCertificate(f, rho, factor, residual.is_zero(), residual)
 
 
 def pullback_diagonal_quartic(rho: HermitianPolynomial, radicands: list) -> HermitianPolynomial:

@@ -13,9 +13,11 @@ is how the Levi and tube-Hessian numerics and the printed maps are read.
 
 Products and substitutions run on numerator pairs {exps: (a, b)} over one
 denominator: Gaussian integers over the lcm of the coefficients' denominators,
-summed as integers.  A product or :meth:`HermitianPolynomial.substitute` is
-canonicalised once per output term; a pullback (:func:`~tubecert.maps.pullback`)
-stays on numerators, so a certificate canonicalises only a residual that fails.
+summed as integers.  One kernel, :func:`_substitute_num`, runs every
+substitution: :meth:`HermitianPolynomial.substitute` and a composition
+(:func:`~tubecert.maps.compose`) are canonicalised once per output term; a
+pullback (:func:`~tubecert.maps.pullback`) stays on numerators, so a
+certificate canonicalises only a residual that fails.
 
 Real-valued polynomials (defining functions) are those fixed by conjugation;
 ``Re z_k`` is represented as (z_k + zb_k)/2 so every defining function is an
@@ -120,8 +122,9 @@ def _conjugate_numerators(image: tuple[dict, int], n: int) -> tuple[dict, int]:
 
 
 def _substitute_num(terms: dict, image, target: VariableSpace) -> tuple[dict, int]:
-    """The composition behind :meth:`HermitianPolynomial.substitute` and
-    :func:`~tubecert.maps.pullback`, as numerators (num, D): the result is num / D.
+    """The composition behind :meth:`HermitianPolynomial.substitute`,
+    :func:`~tubecert.maps.compose` and :func:`~tubecert.maps.pullback`, as
+    numerators (num, D): the result is num / D.
 
     ``image(i)`` gives image i as numerators (num_i, D_i); it is called once for
     each variable that occurs, and the powers stay numerator maps (z_i^k over
@@ -161,11 +164,6 @@ def _substitute_num(terms: dict, image, target: VariableSpace) -> tuple[dict, in
             elif s is not None:
                 del out[ex]
     return out, common
-
-
-def _substitute(terms: dict, images: list, target: VariableSpace) -> dict:
-    """:func:`_substitute_num` on polynomial images, canonicalised once per output term."""
-    return _canonical(*_substitute_num(terms, lambda i: _numerators(images[i].terms), target))
 
 
 class HermitianPolynomial:
@@ -339,7 +337,8 @@ class HermitianPolynomial:
         for img in images:
             if img.space != target:
                 raise SpaceError("substitution images live in different spaces")
-        return self._raw(target, _substitute(self.terms, images, target))
+        num = _substitute_num(self.terms, lambda i: _numerators(images[i].terms), target)
+        return self._raw(target, _canonical(*num))
 
     def evaluate(self, point):
         """Evaluate at exact values for the n holomorphic variables.

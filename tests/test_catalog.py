@@ -230,13 +230,16 @@ def test_one_wrong_integer_entry_of_psi_breaks_invariance():
 
 
 def test_universal_generator_certificates():
-    """Each generator is a symmetry for every real alpha and parameter: one exact identity
-    in z1..z6 with alpha = Re z5, the parameter = Re z6, and factor q^4 for phi."""
-    z6 = HermitianPolynomial.variable(catalog.SPACE6, 5)
+    """Each generator is a symmetry for every alpha and parameter: one exact identity
+    g o F = c g in z1..z6 with alpha = z5 and the parameter = z6, matched against
+    rho_source = g c(z6) (g z6^4 for phi), so the factor is 1."""
+    z = [HermitianPolynomial.variable(catalog.SPACE6, i) for i in range(6)]
+    g = z[3] - (z[0] * z[1] + z[2] ** 2 + z[0] ** 2 * z[2] + z[0] ** 4 * z[4])
     for kind in ("phi", "psi", "mu", "nu"):
         cert = catalog.universal_generator_certificate(kind)
         assert cert.exact and cert.residual.is_zero()
-        assert cert.factor == (z6**4 if kind == "phi" else 1)
+        assert cert.factor == 1 and cert.factor_is_positive_real
+        assert cert.rho == (g * z[5] ** 4 if kind == "phi" else g)
         assert catalog.universal_generator_certificate(kind) is cert  # kept for the process
 
 

@@ -164,9 +164,9 @@ def test_failed_universal_generator_certificate_reports_its_residual(monkeypatch
     assert result.status == "fail"
     assert result.details["reason"] == "psi is not a symmetry for every alpha and r"
     _assert_evidence(result.details, "1")
-    assert result.details["residual_terms"] == 33
-    assert result.details["residual_head"] == ["(-1/18)*zb3^1", "(-1/6)*zb2^1",
-                                               "(-1/6)*zb1^1*zb3^1"]
+    assert result.details["residual_terms"] == 16  # g(F(z) + e1/3) - g(F(z)), alpha = z5
+    assert result.details["residual_head"] == ["(-1/81)*z5^1", "(-4/27)*z5^1*z6^1",
+                                               "(-4/9)*z5^1*z6^2"]
 
 
 def test_failed_drawn_generator_certificate_reports_its_residual(monkeypatch):

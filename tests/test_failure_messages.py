@@ -8,6 +8,7 @@ residual head) byte for byte.
 """
 
 from dataclasses import replace
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -40,7 +41,26 @@ def test_universal_generator_certificate(monkeypatch):
                         lambda kind: _inexact(universal(kind)))
     assert _details("gamma-generators-alpha-1-12") == {
         "reason": "phi is not a symmetry for every alpha and q",
-        "factor": "(1)*z6^4",
+        "factor": "1",
+        "residual_terms": 0,
+        "residual_head": [],
+    }
+
+
+@pytest.mark.parametrize("check_id", ["gamma-generators-alpha-0", "gamma-generators-alpha-1-12",
+                                      "gamma-generators-alpha-1", "gamma-generators-alpha-neg2"])
+def test_a_wrong_universal_factor_fails_although_the_identity_is_exact(monkeypatch, check_id):
+    """Soundness control: with phi's factor doubled to 2q^4, g o F = q^4 g still holds
+    exactly, so the certificate is exact with factor 1/2, and only the factor test
+    rejects it."""
+    monkeypatch.setitem(catalog.GENERATORS, "phi", ("q", lambda q: 2 * q**4))
+    monkeypatch.setattr(catalog, "universal_generator_certificate",
+                        catalog.universal_generator_certificate.__wrapped__)  # past the cache
+    cert = catalog.universal_generator_certificate("phi")
+    assert cert.exact and cert.factor == GaussianRational(Fraction(1, 2))
+    assert _details(check_id) == {
+        "reason": "phi is not a symmetry for every alpha and q",
+        "factor": "1/2",
         "residual_terms": 0,
         "residual_head": [],
     }

@@ -31,7 +31,6 @@ from tubecert.maps import (
     invariance_certificate,
     lift_affine,
     pullback_diagonal_quartic,
-    real_slice_certificate,
 )
 from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational
@@ -185,19 +184,6 @@ def test_lift_equals_the_polynomial_construction():
         assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
 
 
-def test_real_slice_certificate_needs_the_real_slice():
-    """x1 -> t x1 scales Re z1 by t = Re z2 only where z2 is real."""
-    sp = VariableSpace(2)
-    z1, z2 = (HermitianPolynomial.variable(sp, i) for i in range(2))
-    rho = HermitianPolynomial.re_variable(sp, 0)
-    f = HoloPolyMap(sp, sp, [z1 * z2, z2])
-    cert = real_slice_certificate(rho, f, z2, (1,))
-    assert cert.exact and cert.factor == z2
-    off_slice = real_slice_certificate(rho, f, z2, ())
-    assert not off_slice.exact and len(off_slice.residual.terms) == 2  # (zb2 - z2) zb1 / 2
-    assert not real_slice_certificate(rho, f, z2 * 2, (1,)).exact
-
-
 def test_lift_is_a_homomorphism():
     rng = random.Random(2)
     for _ in range(30):
@@ -237,6 +223,41 @@ def test_compose_equals_substitution_with_the_conjugate_images():
         assert got == want and [c.terms for c in got.components] == [c.terms for c in want.components]
     lifted = lift_affine(rand_affine(rng))
     assert compose(lifted, make_p_element(random_p_params(rng, "+"))).components[0].is_holomorphic()
+
+
+@st.composite
+def composition_pairs(draw):
+    """(f, g) with f o g defined: two maps of C^4, each a group element, a lifted
+    generator or a normalizer map, or two quadric actions of one (p, n)."""
+    rng = random.Random(draw(st.integers(0, 10**6)))
+    if draw(st.integers(0, 3)) == 0:
+        p, n = draw(st.sampled_from([(1, 2), (2, 3), (1, 3)]))
+        return tuple(quadric_transitive_map(p, n, random_fraction(rng, 1, 3, 4),
+                                            [random_gaussian(rng) for _ in range(n)],
+                                            random_fraction(rng)) for _ in range(2))
+    maps4 = []
+    for kind in draw(st.tuples(*[st.sampled_from(["group", "generator", "normalizer"])] * 2)):
+        if kind == "group":
+            maps4.append(make_p_element(random_p_params(rng, draw(st.sampled_from("+-")))))
+        elif kind == "generator":
+            alpha = draw(st.sampled_from([Fraction(1, 12), Fraction(-2, 3), Fraction(123457, 4096)]))
+            generator = draw(st.sampled_from(["phi", "psi", "mu", "nu"]))
+            maps4.append(lift_affine(make_generator(generator, alpha, random_fraction(rng, 1, 3, 4))))
+        else:
+            maps4.append(make_normalizer_rational(draw(st.sampled_from(
+                [Fraction(7, 12), Fraction(-1, 4), Fraction(1, 12)]))).rational_map)
+    return tuple(maps4)
+
+
+@given(composition_pairs())
+@settings(max_examples=200, deadline=None)
+def test_numerator_compose_matches_the_substitution_route(pair):
+    """compose clears g's components once and runs the numerator kernel per component of
+    f; the term maps, in order, are those of substituting g into each component of f."""
+    f, g = pair
+    want = [c.substitute(list(g.components) * 2) for c in f.components]
+    got = compose(f, g).components
+    assert [list(c.terms.items()) for c in got] == [list(c.terms.items()) for c in want]
 
 
 def test_raw_map_equals_the_checked_constructor():

@@ -1,6 +1,7 @@
 """Every definition in the package is used by the package itself, every
 parameter default is overridden somewhere in it, no module of it imports
-numpy, and no float polynomial remains in it.
+numpy, no float polynomial remains in it, and one zero test builds every
+invariance certificate.
 
 A function, class or method that only tests call is surface the certifier
 does not need: either a default-suite check should use it or it should go.
@@ -114,6 +115,21 @@ def test_no_float_tower_names_remain_in_the_package():
             found += [f"{module}.py:{getattr(node, 'lineno', '?')}: {name}" for name in names
                       if name in ("to_float", "printed_map", "exact=", "parameter exact")]
     assert not found, f"float-tower names in src/tubecert: {found}"
+
+
+def test_only_the_zero_test_builds_a_certificate():
+    """An ``InvarianceCertificate(...)`` call appears only in maps.equivalence_certificate,
+    so a second certificate route cannot come back unnoticed."""
+    builders = set()
+    for module, tree in _trees().items():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call):
+                    func = node.func
+                    name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                    if name == "InvarianceCertificate":
+                        builders.add(f"{module}.{getattr(top, 'name', '<module>')}")
+    assert builders == {"maps.equivalence_certificate"}
 
 
 def test_every_definition_is_referenced_in_the_package():

@@ -151,3 +151,30 @@ def test_psi_with_symbolic_alpha_and_r():
     at = dict(zip(gens[:6], (*xs, a, r)))
     ours = [to_sympy(comp, gens).as_expr().subs(at, simultaneous=True) for comp in f.components]
     assert [sympy.expand(p - q) for p, q in zip(ours, image + [a, r])] == [0] * 6
+
+
+@pytest.mark.parametrize("kind", ["phi", "psi", "mu", "nu"])
+def test_universal_generator_identities(kind):
+    """g o F = c(q) g with alpha and the parameter q as sympy symbols, c = q^4 for phi and 1
+    otherwise; and the universal certificate's map, substituted into g by sympy, gives the
+    rho_source = c(z6) g it certified with factor 1."""
+    a, q = sympy.symbols("alpha q")
+    x1, x2, x3, x4 = xs = sympy.symbols("x1:5")
+    mat, tr, d = _generator_rows(kind, a, 1, q, 1)
+    image = [(sum(m * x for m, x in zip(row, xs)) + t) / d for row, t in zip(mat, tr)]
+    g = x4 - (x1 * x2 + x3**2 + x1**2 * x3 + a * x1**4)
+    c = q**4 if kind == "phi" else 1
+    assert sympy.expand(g.subs(dict(zip(xs, image)), simultaneous=True) - c * g) == 0
+
+    cert = universal_generator_certificate(kind)
+    assert cert.exact and cert.factor == 1
+    gens = symbols(cert.map.space_in)
+    z1, z2, z3, z4, z5, z6 = gens[:6]
+    g6 = z4 - (z1 * z2 + z3**2 + z1**2 * z3 + z5 * z1**4)
+    comps = [to_sympy(comp, gens) for comp in cert.map.components]
+    images = comps + [conjugate_image(comp, gens) for comp in comps]
+    pulled = substitute(sympy.Poly(g6, *gens, domain=sympy.QQ_I), images, gens)
+    source = to_sympy(cert.rho, gens)
+    assert term_map(pulled) == term_map(source)
+    c6 = z6**4 if kind == "phi" else 1
+    assert source == sympy.Poly(c6 * g6, *gens, domain=sympy.QQ_I)

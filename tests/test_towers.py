@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import pytest
 
-from tubecert import catalog, checks, chern_moser, geometry, lie, poly
+from tubecert import catalog, checks, chern_moser, geometry, lie, maps, poly
 from tubecert.catalog import (
     BASE_POINT,
     composed_generator,
@@ -189,7 +189,8 @@ def test_printed_map_check_multiplies_no_polynomials(monkeypatch):
         raise AssertionError("polynomial arithmetic on the float path")
 
     monkeypatch.setattr(poly, "_num_mul", refuse)
-    monkeypatch.setattr(poly, "_substitute", refuse)
+    monkeypatch.setattr(poly, "_substitute_num", refuse)  # substitute
+    monkeypatch.setattr(maps, "_substitute_num", refuse)  # compose and pullback
     spec = checks.CheckSpec("n", "invariance", "normalizer(alpha=7/12)", seed=11, path="float")
     details = checks._invariance_equivalence(
         spec, random.Random(11), rationalized, checks.EXPECTED_NORMALIZER_FACTOR)
