@@ -31,11 +31,11 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from collections.abc import Callable, Mapping
 from fractions import Fraction
 from itertools import islice
-from operator import mul
+from operator import attrgetter, mul
+from types import MappingProxyType
 from typing import NamedTuple
 
 from . import exactla, lie
@@ -259,7 +259,6 @@ def model_domain(sign: str, side: str) -> SidedDomain:
     return SidedDomain(model_surface(sign), _side_sign(side))
 
 
-@dataclass(frozen=True)
 class PParams:
     """The 13 real parameters of a quartic-model symmetry, with their constraint.
 
@@ -271,20 +270,45 @@ class PParams:
 
     d is stored explicitly: the constraint fixes only |d|, and d's phase is a
     genuine parameter direction.  ``_map`` holds the element's map once
-    :func:`make_p_element` has validated and built it; ``replace`` starts empty.
+    :func:`make_p_element` has validated and built it; equality, hashing and
+    repr read the ten fields only, and a :meth:`_replace` copy starts empty.
     """
 
-    sign: str
-    q: object
-    phi_phase: object
-    psi_phase: object
-    u: object
-    rho: object
-    sigma: object
-    tau: object
-    b: object
-    d: object
-    _map: object = field(default=None, init=False, compare=False, repr=False)
+    _fields = ("sign", "q", "phi_phase", "psi_phase", "u", "rho", "sigma", "tau", "b", "d")
+    __slots__ = _fields + ("_map",)
+
+    def __init__(self, sign, q, phi_phase, psi_phase, u, rho, sigma, tau, b, d):
+        set_ = object.__setattr__  # one call per slot: a loop over them costs about 45% more
+        set_(self, "sign", sign)
+        set_(self, "q", q)
+        set_(self, "phi_phase", phi_phase)
+        set_(self, "psi_phase", psi_phase)
+        set_(self, "u", u)
+        set_(self, "rho", rho)
+        set_(self, "sigma", sigma)
+        set_(self, "tau", tau)
+        set_(self, "b", b)
+        set_(self, "d", d)
+        set_(self, "_map", None)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PParams is immutable")
+
+    def _replace(self, **changes) -> "PParams":
+        """A copy with the given fields changed, keeping no map."""
+        return PParams(**dict(zip(self._fields, _p_fields(self)), **changes))
+
+    def __eq__(self, other):
+        if not isinstance(other, PParams):
+            return NotImplemented
+        return _p_fields(self) == _p_fields(other)
+
+    def __hash__(self):
+        return hash(_p_fields(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, _p_fields(self)))
+        return f"PParams({shown})"
 
     def validate(self):
         sign_to_eps(self.sign)
@@ -307,6 +331,9 @@ class PParams:
                 f"|d|^2 = {d.abs2()} != -2 q^3 Re(phase*conj(b)) = {-2 * q ** 3 * w.re}"
             )
         return self
+
+
+_p_fields = attrgetter(*PParams._fields)
 
 
 def identity_p_params(sign: str) -> PParams:
@@ -593,7 +620,6 @@ def normalizer_strength(alpha) -> Fraction:
     return (12 * as_rational(alpha) - 1) / 8
 
 
-@dataclass(frozen=True)
 class RationalizedEquivalence:
     """A printed map split as (diagonal scaling) o (rational map).
 
@@ -605,15 +631,18 @@ class RationalizedEquivalence:
     when the scaling does not conjugate ``target_rho`` exactly.
     """
 
-    rational_map: HoloPolyMap
-    target_rho: HermitianPolynomial
-    source_rho: HermitianPolynomial
-    radicands: tuple
-    conjugated_target_rho: HermitianPolynomial = field(init=False)
+    __slots__ = ("rational_map", "target_rho", "source_rho", "radicands",
+                 "conjugated_target_rho")
 
-    def __post_init__(self):
-        conj = pullback_diagonal_quartic(self.target_rho, self.radicands)
-        object.__setattr__(self, "conjugated_target_rho", conj)
+    def __init__(self, rational_map: HoloPolyMap, target_rho: HermitianPolynomial,
+                 source_rho: HermitianPolynomial, radicands: tuple):
+        conj = pullback_diagonal_quartic(target_rho, radicands)
+        for name, value in zip(self.__slots__,
+                               (rational_map, target_rho, source_rho, radicands, conj)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("RationalizedEquivalence is immutable")
 
     def printed_image(self, point) -> list[complex]:
         """The printed map diag(radicand_i^(1/4)) o rational_map at a point of C^n,
@@ -653,14 +682,22 @@ def make_normalizer_rational(alpha) -> RationalizedEquivalence:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class QuadricFamily:
-    p: int
-    n: int
+    """The Hermitian form H_{p,n}, 1 <= p <= n, and the affine action it defines."""
 
-    def __post_init__(self):
-        if not (1 <= self.p <= self.n):
+    __slots__ = ("p", "n")
+
+    def __init__(self, p: int, n: int):
+        if not (1 <= p <= n):
             raise DomainError("need 1 <= p <= n")
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("QuadricFamily is immutable")
+
+    def __repr__(self):
+        return f"QuadricFamily(p={self.p}, n={self.n})"
 
     @property
     def eps(self) -> tuple[int, ...]:
@@ -876,9 +913,9 @@ def stated_line(ident: str):
 def control_bad_constraint(sign: str) -> HoloPolyMap:
     """A would-be symmetry whose d is off by one: the constraint fails, and so
     must the certificate."""
-    good = replace(identity_p_params(sign), q=Fraction(2), b=GaussianRational(-1),
-                   d=GaussianRational(4)).validate()
-    return _p_map(replace(good, d=good.d + 1))
+    good = identity_p_params(sign)._replace(q=Fraction(2), b=GaussianRational(-1),
+                                            d=GaussianRational(4)).validate()
+    return _p_map(good._replace(d=good.d + 1))
 
 
 def control_wrong_phase(sign: str) -> HoloPolyMap:
@@ -889,9 +926,9 @@ def control_wrong_phase(sign: str) -> HoloPolyMap:
     phases and a nonzero z3-translation the invariance identity fails,
     confirming the correct reading of that coefficient.
     """
-    params = replace(identity_p_params(sign), phi_phase=phase_from_parameter(Fraction(1, 2)),
-                     psi_phase=phase_from_parameter(Fraction(1, 3)),
-                     tau=GaussianRational(1)).validate()
+    params = identity_p_params(sign)._replace(phi_phase=phase_from_parameter(Fraction(1, 2)),
+                                              psi_phase=phase_from_parameter(Fraction(1, 3)),
+                                              tau=GaussianRational(1)).validate()
     *head, last = make_p_element(params).components
     coeff = params.tau.conjugate() * (params.phi_phase - params.psi_phase) * (2 * params.q**2)
     slip = HermitianPolynomial(SPACE4, {SPACE4.unit(2): coeff})
@@ -903,8 +940,7 @@ def control_wrong_phase(sign: str) -> HoloPolyMap:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RegistryEntry:
+class RegistryEntry(NamedTuple):
     ident: str
     kind: str
     description: str
@@ -950,6 +986,9 @@ def one_of(*options: str) -> Callable[[str], str]:
     return parse
 
 
+# The default of a record's mapping field: read-only, so the one shared default stays empty.
+NO_ENTRIES = MappingProxyType({})
+
 # Identifier arguments and their parsers; every catalog family draws from these.
 IDENT_ARGS = {
     "alpha": printable_rational,
@@ -961,8 +1000,7 @@ IDENT_ARGS = {
 }
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(NamedTuple):
     """A registry family: the arguments its identifiers take (``args``) and
     bind (``binds``; an argument in both is optional), its kind, constructor
     and description (formatted with the arguments and the object ``obj``)."""
@@ -971,7 +1009,7 @@ class Family:
     kind: str
     make: Callable
     description: str
-    binds: dict = field(default_factory=dict)
+    binds: Mapping = NO_ENTRIES
 
 
 def _p_identity_element(sign: str) -> HoloPolyMap:

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import random
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import catalog, chern_moser, geometry, lie
 from .catalog import (
     BASE_POINT,
+    NO_ENTRIES,
     composed_generator,
     identity_p_params,
     make_generator,
@@ -64,20 +65,18 @@ EXPECTED_TUBE_FACTOR = GaussianRational(1)
 EXPECTED_CAYLEY_FACTOR = GaussianRational(4)
 
 
-@dataclass(frozen=True)
-class CheckSpec:
+class CheckSpec(NamedTuple):
     """One executable check from a config file."""
 
     id: str
     kind: str
     target: str
-    parameters: dict = field(default_factory=dict)  # config text until prepare() types it
+    parameters: Mapping = NO_ENTRIES  # config text until prepare() types it
     seed: int = 0
     path: str = "exact"  # exact | float | both
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     id: str
     status: str  # pass | fail | error
     details: dict
@@ -403,14 +402,14 @@ def _chern_moser(spec: CheckSpec, rng, sign: str, constant_draws: int) -> dict:
     _require(preserved and holds, "identity scaling check failed")
 
     identity = identity_p_params(sign)
-    phases = replace(identity, phi_phase=phase_from_parameter(Fraction(1, 2)),
-                     psi_phase=phase_from_parameter(Fraction(2, 3))).validate()
+    phases = identity._replace(phi_phase=phase_from_parameter(Fraction(1, 2)),
+                               psi_phase=phase_from_parameter(Fraction(2, 3))).validate()
     preserved, holds = chern_moser.linear_scaling_check(
         f22, catalog.make_isotropy_matrix(phases), Fraction(1))
     _require(preserved and holds, "phase isotropy scaling check failed")
 
-    scaled = replace(identity, q=Fraction(2), b=GaussianRational(-1),
-                     d=GaussianRational(4)).validate()
+    scaled = identity._replace(q=Fraction(2), b=GaussianRational(-1),
+                               d=GaussianRational(4)).validate()
     preserved, holds = chern_moser.linear_scaling_check(
         f22, catalog.make_isotropy_matrix(scaled), Fraction(4))
     _require(preserved and holds, "q-scaled isotropy check failed")
@@ -497,7 +496,7 @@ def _lie_isotropy(spec: CheckSpec, rng, draws: int) -> dict:
     zero = GaussianRational(0)
     for _ in range(draws):
         params = random_p_params(rng, "+")
-        translation_free = replace(params, u=0, rho=zero, sigma=zero, tau=zero).validate()
+        translation_free = params._replace(u=0, rho=zero, sigma=zero, tau=zero).validate()
         U = catalog.make_isotropy_matrix(translation_free)
         res = catalog.pseudo_unitarity_residual(U)
         _require(
@@ -633,14 +632,13 @@ def _upper_side(target: str, args: dict):
         raise DomainError("the omega transitivity solver covers only side=>")
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """A row of the check table: ``run(spec, rng, **target_args, **parameters)``,
     each parameter's parser and default, the ``path`` values honoured, and
     ``admits(target, args)``, which raises DomainError for a target not covered."""
 
     run: Callable
-    params: dict = field(default_factory=dict)
+    params: Mapping = NO_ENTRIES
     paths: tuple[str, ...] = ("exact",)
     admits: Callable | None = None
 
@@ -730,7 +728,7 @@ def _bind(spec: CheckSpec) -> tuple[Check, dict, dict]:
 
 def prepare(spec: CheckSpec) -> CheckSpec:
     """``spec`` with typed parameters, defaults filled in; ConfigError if the table rejects it."""
-    return replace(spec, parameters=_bind(spec)[2])
+    return spec._replace(parameters=_bind(spec)[2])
 
 
 def _handler(kind: str):

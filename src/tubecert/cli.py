@@ -22,7 +22,6 @@ Exit codes: 0 all checks pass, 1 any check fails, 2 config or internal error.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import sys
 from importlib import resources
@@ -128,7 +127,7 @@ def run_suite(
     results = []
     for spec in specs:
         if seed_override is not None:
-            spec = dataclasses.replace(spec, seed=seed_override)
+            spec = spec._replace(seed=seed_override)
         results.append(run_check(spec))
         if fail_fast and results[-1].status != "pass":
             break

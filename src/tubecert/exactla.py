@@ -182,6 +182,12 @@ def rank(rows: list[list]) -> int:
     return len(_eliminate(m, ring))
 
 
+def integer_rank(rows: list[list], gaussian: bool) -> int:
+    """The rank of non-empty, already cleared rows: integers, or Gaussian-integer
+    pairs (a, b) when ``gaussian``.  Only the outer list is copied; rows are not changed."""
+    return len(_eliminate(list(rows), _ZI if gaussian else _Z))
+
+
 def nullspace(rows: list[list], ncols: int, one) -> list[list]:
     """Exact basis of {x : rows @ x = 0} for x with ``ncols`` entries.
 

@@ -23,8 +23,8 @@ two Bunch-Kaufman LDL^T factorizations (:func:`_inertia`) of H - cI and H + cI.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import DomainError, NotAHypersurfacePoint, SpaceError
 from .poly import HermitianPolynomial, RealPolynomial, VariableSpace
@@ -92,16 +92,24 @@ class Hypersurface:
         return f"Hypersurface({self.rho})"
 
 
-@dataclass(frozen=True)
 class SidedDomain:
-    """One open side of a hypersurface: the set where sign(rho) == side."""
+    """One open side of a hypersurface: the set where sign(rho) == side (+1 means rho > 0)."""
 
-    surface: Hypersurface
-    side: int  # +1 means rho > 0
+    __slots__ = ("surface", "side")
 
-    def __post_init__(self):
-        if self.side not in (+1, -1):
+    def __init__(self, surface: Hypersurface, side: int):
+        if side not in (+1, -1):
             raise DomainError("side must be +1 or -1")
+        object.__setattr__(self, "surface", surface)
+        object.__setattr__(self, "side", side)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SidedDomain is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, SidedDomain):
+            return NotImplemented
+        return self.surface == other.surface and self.side == other.side
 
     @property
     def rho(self) -> HermitianPolynomial:
@@ -242,8 +250,7 @@ def _inertia(a, shift: float = 0.0) -> tuple[int, int, int]:
     return (pos, neg, n - pos - neg)
 
 
-@dataclass(frozen=True)
-class LeviData:
+class LeviData(NamedTuple):
     """Levi form data at a point of a hypersurface.
 
     ``signature`` is orientation-free (larger count first); ``signature_signed``
@@ -370,8 +377,7 @@ def lifted_tube(f: RealPolynomial) -> Hypersurface:
     return Hypersurface(f.poly.substitute(images) - re[n])
 
 
-@dataclass(frozen=True)
-class LineWitness:
+class LineWitness(NamedTuple):
     """Report that a domain contains the affine complex line base + t*direction.
 
     ``grade`` records the strength of the evidence:

@@ -8,7 +8,9 @@ entry into two rational coordinates.  Where only a dimension is wanted it is
 the basis size less a rank, and ranks count pivots without building kernel
 vectors.  The hot kernels run on Gaussian-integer numerators over one
 denominator, kept once per subspace: a 3x3 product and a combination of basis
-matrices sum integers and canonicalise each entry once, a Cayley group element
+matrices sum integers and canonicalise each entry once, the independence
+check and a membership test eliminate the kept rows (with one cleared row
+appended for membership) over the integers, a Cayley group element
 is a closed-form adjugate over a Gaussian-integer determinant with no field
 inverse, and the line minors of (Xw, w) come out as plain ints.
 
@@ -24,9 +26,9 @@ su(2,1) have real dimensions 4, 4, 5.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from typing import NamedTuple
 
 from . import exactla
 from .errors import DomainError
@@ -138,33 +140,34 @@ def sl3() -> LieSubspace:
     return LieSubspace(tuple(basis), "C")
 
 
-@dataclass(frozen=True)
 class LieSubspace:
     """A subspace of 3x3 matrices over its scalar field.
 
     ``field`` is 'C' for complex subspaces of sl(3,C) and 'R' for real
-    subspaces (of u(2,1)-type algebras).  The basis is checked for exact
-    linear independence on construction.
+    subspaces (of u(2,1)-type algebras).  ``numerators`` is (rows, d): each
+    basis matrix as nine Gaussian-integer pairs over one d > 0.  The basis is
+    checked for exact linear independence on construction, on those rows.
     """
 
-    basis: tuple
-    field: str  # 'C' or 'R'
+    __slots__ = ("basis", "field", "numerators")
 
-    def __post_init__(self):
-        if self.field not in ("C", "R"):
+    def __init__(self, basis: tuple, field: str):
+        if field not in ("C", "R"):
             raise DomainError("field must be 'C' or 'R'")
-        if self.basis and self.rank_of(self.basis) != len(self.basis):
+        pairs, d = _over_lcm([x for X in basis for x in flatten(X)])
+        rows = [pairs[k:k + 9] for k in range(0, len(pairs), 9)]
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "numerators", (rows, d))
+        if basis and self._integer_rank(rows) != len(basis):
             raise DomainError("basis is not linearly independent")
+
+    def __setattr__(self, name, value):
+        raise AttributeError("LieSubspace is immutable")
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    @functools.cached_property
-    def numerators(self) -> tuple[list, int]:
-        """(rows, d): each basis matrix as nine Gaussian-integer pairs over one d > 0."""
-        pairs, d = _over_lcm([x for X in self.basis for x in flatten(X)])
-        return [pairs[k:k + 9] for k in range(0, len(pairs), 9)], d
 
     def rank_of(self, mats) -> int:
         if self.field == "C":
@@ -173,10 +176,20 @@ class LieSubspace:
             rows = [realify(flatten(m)) for m in mats]
         return exactla.rank(rows)
 
+    def _integer_rank(self, rows) -> int:
+        """The rank of non-empty Gaussian-integer rows over the field; over 'R' each
+        pair (a, b) is two integer entries.  Scaling a row by a positive integer, as
+        clearing it to integers does, keeps the rank."""
+        if self.field == "R":
+            return exactla.integer_rank([list(chain.from_iterable(row)) for row in rows], False)
+        return exactla.integer_rank(rows, True)
+
     def contains(self, X: Mat3) -> bool:
+        """Whether X lies in the span: X's numerators appended to the basis rows
+        leave the rank at dim S."""
         if not self.basis:
             return is_zero_matrix(X)
-        return self.rank_of(list(self.basis) + [X]) == len(self.basis)
+        return self._integer_rank([*self.numerators[0], _over_lcm(flatten(X))[0]]) == self.dimension
 
 
 def _kernel(images, field: str) -> list[list]:
@@ -223,8 +236,7 @@ def ad_kernel_dim(P: Mat3, S: LieSubspace) -> int:
     return S.dimension - S.rank_of([bracket(P, b) for b in S.basis])
 
 
-@dataclass(frozen=True)
-class SubalgebraReport:
+class SubalgebraReport(NamedTuple):
     closed: bool
     witness: tuple | None  # failing basis pair, when not closed
 

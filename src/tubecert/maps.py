@@ -18,7 +18,6 @@ fourth roots) are certified after conjugating away the diagonal part (see
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
@@ -167,8 +166,7 @@ def pullback(rho: HermitianPolynomial, f: HoloPolyMap) -> tuple[dict, int]:
         f.space_in)
 
 
-@dataclass(frozen=True)
-class InvarianceCertificate:
+class InvarianceCertificate(NamedTuple):
     """The checked statement ``pullback(rho, map) = factor * rho``.
 
     ``exact`` is True only when the residual polynomial is identically zero.

@@ -27,7 +27,6 @@ ordinary polynomial here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, mul
 
@@ -35,15 +34,29 @@ from .errors import DomainError, SpaceError
 from .scalars import GaussianRational, _over_lcm, _power, _reduce, as_rational, format_gaussian
 
 
-@dataclass(frozen=True)
 class VariableSpace:
     """n holomorphic variables plus their formal conjugates (2n in total)."""
 
-    n: int
+    __slots__ = ("n",)
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int):
+        if n < 1:
             raise DomainError("a variable space needs at least one variable")
+        object.__setattr__(self, "n", n)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("VariableSpace is immutable")
+
+    def __eq__(self, other):
+        if not isinstance(other, VariableSpace):
+            return NotImplemented
+        return self.n == other.n
+
+    def __hash__(self):
+        return hash((self.n,))
+
+    def __repr__(self):
+        return f"VariableSpace(n={self.n})"
 
     @property
     def names(self) -> list[str]:

@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import textwrap
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -447,7 +446,7 @@ def test_constraint_validation():
 
 @pytest.mark.parametrize("field", ["phi_phase", "psi_phase"])
 def test_validate_rejects_a_non_unit_phase(field):
-    params = replace(identity_p_params("+"), **{field: GaussianRational(Fraction(1, 2))})
+    params = identity_p_params("+")._replace(**{field: GaussianRational(Fraction(1, 2))})
     with pytest.raises(ConstraintError, match=f"phase {field[:3]} must have modulus 1"):
         params.validate()
     with pytest.raises(ConstraintError):
@@ -463,7 +462,7 @@ def test_validate_phase_check_on_integers_matches_the_fraction_modulus():
     near = [w * GaussianRational(Fraction(rng.randint(1, 9), rng.randint(1, 9))) for w in units]
     for w in units + near + [GaussianRational(0), GaussianRational(1, 1)]:
         for field in ("phi_phase", "psi_phase"):
-            params = replace(identity_p_params("-"), **{field: w})
+            params = identity_p_params("-")._replace(**{field: w})
             if w.abs2() == 1:
                 assert params.validate() is params
                 continue
@@ -483,8 +482,9 @@ def test_wrong_phase_control_misreads_only_the_z3_coefficient_of_z4():
     """The control is the correct element with phi in place of psi in the one
     coefficient 2 (conj(rho) q d + conj(tau) q^2 psi) of z3 in the last component."""
     for sign in "+-":
-        params = replace(identity_p_params(sign), phi_phase=phase_from_parameter(Fraction(1, 2)),
-                         psi_phase=phase_from_parameter(Fraction(1, 3)), tau=GaussianRational(1))
+        params = identity_p_params(sign)._replace(
+            phi_phase=phase_from_parameter(Fraction(1, 2)),
+            psi_phase=phase_from_parameter(Fraction(1, 3)), tau=GaussianRational(1))
         good = make_p_element(params).components
         bad = control_wrong_phase(sign).components
         z3 = SP4.unit(2)
@@ -548,8 +548,8 @@ def _term_by_term(params: PParams) -> HoloPolyMap:
 def test_fast_p_element_equals_the_term_by_term_build():
     rng = random.Random(18)
     # sign -, q = 1, rho = 1, b = -2: the z1 coefficient 2|rho|^2 q phi + q^2 b of z2 vanishes
-    cancelling = replace(identity_p_params("-"), rho=GaussianRational(1), b=GaussianRational(-2),
-                         d=GaussianRational(2)).validate()
+    cancelling = identity_p_params("-")._replace(rho=GaussianRational(1), b=GaussianRational(-2),
+                                                 d=GaussianRational(2)).validate()
     cases = [identity_p_params("+"), identity_p_params("-"), cancelling]
     cases += [random_p_params(rng, sign) for sign in "+-" for _ in range(10)]
     for params in cases:
@@ -567,15 +567,15 @@ def test_kept_element_map_is_never_stale():
     f = make_p_element(a)
     assert a._map is f and make_p_element(a) is f
     # equality, hashing and repr ignore the kept map
-    twin = replace(a)
+    twin = a._replace()
     assert twin._map is None and twin == a and hash(twin) == hash(a) and repr(twin) == repr(a)
-    moved = replace(a, u=a.u + 1)
+    moved = a._replace(u=a.u + 1)
     assert moved._map is None and make_p_element(moved) != f
     assert make_p_element(moved) == _term_by_term(moved)
     # the unchecked build neither reads nor fills the slot, so a kept map always passed validate()
-    good = replace(identity_p_params("+"), q=Fraction(2), b=GaussianRational(-1),
-                   d=GaussianRational(4)).validate()
-    bad = replace(good, d=good.d + 1)
+    good = identity_p_params("+")._replace(q=Fraction(2), b=GaussianRational(-1),
+                                           d=GaussianRational(4)).validate()
+    bad = good._replace(d=good.d + 1)
     catalog._p_map(bad)
     assert bad._map is None
     with pytest.raises(ConstraintError):
@@ -688,8 +688,8 @@ def _constraint_error(params):
 def test_integer_constraint_matches_the_fraction_formula():
     phi = phase_from_parameter(Fraction(1, 2))
     # The boundary: Re(phase * conj(b)) = 0 with d = 0.
-    boundary = replace(identity_p_params("+"), phi_phase=phi, q=Fraction(3, 2),
-                       b=phi * GaussianRational(0, Fraction(5, 3)))
+    boundary = identity_p_params("+")._replace(phi_phase=phi, q=Fraction(3, 2),
+                                               b=phi * GaussianRational(0, Fraction(5, 3)))
     assert _constraint_error(boundary) is None and _fraction_constraint_error(boundary) is None
     rng = random.Random(24)
     rejected = 0
@@ -699,12 +699,12 @@ def test_integer_constraint_matches_the_fraction_formula():
             assert _constraint_error(p) is None and _fraction_constraint_error(p) is None
             a, b, den = p.d._a, p.d._b, p.d._d
             for da, db in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-                moved = replace(p, d=GaussianRational(Fraction(a + da, den), Fraction(b + db, den)))
+                moved = p._replace(d=GaussianRational(Fraction(a + da, den), Fraction(b + db, den)))
                 text = _constraint_error(moved)
                 assert text is not None and text.startswith("|d|^2 = ")
                 assert text == _fraction_constraint_error(moved)
             if not p.d.is_zero():  # then Re(phase * conj(b)) < 0, and -b makes it positive
-                flipped = replace(p, b=-p.b)
+                flipped = p._replace(b=-p.b)
                 assert _constraint_error(flipped) == "Re(phase * conj(b)) must be <= 0"
                 assert _fraction_constraint_error(flipped) == "Re(phase * conj(b)) must be <= 0"
                 rejected += 1
@@ -754,13 +754,13 @@ def _invert_p_map(f: HoloPolyMap) -> HoloPolyMap:
 
 def _translation(a: PParams) -> PParams:
     """T: q = 1, unit phases, b = d = 0, and a's rho, sigma, tau and u."""
-    return replace(identity_p_params(a.sign), u=a.u, rho=a.rho, sigma=a.sigma, tau=a.tau)
+    return identity_p_params(a.sign)._replace(u=a.u, rho=a.rho, sigma=a.sigma, tau=a.tau)
 
 
 def _linear(a: PParams) -> PParams:
     """L: a's q, phases, b and d, with rho = sigma = tau = u = 0."""
     zero = GaussianRational(0)
-    return replace(a, u=Fraction(0), rho=zero, sigma=zero, tau=zero)
+    return a._replace(u=Fraction(0), rho=zero, sigma=zero, tau=zero)
 
 
 @st.composite
@@ -771,9 +771,9 @@ def _inverse_cases(draw):
     shape = draw(st.sampled_from(["as drawn", "d = 0", "b = 0", "translation only"]))
     zero = GaussianRational(0)
     if shape == "d = 0":  # b = phi (-|d|^2 / (2 q^3) - i y) loses its |d|^2 part
-        return replace(a, d=zero, b=a.b + a.phi_phase * (a.d.abs2() / (2 * a.q**3)))
+        return a._replace(d=zero, b=a.b + a.phi_phase * (a.d.abs2() / (2 * a.q**3)))
     if shape == "b = 0":
-        return replace(a, b=zero, d=zero)
+        return a._replace(b=zero, d=zero)
     if shape == "translation only":
         return _translation(a)
     return a
@@ -797,7 +797,7 @@ def test_each_element_is_its_translation_after_its_linear_factor():
             a = random_p_params(rng, sign)
             t = _translation(a)
             assert make_p_element(a) == compose(make_p_element(t), make_p_element(_linear(a)))
-            t_inv = replace(t, u=-t.u, rho=-t.rho, sigma=-t.sigma, tau=-t.tau)
+            t_inv = t._replace(u=-t.u, rho=-t.rho, sigma=-t.sigma, tau=-t.tau)
             assert compose(make_p_element(t), make_p_element(t_inv)) == HoloPolyMap.identity(SP4)
             assert p_inverse(t) == t_inv
 
@@ -1054,8 +1054,8 @@ def test_isotropy_matrix_never_builds_the_fourth_component(monkeypatch):
             yield row
 
     monkeypatch.setattr(catalog, "_p_rows", counting)
-    params = replace(identity_p_params("+"), q=Fraction(2), b=GaussianRational(-1),
-                     d=GaussianRational(4)).validate()
+    params = identity_p_params("+")._replace(q=Fraction(2), b=GaussianRational(-1),
+                                             d=GaussianRational(4)).validate()
     make_isotropy_matrix(params)
     assert len(built) == 3
     built.clear()

@@ -1,7 +1,6 @@
 """Trace operator, normal-form conditions, non-umbilicity, scaling relation."""
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -208,7 +207,7 @@ def scaling_cases(draw):
     else:
         f22 = HermitianPolynomial.zero(SP3)
     zero = GaussianRational(0)
-    params = replace(random_p_params(rng, sign), u=Fraction(0), rho=zero, sigma=zero, tau=zero)
+    params = random_p_params(rng, sign)._replace(u=Fraction(0), rho=zero, sigma=zero, tau=zero)
     U = [list(row) for row in make_isotropy_matrix(params)]
     lam = params.q ** 2
     shape = draw(st.sampled_from(["as built", "lam", "U"]))

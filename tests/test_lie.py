@@ -570,6 +570,28 @@ def test_cayley_element_matches_the_inverse_route(case):
     assert is_canonical(got)
 
 
+@st.composite
+def memberships(draw):
+    """A subspace spanned by the first k basis matrices of one above, and a matrix
+    combined from them, moved off their span or not by the next basis matrix."""
+    S, coords = draw(combinations())
+    k = draw(st.integers(1, S.dimension))
+    sub = LieSubspace(S.basis[:k], S.field)
+    X = combine(coords[:k], sub)
+    if k < S.dimension and draw(st.booleans()):
+        X = madd(X, mscale(S.basis[k], draw(COORDINATES)))
+    return sub, X
+
+
+@given(memberships())
+@settings(max_examples=200, deadline=None)
+def test_contains_on_the_kept_numerators_matches_the_q_i_rank(case):
+    """The membership test on integer rows against the rank of the Q(i) (over 'R', the
+    realified) rows of the basis with X appended."""
+    S, X = case
+    assert S.contains(X) == (S.rank_of([*S.basis, X]) == S.dimension)
+
+
 @pytest.mark.parametrize("S, A", [
     (None, mscale(IDENTITY3, -1)),
     (lie.sl3(), mat([[-1, 0, 0], [0, 0, 0], [0, 0, 1]])),

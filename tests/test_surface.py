@@ -1,7 +1,7 @@
 """Every definition in the package is used by the package itself, every
 parameter default is overridden somewhere in it, no module of it imports
-numpy, no float polynomial remains in it, and one zero test builds every
-invariance certificate.
+numpy or dataclasses, no float polynomial remains in it, and one zero test
+builds every invariance certificate.
 
 A function, class or method that only tests call is surface the certifier
 does not need: either a default-suite check should use it or it should go.
@@ -14,6 +14,9 @@ what is unused, not a call graph.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -68,8 +71,8 @@ def _referenced(trees):
     return names
 
 
-def test_no_module_imports_numpy():
-    """numpy is a test-only oracle; the package computes its Levi numerics itself."""
+def _importers(package: str) -> list[str]:
+    """The modules of the package that import ``package`` or one of its submodules."""
     importers = set()
     for module, tree in _trees().items():
         for node in ast.walk(tree):
@@ -79,9 +82,30 @@ def test_no_module_imports_numpy():
                 names = [node.module or ""]
             else:
                 continue
-            if any(name.split(".")[0] == "numpy" for name in names):
+            if any(name.split(".")[0] == package for name in names):
                 importers.add(module)
-    assert not importers, f"numpy imported by: {sorted(importers)}"
+    return sorted(importers)
+
+
+def test_no_module_imports_numpy():
+    """numpy is a test-only oracle; the package computes its Levi numerics itself."""
+    importers = _importers("numpy")
+    assert not importers, f"numpy imported by: {importers}"
+
+
+def test_no_module_imports_dataclasses():
+    """The records are plain classes: ``dataclasses`` loads ``inspect`` (and ``ast``,
+    ``dis``, ``tokenize``) into every start-up, and each decorator runs at import."""
+    importers = _importers("dataclasses")
+    assert not importers, f"dataclasses imported by: {importers}"
+
+
+def test_loading_the_cli_loads_neither_dataclasses_nor_inspect():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    code = "import sys, tubecert.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    assert out.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("coefficient", [0.5, 2.0, 1j, complex(1, 0)], ids=repr)
