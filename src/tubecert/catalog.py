@@ -217,6 +217,13 @@ class TransitivityResult(NamedTuple):
     t: object
 
 
+def omega_defect(alpha, x):
+    """The graph defect x4 - x1 x2 - x3^2 - x1^2 x3 - alpha x1^4 of a point of R^4,
+    positive exactly on the '>' side of gamma(alpha); floats or exact values, not mixed."""
+    x1, x2, x3, x4 = x
+    return x4 - x1 * x2 - x3**2 - x1**2 * x3 - alpha * x1**4
+
+
 def transitive_params_omega(alpha, target) -> TransitivityResult:
     """Parameters (q, r, s, t) moving the base point (0,0,0,1) to the target.
 
@@ -228,7 +235,7 @@ def transitive_params_omega(alpha, target) -> TransitivityResult:
     floating = any(isinstance(x, float) for x in target)
     alpha = float(as_rational(alpha)) if floating else as_rational(alpha)
     x1, x2, x3, x4 = (float(x) if floating else as_rational(x) for x in target)
-    rad = x4 - x1 * x2 - x3**2 - x1**2 * x3 - alpha * x1**4
+    rad = omega_defect(alpha, (x1, x2, x3, x4))
     if rad <= 0:
         raise DomainError("target is not strictly above the graph")
     q = nth_root_float(rad, 4) if floating else fourth_root_exact(rad)
@@ -632,13 +639,13 @@ class RationalizedEquivalence:
     """
 
     __slots__ = ("rational_map", "target_rho", "source_rho", "radicands",
-                 "conjugated_target_rho")
+                 "conjugated_target_rho", "_scales")
 
     def __init__(self, rational_map: HoloPolyMap, target_rho: HermitianPolynomial,
                  source_rho: HermitianPolynomial, radicands: tuple):
         conj = pullback_diagonal_quartic(target_rho, radicands)
         for name, value in zip(self.__slots__,
-                               (rational_map, target_rho, source_rho, radicands, conj)):
+                               (rational_map, target_rho, source_rho, radicands, conj, None)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -646,10 +653,13 @@ class RationalizedEquivalence:
 
     def printed_image(self, point) -> list[complex]:
         """The printed map diag(radicand_i^(1/4)) o rational_map at a point of C^n,
-        in complex arithmetic."""
+        in complex arithmetic.  The float fourth roots are taken on first use."""
+        if self._scales is None:
+            object.__setattr__(self, "_scales",
+                               tuple(nth_root_float(r, 4) for r in self.radicands))
         vals = self.rational_map.space_in.complex_values(point)
-        return [c.evaluate_values(vals) * nth_root_float(r, 4)
-                for c, r in zip(self.rational_map.components, self.radicands)]
+        return [c.evaluate_values(vals) * s
+                for c, s in zip(self.rational_map.components, self._scales)]
 
 
 def make_normalizer_rational(alpha) -> RationalizedEquivalence:

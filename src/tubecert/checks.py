@@ -27,6 +27,7 @@ from .catalog import (
     make_generator,
     make_p_element,
     model_surface,
+    omega_defect,
     p_compose,
     p_inverse,
     p_params_from_map,
@@ -272,16 +273,18 @@ def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regres
     if spec.path in ("float", "both"):
         worst, produced, drawn = 0.0, 0, 0
         with _float_range():
+            alpha_f = float(alpha)
             while produced < float_count and drawn < OMEGA_DRAWS_PER_TARGET * float_count:
                 drawn += 1
                 target = [rng.uniform(-3, 3) for _ in range(4)]
-                try:
-                    sol = catalog.transitive_params_omega(alpha, target)
-                except DomainError:
+                if omega_defect(alpha_f, target) <= 0:  # the solver would refuse it
                     continue
                 produced += 1
-                image = composed_generator(alpha, *map(Fraction, sol)).apply(BASE_POINT)
-                err = max(abs(float(a) - b) for a, b in zip(image, target))
+                sol = catalog.transitive_params_omega(alpha, target)
+                # The exact image of the base point e4 is (column 4 + translation) / d;
+                # int / int rounds correctly, as float(Fraction) does.
+                m, t, d = composed_generator(alpha, *map(Fraction, sol))
+                err = max(abs((row[3] + ti) / d - x) for row, ti, x in zip(m, t, target))
                 worst = max(worst, err)
         _require(produced == float_count, f"only {produced} of {float_count} float targets "
                  f"lay in the domain in {drawn} draws")

@@ -12,6 +12,12 @@ The Levi form of a tube over a graph x_{n+1} = f(x) is a quarter of the real
 Hessian of f, so tube bases get a real-symmetric shortcut that is cross-checked
 against the honest complex computation.
 
+Derivatives are read in floats through
+:meth:`~tubecert.poly.HermitianPolynomial.evaluate_values`, each compiled once
+with the derivative kept on its surface.  Boundary samples are exact: the
+graph shape of rho is checked once per surface (:func:`re_last_solver`) and
+each point solved on Gaussian-integer numerators.
+
 The float numerics are plain Python on matrices of size at most 8.  Levi
 eigenvalues come from cyclic Jacobi rotations (:func:`_hermitian_eigenvalues`),
 and their signature counts those beyond 1e-9 of the spectral radius.  The
@@ -459,16 +465,15 @@ def _grade_restriction(restriction: HermitianPolynomial, side: int) -> str:
     return "constant" if len(terms) == 1 else "definite"
 
 
-def solve_graph_re_last(rho: HermitianPolynomial, zprime):
-    """On a surface whose rho is linear in Re z_n, solve for Re z_n given z_1..z_{n-1}.
+def re_last_solver(rho: HermitianPolynomial):
+    """On a surface whose rho is linear in Re z_n, the function that solves rho = 0
+    for Re z_n given the exact values z_1..z_{n-1}.
 
     Works for all catalog surfaces (their last variable enters only through
-    Re z_n with a real coefficient).  Exact; the z_j must be exact values.
+    Re z_n with a real coefficient).  The shape of rho is checked once, here;
+    each solve is exact.
     """
     n = rho.space.n
-    vals = [to_tower(v) for v in zprime]
-    if len(vals) != n - 1:
-        raise SpaceError(f"need {n - 1} leading coordinates")
     # rho = alpha * z_n + conj(alpha) * zb_n + rest(z', zb')
     lin_key = tuple(1 if i == n - 1 else 0 for i in range(2 * n))
     alpha = rho.coefficient(lin_key)
@@ -476,24 +481,33 @@ def solve_graph_re_last(rho: HermitianPolynomial, zprime):
         raise DomainError("surface is not a graph in Re z_n")
     if any((e[n - 1] or e[2 * n - 1]) and sum(e) != 1 for e in rho.terms):
         raise DomainError("rho is not linear in the last variable")
-    rest = rho.evaluate(vals + [0])
-    if not rest.is_real():
-        raise DomainError("non-real residual evaluating the graph equation")
-    # alpha * 2 * Re z_n + rest = 0
-    return -rest.re / (2 * alpha.re)
+    twice = 2 * alpha.re
+
+    def solve(zprime):
+        vals = [to_tower(v) for v in zprime]
+        if len(vals) != n - 1:
+            raise SpaceError(f"need {n - 1} leading coordinates")
+        rest = rho.evaluate(vals + [0])
+        if not rest.is_real():
+            raise DomainError("non-real residual evaluating the graph equation")
+        # alpha * 2 * Re z_n + rest = 0
+        return -rest.re / twice
+
+    return solve
 
 
 def sample_boundary_points(surface: Hypersurface, rng, count: int) -> list[list[GaussianRational]]:
     """Exact on-surface points: random rational z', exact Re z_n, random Im z_n,
     with the drawn parts in [-2, 2] on a grid of 1/4."""
     n = surface.space.n
+    solve = re_last_solver(surface.rho)
     points = []
     for _ in range(count):
         zp = [
             GaussianRational(Fraction(rng.randint(-8, 8), 4), Fraction(rng.randint(-8, 8), 4))
             for _ in range(n - 1)
         ]
-        re_last = solve_graph_re_last(surface.rho, zp)
+        re_last = solve(zp)
         im_last = Fraction(rng.randint(-8, 8), 4)
         points.append(zp + [GaussianRational(re_last, im_last)])
     return points

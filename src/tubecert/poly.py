@@ -9,7 +9,12 @@ polynomials are identical iff their term maps are equal.
 Every coefficient is exact, a :class:`~tubecert.scalars.GaussianRational`; a
 ``float`` or ``complex`` coefficient is a TypeError.  Floats appear only as the
 values of :meth:`HermitianPolynomial.evaluate_values` at complex points, which
-is how the Levi and tube-Hessian numerics and the printed maps are read.
+is how the Levi and tube-Hessian numerics and the printed maps are read.  A
+polynomial compiles its float evaluation on first use (each term's coefficient
+as a complex and its nonzero (slot, power) pairs) and keeps it, so a kept
+derivative read at many points converts its coefficients once.  Exact values
+(:meth:`HermitianPolynomial.evaluate`) are summed as Gaussian-integer numerators
+over one denominator and reduced once.
 
 Products and substitutions run on numerator pairs {exps: (a, b)} over one
 denominator: Gaussian integers over the lcm of the coefficients' denominators,
@@ -122,6 +127,11 @@ def _num_mul(p: dict, q: dict) -> dict:
     return out
 
 
+def _gaussian_mul(p: tuple, q: tuple) -> tuple:
+    """The product of two Gaussian integers given as pairs (a, b)."""
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
+
+
 def _canonical(num: dict, d: int) -> dict:
     """Numerators over d back to a canonical term map: one gcd per term."""
     return {e: _reduce(a, b, d) for e, (a, b) in num.items()}
@@ -182,7 +192,8 @@ def _substitute_num(terms: dict, image, target: VariableSpace) -> tuple[dict, in
 class HermitianPolynomial:
     """Sparse polynomial over GaussianRational in z and zb variables."""
 
-    __slots__ = ("space", "terms")
+    # _floats, the compiled float evaluation, is set on first use (evaluate_values).
+    __slots__ = ("space", "terms", "_floats")
 
     # Every polynomial is exact; tubebench/tracer.py still reads this flag.
     exact = True
@@ -357,34 +368,57 @@ class HermitianPolynomial:
         """Evaluate at exact values for the n holomorphic variables.
 
         Conjugate variables receive conjugated values automatically.  Exact in,
-        exact out.
+        exact out: each term is a Gaussian-integer numerator over its own
+        denominator, and the terms are summed over their lcm with one gcd.
         """
         vals = [v if isinstance(v, GaussianRational) else GaussianRational(as_rational(v))
                 for v in point]
         if len(vals) != self.space.n:
             raise SpaceError(f"need {self.space.n} values, got {len(vals)}")
-        vals = vals + [v.conjugate() for v in vals]
-        total = GaussianRational(0)
+        vals = [(v._a, v._b, v._d) for v in vals]
+        vals += [(a, -b, d) for a, b, d in vals]
+        powers: dict = {}
+        parts = []
         for e, c in self.terms.items():
-            term = c
-            for v, k in zip(vals, e):
+            a, b, d = c._a, c._b, c._d
+            for i, k in enumerate(e):
                 if k:
-                    term = term * v**k
-            total = total + term
-        return total
+                    p = powers.get((i, k))
+                    if p is None:
+                        x, y, dv = vals[i]
+                        p = powers[i, k] = (*_power((x, y), k, _gaussian_mul), dv**k)
+                    x, y, dk = p
+                    a, b, d = a * x - b * y, a * y + b * x, d * dk
+            parts.append((a, b, d))
+        common = math.lcm(*(d for _, _, d in parts))
+        return _reduce(sum(a * (common // d) for a, _, d in parts),
+                       sum(b * (common // d) for _, b, d in parts), common)
 
     def evaluate_complex(self, point) -> complex:
         """Evaluate at complex values, in complex arithmetic."""
         return self.evaluate_values(self.space.complex_values(point))
 
     def evaluate_values(self, vals) -> complex:
-        """Evaluate at the 2n values of VariableSpace.complex_values, made once per point."""
+        """Evaluate at the 2n values of VariableSpace.complex_values, made once per point.
+
+        The polynomial is compiled on first use: each term's coefficient as a
+        complex and its nonzero (slot, power) pairs, in slot order.  Each term
+        is then coefficient * vals[i]**k * ... and the terms are summed in
+        order from 0j, so the value is the same float as a walk over every
+        exponent slot gives.
+        """
+        try:
+            compiled = self._floats
+        except AttributeError:
+            compiled = tuple(
+                (complex(c._a / c._d, c._b / c._d),  # complex(c), without the method call
+                 tuple((i, k) for i, k in enumerate(e) if k))
+                for e, c in self.terms.items())
+            object.__setattr__(self, "_floats", compiled)
         total = 0j
-        for e, c in self.terms.items():
-            term = complex(c._a / c._d, c._b / c._d)  # complex(c), without the method call
-            for v, k in zip(vals, e):
-                if k:
-                    term *= v**k
+        for term, factors in compiled:
+            for i, k in factors:
+                term *= vals[i] ** k
             total += term
         return total
 

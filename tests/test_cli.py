@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -566,20 +567,21 @@ def test_levi_on_a_quadric_surface_passes_whichever_count_is_larger(p, n):
 
 def test_omega_float_path_stops_at_the_draw_cap(monkeypatch):
     """alpha = 1e300 leaves almost no uniform draw above the graph; the float path
-    gives up after OMEGA_DRAWS_PER_TARGET draws per target instead of looping."""
-    calls, solver = [], catalog.transitive_params_omega
+    gives up after OMEGA_DRAWS_PER_TARGET draws per target instead of looping.
+    Each draw is one call of the domain test, checks.omega_defect."""
+    calls, defect = [], catalog.omega_defect
 
     def counted(alpha, target):
-        calls.append(target)
+        calls.append(list(target))
         if len(calls) > 10_000:  # ends an uncapped loop as an error
             raise RuntimeError("no draw cap")
         if alpha == 0 and len(calls) == 5:  # one target in the domain
-            target = [0.0, 0.0, 0.0, 2.0]
+            target[:] = [0.0, 0.0, 0.0, 2.0]
         elif alpha == 0:
-            raise DomainError("outside")
-        return solver(alpha, target)
+            return -1.0  # outside
+        return defect(alpha, target)
 
-    monkeypatch.setattr(catalog, "transitive_params_omega", counted)
+    monkeypatch.setattr(checks, "omega_defect", counted)
     result = checks.run_check(
         CheckSpec(id="w", kind="transitivity", target="omega(alpha=1e300,side=>)",
                   parameters={"float_count": "2"}, seed=3, path="float"))
@@ -594,6 +596,42 @@ def test_omega_float_path_stops_at_the_draw_cap(monkeypatch):
     assert result.details == {
         "reason": "only 1 of 3 float targets lay in the domain in 3000 draws"}
     assert len(calls) == 3000
+
+
+def _solver_per_draw(alpha, rng, float_count):
+    """The omega float loop with the solver deciding each draw and the exact image
+    read through AffineMapR.apply and float(Fraction): (drawn, produced, worst)."""
+    worst, produced, drawn = 0.0, 0, 0
+    while produced < float_count and drawn < checks.OMEGA_DRAWS_PER_TARGET * float_count:
+        drawn += 1
+        target = [rng.uniform(-3, 3) for _ in range(4)]
+        try:
+            sol = catalog.transitive_params_omega(alpha, target)
+        except DomainError:
+            continue
+        produced += 1
+        image = catalog.composed_generator(alpha, *map(Fraction, sol)).apply(catalog.BASE_POINT)
+        worst = max(worst, max(abs(float(a) - b) for a, b in zip(image, target)))
+    return drawn, produced, worst
+
+
+@pytest.mark.parametrize("alpha", ["6", "-259571/161267", "0"])
+def test_omega_float_path_matches_the_solver_per_draw(alpha, monkeypatch):
+    """Rejecting draws by their graph defect and reading the image of e4 as integer
+    quotients leave the draws, the targets and the worst error as they were."""
+    drawn, solved = [], []
+    defect, solver = checks.omega_defect, catalog.transitive_params_omega
+    monkeypatch.setattr(checks, "omega_defect", lambda a, x: drawn.append(x) or defect(a, x))
+    monkeypatch.setattr(catalog, "transitive_params_omega",
+                        lambda a, x: solved.append(x) or solver(a, x))
+    result = checks.run_check(
+        CheckSpec(id="w", kind="transitivity", target=f"omega(alpha={alpha},side=>)",
+                  parameters={"float_count": "40"}, seed=11, path="float"))
+    assert result.status == "pass", result.details
+    monkeypatch.undo()
+    want = _solver_per_draw(Fraction(alpha), random.Random(11), 40)
+    assert (len(drawn), len(solved)) == want[:2]
+    assert result.details["float_worst_error"].hex() == want[2].hex()
 
 
 def test_block_lacking_a_key_is_named_by_its_last_line():

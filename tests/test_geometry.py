@@ -25,7 +25,7 @@ from tubecert.catalog import (
     make_sigma_surface,
     resolve,
 )
-from tubecert.errors import NotAHypersurfacePoint
+from tubecert.errors import DomainError, NotAHypersurfacePoint, SpaceError
 from tubecert.geometry import (
     Hypersurface,
     SidedDomain,
@@ -35,9 +35,9 @@ from tubecert.geometry import (
     contains_complex_line,
     levi_form,
     lifted_tube,
+    re_last_solver,
     sample_boundary_points,
     side_of,
-    solve_graph_re_last,
     tube_hessian_signature,
 )
 from tubecert.maps import invariance_certificate
@@ -80,8 +80,8 @@ def test_levi_sphere_quadric():
 
 def test_levi_minus_model_away_from_origin():
     surface = model_surface("-")
-    re_z4 = solve_graph_re_last(
-        surface.rho, [GaussianRational(1), GaussianRational(0), GaussianRational(0)]
+    re_z4 = re_last_solver(surface.rho)(
+        [GaussianRational(1), GaussianRational(0), GaussianRational(0)]
     )
     assert re_z4 == Fraction(-1)
     data = levi_form(surface, [1.0, 0.0, 0.0, complex(-1.0, 0.7)])
@@ -298,14 +298,49 @@ def test_negative_certificate_factor_means_side_swap():
 def test_graph_solver_matches_evaluation():
     rng = random.Random(102)
     surface = make_gamma(Fraction(2, 3))
+    solve = re_last_solver(surface.rho)
     for _ in range(20):
         zp = [
             GaussianRational(Fraction(rng.randint(-4, 4), 2), Fraction(rng.randint(-4, 4), 2))
             for _ in range(3)
         ]
-        re4 = solve_graph_re_last(surface.rho, zp)
+        re4 = solve(zp)
         value = surface.rho.evaluate(zp + [GaussianRational(re4, Fraction(1, 3))])
         assert value.re == 0 and value.im == 0
+
+
+def test_graph_solver_refuses_what_it_cannot_solve():
+    sp = VariableSpace(2)
+    z1, z2, zb1, zb2 = (HermitianPolynomial.variable(sp, i) for i in range(4))
+    with pytest.raises(DomainError, match="not a graph in Re z_n"):
+        re_last_solver(z1 * zb1 + z1 + zb1)  # z2 does not occur
+    with pytest.raises(DomainError, match="not a graph in Re z_n"):
+        re_last_solver(z2 * GaussianRational(0, 1) - zb2 * GaussianRational(0, 1))
+    with pytest.raises(DomainError, match="not linear in the last variable"):
+        re_last_solver(z2 + zb2 + z2 * zb2)
+    with pytest.raises(DomainError, match="not linear in the last variable"):
+        sample_boundary_points(Hypersurface(z2 + zb2 + z1 * zb2 + zb1 * z2), random.Random(1), 3)
+    solve = re_last_solver(z2 + zb2 + z1 * zb1)
+    assert solve([GaussianRational(1, 1)]) == Fraction(-1)
+    with pytest.raises(SpaceError, match="need 1 leading coordinates"):
+        solve([1, 2])
+    with pytest.raises(DomainError, match="non-real residual"):
+        re_last_solver(z2 + zb2 + z1)([GaussianRational(0, 1)])
+
+
+def test_boundary_samples_are_drawn_as_before():
+    """One solver per surface: the same rng stream gives the same exact points as
+    solving each point from rho alone."""
+    surface = make_gamma(Fraction(-7, 5))
+    points = sample_boundary_points(surface, random.Random(5), 30)
+    rng = random.Random(5)
+    for pt in points:
+        zp = [GaussianRational(Fraction(rng.randint(-8, 8), 4), Fraction(rng.randint(-8, 8), 4))
+              for _ in range(3)]
+        assert pt[:3] == zp
+        assert pt[3] == GaussianRational(re_last_solver(surface.rho)(zp),
+                                          Fraction(rng.randint(-8, 8), 4))
+        assert surface.rho.evaluate(pt) == 0
 
 
 def _derivative_surfaces():

@@ -377,3 +377,74 @@ def test_pullback_of_a_group_element_matches_sympy():
     assert {e: (sympy.Rational(c._a, c._d), sympy.Rational(c._b, c._d))
             for e, c in ours.terms.items()} == {
         e: (sympy.re(c), sympy.im(c)) for e, c in expected.as_dict().items()}
+
+
+def slot_walk_values(p, vals):
+    """The float evaluation as a walk over every exponent slot of every term, each
+    coefficient converted at each call: the oracle for the compiled evaluate_values."""
+    total = 0j
+    for e, c in p.terms.items():
+        term = complex(c._a / c._d, c._b / c._d)
+        for v, k in zip(vals, e):
+            if k:
+                term *= v**k
+        total += term
+    return total
+
+
+def bits(evaluate, *args) -> tuple:
+    """The value's bits, or the error's type and message."""
+    try:
+        z = evaluate(*args)
+    except OverflowError as exc:
+        return type(exc), str(exc)
+    return z.real.hex(), z.imag.hex()
+
+
+WIDE_EXPONENTS = st.tuples(*[st.integers(0, 5)] * 4)
+WIDE_POLYS = st.dictionaries(WIDE_EXPONENTS, COEFFS, max_size=8).map(
+    lambda t: HermitianPolynomial(SP2, t))
+FLOATS = st.one_of(st.floats(-1e3, 1e3), st.sampled_from([0.0, -0.0, 1e-200, -3e150]))
+VALUES = st.lists(st.builds(complex, FLOATS, FLOATS), min_size=4, max_size=4)
+
+
+@given(WIDE_POLYS, VALUES, VALUES)
+@settings(max_examples=150, deadline=None)
+def test_compiled_float_evaluation_is_bitwise_the_slot_walk(p, vals, other):
+    """First call (compiling), second call (compiled) and a fresh copy all give the
+    same bits as the slot walk, signed zeros, underflow and overflow included."""
+    fresh = HermitianPolynomial(SP2, p.terms)
+    assert bits(fresh.evaluate_values, vals) == bits(slot_walk_values, p, vals)
+    for v in (vals, other, vals):
+        assert bits(p.evaluate_values, v) == bits(slot_walk_values, p, v)
+    point = vals[:2]
+    assert bits(p.evaluate_complex, point) == bits(
+        slot_walk_values, p, point + [x.conjugate() for x in point])
+
+
+POINTS = st.lists(COEFFS, min_size=2, max_size=2)
+
+
+@given(st.one_of(WIDE_POLYS, COEFFS.map(lambda c: const(SP2, c)),
+                 st.just(HermitianPolynomial.zero(SP2))), POINTS)
+@settings(max_examples=150, deadline=None)
+def test_exact_evaluation_matches_the_term_by_term_oracle(p, point):
+    """The numerator sum over one denominator is the canonical value of the term by
+    term GaussianRational sum, at points with mixed denominators and imaginary parts."""
+    want = oracle_eval(p, point + [v.conjugate() for v in point])
+    got = p.evaluate(point)
+    assert (got._a, got._b, got._d) == (want._a, want._b, want._d)
+    assert p.evaluate([v.re for v in point]) == oracle_eval(
+        p, [GaussianRational(v.re) for v in point] * 2)
+
+
+def test_exact_evaluation_of_zero_and_constant_polynomials():
+    zero = HermitianPolynomial.zero(SP2).evaluate([GaussianRational(1, 1), 3])
+    assert (zero._a, zero._b, zero._d) == (0, 0, 1)
+    c = GaussianRational(Fraction(-2, 6), Fraction(5, 4))
+    value = const(SP2, c).evaluate([Fraction(1, 999_983), GaussianRational(0, 7)])
+    assert (value._a, value._b, value._d) == (c._a, c._b, c._d) == (-4, 15, 12)
+    with pytest.raises(SpaceError):
+        const(SP2, c).evaluate([1])
+    with pytest.raises(TypeError):
+        const(SP2, c).evaluate([0.5, 1])
