@@ -34,7 +34,7 @@ import math
 from collections.abc import Callable, Mapping
 from fractions import Fraction
 from itertools import islice
-from operator import attrgetter, mul
+from operator import mul
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -54,6 +54,7 @@ from .poly import HermitianPolynomial, RealPolynomial, VariableSpace
 from .scalars import (
     GaussianRational,
     I,
+    Record,
     _reduce,
     _Unreduced,
     as_rational,
@@ -266,7 +267,7 @@ def model_domain(sign: str, side: str) -> SidedDomain:
     return SidedDomain(model_surface(sign), _side_sign(side))
 
 
-class PParams:
+class PParams(Record):
     """The 13 real parameters of a quartic-model symmetry, with their constraint.
 
     q and u are Fractions; the two phases, rho, sigma, tau, b and d are
@@ -277,8 +278,7 @@ class PParams:
 
     d is stored explicitly: the constraint fixes only |d|, and d's phase is a
     genuine parameter direction.  ``_map`` holds the element's map once
-    :func:`make_p_element` has validated and built it; equality, hashing and
-    repr read the ten fields only, and a :meth:`_replace` copy starts empty.
+    :func:`make_p_element` has validated and built it.
     """
 
     _fields = ("sign", "q", "phi_phase", "psi_phase", "u", "rho", "sigma", "tau", "b", "d")
@@ -297,25 +297,6 @@ class PParams:
         set_(self, "b", b)
         set_(self, "d", d)
         set_(self, "_map", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PParams is immutable")
-
-    def _replace(self, **changes) -> "PParams":
-        """A copy with the given fields changed, keeping no map."""
-        return PParams(**dict(zip(self._fields, _p_fields(self)), **changes))
-
-    def __eq__(self, other):
-        if not isinstance(other, PParams):
-            return NotImplemented
-        return _p_fields(self) == _p_fields(other)
-
-    def __hash__(self):
-        return hash(_p_fields(self))
-
-    def __repr__(self):
-        shown = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, _p_fields(self)))
-        return f"PParams({shown})"
 
     def validate(self):
         sign_to_eps(self.sign)
@@ -338,9 +319,6 @@ class PParams:
                 f"|d|^2 = {d.abs2()} != -2 q^3 Re(phase*conj(b)) = {-2 * q ** 3 * w.re}"
             )
         return self
-
-
-_p_fields = attrgetter(*PParams._fields)
 
 
 def identity_p_params(sign: str) -> PParams:
@@ -627,7 +605,7 @@ def normalizer_strength(alpha) -> Fraction:
     return (12 * as_rational(alpha) - 1) / 8
 
 
-class RationalizedEquivalence:
+class RationalizedEquivalence(Record):
     """A printed map split as (diagonal scaling) o (rational map).
 
     ``rational_map`` composed with the diagonal scaling diag(radicand_i^(1/4))
@@ -638,8 +616,8 @@ class RationalizedEquivalence:
     when the scaling does not conjugate ``target_rho`` exactly.
     """
 
-    __slots__ = ("rational_map", "target_rho", "source_rho", "radicands",
-                 "conjugated_target_rho", "_scales")
+    _fields = ("rational_map", "target_rho", "source_rho", "radicands")
+    __slots__ = _fields + ("conjugated_target_rho", "_scales")
 
     def __init__(self, rational_map: HoloPolyMap, target_rho: HermitianPolynomial,
                  source_rho: HermitianPolynomial, radicands: tuple):
@@ -647,9 +625,6 @@ class RationalizedEquivalence:
         for name, value in zip(self.__slots__,
                                (rational_map, target_rho, source_rho, radicands, conj, None)):
             object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalizedEquivalence is immutable")
 
     def printed_image(self, point) -> list[complex]:
         """The printed map diag(radicand_i^(1/4)) o rational_map at a point of C^n,
@@ -692,22 +667,16 @@ def make_normalizer_rational(alpha) -> RationalizedEquivalence:
 # ---------------------------------------------------------------------------
 
 
-class QuadricFamily:
+class QuadricFamily(Record):
     """The Hermitian form H_{p,n}, 1 <= p <= n, and the affine action it defines."""
 
-    __slots__ = ("p", "n")
+    __slots__ = _fields = ("p", "n")
 
     def __init__(self, p: int, n: int):
         if not (1 <= p <= n):
             raise DomainError("need 1 <= p <= n")
         object.__setattr__(self, "p", p)
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("QuadricFamily is immutable")
-
-    def __repr__(self):
-        return f"QuadricFamily(p={self.p}, n={self.n})"
 
     @property
     def eps(self) -> tuple[int, ...]:

@@ -23,7 +23,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Callable, NamedTuple
 
-from .scalars import GaussianRational, _make, _over_lcm, to_tower
+from .scalars import GaussianRational, _gaussian_mul, _over_lcm, _reduce, to_tower
 
 
 def _q_combine(p, row, f, prow):
@@ -45,10 +45,6 @@ def _qi_combine(p, row, f, prow):
     return ([(a // g, b // g) for a, b in new] if g > 1 else new), g
 
 
-def _qi_mul(x, y):
-    return (x[0] * y[0] - x[1] * y[1], x[0] * y[1] + x[1] * y[0])
-
-
 _ZERO = Fraction(0)
 _GZERO = GaussianRational(0)
 
@@ -59,20 +55,12 @@ def _q_over(row, p):
 
 
 def _qi_over(row, p):
-    """The Gaussian-integer row divided by p != 0, as GaussianRationals."""
+    """The Gaussian-integer row divided by p != 0, as GaussianRationals:
+    x / p = x * conj(p) / |p|^2."""
     pa, pb = p
     n = pa * pa + pb * pb
-    out = []
-    for xa, xb in row:
-        if not (xa or xb):
-            out.append(_GZERO)
-            continue
-        # x / p = x * conj(p) / |p|^2
-        a = xa * pa + xb * pb
-        b = xb * pa - xa * pb
-        g = math.gcd(a, b, n)
-        out.append(_make(a // g, b // g, n // g))
-    return out
+    return [_reduce(xa * pa + xb * pb, xb * pa - xa * pb, n) if xa or xb else _GZERO
+            for xa, xb in row]
 
 
 class _Ring(NamedTuple):
@@ -90,7 +78,7 @@ class _Ring(NamedTuple):
 
 
 _Z = _Ring(0, 1, operator.mul, _q_combine, _q_over)
-_ZI = _Ring((0, 0), (1, 0), _qi_mul, _qi_combine, _qi_over)
+_ZI = _Ring((0, 0), (1, 0), _gaussian_mul, _qi_combine, _qi_over)
 
 
 def _cleared(rows):
@@ -183,9 +171,9 @@ def rank(rows: list[list]) -> int:
 
 
 def integer_rank(rows: list[list], gaussian: bool) -> int:
-    """The rank of non-empty, already cleared rows: integers, or Gaussian-integer
-    pairs (a, b) when ``gaussian``.  Only the outer list is copied; rows are not changed."""
-    return len(_eliminate(list(rows), _ZI if gaussian else _Z))
+    """The rank of already cleared rows: integers, or Gaussian-integer pairs (a, b)
+    when ``gaussian``.  Only the outer list is copied; rows are not changed."""
+    return len(_eliminate(list(rows), _ZI if gaussian else _Z)) if rows else 0
 
 
 def nullspace(rows: list[list], ncols: int, one) -> list[list]:

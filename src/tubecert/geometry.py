@@ -34,13 +34,13 @@ from typing import NamedTuple
 
 from .errors import DomainError, NotAHypersurfacePoint, SpaceError
 from .poly import HermitianPolynomial, RealPolynomial, VariableSpace
-from .scalars import GaussianRational, to_tower
+from .scalars import GaussianRational, Record, to_tower
 
 ZERO_EIGENVALUE_RELTOL = 1e-9
 SPECTRAL_FLOOR = 1e-30
 
 
-class Hypersurface:
+class Hypersurface(Record):
     """Zero set of a real-valued defining polynomial.
 
     The first derivatives d rho/dz_j and the mixed second derivatives
@@ -49,7 +49,8 @@ class Hypersurface:
     hashing read only rho.
     """
 
-    __slots__ = ("rho", "space", "_derivs")
+    _fields = ("rho",)
+    __slots__ = _fields + ("space", "_derivs")
 
     def __init__(self, rho: HermitianPolynomial):
         if not rho.is_real_valued():
@@ -57,9 +58,6 @@ class Hypersurface:
         object.__setattr__(self, "rho", rho)
         object.__setattr__(self, "space", rho.space)
         object.__setattr__(self, "_derivs", None)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Hypersurface is immutable")
 
     def _derivatives(self):
         """(gradient, nonzero complex Hessian entries (j, k, d)) of rho, built on
@@ -86,36 +84,20 @@ class Hypersurface:
             hess[j][k] = d.evaluate_values(vals)
         return hess
 
-    def __eq__(self, other):
-        if not isinstance(other, Hypersurface):
-            return NotImplemented
-        return self.rho == other.rho
-
-    def __hash__(self):
-        return hash(("hypersurface", self.rho))
-
     def __repr__(self):
         return f"Hypersurface({self.rho})"
 
 
-class SidedDomain:
+class SidedDomain(Record):
     """One open side of a hypersurface: the set where sign(rho) == side (+1 means rho > 0)."""
 
-    __slots__ = ("surface", "side")
+    __slots__ = _fields = ("surface", "side")
 
     def __init__(self, surface: Hypersurface, side: int):
         if side not in (+1, -1):
             raise DomainError("side must be +1 or -1")
         object.__setattr__(self, "surface", surface)
         object.__setattr__(self, "side", side)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SidedDomain is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, SidedDomain):
-            return NotImplemented
-        return self.surface == other.surface and self.side == other.side
 
     @property
     def rho(self) -> HermitianPolynomial:

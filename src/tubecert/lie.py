@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 from . import exactla
 from .errors import DomainError
-from .scalars import GaussianRational, _coerce, _over_lcm, _reduce, to_tower
+from .scalars import GaussianRational, Record, _coerce, _over_lcm, _reduce, to_tower
 
 Mat3 = tuple  # 3x3 nested tuples of GaussianRational
 
@@ -46,7 +46,6 @@ def mat(rows) -> Mat3:
     return tuple(out)
 
 
-ZERO3 = mat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
 IDENTITY3 = mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
 
 
@@ -140,7 +139,7 @@ def sl3() -> LieSubspace:
     return LieSubspace(tuple(basis), "C")
 
 
-class LieSubspace:
+class LieSubspace(Record):
     """A subspace of 3x3 matrices over its scalar field.
 
     ``field`` is 'C' for complex subspaces of sl(3,C) and 'R' for real
@@ -149,7 +148,8 @@ class LieSubspace:
     checked for exact linear independence on construction, on those rows.
     """
 
-    __slots__ = ("basis", "field", "numerators")
+    _fields = ("basis", "field")
+    __slots__ = _fields + ("numerators",)
 
     def __init__(self, basis: tuple, field: str):
         if field not in ("C", "R"):
@@ -159,25 +159,15 @@ class LieSubspace:
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "numerators", (rows, d))
-        if basis and self._integer_rank(rows) != len(basis):
+        if self._integer_rank(rows) != len(basis):
             raise DomainError("basis is not linearly independent")
-
-    def __setattr__(self, name, value):
-        raise AttributeError("LieSubspace is immutable")
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
 
-    def rank_of(self, mats) -> int:
-        if self.field == "C":
-            rows = [flatten(m) for m in mats]
-        else:
-            rows = [realify(flatten(m)) for m in mats]
-        return exactla.rank(rows)
-
     def _integer_rank(self, rows) -> int:
-        """The rank of non-empty Gaussian-integer rows over the field; over 'R' each
+        """The rank of Gaussian-integer rows over the field; over 'R' each
         pair (a, b) is two integer entries.  Scaling a row by a positive integer, as
         clearing it to integers does, keeps the rank."""
         if self.field == "R":
@@ -187,8 +177,6 @@ class LieSubspace:
     def contains(self, X: Mat3) -> bool:
         """Whether X lies in the span: X's numerators appended to the basis rows
         leave the rank at dim S."""
-        if not self.basis:
-            return is_zero_matrix(X)
         return self._integer_rank([*self.numerators[0], _over_lcm(flatten(X))[0]]) == self.dimension
 
 
@@ -233,7 +221,7 @@ def sl3_gram_rank() -> int:
 
 def ad_kernel_dim(P: Mat3, S: LieSubspace) -> int:
     """Dimension of {X in S : [P, X] = 0} over S's own scalar field: dim S less a rank."""
-    return S.dimension - S.rank_of([bracket(P, b) for b in S.basis])
+    return S.dimension - S._integer_rank([_over_lcm(flatten(bracket(P, b)))[0] for b in S.basis])
 
 
 class SubalgebraReport(NamedTuple):

@@ -32,7 +32,7 @@ from .poly import (
     _numerators,
     _substitute_num,
 )
-from .scalars import GaussianRational, _reduce, as_rational, fourth_root_exact
+from .scalars import GaussianRational, Record, _reduce, as_rational, fourth_root_exact
 
 
 class AffineMapR(NamedTuple):
@@ -63,10 +63,10 @@ class AffineMapR(NamedTuple):
         )
 
 
-class HoloPolyMap:
+class HoloPolyMap(Record):
     """A polynomial map C^m -> C^k whose components are holomorphic (no conjugates)."""
 
-    __slots__ = ("space_in", "space_out", "components")
+    __slots__ = _fields = ("space_in", "space_out", "components")
 
     def __init__(self, space_in: VariableSpace, space_out: VariableSpace, components):
         components = tuple(components)
@@ -92,9 +92,6 @@ class HoloPolyMap:
         construction (no checks)."""
         return object.__new__(cls)._fill(space_in, space_out, components)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("HoloPolyMap is immutable")
-
     @staticmethod
     def identity(space: VariableSpace) -> "HoloPolyMap":
         return HoloPolyMap(
@@ -113,18 +110,6 @@ class HoloPolyMap:
     def linear_determinant(self):
         """Determinant of the linear part, exactly."""
         return exactla.determinant(self.linear_part())
-
-    def __eq__(self, other):
-        if not isinstance(other, HoloPolyMap):
-            return NotImplemented
-        return (
-            self.space_in == other.space_in
-            and self.space_out == other.space_out
-            and self.components == other.components
-        )
-
-    def __hash__(self):
-        return hash((self.space_in, self.space_out, self.components))
 
     def __repr__(self):
         comps = "; ".join(str(c) for c in self.components)

@@ -36,32 +36,19 @@ from fractions import Fraction
 from operator import add, mul
 
 from .errors import DomainError, SpaceError
-from .scalars import GaussianRational, _over_lcm, _power, _reduce, as_rational, format_gaussian
+from .scalars import (GaussianRational, Record, _gaussian_mul, _over_lcm, _power, _reduce,
+                      as_rational, format_gaussian)
 
 
-class VariableSpace:
+class VariableSpace(Record):
     """n holomorphic variables plus their formal conjugates (2n in total)."""
 
-    __slots__ = ("n",)
+    __slots__ = _fields = ("n",)
 
     def __init__(self, n: int):
         if n < 1:
             raise DomainError("a variable space needs at least one variable")
         object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("VariableSpace is immutable")
-
-    def __eq__(self, other):
-        if not isinstance(other, VariableSpace):
-            return NotImplemented
-        return self.n == other.n
-
-    def __hash__(self):
-        return hash((self.n,))
-
-    def __repr__(self):
-        return f"VariableSpace(n={self.n})"
 
     @property
     def names(self) -> list[str]:
@@ -127,11 +114,6 @@ def _num_mul(p: dict, q: dict) -> dict:
     return out
 
 
-def _gaussian_mul(p: tuple, q: tuple) -> tuple:
-    """The product of two Gaussian integers given as pairs (a, b)."""
-    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
-
-
 def _canonical(num: dict, d: int) -> dict:
     """Numerators over d back to a canonical term map: one gcd per term."""
     return {e: _reduce(a, b, d) for e, (a, b) in num.items()}
@@ -189,11 +171,12 @@ def _substitute_num(terms: dict, image, target: VariableSpace) -> tuple[dict, in
     return out, common
 
 
-class HermitianPolynomial:
+class HermitianPolynomial(Record):
     """Sparse polynomial over GaussianRational in z and zb variables."""
 
     # _floats, the compiled float evaluation, is set on first use (evaluate_values).
-    __slots__ = ("space", "terms", "_floats")
+    _fields = ("space", "terms")
+    __slots__ = _fields + ("_floats",)
 
     # Every polynomial is exact; tubebench/tracer.py still reads this flag.
     exact = True
@@ -215,9 +198,6 @@ class HermitianPolynomial:
                     canon[exps] = c
         object.__setattr__(self, "space", space)
         object.__setattr__(self, "terms", canon)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HermitianPolynomial is immutable")
 
     # -- constructors ---------------------------------------------------
 
@@ -459,7 +439,7 @@ def format_poly(p: HermitianPolynomial) -> str:
     return " + ".join(parts)
 
 
-class RealPolynomial:
+class RealPolynomial(Record):
     """A polynomial in the real coordinates x_1..x_n (graph functions of tube bases).
 
     Internally a HermitianPolynomial using only the holomorphic variable slots,
@@ -470,7 +450,8 @@ class RealPolynomial:
     they are not identically zero; equality and hashing read only ``poly``.
     """
 
-    __slots__ = ("poly", "_hess")
+    _fields = ("poly",)
+    __slots__ = _fields + ("_hess",)
 
     def __init__(self, poly: HermitianPolynomial):
         n = poly.space.n
@@ -482,20 +463,9 @@ class RealPolynomial:
         object.__setattr__(self, "poly", poly)
         object.__setattr__(self, "_hess", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("RealPolynomial is immutable")
-
     @property
     def space(self) -> VariableSpace:
         return self.poly.space
-
-    def __eq__(self, other):
-        if not isinstance(other, RealPolynomial):
-            return NotImplemented
-        return self.poly == other.poly
-
-    def __hash__(self):
-        return hash(("real", self.poly))
 
     def evaluate_real(self, xs) -> float:
         """Evaluate at a real point, as a float."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import attrgetter, mul
 
 from .errors import DomainError
 
@@ -43,7 +43,45 @@ def as_rational(x) -> Fraction:
     raise TypeError(f"not an exact rational: {x!r}")
 
 
-class GaussianRational:
+class Record:
+    """The base of the package's value classes: a value is its ``_fields``.
+
+    A subclass lists in ``_fields`` the constructor arguments that make up its
+    value; its other slots hold what it computes once and keeps (derivatives,
+    compiled floats, a built map), which equality, hashing and repr do not read
+    and a :meth:`_replace` copy starts without.  Fields cannot be assigned: a
+    constructor sets its slots with ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._key = attrgetter(*cls._fields)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other is self:  # nine in ten comparisons are of a variable space with itself
+            return True
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key(self) == self._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def _replace(self, **changes):
+        """A copy through the constructor with the given fields changed; an unknown
+        name is a TypeError."""
+        return type(self)(**{k: getattr(self, k) for k in self._fields} | changes)
+
+
+class GaussianRational(Record):
     """A complex number (a + b*i) / d with integers a, b and d.
 
     The stored form is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so two
@@ -61,6 +99,7 @@ class GaussianRational:
     """
 
     __slots__ = ("_a", "_b", "_d")
+    _fields = ("re", "im")
 
     def __init__(self, re=0, im=0):
         if type(re) is int and type(im) is int:
@@ -75,9 +114,6 @@ class GaussianRational:
         _set_a(self, a)
         _set_b(self, b)
         _set_d(self, d)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GaussianRational is immutable")
 
     @property
     def re(self) -> Fraction:
@@ -300,6 +336,11 @@ def _over_lcm(values) -> tuple[list, int]:
         m = d // x._d
         out.append((x._a * m, x._b * m))
     return out, d
+
+
+def _gaussian_mul(p: tuple, q: tuple) -> tuple:
+    """The product of two Gaussian integers given as pairs (a, b)."""
+    return p[0] * q[0] - p[1] * q[1], p[0] * q[1] + p[1] * q[0]
 
 
 def _power(base, k: int, times):

@@ -219,7 +219,7 @@ def test_criterion_09_subalgebra_dimension_core():
         assert lie.stabilizer_up_to_scale_dim(v) == want
         produced = 0
         while produced < 10:
-            A = lie.ZERO3
+            A = lie.mat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
             for B in basis:
                 A = lie.madd(A, lie.mscale(B, Fraction(rng.randint(-2, 2), 3)))
             try:

@@ -1,9 +1,9 @@
 """The package's records: construction checks, immutability, copies and defaults.
 
-A record that checks or keeps something on construction is a ``__slots__``
-class; any other is a ``typing.NamedTuple``.  Either way a field cannot be
-assigned, a copy is made with ``_replace``, and a mapping default is one
-read-only empty mapping rather than a dict that every record would share.
+A record that checks or keeps something on construction is a subclass of
+``scalars.Record``; any other is a ``typing.NamedTuple``.  Either way a field
+cannot be assigned, a copy is made with ``_replace``, and a mapping default is
+one read-only empty mapping rather than a dict that every record would share.
 """
 
 from fractions import Fraction
@@ -13,8 +13,18 @@ import pytest
 from tubecert import catalog, checks, geometry, lie, maps
 from tubecert.cli import main
 from tubecert.errors import DomainError
-from tubecert.poly import HermitianPolynomial, VariableSpace
-from tubecert.scalars import GaussianRational
+from tubecert.poly import HermitianPolynomial, RealPolynomial, VariableSpace
+from tubecert.scalars import GaussianRational, Record
+
+IDENTITY_PARAMS_REPR = (
+    "PParams(sign='+', q=Fraction(1, 1), phi_phase=GaussianRational(Fraction(1, 1), Fraction(0, 1)),"
+    " psi_phase=GaussianRational(Fraction(1, 1), Fraction(0, 1)), u=Fraction(0, 1),"
+    " rho=GaussianRational(Fraction(0, 1), Fraction(0, 1)),"
+    " sigma=GaussianRational(Fraction(0, 1), Fraction(0, 1)),"
+    " tau=GaussianRational(Fraction(0, 1), Fraction(0, 1)),"
+    " b=GaussianRational(Fraction(0, 1), Fraction(0, 1)),"
+    " d=GaussianRational(Fraction(0, 1), Fraction(0, 1)))"
+)
 
 
 def test_a_variable_space_needs_a_variable():
@@ -67,7 +77,60 @@ def test_the_params_compare_without_their_map_and_a_copy_drops_it():
     assert moved != built and moved._map is None and moved.u == 1 and moved.q == built.q
     with pytest.raises(TypeError):
         built._replace(_map=element)
-    assert built != tuple(catalog._p_fields(built))
+    assert built != tuple(getattr(built, k) for k in built._fields)
+
+
+# Each Record subclass: a builder of one value (a new object per call), and what
+# fills the values it keeps on first use.
+VALUES = {
+    GaussianRational: (lambda: GaussianRational(Fraction(3, 5), Fraction(-4, 5)), None),
+    VariableSpace: (lambda: VariableSpace(2), None),
+    HermitianPolynomial: (lambda: HermitianPolynomial(VariableSpace(1), {(1, 1): 2}),
+                          lambda p: p.evaluate_values([1j, -1j])),
+    RealPolynomial: (lambda: RealPolynomial(HermitianPolynomial(VariableSpace(2), {(2, 1, 0, 0): 3})),
+                     lambda f: f.hessian_at([1, 2])),
+    maps.HoloPolyMap: (lambda: maps.HoloPolyMap.identity(VariableSpace(2)), None),
+    geometry.Hypersurface: (lambda: catalog.model_surface("+"),
+                            lambda s: s.complex_hessian_at([0, 0, 0, 0])),
+    geometry.SidedDomain: (lambda: catalog.model_domain("-", "<"), None),
+    lie.LieSubspace: (lambda: lie.LieSubspace((lie.E(0, 1), lie.E(1, 0)), "R"), None),
+    catalog.PParams: (lambda: catalog.identity_p_params("+"), catalog.make_p_element),
+    catalog.RationalizedEquivalence: (lambda: catalog.make_tube_realisation_rational(1, 2),
+                                      lambda e: e.printed_image([1, 1, 1])),
+    catalog.QuadricFamily: (lambda: catalog.QuadricFamily(2, 3), None),
+}
+
+
+def test_every_record_class_is_covered():
+    assert set(Record.__subclasses__()) == set(VALUES)
+
+
+@pytest.mark.parametrize("cls", VALUES, ids=lambda cls: cls.__name__)
+def test_record_value_semantics(cls):
+    make, warm = VALUES[cls]
+    x, y = make(), make()
+    assert type(x) is cls and x is not y
+    assert x == x and x == y and hash(x) == hash(y)
+    assert x != tuple(getattr(x, k) for k in x._fields)
+    with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+        setattr(x, x._fields[0], getattr(x, x._fields[0]))
+    kept = set(cls.__slots__) - set(cls._fields)
+    if warm:
+        warm(x)
+        assert any(getattr(x, slot, None) != getattr(y, slot, None) for slot in kept)
+    copy = x._replace()
+    assert copy is not x and copy == x and hash(copy) == hash(x)
+    for slot in kept:  # a copy's kept values start as a new value's
+        assert getattr(copy, slot, None) == getattr(y, slot, None), slot
+    with pytest.raises(TypeError):
+        x._replace(bogus=1)
+
+
+def test_record_reprs_are_pinned():
+    assert repr(VariableSpace(2)) == "VariableSpace(n=2)"
+    assert repr(catalog.QuadricFamily(2, 3)) == "QuadricFamily(p=2, n=3)"
+    assert repr(catalog.identity_p_params("+")) == IDENTITY_PARAMS_REPR
+    assert repr(GaussianRational(1, 2)) == "GaussianRational(Fraction(1, 1), Fraction(2, 1))"
 
 
 def _records():

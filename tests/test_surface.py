@@ -1,7 +1,8 @@
-"""Every definition in the package is used by the package itself, every
-parameter default is overridden somewhere in it, no module of it imports
-numpy or dataclasses, no float polynomial remains in it, and one zero test
-builds every invariance certificate.
+"""Every definition and module-level constant in the package is used by the
+package itself, every parameter default is overridden somewhere in it, no
+module of it imports numpy or dataclasses, no float polynomial remains in it,
+one zero test builds every invariance certificate, and one base class makes
+every value class immutable.
 
 A function, class or method that only tests call is surface the certifier
 does not need: either a default-suite check should use it or it should go.
@@ -29,6 +30,9 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "tubecert"
 
 # Entry points called from outside the package.
 ALLOWED = {("cli", "main")}  # the ``tubecert`` console script
+
+# Module-level constants read from outside the package.
+ALLOWED_CONSTANTS = {("__init__", "__version__")}
 
 # Defaults that callers outside the package override, as (module, function, parameter).
 ALLOWED_DEFAULTS = {
@@ -62,7 +66,7 @@ def _referenced(trees):
     names = set()
     for tree in trees.values():
         for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute):
                 names.add(node.attr)
@@ -166,6 +170,37 @@ def test_every_definition_is_referenced_in_the_package():
         if name not in referenced and (module, qualname) not in ALLOWED
     ]
     assert not unused, f"defined in src/tubecert but never referenced there: {unused}"
+
+
+def _constants(tree):
+    """The names bound by the module's top-level assignments."""
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_every_module_constant_is_read_in_the_package():
+    trees = _trees()
+    read = _referenced(trees)
+    unread = [f"{module}.{name}" for module, tree in trees.items() for name in _constants(tree)
+              if name not in read and (module, name) not in ALLOWED_CONSTANTS]
+    assert not unread, f"module constants never read in src/tubecert: {unread}"
+
+
+def test_only_the_record_base_defines_setattr():
+    """Immutability is written once, in scalars.Record, so a second idiom for it
+    cannot come back unnoticed."""
+    definers = []
+    for module, tree in _trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bound = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+                bound |= {t.id for item in node.body if isinstance(item, ast.Assign)
+                          for t in item.targets if isinstance(t, ast.Name)}
+                if "__setattr__" in bound:
+                    definers.append(f"{module}.{node.name}")
+    assert definers == ["scalars.Record"]
 
 
 def _defaults(tree):
