@@ -15,6 +15,8 @@ Families built here:
   that scaling conjugated into the target exactly;
 * the quadric models over Hermitian forms H_{p,n}, their transitive affine
   action, and the tube realisation;
+* one rule for an affine complex line in each side of the quartic models and
+  of the quadrics, but the '>' side of H_{n,n}, which is a ball;
 * the Cayley tube x3 = x1 x2 + x1^3 and its equivalence with the (1,1) quadric;
 * the one-parameter degree-4 family of graphs in R^7 used for signature
   consistency checks, on rational coordinates.
@@ -840,48 +842,30 @@ def make_sigma_surface(sigma: Fraction) -> RealPolynomial:
 # ---------------------------------------------------------------------------
 
 
-def stated_lines() -> dict:
-    """The affine complex lines each catalog domain is known to contain.
+def stated_line(args: Mapping):
+    """(base point, direction, grade) of an affine complex line in the domain
+    whose parsed identifier arguments are ``args``.
 
-    Maps a domain identifier to (base point, direction, expected witness
-    grade).  The quartic-model domains contain lines on which the defining
-    function is literally constant; the quadric domains contain lines on
-    which it is a sign-definite polynomial in |t|^2.  Quadric '>' sides only
-    carry a line when p < n; with p = n that side is a ball in disguise and
-    has no line, so it does not appear here.
+    A side of the quartic model (``D_plus``, ``D_minus``: no ``p``) holds the
+    line through (0, 0, 0, +-1) in direction e2: z2 enters rho only through
+    z1 zb2 + z2 zb1, so rho is the constant +-1 there.  A side of the quadric
+    over H_{p,n} holds the line through +-e_{n+1} in direction e1 below or
+    e_n above, on which rho is +-(1 + |t|^2), definite in |t|^2.  With p = n
+    the '>' side is a ball in disguise and holds no line: a DomainError.
     """
-    g0, g1 = GaussianRational(0), GaussianRational(1)
-    lines = {}
-    for name, sign in (("D_plus", "+"), ("D_minus", "-")):
-        lines[f"{name}(side=>)"] = ((g0, g0, g0, g1), (g0, g1, g0, g0), "constant")
-        lines[f"{name}(side=<)"] = ((g0, g0, g0, -g1), (g0, g1, g0, g0), "constant")
-    for p, n in ((1, 1), (1, 2), (2, 3), (5, 7)):
-        zeros = [g0] * (n + 1)
-        below = list(zeros)
-        below[n] = -g1
-        e1 = [g0] * (n + 1)
-        e1[0] = g1
-        lines[f"quadric(p={p},n={n},side=<)"] = (tuple(below), tuple(e1), "definite")
-        if p < n:
-            above = list(zeros)
-            above[n] = g1
-            en = [g0] * (n + 1)
-            en[n - 1] = g1
-            lines[f"quadric(p={p},n={n},side=>)"] = (tuple(above), tuple(en), "definite")
-    return lines
-
-
-def stated_line(ident: str):
-    """(base point, direction, grade) of the line stated for ``ident``, or None.
-
-    Identifiers are compared by what :func:`parse_ident` makes of them, so
-    ``quadric(n=2,p=1,side=>)`` finds the line stated for ``quadric(p=1,n=2,side=>)``.
-    """
-    wanted = parse_ident(ident)
-    for stated, line in stated_lines().items():
-        if parse_ident(stated) == wanted:
-            return line
-    return None
+    sign = _side_sign(args["side"])
+    if "p" in args:
+        p, n = args["p"], args["n"]
+        if sign > 0 and p == n:
+            raise DomainError(f"the '>' side of the quadric over H_{{{p},{n}}} is a ball "
+                              "and contains no complex line")
+        axis, grade = (n - 1 if sign > 0 else 0), "definite"
+    else:
+        n, axis, grade = 3, 1, "constant"
+    base = [GaussianRational(0)] * (n + 1)
+    direction = list(base)
+    base[n], direction[axis] = GaussianRational(sign), GaussianRational(1)
+    return tuple(base), tuple(direction), grade
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ The check table :data:`CHECKS` maps a check kind and a target family to the
 function that runs the check, the ``path`` values it honours and the schema of
 its parameters; a spec is checked against its row before it runs.
 Randomized inputs are fully determined by the seed, so reruns with the same
-configuration are byte-identical modulo timing.
+configuration are byte-identical modulo timing.  The two witness checks each
+take one path: an exact transitivity draw passes when the solver carries its
+target back to exactly the parameters that built it, and ``line_witness``
+certifies the line that :func:`catalog.stated_line` gives for its target.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ import time
 from collections.abc import Callable, Mapping
 from contextlib import contextmanager
 from fractions import Fraction
+from functools import partial
 from typing import NamedTuple
 
 from . import catalog, chern_moser, geometry, lie
@@ -97,6 +101,14 @@ def _require(cond: bool, message: str, details: dict | None = None):
         raise CheckFailure(message, details)
 
 
+def _nonzero(draw: Callable):
+    """The first nonzero value of ``draw()``, drawn again while it is zero."""
+    value = draw()
+    while value == 0:
+        value = draw()
+    return value
+
+
 @contextmanager
 def _float_range():
     """Fail the check, naming the overflow, when a float path leaves the float range."""
@@ -121,6 +133,7 @@ def _evidence(cert) -> dict:
 
 def _invariance_generators(spec: CheckSpec, rng, alpha: Fraction, count: int, generators) -> dict:
     g = catalog.gamma_base(alpha)
+    draw = partial(random_fraction, rng, -3, 3, 4)
     checked = 0
     covers = {}
     for kind in generators:
@@ -130,10 +143,7 @@ def _invariance_generators(spec: CheckSpec, rng, alpha: Fraction, count: int, ge
                  f"{kind} is not a symmetry for every {' and '.join(covers[kind])}",
                  _evidence(cert))
         for _ in range(count):
-            param = random_fraction(rng, -3, 3, 4)
-            if kind == "phi":
-                while param == 0:
-                    param = random_fraction(rng, -3, 3, 4)
+            param = _nonzero(draw) if kind == "phi" else draw()
             # An exact g o F = c g (c != 0) proves F's linear part L nonsingular: Lv = 0
             # makes g constant along v, so sum v_i dg/dz_i = 0, and the four partials of
             # g are linearly independent for every alpha, so v = 0.
@@ -210,9 +220,7 @@ def _invariance_equivalence(spec: CheckSpec, rng, rationalized, expected) -> dic
 def _invariance_quadric_action(spec: CheckSpec, rng, p: int, n: int, draws: int) -> dict:
     rho = catalog.quadric_surface(p, n).rho
     for _ in range(draws):
-        a = random_fraction(rng, -3, 3, 4)
-        while a == 0:
-            a = random_fraction(rng, -3, 3, 4)
+        a = _nonzero(partial(random_fraction, rng, -3, 3, 4))
         b = [random_gaussian(rng) for _ in range(n)]
         c = random_fraction(rng)
         cert = invariance_certificate(rho, catalog.quadric_transitive_map(p, n, a, b, c))
@@ -253,6 +261,19 @@ def _invariance_control(spec: CheckSpec, rng, sign: str, expect: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _solved_back(solve: Callable, target, params):
+    """Require ``solve`` to carry a target built from ``params`` back to exactly them.
+
+    The orbit map is injective in its parameters, so equal parameters are the
+    same as the solution's image of the base point being the target.
+    """
+    try:
+        sol = solve(target)
+    except DomainError:
+        raise CheckFailure(f"constructed target {target} missed the exact path") from None
+    _require(sol == params, "recovered parameters differ from the generating ones")
+
+
 def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regression) -> dict:
     """Solve for the group element reaching each target; side is '>' (_upper_side)."""
     details: dict = {"alpha": str(alpha)}
@@ -262,12 +283,7 @@ def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regres
             q = random_positive_fraction(rng)
             r, s, t = (random_fraction(rng) for _ in range(3))
             target = composed_generator(alpha, q, r, s, t).apply(BASE_POINT)
-            try:
-                sol = catalog.transitive_params_omega(alpha, target)
-            except DomainError:
-                raise CheckFailure(f"constructed target {target} missed the exact path") from None
-            # equal parameters give the target's own map, so its image is the target
-            _require(sol == (q, r, s, t), "recovered parameters differ from the generating ones")
+            _solved_back(partial(catalog.transitive_params_omega, alpha), target, (q, r, s, t))
         details["exact_targets"] = exact_count
 
     if spec.path in ("float", "both"):
@@ -303,12 +319,10 @@ def _transitivity_quadric(spec: CheckSpec, rng, p: int, n: int, side: str, draws
     base = catalog.quadric_base_point(p, n, side)
     for _ in range(draws):
         a = random_positive_fraction(rng)
-        b = [random_gaussian(rng) for _ in range(n)]
+        b = tuple(random_gaussian(rng) for _ in range(n))
         c = random_fraction(rng)
         target = catalog.quadric_transitive_map(p, n, a, b, c).apply(base)
-        sol = catalog.quadric_transitive_params(p, n, side, target)
-        image = catalog.quadric_transitive_map(p, n, *sol).apply(base)
-        _require(list(image) == list(target), "quadric action failed to reproduce the target")
+        _solved_back(partial(catalog.quadric_transitive_params, p, n, side), target, (a, b, c))
     return {"p": p, "n": n, "side": side, "draws": draws, "all_exact": True}
 
 
@@ -392,9 +406,7 @@ def _chern_moser(spec: CheckSpec, rng, sign: str, constant_draws: int) -> dict:
     # The constant in tr(c <z,z>^2) = 8 c <z,z> is computed, not assumed.
     fp, g = chern_moser.pairing_poly(sp), chern_moser.pairing_inverse()
     for _ in range(constant_draws):
-        c = random_gaussian(rng)
-        while c.is_zero():
-            c = random_gaussian(rng)
+        c = _nonzero(partial(random_gaussian, rng))
         lhs = chern_moser.trace_op(fp * fp * c, g)
         _require((lhs - fp * (c * 8)).is_zero(), f"trace of c<z,z>^2 is not 8c<z,z> for c={c}")
 
@@ -524,10 +536,7 @@ def _lie_line_image(spec: CheckSpec, rng, draws: int) -> dict:
     proportional = 0
     for k in range(draws):
         if k % 2 == 0:
-            scale = random_gaussian(rng)
-            while scale.is_zero():
-                scale = random_gaussian(rng)
-            w = (GaussianRational(0), scale, GaussianRational(0))
+            w = (GaussianRational(0), _nonzero(partial(random_gaussian, rng)), GaussianRational(0))
             expected = True
         else:
             w = (random_gaussian(rng), random_gaussian(rng), random_gaussian(rng))
@@ -547,16 +556,8 @@ def _lie_line_image(spec: CheckSpec, rng, draws: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _stated_line(target: str, args: dict):
-    """Admit only the domains :func:`catalog.stated_lines` states a line for."""
-    if catalog.stated_line(target) is None:
-        raise DomainError(
-            f"no stated line for {target!r}; stated: {', '.join(catalog.stated_lines())}"
-        )
-
-
-def _line_witness(spec: CheckSpec, rng, **_target_args) -> dict:
-    base, direction, expected_grade = catalog.stated_line(spec.target)
+def _line_witness(spec: CheckSpec, rng, **args) -> dict:
+    base, direction, expected_grade = catalog.stated_line(args)
     domain = catalog.resolve(spec.target).obj
     witness = geometry.contains_complex_line(domain, base, direction)
     _require(witness.inside_at_all_samples, f"sampled point left the domain at t={witness.first_failure}")
@@ -630,7 +631,7 @@ def _generators(value) -> tuple[str, ...]:
     return names
 
 
-def _upper_side(target: str, args: dict):
+def _upper_side(args: dict):
     if args["side"] != ">":
         raise DomainError("the omega transitivity solver covers only side=>")
 
@@ -638,7 +639,7 @@ def _upper_side(target: str, args: dict):
 class Check(NamedTuple):
     """A row of the check table: ``run(spec, rng, **target_args, **parameters)``,
     each parameter's parser and default, the ``path`` values honoured, and
-    ``admits(target, args)``, which raises DomainError for a target not covered."""
+    ``admits(args)``, which raises DomainError for target arguments not covered."""
 
     run: Callable
     params: Mapping = NO_ENTRIES
@@ -689,7 +690,7 @@ CHECKS = {
     ("lie", "isotropy_family"): Check(_lie_isotropy, {"draws": (_count, 50)}),
     ("lie", "line_image"): Check(_lie_line_image, {"draws": (_count, 50)}),
     **_each("line_witness", ("D_plus", "D_minus", "quadric"),
-            Check(_line_witness, admits=_stated_line)),
+            Check(_line_witness, admits=catalog.stated_line)),
     **_each("closure", ("P_plus", "P_minus"),
             Check(_closure, {"draws": (_count, 50), "inverse_draws": (_count, 20)})),
     **_each("rank", ("P_plus", "P_minus"), Check(_rank)),
@@ -711,7 +712,7 @@ def _bind(spec: CheckSpec) -> tuple[Check, dict, dict]:
         if check is None:
             raise KeyError(f"{spec.kind} checks take {', '.join(families)}; not {spec.target!r}")
         if check.admits is not None:
-            check.admits(spec.target, args)
+            check.admits(args)
         if spec.path not in check.paths:
             raise ValueError(f"path {spec.path!r}: {spec.kind} on {name} honours {check.paths}")
         for key in sorted(spec.parameters.keys() - check.params.keys()):

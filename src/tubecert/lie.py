@@ -8,11 +8,12 @@ entry into two rational coordinates.  Where only a dimension is wanted it is
 the basis size less a rank, and ranks count pivots without building kernel
 vectors.  The hot kernels run on Gaussian-integer numerators over one
 denominator, kept once per subspace: a 3x3 product and a combination of basis
-matrices sum integers and canonicalise each entry once, the independence
-check and a membership test eliminate the kept rows (with one cleared row
-appended for membership) over the integers, a Cayley group element
-is a closed-form adjugate over a Gaussian-integer determinant with no field
-inverse, and the line minors of (Xw, w) come out as plain ints.
+matrices sum integers and canonicalise each entry once, a bracket with a
+basis matrix stays on the kept numerators, the independence check and the
+membership of a bracket eliminate the kept rows (with the bracket's row
+appended) over the integers, a Cayley group element is a closed-form
+adjugate over a Gaussian-integer determinant with no field inverse, and the
+line minors of (Xw, w) come out as plain ints.
 
 The dimension bookkeeping this enables: the trace form on sl(3,C) is
 non-degenerate (Gram rank 8); among a representative set of Jordan shapes,
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 import functools
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, combinations
 from typing import NamedTuple
 
 from . import exactla
@@ -76,12 +77,24 @@ def _dot(xs, ys) -> tuple[int, int]:
     return re, im
 
 
+def _num_mmul(x, y) -> list[tuple[int, int]]:
+    """The product of two 3x3 matrices of Gaussian integers (a, b), row-major."""
+    cols = (y[0::3], y[1::3], y[2::3])
+    return [_dot(x[r:r + 3], col) for r in (0, 3, 6) for col in cols]
+
+
 def mmul(X: Mat3, Y: Mat3) -> Mat3:
     """XY, summed on Gaussian-integer numerators with one canonicalisation per entry."""
     (x, dx), (y, dy) = _over_lcm(flatten(X)), _over_lcm(flatten(Y))
     d = dx * dy
-    cols = (y[0::3], y[1::3], y[2::3])
-    return tuple(tuple(_reduce(*_dot(x[r:r + 3], col), d) for col in cols) for r in (0, 3, 6))
+    z = [_reduce(a, b, d) for a, b in _num_mmul(x, y)]
+    return tuple(z[0:3]), tuple(z[3:6]), tuple(z[6:9])
+
+
+def _num_bracket(x, y) -> list[tuple[int, int]]:
+    """[X, Y] = XY - YX on Gaussian-integer numerators: X = x/dx and Y = y/dy
+    give [X, Y] = _num_bracket(x, y)/(dx dy)."""
+    return [(a - c, b - e) for (a, b), (c, e) in zip(_num_mmul(x, y), _num_mmul(y, x))]
 
 
 def mtrans(X: Mat3) -> Mat3:
@@ -103,11 +116,6 @@ def is_zero_matrix(X: Mat3) -> bool:
 def apply_vec(X: Mat3, v) -> tuple:
     v0, v1, v2 = v
     return tuple(x0 * v0 + x1 * v1 + x2 * v2 for x0, x1, x2 in X)
-
-
-def bracket(X: Mat3, Y: Mat3) -> Mat3:
-    """[X, Y] = XY - YX, exactly."""
-    return msub(mmul(X, Y), mmul(Y, X))
 
 
 def killing(X: Mat3, Y: Mat3) -> GaussianRational:
@@ -174,11 +182,6 @@ class LieSubspace(Record):
             return exactla.integer_rank([list(chain.from_iterable(row)) for row in rows], False)
         return exactla.integer_rank(rows, True)
 
-    def contains(self, X: Mat3) -> bool:
-        """Whether X lies in the span: X's numerators appended to the basis rows
-        leave the rank at dim S."""
-        return self._integer_rank([*self.numerators[0], _over_lcm(flatten(X))[0]]) == self.dimension
-
 
 def _kernel(images, field: str) -> list[list]:
     """Kernel coordinates of a linear map, given the images of a basis.
@@ -220,8 +223,10 @@ def sl3_gram_rank() -> int:
 
 
 def ad_kernel_dim(P: Mat3, S: LieSubspace) -> int:
-    """Dimension of {X in S : [P, X] = 0} over S's own scalar field: dim S less a rank."""
-    return S.dimension - S._integer_rank([_over_lcm(flatten(bracket(P, b)))[0] for b in S.basis])
+    """Dimension of {X in S : [P, X] = 0} over S's own scalar field: dim S less the
+    rank of the brackets [P, b], each on the basis numerators over one denominator."""
+    p = _over_lcm(flatten(P))[0]
+    return S.dimension - S._integer_rank([_num_bracket(p, row) for row in S.numerators[0]])
 
 
 class SubalgebraReport(NamedTuple):
@@ -230,11 +235,12 @@ class SubalgebraReport(NamedTuple):
 
 
 def is_subalgebra(S: LieSubspace) -> SubalgebraReport:
-    """Check [b_i, b_j] in span(S) exactly for all basis pairs."""
-    for i, x in enumerate(S.basis):
-        for y in S.basis[i + 1:]:
-            if not S.contains(bracket(x, y)):
-                return SubalgebraReport(False, (x, y))
+    """Check [b_i, b_j] in span(S) exactly for all basis pairs: the bracket's
+    numerators appended to the basis rows leave the rank at dim S."""
+    rows = S.numerators[0]
+    for i, j in combinations(range(S.dimension), 2):
+        if S._integer_rank([*rows, _num_bracket(rows[i], rows[j])]) != S.dimension:
+            return SubalgebraReport(False, (S.basis[i], S.basis[j]))
     return SubalgebraReport(True, None)
 
 

@@ -404,12 +404,7 @@ class HermitianPolynomial(Record):
 
     # -- comparison and printing ----------------------------------------------
 
-    def __eq__(self, other):
-        if not isinstance(other, HermitianPolynomial):
-            return NotImplemented
-        return self.space == other.space and self.terms == other.terms
-
-    def __hash__(self):
+    def __hash__(self):  # Record's hash would hash the unhashable term dict
         return hash((self.space, tuple(sorted(self.terms.items(), key=lambda t: t[0]))))
 
     def __repr__(self):

@@ -14,6 +14,8 @@ import re
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from tubecert import catalog, chern_moser, geometry, lie
 from tubecert.catalog import (
     BASE_POINT,
@@ -33,6 +35,7 @@ from tubecert.catalog import (
     p_inverse,
     p_jacobian_rank_at_identity,
     p_params_from_map,
+    parse_ident,
     pseudo_unitarity_residual,
     quadric_surface,
     quadric_transitive_map,
@@ -41,7 +44,7 @@ from tubecert.catalog import (
     random_p_params,
     random_positive_fraction,
     resolve,
-    stated_lines,
+    stated_line,
     transitive_params_omega,
 )
 from tubecert.cli import default_config_text, parse_config, result_json_line, run_suite
@@ -250,22 +253,20 @@ def test_criterion_10_common_eigenvector_line():
 
 def test_criterion_11_non_hyperbolicity_witnesses():
     """11. exact symbolic line certificates for every stated line"""
-    lines = stated_lines()
-    model_ids = {
-        "D_plus(side=>)", "D_plus(side=<)", "D_minus(side=>)", "D_minus(side=<)",
-    }
-    assert model_ids <= set(lines)
-    quadric_ids = {k for k in lines if k.startswith("quadric")}
-    for p, n in ((1, 1), (1, 2), (2, 3), (5, 7)):
-        assert f"quadric(p={p},n={n},side=<)" in quadric_ids
-        if p < n:
-            assert f"quadric(p={p},n={n},side=>)" in quadric_ids
-    for ident, (base, direction, expected_grade) in lines.items():
+    model_ids = [f"{name}(side={side})" for name in ("D_plus", "D_minus") for side in "><"]
+    quadric_ids = [f"quadric(p={p},n={n},side={side})" for n in range(1, 8)
+                   for p in range(1, n + 1) for side in "<>"]
+    for ident in model_ids + quadric_ids:
+        args = parse_ident(ident)[1]
+        if "p" in args and args["p"] == args["n"] and args["side"] == ">":  # a ball: no line
+            with pytest.raises(DomainError, match="is a ball"):
+                stated_line(args)
+            continue
+        base, direction, expected_grade = stated_line(args)
         witness = geometry.contains_complex_line(resolve(ident).obj, base, direction)
         assert witness.certified, ident
         assert witness.grade == expected_grade, ident
-        if ident in model_ids:
-            assert witness.grade == "constant"
+        assert witness.grade == ("constant" if ident in model_ids else "definite"), ident
 
 
 def test_criterion_12_quadric_equivalences():

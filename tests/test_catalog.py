@@ -341,6 +341,23 @@ def test_an_exact_target_off_the_exact_path_fails_transitivity(monkeypatch):
     assert result.details["reason"].endswith(" missed the exact path")
 
 
+def test_quadric_transitivity_builds_one_map_per_draw(monkeypatch):
+    """Each draw is checked by solving its target back to the generating parameters,
+    so the action's map is built once per draw; a solver that misses its target fails."""
+    built, build = [], catalog.quadric_transitive_map
+    monkeypatch.setattr(catalog, "quadric_transitive_map",
+                        lambda *args: built.append(args) or build(*args))
+    spec = CheckSpec(id="q", kind="transitivity", target="quadric(p=1,n=2,side=<)", seed=5,
+                     parameters={"draws": "7"})
+    assert run_check(spec).status == "pass"
+    assert len(built) == 7
+    monkeypatch.setattr(catalog, "quadric_base_point", lambda p, n, side: [0] * n + [-2])
+    result = run_check(spec)
+    assert result.status == "fail"
+    assert result.details["reason"].startswith("constructed target ")
+    assert result.details["reason"].endswith(" missed the exact path")
+
+
 def test_transitivity_exact_and_float_paths():
     rng = random.Random(13)
     for alpha in (0, Fraction(1, 12), 1, -2):
@@ -1202,6 +1219,7 @@ def test_quadric_transitivity_random_draws():
             c = frac(rng)
             target = quadric_transitive_map(p, n, a, b, c).apply(base)
             sol = quadric_transitive_params(p, n, side, target)
+            assert sol == (a, tuple(b), c)
             image = quadric_transitive_map(p, n, *sol).apply(base)
             assert image == target
 

@@ -696,6 +696,24 @@ RESPELLED_LINES = [
 ]
 
 
+@pytest.mark.parametrize("target", ["quadric(p=3,n=4,side=<)", "quadric(p=1,n=3,side=>)"])
+def test_line_witness_certifies_a_quadric_side_off_the_shipped_suite(target, tmp_path, capsys):
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text(f"id = line\nkind = line_witness\ntarget = {target}\n")
+    assert main(["verify", str(cfg)]) == 0
+    details = json.loads(capsys.readouterr().out)["details"]
+    assert details["domain"] == target and details["grade"] == "definite"
+
+
+def test_line_witness_on_a_ball_exits_2_naming_the_ball(tmp_path, capsys):
+    cfg = tmp_path / "line.cfg"
+    cfg.write_text("id = ball\nkind = line_witness\ntarget = quadric(p=3,n=3,side=>)\n")
+    assert main(["verify", str(cfg)]) == 2
+    assert capsys.readouterr().err.strip() == (
+        "config error: check 'ball': the '>' side of the quadric over H_{3,3} is a ball "
+        "and contains no complex line")
+
+
 @pytest.mark.parametrize("stated, respelled", RESPELLED_LINES)
 def test_line_witness_finds_the_line_of_a_respelled_target(stated, respelled, tmp_path, capsys):
     details = []

@@ -168,3 +168,22 @@ def test_sigma_signature(monkeypatch):
 def test_line_image(monkeypatch, answer, reason):
     monkeypatch.setattr(lie, "line_image_test", lambda S, w: answer)
     assert _details("common-eigenvector-line") == {"reason": reason}
+
+
+def _conjugated_b(sol):
+    return sol._replace(b=tuple(x.conjugate() for x in sol.b))
+
+
+def _negated_c(sol):
+    return sol._replace(c=-sol.c)
+
+
+@pytest.mark.parametrize("change", [_conjugated_b, _negated_c])
+def test_a_quadric_solver_off_the_generating_parameters(monkeypatch, change):
+    """Mutation control: conj(b) or -c still solves for a point of the domain, and only
+    the comparison with the generating parameters rejects it."""
+    solve = catalog.quadric_transitive_params
+    monkeypatch.setattr(catalog, "quadric_transitive_params",
+                        lambda *args: change(solve(*args)))
+    assert _details("quadric-transitivity-2-3") == {
+        "reason": "recovered parameters differ from the generating ones"}

@@ -21,8 +21,9 @@ from tubecert.catalog import (
     model_surface,
     quadric_surface,
     random_p_params,
-    stated_lines,
+    stated_line,
     make_sigma_surface,
+    parse_ident,
     resolve,
 )
 from tubecert.errors import DomainError, NotAHypersurfacePoint, SpaceError
@@ -255,12 +256,47 @@ def test_grade_restriction_matches_the_term_loop(restriction, side, grade):
     assert _grade_restriction(restriction, side) == grade == _reference_grade(restriction, side)
 
 
+# The lines the catalog once listed domain by domain: (base point, direction, grade).
+TABLE_LINES = {
+    "D_plus(side=>)": ((0, 0, 0, 1), (0, 1, 0, 0), "constant"),
+    "D_plus(side=<)": ((0, 0, 0, -1), (0, 1, 0, 0), "constant"),
+    "D_minus(side=>)": ((0, 0, 0, 1), (0, 1, 0, 0), "constant"),
+    "D_minus(side=<)": ((0, 0, 0, -1), (0, 1, 0, 0), "constant"),
+    "quadric(p=1,n=1,side=<)": ((0, -1), (1, 0), "definite"),
+    "quadric(p=1,n=2,side=<)": ((0, 0, -1), (1, 0, 0), "definite"),
+    "quadric(p=1,n=2,side=>)": ((0, 0, 1), (0, 1, 0), "definite"),
+    "quadric(p=2,n=3,side=<)": ((0, 0, 0, -1), (1, 0, 0, 0), "definite"),
+    "quadric(p=2,n=3,side=>)": ((0, 0, 0, 1), (0, 0, 1, 0), "definite"),
+    "quadric(p=5,n=7,side=<)": ((0,) * 7 + (-1,), (1,) + (0,) * 7, "definite"),
+    "quadric(p=5,n=7,side=>)": ((0,) * 7 + (1,), (0,) * 6 + (1, 0), "definite"),
+}
+
+# Every D_plus/D_minus side and every quadric side with 1 <= p <= n <= 7 but the
+# balls (side '>' with p = n).
+LINE_DOMAINS = [f"{name}(side={side})" for name in ("D_plus", "D_minus") for side in "><"] + [
+    f"quadric(p={p},n={n},side={side})" for n in range(1, 8) for p in range(1, n + 1)
+    for side in "<>" if side == "<" or p < n]
+
+
+@pytest.mark.parametrize("ident", sorted(TABLE_LINES))
+def test_the_line_rule_gives_each_table_line(ident):
+    base, direction, grade = TABLE_LINES[ident]
+    got = stated_line(parse_ident(ident)[1])
+    assert got == (tuple(map(GaussianRational, base)), tuple(map(GaussianRational, direction)),
+                   grade)
+    assert all(type(x) is GaussianRational for x in got[0] + got[1])
+
+
 def test_all_stated_lines_certify():
-    for ident, (base, direction, grade) in stated_lines().items():
-        domain = resolve(ident).obj
-        w = contains_complex_line(domain, base, direction)
+    assert set(TABLE_LINES) <= set(LINE_DOMAINS) and len(LINE_DOMAINS) == 53
+    for ident in LINE_DOMAINS:
+        base, direction, grade = stated_line(parse_ident(ident)[1])
+        w = contains_complex_line(resolve(ident).obj, base, direction)
         assert w.certified, ident
         assert w.grade == grade, ident
+    for n in range(1, 8):
+        with pytest.raises(DomainError, match="is a ball"):
+            stated_line(parse_ident(f"quadric(p={n},n={n},side=>)")[1])
 
 
 def test_gradient_nonzero_at_catalog_sample_points():

@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations as pairs_of
 
 import pytest
 from hypothesis import given, settings
@@ -21,8 +22,8 @@ from tubecert.lie import (
     LieSubspace,
     ad_kernel_dim,
     algebra_membership_residual,
+    _num_bracket,
     apply_vec,
-    bracket,
     candidate_subalgebra,
     cayley_group_element,
     combine,
@@ -45,7 +46,7 @@ from tubecert.lie import (
     su21_basis,
     u21_basis,
 )
-from tubecert.scalars import GaussianRational
+from tubecert.scalars import GaussianRational, _over_lcm
 
 ZERO3 = mat([[0, 0, 0], [0, 0, 0], [0, 0, 0]])
 
@@ -63,18 +64,42 @@ def rand_matrix(rng):
     )
 
 
+def bracket(X, Y):
+    """[X, Y] = XY - YX through mmul, the route before brackets stayed on numerators."""
+    return msub(mmul(X, Y), mmul(Y, X))
+
+
+def in_span(S, X) -> bool:
+    """Whether X lies in span(S), by the rank of the Q(i) (over 'R', the realified) rows
+    of the basis with X appended."""
+    rows = [lie.flatten(Y) for Y in (*S.basis, X)]
+    if S.field == "R":
+        rows = [lie.realify(row) for row in rows]
+    return exactla.rank(rows) == S.dimension
+
+
+def numerators(X):
+    return _over_lcm(lie.flatten(X))
+
+
 def test_bracket_examples_and_identities():
+    """The numerator bracket: examples, antisymmetry and the Jacobi identity on
+    Gaussian integers, and agreement with the bracket through mmul."""
     rng = random.Random(60)
-    assert is_zero_matrix(bracket(E(0, 1), E(0, 1)))
-    assert bracket(E(0, 1), E(1, 0)) == msub(E(0, 0), E(1, 1))
+    e01, e10 = numerators(E(0, 1))[0], numerators(E(1, 0))[0]
+    assert _num_bracket(e01, e01) == [(0, 0)] * 9
+    assert _num_bracket(e01, e10) == numerators(msub(E(0, 0), E(1, 1)))[0]
     for _ in range(100):
         X, Y, Z = (rand_matrix(rng) for _ in range(3))
-        assert bracket(X, Y) == mscale(bracket(Y, X), -1)
-        jacobi = madd(
-            madd(bracket(X, bracket(Y, Z)), bracket(Y, bracket(Z, X))),
-            bracket(Z, bracket(X, Y)),
-        )
-        assert is_zero_matrix(jacobi)
+        (x, dx), (y, dy), (z, _) = map(numerators, (X, Y, Z))
+        assert _num_bracket(x, y) == [(-a, -b) for a, b in _num_bracket(y, x)]
+        jacobi = [tuple(map(sum, zip(*terms))) for terms in zip(
+            _num_bracket(x, _num_bracket(y, z)), _num_bracket(y, _num_bracket(z, x)),
+            _num_bracket(z, _num_bracket(x, y)))]
+        assert jacobi == [(0, 0)] * 9
+        d = GaussianRational(dx * dy)
+        assert [GaussianRational(a, b) / d for a, b in _num_bracket(x, y)] == lie.flatten(
+            bracket(X, Y))
 
 
 def test_killing_examples_and_symmetry():
@@ -153,7 +178,7 @@ def test_perp_of_nilpotent_is_not_subalgebra():
     assert not report.closed
     assert report.witness is not None
     X, Y = report.witness
-    assert not S.contains(bracket(X, Y))
+    assert not in_span(S, bracket(X, Y))
 
 
 def test_candidate_patterns_are_6_dim_subalgebras():
@@ -586,14 +611,18 @@ def memberships(draw):
 
 @given(memberships())
 @settings(max_examples=200, deadline=None)
-def test_contains_on_the_kept_numerators_matches_the_q_i_rank(case):
-    """The membership test on integer rows against the rank of the Q(i) (over 'R', the
-    realified) rows of the basis with X appended."""
+def test_brackets_on_the_kept_numerators_match_the_q_i_rank(case):
+    """ad_kernel_dim and is_subalgebra, which bracket on the kept integer rows, against
+    the brackets through mmul: the rank of their Q(i) (over 'R', realified) rows, and
+    membership by the rank with the bracket appended."""
     S, X = case
-    rows = [lie.flatten(Y) for Y in (*S.basis, X)]
+    rows = [lie.flatten(bracket(X, B)) for B in S.basis]
     if S.field == "R":
         rows = [lie.realify(row) for row in rows]
-    assert S.contains(X) == (exactla.rank(rows) == S.dimension)
+    assert ad_kernel_dim(X, S) == S.dimension - exactla.rank(rows)
+    first = next(((S.basis[i], S.basis[j]) for i, j in pairs_of(range(S.dimension), 2)
+                  if not in_span(S, bracket(S.basis[i], S.basis[j]))), None)
+    assert is_subalgebra(S) == (first is None, first)
 
 
 @pytest.mark.parametrize("S, A", [
@@ -603,7 +632,7 @@ def test_contains_on_the_kept_numerators_matches_the_q_i_rank(case):
     (lie.su21(), mat([[0, 0, GaussianRational(0, -1)], [0, 0, 0], [GaussianRational(0, 1), 0, 0]])),
 ])
 def test_a_singular_i_plus_a_raises_on_both_routes(S, A):
-    assert S is None or S.contains(A)
+    assert S is None or in_span(S, A)
     with pytest.raises(ZeroDivisionError):
         inverse_cayley(A)
     with pytest.raises(ZeroDivisionError):

@@ -2,7 +2,7 @@
 package itself, every parameter default is overridden somewhere in it, no
 module of it imports numpy or dataclasses, no float polynomial remains in it,
 one zero test builds every invariance certificate, and one base class makes
-every value class immutable.
+every value class immutable and compares it.
 
 A function, class or method that only tests call is surface the certifier
 does not need: either a default-suite check should use it or it should go.
@@ -201,6 +201,16 @@ def test_only_the_record_base_defines_setattr():
                 if "__setattr__" in bound:
                     definers.append(f"{module}.{node.name}")
     assert definers == ["scalars.Record"]
+
+
+def test_only_the_record_base_and_the_scalar_define_eq():
+    """Value equality is written once, in scalars.Record; GaussianRational keeps its own
+    because it also equals the int or Fraction of the same value."""
+    definers = [f"{module}.{node.name}" for module, tree in _trees().items()
+                for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                and any(isinstance(item, ast.FunctionDef) and item.name == "__eq__"
+                        for item in node.body)]
+    assert definers == ["scalars.Record", "scalars.GaussianRational"]
 
 
 def _defaults(tree):

@@ -83,7 +83,7 @@ def test_transitive_params_omega_towers_agree():
 
 
 def _float_line():
-    base, direction, _ = catalog.stated_line("D_plus(side=>)")
+    base, direction, _ = catalog.stated_line(catalog.parse_ident("D_plus(side=>)")[1])
     domain = catalog.resolve("D_plus(side=>)").obj
     geometry.contains_complex_line(
         domain, [complex(x) for x in base], [complex(x) for x in direction]
