@@ -199,18 +199,22 @@ def universal_generator_certificate(kind: str) -> InvarianceCertificate:
     return equivalence_certificate(g, f, g * GENERATORS[kind][1](z[5]))
 
 
-def composed_generator(alpha, q, r, s, t) -> AffineMapR:
-    """The transitive composite phi(q) o mu(s) o nu(t) o psi(r): scaling after shear
-    after the two translations, with the parameters in the solver's order."""
-    return (
-        make_generator("phi", alpha, q)
-        .compose(make_generator("mu", alpha, s))
-        .compose(make_generator("nu", alpha, t))
-        .compose(make_generator("psi", alpha, r))
-    )
-
-
 BASE_POINT = (Fraction(0), Fraction(0), Fraction(0), Fraction(1))
+
+
+def orbit_point(alpha, q, r, s, t) -> AffineMapR:
+    """The image of BASE_POINT under phi(q) o mu(s) o nu(t) o psi(r), with the
+    parameters in the solver's order.
+
+    The point enters as the constant map R^0 -> R^4 (a matrix with no columns), so
+    each generator is one ``compose``, a matrix-vector product over one integer
+    denominator.  The result is such a map too: the image is its translation over
+    its denominator.
+    """
+    point = AffineMapR(((),) * 4, tuple(map(int, BASE_POINT)), 1)
+    for kind, param in (("psi", r), ("nu", t), ("mu", s), ("phi", q)):
+        point = make_generator(kind, alpha, param).compose(point)
+    return point
 
 
 class TransitivityResult(NamedTuple):

@@ -24,14 +24,13 @@ from typing import NamedTuple
 
 from . import catalog, chern_moser, geometry, lie
 from .catalog import (
-    BASE_POINT,
     NO_ENTRIES,
-    composed_generator,
     identity_p_params,
     make_generator,
     make_p_element,
     model_surface,
     omega_defect,
+    orbit_point,
     p_compose,
     p_inverse,
     p_params_from_map,
@@ -282,7 +281,8 @@ def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regres
         for _ in range(exact_count):
             q = random_positive_fraction(rng)
             r, s, t = (random_fraction(rng) for _ in range(3))
-            target = composed_generator(alpha, q, r, s, t).apply(BASE_POINT)
+            _, num, d = orbit_point(alpha, q, r, s, t)
+            target = [Fraction(x, d) for x in num]
             _solved_back(partial(catalog.transitive_params_omega, alpha), target, (q, r, s, t))
         details["exact_targets"] = exact_count
 
@@ -297,10 +297,10 @@ def _transitivity_omega(spec, rng, alpha, side, exact_count, float_count, regres
                     continue
                 produced += 1
                 sol = catalog.transitive_params_omega(alpha, target)
-                # The exact image of the base point e4 is (column 4 + translation) / d;
-                # int / int rounds correctly, as float(Fraction) does.
-                m, t, d = composed_generator(alpha, *map(Fraction, sol))
-                err = max(abs((row[3] + ti) / d - x) for row, ti, x in zip(m, t, target))
+                # The exact image of the base point is num / d; int / int rounds
+                # correctly, as float(Fraction) does.
+                _, num, d = orbit_point(alpha, *map(Fraction, sol))
+                err = max(abs(xi / d - x) for xi, x in zip(num, target))
                 worst = max(worst, err)
         _require(produced == float_count, f"only {produced} of {float_count} float targets "
                  f"lay in the domain in {drawn} draws")
@@ -689,7 +689,7 @@ CHECKS = {
     ("lie", "subalgebra_dimensions"): Check(_lie_dimensions, {"stabilizer_reps": (_count, 10)}),
     ("lie", "isotropy_family"): Check(_lie_isotropy, {"draws": (_count, 50)}),
     ("lie", "line_image"): Check(_lie_line_image, {"draws": (_count, 50)}),
-    **_each("line_witness", ("D_plus", "D_minus", "quadric"),
+    **_each("line_witness", ("D_plus", "D_minus", "D0", "quadric"),
             Check(_line_witness, admits=catalog.stated_line)),
     **_each("closure", ("P_plus", "P_minus"),
             Check(_closure, {"draws": (_count, 50), "inverse_draws": (_count, 20)})),

@@ -1,9 +1,11 @@
 """Build integer affine maps from rational entries, and read them back, for tests that
-write them as Fractions."""
+write them as Fractions; and the full 4x4 transitive composite, an oracle for
+``catalog.orbit_point``."""
 
 import math
 from fractions import Fraction
 
+from tubecert.catalog import make_generator
 from tubecert.maps import AffineMapR, lift_affine
 
 
@@ -30,3 +32,14 @@ def affine_parts(f: AffineMapR):
 def affine_det(f: AffineMapR):
     """det of f's linear part, by exact elimination on the lift to C^n."""
     return lift_affine(f).linear_determinant()
+
+
+def composed_generator(alpha, q, r, s, t) -> AffineMapR:
+    """The transitive composite phi(q) o mu(s) o nu(t) o psi(r) as one 4x4 map: scaling
+    after shear after the two translations, with the parameters in the solver's order."""
+    return (
+        make_generator("phi", alpha, q)
+        .compose(make_generator("mu", alpha, s))
+        .compose(make_generator("nu", alpha, t))
+        .compose(make_generator("psi", alpha, r))
+    )

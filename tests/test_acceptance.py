@@ -18,9 +18,7 @@ import pytest
 
 from tubecert import catalog, chern_moser, geometry, lie
 from tubecert.catalog import (
-    BASE_POINT,
     PParams,
-    composed_generator,
     control_bad_constraint,
     identity_p_params,
     make_gamma,
@@ -31,6 +29,7 @@ from tubecert.catalog import (
     make_sigma_surface,
     make_tube_realisation_rational,
     model_surface,
+    orbit_point,
     p_compose,
     p_inverse,
     p_jacobian_rank_at_identity,
@@ -91,10 +90,10 @@ def test_criterion_02_affine_homogeneity():
         for _ in range(25):
             q = random_positive_fraction(rng)
             r, s, t = (random_fraction(rng) for _ in range(3))
-            target = composed_generator(alpha, q, r, s, t).apply(BASE_POINT)
+            target = orbit_point(alpha, q, r, s, t).apply(())
             sol = transitive_params_omega(alpha, target)
             assert isinstance(sol.q, Fraction)
-            image = composed_generator(alpha, *sol).apply(BASE_POINT)
+            image = orbit_point(alpha, *sol).apply(())
             assert list(image) == list(target)  # zero error on the exact path
         produced = 0
         while produced < 25:
@@ -104,7 +103,7 @@ def test_criterion_02_affine_homogeneity():
             except DomainError:
                 continue
             produced += 1
-            image = composed_generator(alpha, *map(Fraction, sol)).apply(BASE_POINT)
+            image = orbit_point(alpha, *map(Fraction, sol)).apply(())
             assert max(abs(float(a) - b) for a, b in zip(image, target)) <= FLOAT_TOL
     sol = transitive_params_omega(Fraction(1), (1, 0, 0, 2))
     assert sol == (1, 1, 6, 2)

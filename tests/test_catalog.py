@@ -23,7 +23,6 @@ from tubecert.catalog import (
     PParams,
     QuadricFamily,
     RationalizedEquivalence,
-    composed_generator,
     control_bad_constraint,
     control_wrong_phase,
     identity_p_params,
@@ -39,6 +38,7 @@ from tubecert.catalog import (
     make_tube_realisation_rational,
     model_domain,
     model_surface,
+    orbit_point,
     p_compose,
     p_chart_jacobian,
     p_inverse,
@@ -66,7 +66,7 @@ from tubecert.maps import (
 from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational, _Unreduced, phase_from_parameter
 
-from affine_helpers import affine_det, affine_parts, rational_affine
+from affine_helpers import affine_det, affine_parts, composed_generator, rational_affine
 from float_oracle import FloatPoly, printed_map_error, printed_pullback
 
 SP4 = VariableSpace(4)
@@ -212,6 +212,50 @@ def test_composed_generator_moves_the_base_point_as_the_fraction_matrices_do(sty
         assert got == _fraction_orbit_point(alpha, q, r, s, t), (alpha, q, r, s, t)
 
 
+@pytest.mark.parametrize("style", ["small", "large", "solver"])
+def test_orbit_point_is_the_full_composite_at_the_base_point(style):
+    """orbit_point holds the integers that the 4x4 composite gives for the base point
+    (its column 4 plus translation, and its denominator): 150 exact draws at small alpha
+    heights, 150 at the benchmark's 10^5-10^6 denominators, and the parameters that the
+    float solver returns for 150 uniform targets, as the omega float path passes them."""
+    rng = random.Random({"small": 61, "large": 62, "solver": 63}[style])
+    checked = 0
+    while checked < 150:
+        if style == "large":
+            den = rng.randint(10**5, 10**6)
+            alpha = Fraction(rng.randint(-3 * den, 3 * den), den)
+        else:
+            alpha = frac(rng, 12, 12)
+        if style == "solver":
+            target = [rng.uniform(-3, 3) for _ in range(4)]
+            if catalog.omega_defect(float(alpha), target) <= 0:
+                continue
+            params = tuple(map(Fraction, transitive_params_omega(alpha, target)))
+        else:
+            params = (catalog.random_positive_fraction(rng),
+                      *(catalog.random_fraction(rng) for _ in range(3)))
+        f = composed_generator(alpha, *params)
+        column = tuple(row[3] + t for row, t in zip(f.m, f.t))
+        got = orbit_point(alpha, *params)
+        assert got == AffineMapR(((),) * 4, column, f.d), params
+        assert got.apply(()) == f.apply(BASE_POINT)
+        checked += 1
+
+
+@pytest.mark.parametrize("path", ["exact", "float"])
+def test_one_omega_target_costs_four_compositions_onto_a_point(path, monkeypatch):
+    """Each omega target applies the four generators to the base point: four
+    AffineMapR.compose calls, each onto a map with no columns, and no 4x4 product."""
+    columns, compose = [], AffineMapR.compose
+    monkeypatch.setattr(AffineMapR, "compose",
+                        lambda f, g: columns.append(len(g.m[0])) or compose(f, g))
+    result = run_check(CheckSpec(
+        id="w", kind="transitivity", target="omega(alpha=-259571/161267,side=>)", seed=11,
+        path=path, parameters={f"{path}_count": "1"}))
+    assert result.status == "pass" and result.details[f"{path}_targets"] == 1
+    assert columns == [0, 0, 0, 0]
+
+
 def test_one_wrong_integer_entry_of_psi_breaks_invariance():
     for alpha, r in ((Fraction(2, 3), Fraction(3, 2)), (Fraction(-5, 7), Fraction(1))):
         rho = make_gamma(alpha).rho
@@ -315,7 +359,7 @@ def test_importing_the_cli_builds_no_universal_certificate():
 def test_transitivity_regression_and_identity():
     sol = transitive_params_omega(1, (1, 0, 0, 2))
     assert sol == (1, 1, 6, 2) and isinstance(sol.q, Fraction)
-    image = composed_generator(1, *sol).apply(BASE_POINT)
+    image = orbit_point(1, *sol).apply(())
     assert image == [1, 0, 0, 2]
     ident = transitive_params_omega(0, (0, 0, 0, 1))
     assert ident == (1, 0, 0, 0)
@@ -364,7 +408,7 @@ def test_transitivity_exact_and_float_paths():
         for _ in range(25):
             q = Fraction(rng.randint(1, 12), rng.randint(1, 4))
             r, s, t = (frac(rng) for _ in range(3))
-            target = composed_generator(alpha, q, r, s, t).apply(BASE_POINT)
+            target = orbit_point(alpha, q, r, s, t).apply(())
             assert side_of(make_omega(alpha, ">"), target) == "inside"
             sol = transitive_params_omega(alpha, target)
             assert isinstance(sol.q, Fraction)
@@ -378,7 +422,7 @@ def test_transitivity_exact_and_float_paths():
             except DomainError:
                 continue
             produced += 1
-            image = composed_generator(alpha, *map(Fraction, sol)).apply(BASE_POINT)
+            image = orbit_point(alpha, *map(Fraction, sol)).apply(())
             worst = max(worst, max(abs(float(a) - b) for a, b in zip(image, target)))
         assert worst <= 1e-9
 

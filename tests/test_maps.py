@@ -1,6 +1,7 @@
 """Affine lifts, composition, pullbacks, and invariance certificates."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tubecert.catalog import (
-    composed_generator,
     make_gamma,
     make_generator,
     make_normalizer_rational,
@@ -35,7 +35,7 @@ from tubecert.maps import (
 from tubecert.poly import HermitianPolynomial, VariableSpace
 from tubecert.scalars import GaussianRational
 
-from affine_helpers import affine_det, affine_parts, rational_affine
+from affine_helpers import affine_det, affine_parts, composed_generator, rational_affine
 from pullback_helpers import canonical_pullback
 
 SP4 = VariableSpace(4)
@@ -141,6 +141,20 @@ def test_affine_map_takes_integers_over_one_positive_denominator():
     assert affine_parts(f) == affine_parts(rational_affine([["1/2", 0], [1, "3/2"]], [2, "-1/2"]))
     assert affine_parts(f) == affine_parts(AffineMapR(((1, 0), (2, 3)), (4, -1), 2))
     assert affine_det(f) == Fraction(3, 4)
+
+
+def test_compose_onto_a_map_with_no_columns_is_apply():
+    """A point x of R^n as the constant map R^0 -> R^n: f composed onto it is f(x)."""
+    rng = random.Random(29)
+    for _ in range(50):
+        n = rng.randint(1, 5)
+        f = rand_affine(rng, n)
+        x = [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)]
+        d = math.lcm(*(v.denominator for v in x))
+        point = AffineMapR(((),) * n, tuple(int(v * d) for v in x), d)
+        image = f.compose(point)
+        assert image.m == ((),) * n
+        assert [Fraction(v, image.d) for v in image.t] == f.apply(x)
 
 
 def test_composed_generator_determinant_is_q_to_the_tenth():

@@ -18,10 +18,9 @@ import pytest
 
 from tubecert import catalog, checks, chern_moser, geometry, lie, maps, poly
 from tubecert.catalog import (
-    BASE_POINT,
-    composed_generator,
     control_wrong_phase,
     make_p_element,
+    orbit_point,
     p_jacobian_rank_at_identity,
     quadric_transitive_map,
     random_fraction,
@@ -68,7 +67,7 @@ def test_transitive_params_omega_towers_agree():
         for _ in range(25):
             q = random_positive_fraction(rng)
             r, s, t = (random_fraction(rng) for _ in range(3))
-            target = composed_generator(alpha, q, r, s, t).apply(BASE_POINT)
+            target = orbit_point(alpha, q, r, s, t).apply(())
             exact = transitive_params_omega(alpha, target)
             floats = transitive_params_omega(alpha, [float(x) for x in target])
             assert isinstance(exact.q, Fraction) and isinstance(floats.q, float)
